@@ -12,20 +12,24 @@ On top of the solver sit the rule-set diagnostics: tautology and
 contradiction lint for single rules, infeasibility, levels a rule set
 silently excludes, values and ranges it implicitly fixes, redundant
 rules, and conditional rules whose condition or consequent the rest of
-the set already decides.  The simplifier applies those last three
-transformations to a fixpoint, preserving the solution set.
+the set already decides.  Tautologies, redundancy, decided conditions
+and consequents, and ``ruleset_implies`` all ask one question through
+one probe: do the compiled rules plus the negated claim admit no
+assignment?  The simplifier applies those last three transformations to
+a fixpoint, preserving the solution set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from .errors import UnsupportedForAnalysisError
 from .linear import Interval, Row, feasible, make_row, project
 from .model import format_number
 from .rules import (
+    COMPARE,
     Binary,
     Builtin,
     Expr,
@@ -153,31 +157,31 @@ class _Compiler:
             self.numeric.setdefault(var_id, decl.bounds)
         return var_id, decl
 
-    # CNF of expr (or of its negation)
-    def cnf(self, expr: Expr, negated: bool) -> _CNF:
+    def cnf(self, expr: Expr) -> _CNF:
         if isinstance(expr, Unary) and expr.op == "not":
-            return self.cnf(expr.operand, not negated)
+            pushed = negate_expr(expr.operand)
+            if pushed != expr:  # else negate_expr left a call wrapped: a negated leaf
+                return self.cnf(pushed)
         if isinstance(expr, If):
-            rewritten = Binary("or", Unary("not", expr.cond), expr.then)
-            return self.cnf(rewritten, negated)
+            return self.cnf(Binary("or", Unary("not", expr.cond), expr.then))
         if isinstance(expr, Binary) and expr.op in ("and", "or"):
-            conjunctive = (expr.op == "and") != negated
-            left = self.cnf(expr.left, negated)
-            right = self.cnf(expr.right, negated)
-            if conjunctive:
+            left = self.cnf(expr.left)
+            right = self.cnf(expr.right)
+            if expr.op == "and":
                 return left + right
             return [l + r for l in left for r in right]
-        return self.leaf(expr, negated)
+        return self.leaf(expr)
 
-    def leaf(self, expr: Expr, negated: bool) -> _CNF:
-        if isinstance(expr, Builtin):
-            if expr.fn == "in_set":
-                return self.membership(expr.args[0], expr.args[1], negated)
-            self.fail(f"{expr.fn} is a three-valued test, not a linear or categorical atom")
-        if isinstance(expr, Binary) and expr.op in ("<", "<=", "==", "!=", ">=", ">"):
-            op = _FLIP[expr.op] if negated else expr.op
-            return self.comparison(op, expr.left, expr.right)
-        self.fail(f"cannot analyze {format_expr(expr)!r}")
+    def leaf(self, expr: Expr) -> _CNF:
+        negated = isinstance(expr, Unary) and expr.op == "not"
+        call = expr.operand if negated else expr
+        if isinstance(call, Builtin):
+            if call.fn == "in_set":
+                return self.membership(call.args[0], call.args[1], negated)
+            self.fail(f"{call.fn} is a three-valued test, not a linear or categorical atom")
+        if isinstance(expr, Binary) and expr.op in COMPARE:
+            return self.comparison(expr.op, expr.left, expr.right)
+        self.fail(f"cannot analyze {format_expr(call)!r}")
 
     def membership(self, target: Expr, items: Expr, negated: bool) -> _CNF:
         assert isinstance(items, SetLit)
@@ -223,7 +227,7 @@ class _Compiler:
         coeffs = {v: c for v, c in coeffs.items() if c != 0}
         constant = rk - lk
         if not coeffs:
-            holds = _const_compare(op, Fraction(0), constant)
+            holds = COMPARE[op](Fraction(0), constant)
             return [] if holds else [()]
         items = tuple(sorted(coeffs.items()))
         if op == "!=":
@@ -317,20 +321,6 @@ class _Compiler:
         self.fail(f"cannot linearize {format_expr(expr)!r}")
 
 
-_FLIP = {"<": ">=", "<=": ">", "==": "!=", "!=": "==", ">=": "<", ">": "<="}
-
-
-def _const_compare(op: str, left: Fraction, right: Fraction) -> bool:
-    return {
-        "<": left < right,
-        "<=": left <= right,
-        "==": left == right,
-        "!=": left != right,
-        ">=": left >= right,
-        ">": left > right,
-    }[op]
-
-
 def _check_analyzable(rule: Rule) -> None:
     span = referenced_signature(rule)
     if span.has_aggregate:
@@ -344,11 +334,18 @@ def _check_analyzable(rule: Rule) -> None:
 def compile_rule_clauses(rule: Rule, schema: Schema, negated: bool = False) -> tuple[_Compiler, _CNF]:
     _check_analyzable(rule)
     compiler = _Compiler(rule.name, schema)
-    body = negate_expr(rule.body) if negated else rule.body
-    return compiler, compiler.cnf(body, False)
+    return compiler, compiler.cnf(negate_expr(rule.body) if negated else rule.body)
 
 
-def _build_system(schema: Schema, parts: list[tuple[str, _Compiler, _CNF]]) -> ConstraintSystem:
+#: One compiled rule: (clause origin, compiler with its variables, clauses).
+_Part = tuple[str, _Compiler, _CNF]
+
+
+def _compile_part(rule: Rule, schema: Schema) -> _Part:
+    return (rule.name, *compile_rule_clauses(rule, schema))
+
+
+def _build_system(parts: Iterable[_Part]) -> ConstraintSystem:
     clauses: list[Clause] = []
     numeric: dict[str, Optional[tuple[Fraction, Fraction]]] = {}
     categorical: dict[str, tuple[str, ...]] = {}
@@ -371,30 +368,7 @@ def _build_system(schema: Schema, parts: list[tuple[str, _Compiler, _CNF]]) -> C
 
 def compile_rules(rules: RuleSet, schema: Schema) -> ConstraintSystem:
     """Conjoin every rule into one clause system over the schema domains."""
-    parts = []
-    for rule in rules:
-        compiler, cnf = compile_rule_clauses(rule, schema)
-        parts.append((rule.name, compiler, cnf))
-    return _build_system(schema, parts)
-
-
-def _extend(system: ConstraintSystem, schema: Schema, rule: Rule, negated: bool, origin: str) -> ConstraintSystem:
-    compiler, cnf = compile_rule_clauses(rule, schema, negated=negated)
-    extended = replace(
-        system,
-        clauses=system.clauses + [Clause(tuple(d), origin) for d in cnf],
-        numeric_vars={**compiler.numeric, **system.numeric_vars},
-        categorical_vars={**compiler.categorical, **system.categorical_vars},
-        display={**compiler.display, **system.display},
-    )
-    # bounds of newly referenced variables must still constrain the probe
-    for var_id, bounds in compiler.numeric.items():
-        if var_id in system.numeric_vars or bounds is None:
-            continue
-        low, high = bounds
-        extended.clauses.append(Clause((LinearAtom(((var_id, Fraction(1)),), ">=", low),), f"domain:{extended.label(var_id)}"))
-        extended.clauses.append(Clause((LinearAtom(((var_id, Fraction(1)),), "<=", high),), f"domain:{extended.label(var_id)}"))
-    return extended
+    return _build_system([_compile_part(rule, schema) for rule in rules])
 
 
 # --- satisfiability -------------------------------------------------------
@@ -456,7 +430,7 @@ def _atom_holds(atom: Atom, numeric: dict[str, Fraction], cats: dict[str, str]) 
     if isinstance(atom, CategoricalAtom):
         return cats.get(atom.variable) in atom.allowed
     total = sum((c * numeric.get(v, Fraction(0)) for v, c in atom.coeffs), Fraction(0))
-    return _const_compare(atom.relation, total, atom.constant)
+    return COMPARE[atom.relation](total, atom.constant)
 
 
 def check_witness(system: ConstraintSystem, witness: dict[str, Union[Fraction, str]]) -> bool:
@@ -485,21 +459,25 @@ def is_satisfiable(system: ConstraintSystem) -> SatResult:
     return SatResult(False, None)
 
 
+def _entails(parts: list[_Part], claim: Rule, schema: Schema) -> bool:
+    """True when the compiled rules ``parts`` entail ``claim``: the rules
+    plus the negated claim are unsatisfiable over the declared domains."""
+    negation = (f"not:{claim.name}", *compile_rule_clauses(claim, schema, negated=True))
+    return not is_satisfiable(_build_system([*parts, negation]))
+
+
 # --- findings -------------------------------------------------------------
 
 def lint_rule(rule: Rule, schema: Schema) -> Optional[Finding]:
     """Tautology or contradiction verdict for one rule over the schema
     domains, None for a genuine validation rule."""
-    alone = RuleSet((rule,))
-    if not is_satisfiable(compile_rules(alone, schema)):
+    if not is_satisfiable(_build_system([_compile_part(rule, schema)])):
         return Finding(
             kind=CONTRADICTION,
             rule=rule.name,
             evidence=f"{format_expr(rule.body)} admits no assignment over the declared domains",
         )
-    compiler, negated_cnf = compile_rule_clauses(rule, schema, negated=True)
-    negated_system = _build_system(schema, [(rule.name, compiler, negated_cnf)])
-    if not is_satisfiable(negated_system):
+    if _entails([], rule, schema):
         return Finding(
             kind=TAUTOLOGY,
             rule=rule.name,
@@ -602,12 +580,10 @@ def detect_partial_infeasibility(system: ConstraintSystem) -> list[Finding]:
 
 def detect_redundant(rules: RuleSet, schema: Schema) -> list[Finding]:
     """Rules already implied by the rest of the set."""
+    parts = [_compile_part(rule, schema) for rule in rules]
     findings = []
-    for rule in rules:
-        remainder = rules.without(rule.name)
-        system = compile_rules(remainder, schema)
-        probe = _extend(system, schema, rule, negated=True, origin=f"not:{rule.name}")
-        if not is_satisfiable(probe):
+    for i, rule in enumerate(rules):
+        if _entails(parts[:i] + parts[i + 1:], rule, schema):
             findings.append(Finding(
                 kind=REDUNDANT,
                 rule=rule.name,
@@ -616,40 +592,32 @@ def detect_redundant(rules: RuleSet, schema: Schema) -> list[Finding]:
     return findings
 
 
-def _conditional_probe(rules: RuleSet, schema: Schema, rule: Rule, part: Expr) -> bool:
-    """True when the rule set plus the negation of ``part`` is unsatisfiable."""
-    system = compile_rules(rules, schema)
-    probe_rule = Rule(rule.name, part, rule.source_span)
-    probe = _extend(system, schema, probe_rule, negated=True, origin=f"probe:{rule.name}")
-    return not is_satisfiable(probe)
+def _entailed_branches(rules: RuleSet, schema: Schema, kind: str, branch: str, noun: str) -> list[Finding]:
+    """Conditional rules whose ``branch`` ("cond" or "then") the set entails."""
+    parts = [_compile_part(rule, schema) for rule in rules]
+    findings = []
+    for rule in rules:
+        if not isinstance(rule.body, If):
+            continue
+        claim = getattr(rule.body, branch)
+        if _entails(parts, Rule(rule.name, claim, rule.source_span), schema):
+            findings.append(Finding(
+                kind=kind,
+                rule=rule.name,
+                evidence=f"the rule set plus the negation of the {noun} "
+                         f"{format_expr(claim)!r} is unsatisfiable",
+            ))
+    return findings
 
 
 def detect_nonrelaxing(rules: RuleSet, schema: Schema) -> list[Finding]:
     """Conditional rules whose condition the set forces to be true."""
-    findings = []
-    for rule in rules:
-        if isinstance(rule.body, If) and _conditional_probe(rules, schema, rule, rule.body.cond):
-            findings.append(Finding(
-                kind=NONRELAXING,
-                rule=rule.name,
-                evidence=f"the rule set plus the negation of the condition "
-                         f"{format_expr(rule.body.cond)!r} is unsatisfiable",
-            ))
-    return findings
+    return _entailed_branches(rules, schema, NONRELAXING, "cond", "condition")
 
 
 def detect_nonconstraining(rules: RuleSet, schema: Schema) -> list[Finding]:
     """Conditional rules whose consequent already holds on every solution."""
-    findings = []
-    for rule in rules:
-        if isinstance(rule.body, If) and _conditional_probe(rules, schema, rule, rule.body.then):
-            findings.append(Finding(
-                kind=NONCONSTRAINING,
-                rule=rule.name,
-                evidence=f"the rule set plus the negation of the consequent "
-                         f"{format_expr(rule.body.then)!r} is unsatisfiable",
-            ))
-    return findings
+    return _entailed_branches(rules, schema, NONCONSTRAINING, "then", "consequent")
 
 
 def analyze_ruleset(rules: RuleSet, schema: Schema) -> tuple[list[Finding], list[tuple[str, str]]]:
@@ -690,12 +658,8 @@ def analyze_ruleset(rules: RuleSet, schema: Schema) -> tuple[list[Finding], list
 def ruleset_implies(stronger: RuleSet, weaker: RuleSet, schema: Schema) -> bool:
     """True when every solution of ``stronger`` satisfies every rule of
     ``weaker`` (checked rule by rule via unsatisfiability probes)."""
-    system = compile_rules(stronger, schema)
-    for rule in weaker:
-        probe = _extend(system, schema, rule, negated=True, origin=f"not:{rule.name}")
-        if is_satisfiable(probe):
-            return False
-    return True
+    parts = [_compile_part(rule, schema) for rule in stronger]
+    return all(_entails(parts, rule, schema) for rule in weaker)
 
 
 # --- simplification --------------------------------------------------------
@@ -720,18 +684,14 @@ def simplify_ruleset(rules: RuleSet, schema: Schema) -> tuple[RuleSet, list[Simp
     are.  An unsatisfiable input is returned unchanged with an
     ``infeasible`` log entry.
     """
-    supported: list[Rule] = []
+    compiled: dict[str, _Part] = {}
     for rule in rules:
         try:
-            _check_analyzable(rule)
-            compile_rule_clauses(rule, schema)
-            supported.append(rule)
+            compiled[rule.name] = _compile_part(rule, schema)
         except UnsupportedForAnalysisError:
             continue
-    supported_names = {r.name for r in supported}
 
-    analyzable = RuleSet(tuple(supported))
-    if not is_satisfiable(compile_rules(analyzable, schema)):
+    if not is_satisfiable(_build_system(compiled.values())):
         step = SimplifyStep(
             action="infeasible", rule="", before="", after=None,
             probe="the conjunction of all rules is unsatisfiable",
@@ -741,43 +701,38 @@ def simplify_ruleset(rules: RuleSet, schema: Schema) -> tuple[RuleSet, list[Simp
     current = rules
     log: list[SimplifyStep] = []
     while True:
-        applied = False
         for rule in current:
-            if rule.name not in supported_names:
+            if rule.name not in compiled:
                 continue
-            subset = RuleSet(tuple(r for r in current if r.name in supported_names))
-            if isinstance(rule.body, If):
-                if _conditional_probe(subset, schema, rule, rule.body.cond):
-                    new_rule = Rule(rule.name, rule.body.then, rule.source_span)
-                    log.append(SimplifyStep(
-                        action="nonrelaxing", rule=rule.name,
-                        before=format_rule(rule), after=format_rule(new_rule),
-                        probe="rule set plus negated condition is unsatisfiable",
-                    ))
-                    current = current.replacing(rule.name, new_rule)
-                    applied = True
-                    break
-                if _conditional_probe(subset, schema, rule, rule.body.then):
-                    new_rule = Rule(rule.name, rule.body.then, rule.source_span)
-                    log.append(SimplifyStep(
-                        action="nonconstraining", rule=rule.name,
-                        before=format_rule(rule), after=format_rule(new_rule),
-                        probe="rule set plus negated consequent is unsatisfiable",
-                    ))
-                    current = current.replacing(rule.name, new_rule)
-                    applied = True
-                    break
-            remainder = RuleSet(tuple(r for r in current if r.name in supported_names and r.name != rule.name))
-            system = compile_rules(remainder, schema)
-            probe = _extend(system, schema, rule, negated=True, origin=f"not:{rule.name}")
-            if not is_satisfiable(probe):
-                log.append(SimplifyStep(
-                    action="drop_redundant", rule=rule.name,
-                    before=format_rule(rule), after=None,
-                    probe="remaining rules plus the negated rule are unsatisfiable",
-                ))
+            parts = [compiled[r.name] for r in current if r.name in compiled]
+            rewrite = _first_rewrite(rule, parts, schema)
+            if rewrite is None:
+                continue
+            action, new_rule, probe = rewrite
+            log.append(SimplifyStep(
+                action=action, rule=rule.name, before=format_rule(rule),
+                after=None if new_rule is None else format_rule(new_rule), probe=probe,
+            ))
+            if new_rule is None:
                 current = current.without(rule.name)
-                applied = True
-                break
-        if not applied:
+            else:
+                current = current.replacing(rule.name, new_rule)
+                compiled[rule.name] = _compile_part(new_rule, schema)
+            break
+        else:
             return current, log
+
+
+def _first_rewrite(rule: Rule, parts: list[_Part], schema: Schema) -> Optional[tuple[str, Optional[Rule], str]]:
+    """(action, rewritten rule or None to drop it, probe text) for the
+    first simplification that applies to ``rule`` within ``parts``."""
+    if isinstance(rule.body, If):
+        consequent = Rule(rule.name, rule.body.then, rule.source_span)
+        if _entails(parts, Rule(rule.name, rule.body.cond, rule.source_span), schema):
+            return "nonrelaxing", consequent, "rule set plus negated condition is unsatisfiable"
+        if _entails(parts, consequent, schema):
+            return "nonconstraining", consequent, "rule set plus negated consequent is unsatisfiable"
+    others = [part for part in parts if part[0] != rule.name]
+    if _entails(others, rule, schema):
+        return "drop_redundant", None, "remaining rules plus the negated rule are unsatisfiable"
+    return None

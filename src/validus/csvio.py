@@ -13,7 +13,7 @@ import io
 from typing import Optional
 
 from .errors import ValidusError
-from .model import DataPoint, Dataset, Key, build_dataset, format_value, natural_order, parse_value
+from .model import DataPoint, Dataset, Key, build_dataset, format_value, parse_value
 
 
 class CsvFormatError(ValidusError):
@@ -70,10 +70,7 @@ def write_table(dataset: Dataset, table: str, unit_column: str = "id",
                 time_column: Optional[str] = "time") -> str:
     """CSV text for one table; re-ingesting reproduces its points."""
     variables = dataset.variables(table)
-    records = sorted(
-        {(k.unit, k.time) for k in dataset.key_set if k.table == table},
-        key=lambda p: (natural_order(p[0]), natural_order(p[1])),
-    )
+    records = dataset.records(table)
     has_time = any(time is not None for _, time in records)
 
     out = io.StringIO()

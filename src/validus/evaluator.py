@@ -17,6 +17,7 @@ from typing import Optional, Union
 from .errors import IncompatibleScopeError, UnknownVariableError
 from .model import NA, Dataset, Key, Value, is_na, natural_order
 from .rules import (
+    COMPARE,
     Aggregate,
     Binary,
     Builtin,
@@ -40,7 +41,6 @@ NA_POLICIES = ("propagate", "ignore")
 @dataclass(frozen=True)
 class EvalOptions:
     na_policy: str = "propagate"
-    diagnostics: bool = True
 
     def __post_init__(self) -> None:
         if self.na_policy not in NA_POLICIES:
@@ -112,15 +112,10 @@ class _Evaluator:
 
     def records(self, table: str) -> list[tuple[str, Optional[str]]]:
         if table not in self._records:
-            pairs = {(k.unit, k.time) for k in self.dataset.key_set if k.table == table}
-            self._records[table] = sorted(
-                pairs, key=lambda p: (natural_order(p[0]), natural_order(p[1]))
-            )
+            self._records[table] = self.dataset.records(table)
         return self._records[table]
 
     def _diag(self, kind: str, message: str) -> None:
-        if not self.options.diagnostics:
-            return
         rule, table, unit, time = self._entry_scope
         self.diagnostics.append(Diagnostic(rule, table, unit, time, kind, message))
 
@@ -220,12 +215,10 @@ class _Evaluator:
         if is_na(left) or is_na(right):
             return TriBool.NA
         if isinstance(left, Fraction) and isinstance(right, Fraction):
-            return TriBool.of(_compare(expr.op, left, right))
+            return TriBool.of(COMPARE[expr.op](left, right))
         if isinstance(left, str) and isinstance(right, str):
-            if expr.op == "==":
-                return TriBool.of(left == right)
-            if expr.op == "!=":
-                return TriBool.of(left != right)
+            if expr.op in ("==", "!="):
+                return TriBool.of(COMPARE[expr.op](left, right))
             self._diag("type_mismatch", f"ordering {expr.op} is undefined for text")
             return TriBool.NA
         self._diag("type_mismatch", f"comparison {expr.op} between number and text")
@@ -310,20 +303,6 @@ class _Evaluator:
         if enclosing is not None:
             return enclosing
         raise IncompatibleScopeError(rule_name, "aggregate group cannot be determined")
-
-
-def _compare(op: str, left: Fraction, right: Fraction) -> bool:
-    if op == "<":
-        return left < right
-    if op == "<=":
-        return left <= right
-    if op == "==":
-        return left == right
-    if op == "!=":
-        return left != right
-    if op == ">=":
-        return left >= right
-    return left > right
 
 
 def _rule_scoping(evaluator: _Evaluator, rule: Rule) -> tuple[str, Optional[str], set[str]]:

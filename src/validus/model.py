@@ -163,16 +163,24 @@ class Dataset:
             return [None]
         return sorted(times, key=natural_order)
 
+    def records(self, table: str) -> list[tuple[str, Optional[str]]]:
+        """(unit, time) of every record of a table, by unit then time in
+        natural order."""
+        pairs = {(k.unit, k.time) for k in self.key_set if k.table == table}
+        return sorted(pairs, key=lambda p: (natural_order(p[0]), natural_order(p[1])))
+
     def variables(self, table: str) -> list[str]:
         return sorted({k.variable for k in self.key_set if k.table == table})
 
 
 def natural_order(label: Optional[str]):
-    """Sort key for unit and time labels: numbers before text, by value."""
+    """Sort key for unit and time labels: numbers before text, by value.
+    Numerically equal labels (``1``, ``01``, ``1.0``) order by their text,
+    so the order never depends on set iteration."""
     if label is None:
         return (0, Fraction(0), "")
     try:
-        return (1, Fraction(label), "")
+        return (1, Fraction(label), label)
     except (ValueError, ZeroDivisionError):
         return (2, Fraction(0), label)
 

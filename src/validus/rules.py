@@ -27,7 +27,9 @@ logical implication.
 
 from __future__ import annotations
 
+import operator
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Optional, Union
@@ -39,7 +41,13 @@ AGGREGATE_FNS = ("mean", "sum", "min", "max", "count")
 BUILTIN_FNS = ("is_number", "is_integer", "is_text", "is_na", "in_set")
 _CALL_FNS = AGGREGATE_FNS + ("abs",) + BUILTIN_FNS
 
-_CMP_OPS = ("<", "<=", "==", "!=", ">=", ">")
+#: Each comparison operator as a predicate on two values.
+COMPARE = {
+    "<": operator.lt, "<=": operator.le, "==": operator.eq,
+    "!=": operator.ne, ">=": operator.ge, ">": operator.gt,
+}
+#: The operator whose comparison is the negation of each one.
+_NEGATED_CMP = {"<": ">=", "<=": ">", "==": "!=", "!=": "==", ">=": "<", ">": "<="}
 _KEYWORDS = ("if", "and", "or", "not", "NA")
 
 
@@ -123,12 +131,15 @@ class Rule:
 @dataclass(frozen=True)
 class RuleSet:
     rules: tuple[Rule, ...] = ()
+    _index: dict[str, Rule] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        names = [r.name for r in self.rules]
-        for name in names:
-            if names.count(name) > 1:
-                raise DuplicateRuleNameError(name)
+        index = {rule.name: rule for rule in self.rules}
+        if len(index) < len(self.rules):
+            # name the first name in file order that occurs twice
+            counts = Counter(r.name for r in self.rules)
+            raise DuplicateRuleNameError(next(n for n in index if counts[n] > 1))
+        object.__setattr__(self, "_index", index)
 
     def __iter__(self) -> Iterator[Rule]:
         return iter(self.rules)
@@ -137,10 +148,7 @@ class RuleSet:
         return len(self.rules)
 
     def __getitem__(self, name: str) -> Rule:
-        for rule in self.rules:
-            if rule.name == name:
-                return rule
-        raise KeyError(name)
+        return self._index[name]
 
     def names(self) -> list[str]:
         return [r.name for r in self.rules]
@@ -303,7 +311,7 @@ class _Parser:
 
     def cmp(self) -> Expr:
         node = self.sum()
-        if self.cur.kind == "OP" and self.cur.text in _CMP_OPS:
+        if self.cur.kind == "OP" and self.cur.text in COMPARE:
             op = self._advance().text
             node = Binary(op, node, self.sum())
         return node
@@ -459,7 +467,7 @@ def _typeof(expr: Expr, rule_name: str) -> str:
                 if t not in _NUMERICISH:
                     err(expr, f"{expr.op!r} needs numeric operands, got {t}")
             return T_NUM
-        if expr.op in _CMP_OPS:
+        if expr.op in COMPARE:
             for t in (lt, rt):
                 if t not in _SCALARS:
                     err(expr, f"{expr.op!r} compares data values, got {t}")
@@ -518,10 +526,9 @@ def negate_expr(expr: Expr) -> Expr:
     """An expression equivalent to not(expr) under three-valued logic,
     with the negation pushed inward (comparisons flip, De Morgan on
     and/or, implications become cond-and-not-consequent)."""
-    flipped = {"<": ">=", "<=": ">", "==": "!=", "!=": "==", ">=": "<", ">": "<="}
     if isinstance(expr, Binary):
-        if expr.op in flipped:
-            return Binary(flipped[expr.op], expr.left, expr.right)
+        if expr.op in _NEGATED_CMP:
+            return Binary(_NEGATED_CMP[expr.op], expr.left, expr.right)
         if expr.op == "and":
             return Binary("or", negate_expr(expr.left), negate_expr(expr.right))
         if expr.op == "or":

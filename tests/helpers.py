@@ -98,6 +98,12 @@ def grid_candidates(system: ConstraintSystem, var: str) -> list[Fraction]:
                 v, coeff = atom.coeffs[0]
                 if v == var:
                     breaks.add(atom.constant / coeff)
+    return grid_points(breaks)
+
+
+def grid_points(breaks) -> list[Fraction]:
+    """Each breakpoint, the midpoints between neighbours, and one point
+    outside each end: a point in every cell the breakpoints cut."""
     if not breaks:
         return [Fraction(0)]
     points = sorted(breaks)

@@ -1,12 +1,13 @@
 """Rule-set analysis: the golden corpus, oracle equivalence, and
 solution-preserving simplification."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from helpers import grid_oracle, lp_oracle, random_system
+from helpers import grid_oracle, grid_points, lp_oracle, random_system
 from validus.analyzer import (
     CONTRADICTION,
     FIXED_VALUE,
@@ -31,9 +32,12 @@ from validus.analyzer import (
     simplify_ruleset,
 )
 from validus.errors import UnsupportedForAnalysisError
+from validus.evaluator import evaluate_ruleset
 from validus.linear import Interval
+from validus.model import DataPoint, Key, build_dataset
 from validus.rules import format_ruleset, parse_rule, parse_rules
 from validus.schema import parse_schema
+from validus.tribool import TriBool
 
 SCHEMA = parse_schema("""
 t.x : numeric
@@ -149,13 +153,24 @@ def test_integer_kind_relaxes_to_rationals():
 # --- lint ---------------------------------------------------------------------
 
 def test_lint_tautology():
-    finding = lint_rule(parse_rule("r: x >= 0 or x <= 1"), SCHEMA)
-    assert finding is not None and finding.kind == TAUTOLOGY
+    for body in [
+        "x >= 0 or x <= 1",
+        'not in_set(job, {"employed"}) or job == "employed"',
+        "not in_set(x, {1, 2}) or x == 1 or x == 2",
+        "not not x >= 0 or x < 0",
+    ]:
+        finding = lint_rule(parse_rule(f"r: {body}"), SCHEMA)
+        assert finding is not None and finding.kind == TAUTOLOGY, body
 
 
 def test_lint_contradiction():
-    finding = lint_rule(parse_rule("r: x >= 0 and x <= -1"), SCHEMA)
-    assert finding is not None and finding.kind == CONTRADICTION
+    for body in [
+        "x >= 0 and x <= -1",
+        "not (if (x >= 0) y >= 0) and y >= 0 and x >= 0",
+        'not in_set(job, {"employed"}) and job == "employed"',
+    ]:
+        finding = lint_rule(parse_rule(f"r: {body}"), SCHEMA)
+        assert finding is not None and finding.kind == CONTRADICTION, body
 
 
 def test_lint_valid_rule():
@@ -374,12 +389,20 @@ def test_every_sat_verdict_carries_a_sound_witness():
     assert seen_sat > 50
 
 
-def _random_simple_rules(rng: random.Random) -> str:
+_COEFFS = {"": 1, "2 * ": 2, "-1 * ": -1}
+
+
+def _random_simple_rules(rng: random.Random) -> tuple[str, dict[str, set[Fraction]]]:
+    """Rule text and, per variable, the breakpoints of its atoms."""
+    breaks: dict[str, set[Fraction]] = {"x": set(), "y": set()}
+
     def atom():
         v = rng.choice(["x", "y"])
         coeff = rng.choice(["", "", "2 * ", "-1 * "])
         rel = rng.choice(["<", "<=", ">=", ">", "=="])
-        return f"{coeff}{v} {rel} {rng.randint(-2, 2)}"
+        constant = rng.randint(-2, 2)
+        breaks[v].add(Fraction(constant, _COEFFS[coeff]))
+        return f"{coeff}{v} {rel} {constant}"
 
     lines = []
     for i in range(rng.randint(2, 4)):
@@ -387,20 +410,38 @@ def _random_simple_rules(rng: random.Random) -> str:
             lines.append(f"r{i}: if ({atom()}) {atom()}")
         else:
             lines.append(f"r{i}: {atom()}")
-    return "\n".join(lines)
+    return "\n".join(lines), breaks
+
+
+def _all_true_on_grid(rules, grid: list[tuple[Fraction, Fraction]]) -> list[bool]:
+    """evaluate_ruleset's verdict, per grid point, that every rule holds."""
+    dataset = build_dataset(
+        DataPoint(Key("t", None, str(i), var), value)
+        for i, point in enumerate(grid)
+        for var, value in zip(("x", "y"), point)
+    )
+    holds = [True] * len(grid)
+    for entry in evaluate_ruleset(rules, dataset, SCHEMA).entries:
+        holds[int(entry.unit)] &= entry.result is TriBool.TRUE
+    return holds
 
 
 def test_simplification_soundness_randomized():
     rng = random.Random(20240613)
     checked = 0
     while checked < 200:
-        rules = parse_rules(_random_simple_rules(rng))
+        text, breaks = _random_simple_rules(rng)
+        rules = parse_rules(text)
         if not is_satisfiable(compile_rules(rules, SCHEMA)):
             continue
         checked += 1
         simplified, _ = simplify_ruleset(rules, SCHEMA)
         assert ruleset_implies(rules, simplified, SCHEMA)
         assert ruleset_implies(simplified, rules, SCHEMA)
+        # the same verdicts from the evaluator alone, on every cell of the
+        # atoms' breakpoint grid (every atom is single-variable)
+        grid = list(itertools.product(grid_points(breaks["x"]), grid_points(breaks["y"])))
+        assert _all_true_on_grid(rules, grid) == _all_true_on_grid(simplified, grid), text
         # fixpoint: re-analysis finds nothing left to rewrite
         assert detect_redundant(simplified, SCHEMA) == []
         assert detect_nonrelaxing(simplified, SCHEMA) == []

@@ -1,7 +1,11 @@
 """Three-valued evaluation over datasets: scoping, policies, monotonicity."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -151,6 +155,31 @@ def test_lag_rule_over_occasions():
     report = evaluate_ruleset(rules, ds, TIMED_SCHEMA)
     assert results(report, "r") == {("1", "1"): N, ("1", "2"): T, ("1", "3"): F}
     assert any(d.kind == "unresolved_reference" for d in report.diagnostics)
+
+
+_LAG_OVER_EQUAL_LABELS = """
+from validus.csvio import dataset_from_csv
+from validus.evaluator import evaluate_ruleset
+from validus.rules import parse_rules
+from validus.schema import parse_schema
+ds = dataset_from_csv({"t": "id,time,x\\n1,1,5\\n1,01,3\\n1,2,4\\n"})
+report = evaluate_ruleset(parse_rules("r: x - x@1 >= 0"), ds, parse_schema("t.x : numeric"))
+print([(e.unit, e.time, e.result.value) for e in report.entries])
+"""
+
+
+def test_lag_verdicts_do_not_depend_on_hash_seed():
+    # occasions 1 and 01 are numerically equal; their order (and so the
+    # lag verdicts) once followed set iteration, which the hash seed sets
+    src = Path(__file__).resolve().parents[1] / "src"
+    outputs = []
+    for seed in ("0", "5"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(src)}
+        proc = subprocess.run([sys.executable, "-c", _LAG_OVER_EQUAL_LABELS], env=env,
+                              capture_output=True, text=True, check=True, timeout=120)
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].strip() == "[('1', '01', 'na'), ('1', '1', 'true'), ('1', '2', 'false')]"
 
 
 def test_aggregate_per_occasion():

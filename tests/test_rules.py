@@ -103,6 +103,10 @@ def test_parse_error_location():
 def test_duplicate_rule_names_rejected():
     with pytest.raises(DuplicateRuleNameError):
         parse_rules("r: age >= 0\nr: age <= 10\n")
+    # the first name in file order that occurs twice, not the first repeat
+    with pytest.raises(DuplicateRuleNameError) as err:
+        parse_rules("a: age >= 0\nb: age >= 1\nb: age >= 2\na: age >= 3\n")
+    assert err.value.name == "a"
 
 
 def test_comments_and_blank_lines():
