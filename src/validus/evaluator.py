@@ -4,8 +4,9 @@ Each rule is scheduled over the scopes it needs: plain record rules get
 one verdict per (unit, occasion) of their table, aggregate rules one
 verdict per occasion (unit = ALL), and single-occasion data collapses
 the occasion dimension as well.  Missing values, type confusion,
-division by zero, and lags reaching before the first occasion all
-evaluate to NA instead of aborting the run; each records a diagnostic.
+division by zero, and lags reaching before the first occasion or into
+an occasion the table lacks all evaluate to NA instead of aborting the
+run; each records a diagnostic.
 """
 
 from __future__ import annotations
@@ -96,6 +97,11 @@ class _Evaluator:
         self._times: dict[str, list[Optional[str]]] = {}
         self._units: dict[str, list[str]] = {}
         self._records: dict[str, list[tuple[str, Optional[str]]]] = {}
+        self._positions: dict[str, dict[Optional[str], int]] = {}
+        self._resolved: dict[tuple[Optional[str], str], str] = {}
+        # (id of Aggregate node, enclosing table, occasion) -> (value,
+        # (kind, message) of each diagnostic the evaluation recorded)
+        self._aggregates: dict[tuple, tuple[Value, list[tuple[str, str]]]] = {}
         self._entry_scope: tuple[str, str, Optional[str], Optional[str]] = ("", "", None, None)
 
     # -- dataset access ----------------------------------------------
@@ -115,28 +121,36 @@ class _Evaluator:
             self._records[table] = self.dataset.records(table)
         return self._records[table]
 
+    def positions(self, table: str) -> dict[Optional[str], int]:
+        if table not in self._positions:
+            self._positions[table] = {t: i for i, t in enumerate(self.times(table))}
+        return self._positions[table]
+
     def _diag(self, kind: str, message: str) -> None:
         rule, table, unit, time = self._entry_scope
         self.diagnostics.append(Diagnostic(rule, table, unit, time, kind, message))
 
     def _resolve(self, rule_name: str, ref: VarRef) -> str:
-        hit = self.schema.lookup(ref.table, ref.variable)
-        if hit is None:
-            shown = ref.variable if ref.table is None else f"{ref.table}.{ref.variable}"
-            raise UnknownVariableError(rule_name, shown)
-        return hit[0]
+        name = (ref.table, ref.variable)
+        if name not in self._resolved:
+            hit = self.schema.lookup(ref.table, ref.variable)
+            if hit is None:  # not cached, so each rule that uses it is named
+                shown = ref.variable if ref.table is None else f"{ref.table}.{ref.variable}"
+                raise UnknownVariableError(rule_name, shown)
+            self._resolved[name] = hit[0]
+        return self._resolved[name]
 
     def _cell(self, table: str, unit: str, time: Optional[str], variable: str, lag: int) -> Value:
         if lag > 0:
-            occasions = self.times(table)
-            try:
-                idx = occasions.index(time) - lag
-            except ValueError:
-                idx = -1
-            if idx < 0:
+            position = self.positions(table).get(time)
+            if position is None:
+                self._diag("unresolved_reference",
+                           f"{variable}@{lag}: occasion {time} is not an occasion of table {table}")
+                return NA
+            if position < lag:
                 self._diag("unresolved_reference", f"{variable}@{lag} reaches before the first occasion")
                 return NA
-            time = occasions[idx]
+            time = self.times(table)[position - lag]
         key = Key(table, time, unit, variable)
         if key not in self.dataset:
             self._diag("missing_cell", f"no data point for {key!r}")
@@ -244,6 +258,25 @@ class _Evaluator:
         return TriBool.of(isinstance(value, str))  # is_text
 
     def _aggregate(self, rule_name: str, expr: Aggregate, table: Optional[str], time: Optional[str]) -> Value:
+        """An aggregate's value depends on the occasion, never on the unit,
+        so it is computed once per (node, table, occasion).  A later use
+        records the same diagnostics again, at its own entry's scope."""
+        # keyed on identity: hashing a deep frozen tree costs more than it
+        # saves, and the rules outlive the run, so no id is reused
+        memo_key = (id(expr), table, time)
+        hit = self._aggregates.get(memo_key)
+        if hit is None:
+            start = len(self.diagnostics)
+            value = self._compute_aggregate(rule_name, expr, table, time)
+            hit = value, [(d.kind, d.message) for d in self.diagnostics[start:]]
+            self._aggregates[memo_key] = hit
+        else:
+            for kind, message in hit[1]:
+                self._diag(kind, message)
+        return hit[0]
+
+    def _compute_aggregate(self, rule_name: str, expr: Aggregate, table: Optional[str],
+                           time: Optional[str]) -> Value:
         group_table = self._group_table(rule_name, expr.arg, table)
         numeric = expr.fn != "count"
         values: list[Value] = []

@@ -339,3 +339,158 @@ def random_rule(rng: random.Random, name: str = "g") -> Rule:
         return If(logical(depth - 1), logical(depth - 1))
 
     return Rule(name, logical(rng.randint(1, 3)))
+
+
+# --- plain-Python reference for evaluate_ruleset over one panel table -----
+# Table ``p`` with numeric variables x and y.  Units and occasions are
+# integers, so their natural order is integer order.  Values are Fraction,
+# text or None for NA; verdicts are True, False or None.  Each rule below
+# is written as direct Python over the cells and counts the diagnostics
+# the evaluator records, by kind; nothing here calls the evaluator.
+
+PANEL_SCHEMA_TEXT = "p.x : numeric\np.y : numeric\n"
+
+
+class PanelOracle:
+    def __init__(self, cells: dict, na_policy: str):
+        self.cells = cells  # (unit, occasion, variable) -> value; absent = no data point
+        self.units = sorted({u for u, _, _ in cells})
+        self.times = sorted({t for _, t, _ in cells})
+        self.records = sorted({(u, t) for u, t, _ in cells})
+        self.na_policy = na_policy
+        self.kinds: list[str] = []
+
+    def cell(self, unit: int, time: int, var: str, lag: int = 0):
+        if lag:
+            position = self.times.index(time)
+            if position < lag:
+                self.kinds.append("unresolved_reference")
+                return None
+            time = self.times[position - lag]
+        if (unit, time, var) not in self.cells:
+            self.kinds.append("missing_cell")
+            return None
+        return self.cells[unit, time, var]
+
+    def arith(self, op: str, a, b):
+        if a is None or b is None:
+            return None
+        if isinstance(a, str) or isinstance(b, str):
+            self.kinds.append("type_mismatch")
+            return None
+        if op == "/":
+            if b == 0:
+                self.kinds.append("division_by_zero")
+                return None
+            return a / b
+        return {"+": a + b, "-": a - b, "*": a * b}[op]
+
+    def cmp(self, op: str, a, b):
+        if a is None or b is None:
+            return None
+        if isinstance(a, Fraction) and isinstance(b, Fraction):
+            return {"<": a < b, "<=": a <= b, ">": a > b, ">=": a >= b, "==": a == b, "!=": a != b}[op]
+        self.kinds.append("type_mismatch")  # no rule below compares two texts
+        return None
+
+    def agg(self, fn: str, element, time: int):
+        """Recomputed at every use, as the naive definition reads."""
+        values = []
+        for unit in self.units:
+            value = element(unit, time)
+            if fn != "count" and isinstance(value, str):
+                self.kinds.append("type_mismatch")
+                value = None
+            values.append(value)
+        if self.na_policy == "propagate" and None in values:
+            return None
+        kept = [v for v in values if v is not None]
+        if not kept:
+            self.kinds.append("empty_group")
+            return None
+        if fn == "count":
+            return Fraction(len(kept))
+        if fn == "sum":
+            return sum(kept, Fraction(0))
+        if fn == "mean":
+            return sum(kept, Fraction(0)) / len(kept)
+        return min(kept) if fn == "min" else max(kept)
+
+
+def _x(o, u, t, lag=0):
+    return o.cell(u, t, "x", lag)
+
+
+def _y(o, u, t, lag=0):
+    return o.cell(u, t, "y", lag)
+
+
+# (name, rule text, scope, reference): scope "record" gets one verdict per
+# (unit, occasion) record, "occasion" one per occasion of the table
+PANEL_RULES = [
+    ("rec", "x >= 0", "record", lambda o, u, t: o.cmp(">=", _x(o, u, t), Fraction(0))),
+    ("ratio", "x / y <= 2", "record",
+     lambda o, u, t: o.cmp("<=", o.arith("/", _x(o, u, t), _y(o, u, t)), Fraction(2))),
+    ("step", "x - x@1 <= 3", "record",
+     lambda o, u, t: o.cmp("<=", o.arith("-", _x(o, u, t), _x(o, u, t, 1)), Fraction(3))),
+    ("step2", "y - y@2 >= -4", "record",
+     lambda o, u, t: o.cmp(">=", o.arith("-", _y(o, u, t), _y(o, u, t, 2)), Fraction(-4))),
+    ("avg", "mean(x) >= 1", "occasion",
+     lambda o, t: o.cmp(">=", o.agg("mean", lambda u, s: _x(o, u, s), t), Fraction(1))),
+    ("tot", "sum(y) <= count(x)", "occasion",
+     lambda o, t: o.cmp("<=", o.agg("sum", lambda u, s: _y(o, u, s), t),
+                        o.agg("count", lambda u, s: _x(o, u, s), t))),
+    ("spread", "max(x - y) <= 4", "occasion",
+     lambda o, t: o.cmp("<=", o.agg("max", lambda u, s: o.arith("-", _x(o, u, s), _y(o, u, s)), t),
+                        Fraction(4))),
+    ("centred", "sum(x - mean(x)) == 0", "occasion",
+     lambda o, t: o.cmp("==", o.agg("sum", lambda u, s: o.arith(
+         "-", _x(o, u, s), o.agg("mean", lambda v, r: _x(o, v, r), s)), t), Fraction(0))),
+    ("rel", "x <= 2 * mean(x)", "record",
+     lambda o, u, t: o.cmp("<=", _x(o, u, t),
+                           o.arith("*", Fraction(2), o.agg("mean", lambda v, s: _x(o, v, s), t)))),
+    ("rel_lag", "y - y@1 <= max(x@1) - min(y)", "record",
+     lambda o, u, t: o.cmp("<=", o.arith("-", _y(o, u, t), _y(o, u, t, 1)),
+                           o.arith("-", o.agg("max", lambda v, s: _x(o, v, s, 1), t),
+                                   o.agg("min", lambda v, s: _y(o, v, s), t)))),
+]
+
+
+def panel_oracle(cells: dict, na_policy: str):
+    """Verdicts {(rule, unit, occasion): True/False/None} (unit None for a
+    per-occasion verdict) and diagnostic counts {(rule, kind): n}."""
+    verdicts = {}
+    counts: dict = {}
+    for name, _text, scope, reference in PANEL_RULES:
+        oracle = PanelOracle(cells, na_policy)
+        if scope == "record":
+            for u, t in oracle.records:
+                verdicts[name, u, t] = reference(oracle, u, t)
+        else:
+            for t in oracle.times:
+                verdicts[name, None, t] = reference(oracle, t)
+        for kind in oracle.kinds:
+            counts[name, kind] = counts.get((name, kind), 0) + 1
+    return verdicts, counts
+
+
+def random_panel(rng: random.Random) -> dict:
+    """An unbalanced panel: rows (unit, occasion) and single cells may be
+    absent; values may be NA, text, zero or fractional."""
+    n_units, n_times = rng.randint(1, 6), rng.randint(1, 5)
+    cells = {}
+    for u in range(1, n_units + 1):
+        for t in range(1, n_times + 1):
+            if rng.random() < 0.2:
+                continue
+            for var in ("x", "y"):
+                roll = rng.random()
+                if roll < 0.05:
+                    continue
+                if roll < 0.17:
+                    cells[u, t, var] = None
+                elif roll < 0.25:
+                    cells[u, t, var] = "n/a"
+                else:
+                    cells[u, t, var] = Fraction(rng.randint(-3, 6), rng.choice([1, 1, 2]))
+    return cells or {(1, 1, "x"): Fraction(1)}

@@ -4,13 +4,15 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from helpers import PANEL_RULES, PANEL_SCHEMA_TEXT, panel_oracle, random_panel
 from validus.errors import IncompatibleScopeError, UnknownVariableError
-from validus.evaluator import EvalOptions, eval_expr, evaluate_ruleset
+from validus.evaluator import NA_POLICIES, EvalOptions, eval_expr, evaluate_ruleset
 from validus.model import NA, DataPoint, Dataset, Key, build_dataset
 from validus.rules import parse_rule, parse_rules
 from validus.schema import parse_schema
@@ -157,6 +159,19 @@ def test_lag_rule_over_occasions():
     assert any(d.kind == "unresolved_reference" for d in report.diagnostics)
 
 
+def test_lag_into_an_occasion_the_table_lacks():
+    schema = parse_schema("tx.a : numeric\nty.b : numeric\n")
+    points = [DataPoint(Key("tx", t, "1", "a"), Fraction(1)) for t in ("1", "2", "3")]
+    points += [DataPoint(Key("ty", t, "1", "b"), Fraction(1)) for t in ("1", "2")]
+    report = evaluate_ruleset(parse_rules("r: sum(tx.a) <= sum(ty.b@1) + 10"),
+                              build_dataset(points), schema)
+    assert [(e.time, e.result) for e in report.entries] == [("1", N), ("2", T), ("3", N)]
+    assert [(d.time, d.kind, d.message) for d in report.diagnostics] == [
+        ("1", "unresolved_reference", "b@1 reaches before the first occasion"),
+        ("3", "unresolved_reference", "b@1: occasion 3 is not an occasion of table ty"),
+    ]
+
+
 _LAG_OVER_EQUAL_LABELS = """
 from validus.csvio import dataset_from_csv
 from validus.evaluator import evaluate_ruleset
@@ -191,6 +206,88 @@ def test_aggregate_per_occasion():
     assert [(e.unit, e.time, e.result) for e in report.entries] == [
         (None, "1", T), (None, "2", F)
     ]
+
+
+class CountingDataset(Dataset):
+    def __init__(self, dataset: Dataset):
+        super().__init__(dataset.points, dataset.key_set)
+        self.gets = 0
+
+    def get(self, key: Key):
+        self.gets += 1
+        return super().get(key)
+
+
+def test_record_with_aggregate_reads_each_cell_a_bounded_number_of_times():
+    # the group mean is needed once per occasion, not once per record
+    n_units, n_times = 40, 3
+    ds = CountingDataset(timed_dataset({
+        str(u): {str(t): Fraction(u * t) for t in range(1, n_times + 1)}
+        for u in range(1, n_units + 1)
+    }))
+    report = evaluate_ruleset(parse_rules("r: price <= 2 * mean(price)"), ds, TIMED_SCHEMA)
+    assert len(report.entries) == n_units * n_times
+    assert ds.gets <= 3 * n_units * n_times
+
+
+_MEAN_TEXT = ("type_mismatch", "mean over text value 'text'")
+_MINUS_TEXT = ("type_mismatch", "arithmetic - on text operand")
+_ORDER_TEXT = ("type_mismatch", "comparison <= between number and text")
+_EMPTY = {fn: ("empty_group", f"{fn} over an empty group in table 'shop'") for fn in ("mean", "sum", "max")}
+
+
+@pytest.mark.parametrize("policy", NA_POLICIES)
+def test_reused_aggregates_report_their_diagnostics_at_every_verdict(policy):
+    # occasion 1 holds one text and one NA cell; occasion 2 holds only NA
+    ds = timed_dataset({
+        "1": {"1": Fraction(10), "2": NA},
+        "2": {"1": "text", "2": NA},
+        "3": {"1": NA, "2": NA},
+        "4": {"1": Fraction(20), "2": NA},
+    })
+    rules = parse_rules("rel: price <= 10 * mean(price)\n"
+                        "centred: sum(price - mean(price)) == 0\n"
+                        "top: price <= max(price - mean(price))")
+    report = evaluate_ruleset(rules, ds, TIMED_SCHEMA, EvalOptions(policy))
+    ignore = policy == "ignore"  # then occasion 2 leaves an empty group
+    # the inner mean is evaluated once per unit of the outer group
+    inner = [_MEAN_TEXT, _MEAN_TEXT, *([_MINUS_TEXT] if ignore else []), _MEAN_TEXT, _MEAN_TEXT]
+    order_text = [_ORDER_TEXT] if ignore else []
+    expected = {"rel": [], "centred": [], "top": []}
+    for u in ("1", "2", "3", "4"):  # records by unit, then occasion
+        expected["rel"] += [(u, "1", *_MEAN_TEXT)] + [(u, "1", *d) for d in order_text if u == "2"]
+        expected["top"] += [(u, "1", *d) for d in inner] + [(u, "1", *d) for d in order_text if u == "2"]
+        if ignore:
+            expected["rel"] += [(u, "2", *_EMPTY["mean"])]
+            expected["top"] += [(u, "2", *_EMPTY["mean"])] * 4 + [(u, "2", *_EMPTY["max"])]
+    expected["centred"] += [(None, "1", *d) for d in inner]
+    if ignore:
+        expected["centred"] += [(None, "2", *_EMPTY["mean"])] * 4 + [(None, "2", *_EMPTY["sum"])]
+    assert [(d.rule, d.unit, d.time, d.kind, d.message) for d in report.diagnostics] == [
+        (rule, *diag) for rule in ("rel", "centred", "top") for diag in expected[rule]
+    ]
+    if ignore:
+        assert results(report, "rel")[("2", "1")] is N
+        assert results(report, "centred") == {(None, "1"): T, (None, "2"): N}
+
+
+def test_evaluator_matches_plain_python_oracle_on_random_panels():
+    rules = parse_rules("\n".join(f"{name}: {text}" for name, text, _, _ in PANEL_RULES))
+    schema = parse_schema(PANEL_SCHEMA_TEXT)
+    as_tribool = {True: T, False: F, None: N}
+    rng = random.Random(19580205)
+    for _ in range(80):
+        cells = random_panel(rng)
+        dataset = build_dataset(DataPoint(Key("p", str(t), str(u), var), NA if v is None else v)
+                                for (u, t, var), v in cells.items())
+        for policy in NA_POLICIES:
+            verdicts, counts = panel_oracle(cells, policy)
+            report = evaluate_ruleset(rules, dataset, schema, EvalOptions(policy))
+            assert {(e.rule, e.unit, e.time): e.result for e in report.entries} == {
+                (rule, None if u is None else str(u), str(t)): as_tribool[v]
+                for (rule, u, t), v in verdicts.items()
+            }
+            assert Counter((d.rule, d.kind) for d in report.diagnostics) == counts
 
 
 def test_constant_rule_gets_one_entry():
