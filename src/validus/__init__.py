@@ -25,6 +25,7 @@ from .analyzer import (
     implied_bounds,
     is_satisfiable,
     lint_rule,
+    lint_ruleset,
     ruleset_implies,
     simplify_ruleset,
 )
@@ -44,14 +45,7 @@ from .errors import (
     UnsupportedForAnalysisError,
     ValidusError,
 )
-from .evaluator import (
-    Entry,
-    EvalOptions,
-    ValidationReport,
-    eval_expr,
-    evaluate_ruleset,
-    kleene_apply,
-)
+from .evaluator import Entry, EvalOptions, ValidationReport, evaluate_ruleset
 from .model import NA, DataPoint, Dataset, Key, NAType, Value, build_dataset, get_value
 from .rules import (
     Rule,
@@ -65,7 +59,7 @@ from .rules import (
     referenced_signature,
 )
 from .schema import Schema, VariableDecl, check_domain, parse_schema
-from .tribool import TriBool
+from .tribool import TriBool, kleene_apply
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

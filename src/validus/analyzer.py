@@ -30,6 +30,7 @@ from .linear import Interval, Row, feasible, make_row, project
 from .model import format_number
 from .rules import (
     COMPARE,
+    Aggregate,
     Binary,
     Builtin,
     Expr,
@@ -45,7 +46,7 @@ from .rules import (
     format_expr,
     format_rule,
     negate_expr,
-    referenced_signature,
+    scoped_nodes,
 )
 from .schema import CATEGORICAL, Schema, VariableDecl
 
@@ -188,8 +189,6 @@ class _Compiler:
         if not isinstance(target, VarRef):
             self.fail("in_set needs a plain variable on the left")
         var_id, decl = self.resolve(target)
-        if target.lag:
-            self.fail("lagged reference")
         if decl.kind == CATEGORICAL:
             wanted = frozenset(i for i in items.items if isinstance(i, str))
             allowed = frozenset(decl.levels) & wanted
@@ -249,8 +248,6 @@ class _Compiler:
                         return []
                     self.fail("ordering between a number and text")
                 return None
-            if var_side.lag:
-                self.fail("lagged reference")
             if isinstance(lit_side, TextLit):
                 if op not in ("==", "!="):
                     self.fail(f"ordering {op} on a categorical variable")
@@ -280,8 +277,6 @@ class _Compiler:
         if isinstance(expr, NALit):
             self.fail("NA literal is outside the two-valued fragment")
         if isinstance(expr, VarRef):
-            if expr.lag:
-                self.fail("lagged reference")
             var_id, decl = self.resolve(expr)
             if decl.kind == CATEGORICAL:
                 self.fail(f"categorical variable {decl.name!r} in numeric context")
@@ -321,18 +316,23 @@ class _Compiler:
         self.fail(f"cannot linearize {format_expr(expr)!r}")
 
 
-def _check_analyzable(rule: Rule) -> None:
-    span = referenced_signature(rule)
-    if span.has_aggregate:
+def _check_analyzable(rule: Rule, schema: Schema) -> None:
+    """Reject rules outside one record of one table, deciding the tables
+    by the schema resolution ``validate`` uses; an unknown variable is
+    left to the compiler to name."""
+    nodes = [node for node, _ in scoped_nodes(rule.body)]
+    refs = [node for node in nodes if isinstance(node, VarRef)]
+    if any(isinstance(node, Aggregate) for node in nodes):
         raise UnsupportedForAnalysisError(rule.name, "aggregates are not record-scoped")
-    if span.max_lag > 0:
+    if any(ref.lag for ref in refs):
         raise UnsupportedForAnalysisError(rule.name, "lagged references span occasions")
-    if len(span.tables) > 1:
+    resolved = (schema.lookup(ref.table, ref.variable) for ref in refs)
+    if len({hit[0] for hit in resolved if hit is not None}) > 1:
         raise UnsupportedForAnalysisError(rule.name, "cross-table references")
 
 
 def compile_rule_clauses(rule: Rule, schema: Schema, negated: bool = False) -> tuple[_Compiler, _CNF]:
-    _check_analyzable(rule)
+    _check_analyzable(rule, schema)
     compiler = _Compiler(rule.name, schema)
     return compiler, compiler.cnf(negate_expr(rule.body) if negated else rule.body)
 
@@ -620,12 +620,9 @@ def detect_nonconstraining(rules: RuleSet, schema: Schema) -> list[Finding]:
     return _entailed_branches(rules, schema, NONCONSTRAINING, "then", "consequent")
 
 
-def analyze_ruleset(rules: RuleSet, schema: Schema) -> tuple[list[Finding], list[tuple[str, str]]]:
-    """Run every detection; returns (findings, unsupported rules).
-
-    Rules outside the analyzable fragment are reported, not analyzed;
-    set-level findings cover the analyzable remainder.
-    """
+def lint_ruleset(rules: RuleSet, schema: Schema) -> tuple[list[Finding], RuleSet, list[tuple[str, str]]]:
+    """Lint every rule; returns (findings, the analyzable rules, and the
+    name and reason of each rule outside the analyzable fragment)."""
     findings: list[Finding] = []
     supported: list[Rule] = []
     unsupported: list[tuple[str, str]] = []
@@ -638,8 +635,16 @@ def analyze_ruleset(rules: RuleSet, schema: Schema) -> tuple[list[Finding], list
         supported.append(rule)
         if finding is not None:
             findings.append(finding)
+    return findings, RuleSet(tuple(supported)), unsupported
 
-    subset = RuleSet(tuple(supported))
+
+def analyze_ruleset(rules: RuleSet, schema: Schema) -> tuple[list[Finding], list[tuple[str, str]]]:
+    """Run every detection; returns (findings, unsupported rules).
+
+    Rules outside the analyzable fragment are reported, not analyzed;
+    set-level findings cover the analyzable remainder.
+    """
+    findings, subset, unsupported = lint_ruleset(rules, schema)
     system = compile_rules(subset, schema)
     if not is_satisfiable(system):
         findings.append(Finding(

@@ -13,10 +13,10 @@ import json
 import sys
 from typing import Optional
 
-from .analyzer import INFEASIBLE, Finding, analyze_ruleset, lint_rule, simplify_ruleset
+from .analyzer import INFEASIBLE, Finding, analyze_ruleset, lint_ruleset, simplify_ruleset
 from .classifier import classify_rule
 from .csvio import dataset_from_csv
-from .errors import UnsupportedForAnalysisError, ValidusError
+from .errors import ValidusError
 from .evaluator import EvalOptions, ValidationReport, evaluate_ruleset
 from .rules import RuleSet, format_rule, format_ruleset, parse_rules
 from .schema import Schema, parse_schema
@@ -101,6 +101,10 @@ def _finding_record(finding: Finding) -> dict:
     return record
 
 
+def _unsupported_records(unsupported: list[tuple[str, str]]) -> list[dict]:
+    return [{"rule": name, "reason": reason} for name, reason in unsupported]
+
+
 def _entry_records(report: ValidationReport) -> list[dict]:
     return [
         {
@@ -173,18 +177,10 @@ def _cmd_classify(args) -> int:
 def _cmd_lint(args) -> int:
     schema = _load_schema(args)
     rules = parse_rules(_read(args.rules))
-    findings = []
-    unsupported = []
-    for rule in rules:
-        try:
-            finding = lint_rule(rule, schema)
-        except UnsupportedForAnalysisError as exc:
-            unsupported.append({"rule": rule.name, "reason": exc.reason})
-            continue
-        if finding is not None:
-            findings.append(_finding_record(finding))
-    summary = {"finding_count": len(findings), "unsupported": unsupported}
-    _emit_report(args, _rule_records(rules), [], findings, summary)
+    findings, _, unsupported = lint_ruleset(rules, schema)
+    records = [_finding_record(f) for f in findings]
+    summary = {"finding_count": len(records), "unsupported": _unsupported_records(unsupported)}
+    _emit_report(args, _rule_records(rules), [], records, summary)
     return EXIT_OK
 
 
@@ -197,7 +193,7 @@ def _cmd_analyze(args) -> int:
     summary = {
         "satisfiable": not infeasible,
         "finding_count": len(records),
-        "unsupported": [{"rule": name, "reason": reason} for name, reason in unsupported],
+        "unsupported": _unsupported_records(unsupported),
     }
     _emit_report(args, _rule_records(rules), [], records, summary)
     return EXIT_INFEASIBLE if infeasible else EXIT_OK

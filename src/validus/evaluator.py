@@ -32,9 +32,10 @@ from .rules import (
     TextLit,
     Unary,
     VarRef,
+    scoped_nodes,
 )
 from .schema import Schema
-from .tribool import TriBool, and_, implies, kleene_apply, not_, or_
+from .tribool import TriBool, and_, implies, not_, or_
 
 NA_POLICIES = ("propagate", "ignore")
 
@@ -82,10 +83,7 @@ class ValidationReport:
         return total
 
 
-__all__ = [
-    "EvalOptions", "Entry", "Diagnostic", "ValidationReport",
-    "eval_expr", "evaluate_ruleset", "kleene_apply",
-]
+__all__ = ["EvalOptions", "Entry", "Diagnostic", "ValidationReport", "evaluate_ruleset"]
 
 
 class _Evaluator:
@@ -99,9 +97,11 @@ class _Evaluator:
         self._records: dict[str, list[tuple[str, Optional[str]]]] = {}
         self._positions: dict[str, dict[Optional[str], int]] = {}
         self._resolved: dict[tuple[Optional[str], str], str] = {}
-        # (id of Aggregate node, enclosing table, occasion) -> (value,
-        # (kind, message) of each diagnostic the evaluation recorded)
-        self._aggregates: dict[tuple, tuple[Value, list[tuple[str, str]]]] = {}
+        # the current rule's group table per id of its Aggregate nodes
+        self.groups: dict[int, str] = {}
+        # (id of Aggregate node, occasion) -> (value, (kind, message) of
+        # each diagnostic the evaluation recorded), for the current rule
+        self.aggregates: dict[tuple[int, Optional[str]], tuple[Value, list[tuple[str, str]]]] = {}
         self._entry_scope: tuple[str, str, Optional[str], Optional[str]] = ("", "", None, None)
 
     # -- dataset access ----------------------------------------------
@@ -159,12 +159,12 @@ class _Evaluator:
 
     # -- expression evaluation ---------------------------------------
 
-    def eval_logical(self, rule_name: str, expr: Expr, table: Optional[str], unit: Optional[str], time: Optional[str]) -> TriBool:
-        result = self.eval(rule_name, expr, table, unit, time)
+    def eval_logical(self, expr: Expr, unit: Optional[str], time: Optional[str]) -> TriBool:
+        result = self.eval(expr, unit, time)
         assert isinstance(result, TriBool)
         return result
 
-    def eval(self, rule_name: str, expr: Expr, table: Optional[str], unit: Optional[str], time: Optional[str]) -> Union[Value, TriBool]:
+    def eval(self, expr: Expr, unit: Optional[str], time: Optional[str]) -> Union[Value, TriBool]:
         if isinstance(expr, NumberLit):
             return expr.value
         if isinstance(expr, TextLit):
@@ -172,27 +172,27 @@ class _Evaluator:
         if isinstance(expr, NALit):
             return NA
         if isinstance(expr, VarRef):
-            ref_table = self._resolve(rule_name, expr)
             assert unit is not None, "bare variable reference outside record scope"
+            ref_table = self._resolved[expr.table, expr.variable]
             return self._cell(ref_table, unit, time, expr.variable, expr.lag)
         if isinstance(expr, Aggregate):
-            return self._aggregate(rule_name, expr, table, time)
+            return self._aggregate(expr, time)
         if isinstance(expr, Unary):
-            return self._unary(rule_name, expr, table, unit, time)
+            return self._unary(expr, unit, time)
         if isinstance(expr, Binary):
-            return self._binary(rule_name, expr, table, unit, time)
+            return self._binary(expr, unit, time)
         if isinstance(expr, If):
-            cond = self.eval_logical(rule_name, expr.cond, table, unit, time)
-            then = self.eval_logical(rule_name, expr.then, table, unit, time)
+            cond = self.eval_logical(expr.cond, unit, time)
+            then = self.eval_logical(expr.then, unit, time)
             return implies(cond, then)
         if isinstance(expr, Builtin):
-            return self._builtin(rule_name, expr, table, unit, time)
+            return self._builtin(expr, unit, time)
         raise AssertionError(f"cannot evaluate {expr!r}")
 
-    def _unary(self, rule_name: str, expr: Unary, table, unit, time) -> Union[Value, TriBool]:
+    def _unary(self, expr: Unary, unit, time) -> Union[Value, TriBool]:
         if expr.op == "not":
-            return not_(self.eval_logical(rule_name, expr.operand, table, unit, time))
-        value = self.eval(rule_name, expr.operand, table, unit, time)
+            return not_(self.eval_logical(expr.operand, unit, time))
+        value = self.eval(expr.operand, unit, time)
         if is_na(value):
             return NA
         if not isinstance(value, Fraction):
@@ -200,14 +200,14 @@ class _Evaluator:
             return NA
         return -value if expr.op == "neg" else abs(value)
 
-    def _binary(self, rule_name: str, expr: Binary, table, unit, time) -> Union[Value, TriBool]:
+    def _binary(self, expr: Binary, unit, time) -> Union[Value, TriBool]:
         if expr.op in ("and", "or"):
-            left = self.eval_logical(rule_name, expr.left, table, unit, time)
-            right = self.eval_logical(rule_name, expr.right, table, unit, time)
+            left = self.eval_logical(expr.left, unit, time)
+            right = self.eval_logical(expr.right, unit, time)
             return and_([left, right]) if expr.op == "and" else or_([left, right])
 
-        left = self.eval(rule_name, expr.left, table, unit, time)
-        right = self.eval(rule_name, expr.right, table, unit, time)
+        left = self.eval(expr.left, unit, time)
+        right = self.eval(expr.right, unit, time)
         if expr.op in ("+", "-", "*", "/"):
             if is_na(left) or is_na(right):
                 return NA
@@ -238,15 +238,15 @@ class _Evaluator:
         self._diag("type_mismatch", f"comparison {expr.op} between number and text")
         return TriBool.NA
 
-    def _builtin(self, rule_name: str, expr: Builtin, table, unit, time) -> TriBool:
+    def _builtin(self, expr: Builtin, unit, time) -> TriBool:
         if expr.fn == "in_set":
-            value = self.eval(rule_name, expr.args[0], table, unit, time)
+            value = self.eval(expr.args[0], unit, time)
             if is_na(value):
                 return TriBool.NA
             items = expr.args[1]
             assert isinstance(items, SetLit)
             return TriBool.of(any(value == item for item in items.items))
-        value = self.eval(rule_name, expr.args[0], table, unit, time)
+        value = self.eval(expr.args[0], unit, time)
         if expr.fn == "is_na":
             return TriBool.of(is_na(value))
         if is_na(value):
@@ -257,31 +257,30 @@ class _Evaluator:
             return TriBool.of(isinstance(value, Fraction) and value.denominator == 1)
         return TriBool.of(isinstance(value, str))  # is_text
 
-    def _aggregate(self, rule_name: str, expr: Aggregate, table: Optional[str], time: Optional[str]) -> Value:
+    def _aggregate(self, expr: Aggregate, time: Optional[str]) -> Value:
         """An aggregate's value depends on the occasion, never on the unit,
-        so it is computed once per (node, table, occasion).  A later use
-        records the same diagnostics again, at its own entry's scope."""
+        so it is computed once per (node, occasion).  A later use records
+        the same diagnostics again, at its own entry's scope."""
         # keyed on identity: hashing a deep frozen tree costs more than it
         # saves, and the rules outlive the run, so no id is reused
-        memo_key = (id(expr), table, time)
-        hit = self._aggregates.get(memo_key)
+        memo_key = (id(expr), time)
+        hit = self.aggregates.get(memo_key)
         if hit is None:
             start = len(self.diagnostics)
-            value = self._compute_aggregate(rule_name, expr, table, time)
+            value = self._compute_aggregate(expr, time)
             hit = value, [(d.kind, d.message) for d in self.diagnostics[start:]]
-            self._aggregates[memo_key] = hit
+            self.aggregates[memo_key] = hit
         else:
             for kind, message in hit[1]:
                 self._diag(kind, message)
         return hit[0]
 
-    def _compute_aggregate(self, rule_name: str, expr: Aggregate, table: Optional[str],
-                           time: Optional[str]) -> Value:
-        group_table = self._group_table(rule_name, expr.arg, table)
+    def _compute_aggregate(self, expr: Aggregate, time: Optional[str]) -> Value:
+        group_table = self.groups[id(expr)]
         numeric = expr.fn != "count"
         values: list[Value] = []
         for unit in self.units(group_table):
-            element = self.eval(rule_name, expr.arg, group_table, unit, time)
+            element = self.eval(expr.arg, unit, time)
             assert not isinstance(element, TriBool)
             if numeric and isinstance(element, str):
                 self._diag("type_mismatch", f"{expr.fn} over text value {element!r}")
@@ -308,74 +307,35 @@ class _Evaluator:
             return min(numbers)
         return max(numbers)
 
-    def _group_table(self, rule_name: str, arg: Expr, enclosing: Optional[str]) -> str:
-        tables: set[str] = set()
 
-        def walk(e: Expr) -> None:
-            if isinstance(e, VarRef):
-                tables.add(self._resolve(rule_name, e))
-            elif isinstance(e, Aggregate):
-                pass  # deeper aggregates pick their own group
-            elif isinstance(e, Unary):
-                walk(e.operand)
-            elif isinstance(e, Binary):
-                walk(e.left)
-                walk(e.right)
-            elif isinstance(e, If):
-                walk(e.cond)
-                walk(e.then)
-            elif isinstance(e, Builtin):
-                for a in e.args:
-                    walk(a)
-
-        walk(arg)
-        if len(tables) == 1:
-            return tables.pop()
-        if len(tables) > 1:
-            raise IncompatibleScopeError(rule_name, "one aggregate spans several tables")
-        if enclosing is not None:
-            return enclosing
-        raise IncompatibleScopeError(rule_name, "aggregate group cannot be determined")
-
-
-def _rule_scoping(evaluator: _Evaluator, rule: Rule) -> tuple[str, Optional[str], set[str]]:
-    """Classify a rule's scheduling: ('record', table, agg tables) or
-    ('aggregate', None, agg tables)."""
-    bare_tables: set[str] = set()
-    agg_tables: set[str] = set()
-
-    def walk(e: Expr, in_agg: bool) -> None:
-        if isinstance(e, VarRef):
-            resolved = evaluator._resolve(rule.name, e)
-            (agg_tables if in_agg else bare_tables).add(resolved)
-        elif isinstance(e, Aggregate):
-            walk(e.arg, True)
-        elif isinstance(e, Unary):
-            walk(e.operand, in_agg)
-        elif isinstance(e, Binary):
-            walk(e.left, in_agg)
-            walk(e.right, in_agg)
-        elif isinstance(e, If):
-            walk(e.cond, in_agg)
-            walk(e.then, in_agg)
-        elif isinstance(e, Builtin):
-            for a in e.args:
-                walk(a, in_agg)
-
-    walk(rule.body, False)
+def _rule_scoping(evaluator: _Evaluator, rule: Rule) -> tuple[Optional[str], dict[int, str]]:
+    """The table whose records the rule is evaluated on (None for a rule
+    evaluated once per occasion) and the group table of each of its
+    aggregates, keyed by node id.  Resolves every reference, so a rule
+    whose scope is not determined fails here, whatever the data."""
+    nodes = scoped_nodes(rule.body)
+    # tables referenced directly in each scope: None or an aggregate's id
+    scope_tables: dict[Optional[int], set[str]] = {}
+    for node, scope in nodes:
+        if isinstance(node, VarRef):
+            key = None if scope is None else id(scope)
+            scope_tables.setdefault(key, set()).add(evaluator._resolve(rule.name, node))
+    bare_tables = scope_tables.get(None, set())
     if len(bare_tables) > 1:
         raise IncompatibleScopeError(rule.name, "references records of several tables")
-    if bare_tables:
-        return "record", bare_tables.pop(), agg_tables
-    return "aggregate", None, agg_tables
-
-
-def eval_expr(expr: Expr, dataset: Dataset, schema: Schema, options: EvalOptions,
-              table: Optional[str] = None, unit: Optional[str] = None,
-              time: Optional[str] = None, rule_name: str = "<expr>") -> Union[Value, TriBool]:
-    """Evaluate one expression against a concrete scope (API entry point;
-    evaluate_ruleset drives this per scheduled scope)."""
-    return _Evaluator(dataset, schema, options).eval(rule_name, expr, table, unit, time)
+    record_table = next(iter(bare_tables), None)
+    groups: dict[int, str] = {}
+    for node, scope in nodes:  # every aggregate comes after its enclosing one
+        if isinstance(node, Aggregate):
+            own = scope_tables.get(id(node), set())
+            if len(own) > 1:
+                raise IncompatibleScopeError(rule.name, "one aggregate spans several tables")
+            enclosing = record_table if scope is None else groups[id(scope)]
+            group = next(iter(own), enclosing)
+            if group is None:
+                raise IncompatibleScopeError(rule.name, "aggregate group cannot be determined")
+            groups[id(node)] = group
+    return record_table, groups
 
 
 def evaluate_ruleset(rules: RuleSet, dataset: Dataset, schema: Schema,
@@ -392,16 +352,19 @@ def evaluate_ruleset(rules: RuleSet, dataset: Dataset, schema: Schema,
     for rule in rules:
         tally = {"true": 0, "false": 0, "na": 0}
         summary[rule.name] = tally
-        mode, record_table, agg_tables = _rule_scoping(evaluator, rule)
+        # groups and memo are per rule: a node two rules share may have
+        # a different group in each
+        record_table, evaluator.groups = _rule_scoping(evaluator, rule)
+        evaluator.aggregates = {}
 
-        if mode == "record":
+        if record_table is not None:
             for unit, time in evaluator.records(record_table):
                 evaluator._entry_scope = (rule.name, record_table, unit, time)
-                verdict = evaluator.eval_logical(rule.name, rule.body, record_table, unit, time)
+                verdict = evaluator.eval_logical(rule.body, unit, time)
                 entries.append(Entry(rule.name, record_table, unit, time, verdict))
                 tally[verdict.value] += 1
         else:
-            tables = sorted(agg_tables)
+            tables = sorted(set(evaluator.groups.values()))
             label = tables[0] if len(tables) == 1 else ",".join(tables) if tables else "-"
             times: set[Optional[str]] = set()
             for t in tables:
@@ -409,7 +372,7 @@ def evaluate_ruleset(rules: RuleSet, dataset: Dataset, schema: Schema,
             ordered = sorted(times, key=natural_order) if times else [None]
             for time in ordered:
                 evaluator._entry_scope = (rule.name, label, None, time)
-                verdict = evaluator.eval_logical(rule.name, rule.body, None, None, time)
+                verdict = evaluator.eval_logical(rule.body, None, time)
                 entries.append(Entry(rule.name, label, None, time, verdict))
                 tally[verdict.value] += 1
 

@@ -544,6 +544,28 @@ def negate_rule(rule: Rule) -> Rule:
     return Rule(rule.name, negate_expr(rule.body), rule.source_span)
 
 
+def scoped_nodes(expr: Expr) -> list[tuple[Expr, Optional[Aggregate]]]:
+    """Every node of ``expr`` in source order, each with its innermost
+    enclosing aggregate (None at record scope).  A node comes before
+    the nodes inside it, so an aggregate precedes its whole argument."""
+    nodes: list[tuple[Expr, Optional[Aggregate]]] = []
+    stack: list[tuple[Expr, Optional[Aggregate]]] = [(expr, None)]
+    while stack:
+        node, scope = stack.pop()
+        nodes.append((node, scope))
+        if isinstance(node, Aggregate):
+            stack.append((node.arg, node))
+        elif isinstance(node, Unary):
+            stack.append((node.operand, scope))
+        elif isinstance(node, Binary):
+            stack += ((node.right, scope), (node.left, scope))
+        elif isinstance(node, If):
+            stack += ((node.then, scope), (node.cond, scope))
+        elif isinstance(node, Builtin):
+            stack += ((arg, scope) for arg in reversed(node.args))
+    return nodes
+
+
 @dataclass(frozen=True)
 class SpanReport:
     """What a rule touches along the four key dimensions.
@@ -551,57 +573,26 @@ class SpanReport:
     ``tables`` uses None for the default (unqualified) table.
     ``variables`` holds (table, name) pairs; an unqualified name is
     attributed to the single explicitly named table when there is
-    exactly one, else to the default table.  ``bare_tables`` restricts
-    ``tables`` to references outside any aggregate (the record scope).
+    exactly one, else to the default table.
     """
 
     tables: frozenset[Optional[str]]
     variables: frozenset[tuple[Optional[str], str]]
     has_aggregate: bool
     max_lag: int
-    bare_tables: frozenset[Optional[str]] = field(default_factory=frozenset)
 
 
 def referenced_signature(rule: Rule) -> SpanReport:
-    refs: list[tuple[Optional[str], str, int, bool]] = []
-    saw_aggregate = False
-
-    def walk(e: Expr, in_agg: bool) -> None:
-        nonlocal saw_aggregate
-        if isinstance(e, VarRef):
-            refs.append((e.table, e.variable, e.lag, in_agg))
-        elif isinstance(e, Aggregate):
-            saw_aggregate = True
-            walk(e.arg, True)
-        elif isinstance(e, Unary):
-            walk(e.operand, in_agg)
-        elif isinstance(e, Binary):
-            walk(e.left, in_agg)
-            walk(e.right, in_agg)
-        elif isinstance(e, If):
-            walk(e.cond, in_agg)
-            walk(e.then, in_agg)
-        elif isinstance(e, Builtin):
-            for arg in e.args:
-                walk(arg, in_agg)
-
-    walk(rule.body, False)
-    explicit = {t for t, _, _, _ in refs if t is not None}
+    nodes = scoped_nodes(rule.body)
+    refs = [node for node, _ in nodes if isinstance(node, VarRef)]
+    explicit = {ref.table for ref in refs if ref.table is not None}
     fold = next(iter(explicit)) if len(explicit) == 1 else None
-
-    def folded(t: Optional[str]) -> Optional[str]:
-        return t if t is not None else fold
-
-    tables = frozenset(folded(t) for t, _, _, _ in refs) or frozenset({None})
-    variables = frozenset((folded(t), name) for t, name, _, _ in refs)
-    max_lag = max((lag for _, _, lag, _ in refs), default=0)
-    bare = frozenset(folded(t) for t, _, _, in_agg in refs if not in_agg)
+    variables = frozenset((ref.table or fold, ref.variable) for ref in refs)
     return SpanReport(
-        tables=tables,
+        tables=frozenset(table for table, _ in variables) or frozenset({None}),
         variables=variables,
-        has_aggregate=saw_aggregate,
-        max_lag=max_lag,
-        bare_tables=bare,
+        has_aggregate=any(isinstance(node, Aggregate) for node, _ in nodes),
+        max_lag=max((ref.lag for ref in refs), default=0),
     )
 
 

@@ -31,7 +31,7 @@ from validus.analyzer import (
     ruleset_implies,
     simplify_ruleset,
 )
-from validus.errors import UnsupportedForAnalysisError
+from validus.errors import IncompatibleScopeError, UnsupportedForAnalysisError
 from validus.evaluator import evaluate_ruleset
 from validus.linear import Interval
 from validus.model import DataPoint, Key, build_dataset
@@ -85,6 +85,7 @@ def test_schema_bounds_become_clauses():
     ("r: mean(age) >= 5", "aggregate"),
     ("r: price - price@1 >= 0", "lag"),
     ("r: trade.u >= partner.v", "cross-table"),
+    ("r: trade.u >= 0 and v <= 1", "cross-table"),
     ("r: x * x >= 0", "linear"),
     ("r: 1 / x <= 2", "divisor"),
     ("r: is_na(x)", "three-valued"),
@@ -102,6 +103,17 @@ def test_unsupported_fragments(text, fragment):
     with pytest.raises(UnsupportedForAnalysisError) as err:
         compile_rules(parse_rules(text), schema)
     assert fragment in str(err.value)
+
+
+def test_analyze_rejects_the_cross_table_rules_validate_rejects():
+    schema = parse_schema("a.x : numeric\nb.y : numeric\n")
+    rules = parse_rules("r: a.x >= 0 and y <= 1\nq: x >= 0 and b.y <= 1")
+    reason = "cross-table references"
+    assert analyze_ruleset(rules, schema) == ([], [("r", reason), ("q", reason)])
+    assert simplify_ruleset(rules, schema) == (rules, [])
+    for rule in rules:
+        with pytest.raises(IncompatibleScopeError, match="records of several tables"):
+            evaluate_ruleset(rules.without(rule.name), build_dataset([]), schema)
 
 
 def test_numeric_membership_compiles_to_equalities():

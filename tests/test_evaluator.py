@@ -12,9 +12,9 @@ import pytest
 
 from helpers import PANEL_RULES, PANEL_SCHEMA_TEXT, panel_oracle, random_panel
 from validus.errors import IncompatibleScopeError, UnknownVariableError
-from validus.evaluator import NA_POLICIES, EvalOptions, eval_expr, evaluate_ruleset
+from validus.evaluator import NA_POLICIES, EvalOptions, evaluate_ruleset
 from validus.model import NA, DataPoint, Dataset, Key, build_dataset
-from validus.rules import parse_rule, parse_rules
+from validus.rules import parse_rules
 from validus.schema import parse_schema
 from validus.tribool import TriBool
 
@@ -75,9 +75,8 @@ def test_mean_na_policies():
 
 def test_mean_hand_arithmetic():
     clean = person_dataset({"1": (Fraction(25), "a"), "2": (Fraction(42), "b")})
-    value = eval_expr(parse_rule("r: mean(age) >= 0").body.left, clean, PERSON_SCHEMA,
-                      EvalOptions(), table="person")
-    assert value == Fraction(67, 2)
+    report = evaluate_ruleset(parse_rules("r: mean(age) == 33.5"), clean, PERSON_SCHEMA)
+    assert [entry.result for entry in report.entries] == [T]
 
 
 def test_empty_group_is_na():
@@ -131,13 +130,16 @@ def test_unknown_variable_raises():
 
 
 def test_cross_table_record_rule_rejected():
-    schema = parse_schema("a.x : numeric\nb.y : numeric\n")
+    schema = parse_schema("a.x : numeric\nb.y : numeric\nc.z : numeric\n")
     ds = build_dataset([
         DataPoint(Key("a", None, "1", "x"), Fraction(1)),
         DataPoint(Key("b", None, "1", "y"), Fraction(1)),
     ])
     with pytest.raises(IncompatibleScopeError):
         evaluate_ruleset(parse_rules("r: a.x >= b.y"), ds, schema)
+    # rejected before any verdict, although table c has no records
+    with pytest.raises(IncompatibleScopeError, match="one aggregate spans several tables"):
+        evaluate_ruleset(parse_rules("r: c.z <= mean(a.x + b.y)"), ds, schema)
 
 
 TIMED_SCHEMA = parse_schema("shop.price : numeric\n")

@@ -25,6 +25,7 @@ from validus.rules import (
     parse_rule,
     parse_rules,
     referenced_signature,
+    scoped_nodes,
 )
 from validus.tribool import not_
 
@@ -171,6 +172,16 @@ def test_double_negation_is_equivalent(text):
 
 # --- span report --------------------------------------------------------------
 
+def test_scoped_nodes_pair_each_node_with_its_innermost_aggregate():
+    rule = parse_rule("r: x <= sum(a.y - mean(z))")
+    outer = rule.body.right
+    inner = outer.arg.right
+    assert scoped_nodes(rule.body) == [
+        (rule.body, None), (rule.body.left, None), (outer, None),
+        (outer.arg, outer), (outer.arg.left, outer), (inner, outer), (inner.arg, inner),
+    ]
+
+
 def test_span_plain_rule():
     span = referenced_signature(parse_rule("r: age >= 0"))
     assert span.tables == frozenset({None})
@@ -192,7 +203,6 @@ def test_span_aggregate_and_tables():
     span = referenced_signature(parse_rule("r: mean(trade.exports) == mean(partner.imports)"))
     assert span.tables == frozenset({"trade", "partner"})
     assert span.has_aggregate
-    assert span.bare_tables == frozenset()
 
 
 def test_span_qualifier_folds_into_single_table():
