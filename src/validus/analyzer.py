@@ -4,7 +4,10 @@ Record-scoped rules built from linear numeric comparisons and
 categorical membership compile to conjunctions of disjunctive clauses.
 Satisfiability is decided exactly: clause disjuncts and categorical
 levels are case-split, and each conjunction of linear atoms goes to the
-rational elimination core.  Integer-declared variables are analyzed
+rational elimination core.  Feasibility is checked at the leaves and
+for each option of a clause that branches, not after clauses that leave
+no choice, and each public call solves each distinct conjunction once.
+Integer-declared variables are analyzed
 over their rational relaxation, so a set that only fails over the
 integers is reported feasible.
 
@@ -21,8 +24,10 @@ a fixpoint, preserving the solution set.
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import wraps
 from typing import Iterable, Iterator, Optional, Union
 
 from .errors import UnsupportedForAnalysisError
@@ -389,41 +394,91 @@ def _atom_rows(atom: LinearAtom) -> list[Row]:
     raise ValueError(f"no direct rows for relation {atom.relation!r}")
 
 
+#: Feasibility answers of the public analyzer call in progress, keyed by
+#: the exact row tuple; unset outside such a call.
+_SOLVED: ContextVar[Optional[dict[tuple[Row, ...], Optional[dict[str, Fraction]]]]] = ContextVar(
+    "_SOLVED", default=None)
+
+
+def _solves_once(fn):
+    """Give the outermost public call one feasibility memo, shared by the
+    public calls it makes and dropped when it returns."""
+    @wraps(fn)
+    def call(*args, **kwargs):
+        if _SOLVED.get() is not None:
+            return fn(*args, **kwargs)
+        token = _SOLVED.set({})
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            _SOLVED.reset(token)
+    return call
+
+
+def _solve(rows: list[Row]) -> Optional[dict[str, Fraction]]:
+    """``feasible(rows)``, solved once per distinct row tuple per call."""
+    memo = _SOLVED.get()
+    if memo is None:
+        return feasible(rows)
+    key = tuple(rows)
+    if key not in memo:
+        memo[key] = feasible(rows)
+    return memo[key]
+
+
 def _leaves(system: ConstraintSystem) -> Iterator[tuple[dict[str, frozenset[str]], list[Row]]]:
-    """Every feasible conjunction covering the system's solution set."""
+    """Every feasible conjunction covering the system's solution set.
+
+    Feasibility is checked at the leaves and for each option of a clause
+    that offers several; rows added by a clause without a choice wait for
+    the next check.  Before a categorical option is taken the rows are
+    known feasible, either because a linear option of the same clause
+    (a superset of them) was, or by a direct check, so no infeasible
+    subtree is ever split.
+    """
     domains = {v: frozenset(levels) for v, levels in system.categorical_vars.items()}
     clauses = system.clauses
 
-    def descend(index: int, cats: dict[str, frozenset[str]], rows: list[Row]) -> Iterator[tuple[dict[str, frozenset[str]], list[Row]]]:
+    def descend(index: int, cats: dict[str, frozenset[str]], rows: list[Row],
+                checked: bool) -> Iterator[tuple[dict[str, frozenset[str]], list[Row]]]:
+        # checked: ``rows`` are known feasible
         if index == len(clauses):
-            if feasible(rows) is not None:
+            if _solve(rows) is not None:
                 yield cats, rows
             return
         clause = clauses[index]
         for atom in clause.disjuncts:
             # clause already entailed by the categorical state: no branching
             if isinstance(atom, CategoricalAtom) and cats[atom.variable] <= atom.allowed:
-                yield from descend(index + 1, cats, rows)
+                yield from descend(index + 1, cats, rows, checked)
                 return
+        # (categories, added rows or None for a categorical option)
+        options: list[tuple[dict[str, frozenset[str]], Optional[list[Row]]]] = []
         for atom in clause.disjuncts:
             if isinstance(atom, CategoricalAtom):
                 narrowed = cats[atom.variable] & atom.allowed
-                if not narrowed:
-                    continue
-                yield from descend(index + 1, {**cats, atom.variable: narrowed}, rows)
+                if narrowed:
+                    options.append(({**cats, atom.variable: narrowed}, None))
+            elif atom.relation == "!=":
+                options.append((cats, _atom_rows(LinearAtom(atom.coeffs, "<", atom.constant))))
+                options.append((cats, _atom_rows(LinearAtom(atom.coeffs, ">", atom.constant))))
             else:
-                variants = (
-                    [LinearAtom(atom.coeffs, "<", atom.constant), LinearAtom(atom.coeffs, ">", atom.constant)]
-                    if atom.relation == "!="
-                    else [atom]
-                )
-                for variant in variants:
-                    extended = rows + _atom_rows(variant)
-                    if feasible(extended) is None:
-                        continue
-                    yield from descend(index + 1, cats, extended)
+                options.append((cats, _atom_rows(atom)))
+        branches = len(options) > 1
+        for next_cats, added in options:
+            if added is None:
+                if branches and not checked:
+                    if _solve(rows) is None:
+                        return
+                    checked = True
+                yield from descend(index + 1, next_cats, rows, checked)
+            elif not branches:
+                yield from descend(index + 1, cats, rows + added, False)
+            elif _solve(extended := rows + added) is not None:
+                checked = True
+                yield from descend(index + 1, cats, extended, True)
 
-    yield from descend(0, domains, [])
+    yield from descend(0, domains, [], True)
 
 
 def _atom_holds(atom: Atom, numeric: dict[str, Fraction], cats: dict[str, str]) -> bool:
@@ -443,11 +498,12 @@ def check_witness(system: ConstraintSystem, witness: dict[str, Union[Fraction, s
     )
 
 
+@_solves_once
 def is_satisfiable(system: ConstraintSystem) -> SatResult:
     """Exact satisfiability over the rational relaxation plus declared
     categorical levels; a positive verdict carries a re-checked witness."""
     for cats, rows in _leaves(system):
-        numeric_witness = feasible(rows)
+        numeric_witness = _solve(rows)
         assert numeric_witness is not None
         witness: dict[str, Union[Fraction, str]] = {}
         for var in system.numeric_vars:
@@ -468,6 +524,7 @@ def _entails(parts: list[_Part], claim: Rule, schema: Schema) -> bool:
 
 # --- findings -------------------------------------------------------------
 
+@_solves_once
 def lint_rule(rule: Rule, schema: Schema) -> Optional[Finding]:
     """Tautology or contradiction verdict for one rule over the schema
     domains, None for a genuine validation rule."""
@@ -486,6 +543,7 @@ def lint_rule(rule: Rule, schema: Schema) -> Optional[Finding]:
     return None
 
 
+@_solves_once
 def implied_bounds(system: ConstraintSystem, variable: str) -> Interval:
     """Tightest interval enclosing the attainable values of a numeric
     variable over all solutions of a satisfiable system."""
@@ -514,6 +572,7 @@ def _interval_text(value: Optional[Fraction]) -> Optional[str]:
     return None if value is None else format_number(value)
 
 
+@_solves_once
 def implied_bound_findings(system: ConstraintSystem) -> list[Finding]:
     """Fixed values and range restrictions implied by the whole set."""
     findings = []
@@ -558,6 +617,7 @@ def _strictly_tighter(interval: Interval, declared: Optional[tuple[Fraction, Fra
     return tighter_low or tighter_high
 
 
+@_solves_once
 def detect_partial_infeasibility(system: ConstraintSystem) -> list[Finding]:
     """Levels of categorical variables that no solution can take."""
     findings = []
@@ -578,6 +638,7 @@ def detect_partial_infeasibility(system: ConstraintSystem) -> list[Finding]:
     return findings
 
 
+@_solves_once
 def detect_redundant(rules: RuleSet, schema: Schema) -> list[Finding]:
     """Rules already implied by the rest of the set."""
     parts = [_compile_part(rule, schema) for rule in rules]
@@ -610,16 +671,19 @@ def _entailed_branches(rules: RuleSet, schema: Schema, kind: str, branch: str, n
     return findings
 
 
+@_solves_once
 def detect_nonrelaxing(rules: RuleSet, schema: Schema) -> list[Finding]:
     """Conditional rules whose condition the set forces to be true."""
     return _entailed_branches(rules, schema, NONRELAXING, "cond", "condition")
 
 
+@_solves_once
 def detect_nonconstraining(rules: RuleSet, schema: Schema) -> list[Finding]:
     """Conditional rules whose consequent already holds on every solution."""
     return _entailed_branches(rules, schema, NONCONSTRAINING, "then", "consequent")
 
 
+@_solves_once
 def lint_ruleset(rules: RuleSet, schema: Schema) -> tuple[list[Finding], RuleSet, list[tuple[str, str]]]:
     """Lint every rule; returns (findings, the analyzable rules, and the
     name and reason of each rule outside the analyzable fragment)."""
@@ -638,6 +702,7 @@ def lint_ruleset(rules: RuleSet, schema: Schema) -> tuple[list[Finding], RuleSet
     return findings, RuleSet(tuple(supported)), unsupported
 
 
+@_solves_once
 def analyze_ruleset(rules: RuleSet, schema: Schema) -> tuple[list[Finding], list[tuple[str, str]]]:
     """Run every detection; returns (findings, unsupported rules).
 
@@ -660,6 +725,7 @@ def analyze_ruleset(rules: RuleSet, schema: Schema) -> tuple[list[Finding], list
     return findings, unsupported
 
 
+@_solves_once
 def ruleset_implies(stronger: RuleSet, weaker: RuleSet, schema: Schema) -> bool:
     """True when every solution of ``stronger`` satisfies every rule of
     ``weaker`` (checked rule by rule via unsatisfiability probes)."""
@@ -678,6 +744,7 @@ class SimplifyStep:
     probe: str
 
 
+@_solves_once
 def simplify_ruleset(rules: RuleSet, schema: Schema) -> tuple[RuleSet, list[SimplifyStep]]:
     """Rewrite the rule set without changing its solution set.
 
@@ -687,7 +754,10 @@ def simplify_ruleset(rules: RuleSet, schema: Schema) -> tuple[RuleSet, list[Simp
     its consequent; a rule implied by the others is dropped.  Repeats to
     a fixpoint.  Rules outside the analyzable fragment are kept as they
     are.  An unsatisfiable input is returned unchanged with an
-    ``infeasible`` log entry.
+    ``infeasible`` log entry.  Every step keeps the solution set, so a
+    conditional's condition and consequent probes are asked once per
+    call; the redundancy probe is asked again, since the other rules
+    change.
     """
     compiled: dict[str, _Part] = {}
     for rule in rules:
@@ -705,12 +775,13 @@ def simplify_ruleset(rules: RuleSet, schema: Schema) -> tuple[RuleSet, list[Simp
 
     current = rules
     log: list[SimplifyStep] = []
+    settled: set[Rule] = set()
     while True:
         for rule in current:
             if rule.name not in compiled:
                 continue
             parts = [compiled[r.name] for r in current if r.name in compiled]
-            rewrite = _first_rewrite(rule, parts, schema)
+            rewrite = _first_rewrite(rule, parts, schema, settled)
             if rewrite is None:
                 continue
             action, new_rule, probe = rewrite
@@ -728,15 +799,19 @@ def simplify_ruleset(rules: RuleSet, schema: Schema) -> tuple[RuleSet, list[Simp
             return current, log
 
 
-def _first_rewrite(rule: Rule, parts: list[_Part], schema: Schema) -> Optional[tuple[str, Optional[Rule], str]]:
+def _first_rewrite(rule: Rule, parts: list[_Part], schema: Schema,
+                   settled: set[Rule]) -> Optional[tuple[str, Optional[Rule], str]]:
     """(action, rewritten rule or None to drop it, probe text) for the
-    first simplification that applies to ``rule`` within ``parts``."""
-    if isinstance(rule.body, If):
+    first simplification that applies to ``rule`` within ``parts``;
+    ``settled`` holds the conditionals neither of whose branches the
+    set entails, and gains ``rule`` when that is found."""
+    if isinstance(rule.body, If) and rule not in settled:
         consequent = Rule(rule.name, rule.body.then, rule.source_span)
         if _entails(parts, Rule(rule.name, rule.body.cond, rule.source_span), schema):
             return "nonrelaxing", consequent, "rule set plus negated condition is unsatisfiable"
         if _entails(parts, consequent, schema):
             return "nonconstraining", consequent, "rule set plus negated consequent is unsatisfiable"
+        settled.add(rule)
     others = [part for part in parts if part[0] != rule.name]
     if _entails(others, rule, schema):
         return "drop_redundant", None, "remaining rules plus the negated rule are unsatisfiable"

@@ -12,7 +12,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from validus.analyzer import CategoricalAtom, Clause, ConstraintSystem, LinearAtom
+from validus.analyzer import CategoricalAtom, Clause, ConstraintSystem, LinearAtom, _atom_rows
+from validus.linear import feasible
 from validus.rules import (
     Aggregate,
     Binary,
@@ -160,6 +161,52 @@ def grid_oracle(system: ConstraintSystem) -> bool:
         if ok.any():
             return True
     return False
+
+
+# --- reference case split: a feasibility check after every clause ------------
+
+def reference_leaves(system: ConstraintSystem):
+    """The analyzer's case split as it was before it checked feasibility
+    only at branch points: every added clause is checked at once.  The
+    leaves it yields, in order, are the ones the analyzer must yield."""
+    domains = {v: frozenset(levels) for v, levels in system.categorical_vars.items()}
+    clauses = system.clauses
+
+    def descend(index, cats, rows):
+        if index == len(clauses):
+            if feasible(rows) is not None:
+                yield cats, rows
+            return
+        clause = clauses[index]
+        for atom in clause.disjuncts:
+            if isinstance(atom, CategoricalAtom) and cats[atom.variable] <= atom.allowed:
+                yield from descend(index + 1, cats, rows)
+                return
+        for atom in clause.disjuncts:
+            if isinstance(atom, CategoricalAtom):
+                narrowed = cats[atom.variable] & atom.allowed
+                if narrowed:
+                    yield from descend(index + 1, {**cats, atom.variable: narrowed}, rows)
+                continue
+            variants = ([LinearAtom(atom.coeffs, "<", atom.constant), LinearAtom(atom.coeffs, ">", atom.constant)]
+                        if atom.relation == "!=" else [atom])
+            for variant in variants:
+                extended = rows + _atom_rows(variant)
+                if feasible(extended) is not None:
+                    yield from descend(index + 1, cats, extended)
+
+    yield from descend(0, domains, [])
+
+
+def reference_witness(system: ConstraintSystem):
+    """The witness ``is_satisfiable`` gives, built from the first
+    reference leaf; None when the system is unsatisfiable."""
+    for cats, rows in reference_leaves(system):
+        numeric = feasible(rows)
+        witness = {var: numeric.get(var, Fraction(0)) for var in system.numeric_vars}
+        witness.update({var: sorted(levels)[0] for var, levels in cats.items()})
+        return witness
+    return None
 
 
 # --- exact LP oracle for general systems -----------------------------------

@@ -7,7 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import grid_oracle, grid_points, lp_oracle, random_system
+from helpers import grid_oracle, grid_points, lp_oracle, random_system, reference_leaves, reference_witness
+from validus import analyzer
 from validus.analyzer import (
     CONTRADICTION,
     FIXED_VALUE,
@@ -16,6 +17,8 @@ from validus.analyzer import (
     RANGE_RESTRICTION,
     TAUTOLOGY,
     CategoricalAtom,
+    Clause,
+    ConstraintSystem,
     LinearAtom,
     analyze_ruleset,
     check_witness,
@@ -399,6 +402,84 @@ def test_every_sat_verdict_carries_a_sound_witness():
             seen_sat += 1
             assert check_witness(system, result.witness)
     assert seen_sat > 50
+
+
+# --- search work -------------------------------------------------------------------------
+
+def _count_calls(monkeypatch, name: str = "feasible") -> list[int]:
+    calls = [0]
+    solve = getattr(analyzer, name)
+
+    def counted(rows):
+        calls[0] += 1
+        return solve(rows)
+
+    monkeypatch.setattr(analyzer, name, counted)
+    return calls
+
+
+def _unit(var: str, relation: str, constant: int) -> LinearAtom:
+    return LinearAtom(((var, Fraction(1)),), relation, Fraction(constant))
+
+
+def test_clauses_without_a_choice_are_not_checked(monkeypatch):
+    clauses = [Clause((_unit("x", ">=", -i),), f"u{i}") for i in range(30)]
+    clauses.append(Clause((_unit("x", "<=", 5), _unit("x", ">=", 10)), "split"))
+    system = ConstraintSystem(clauses, {"x": None}, {}, {})
+    calls = _count_calls(monkeypatch)
+    assert is_satisfiable(system)
+    assert calls[0] <= 4
+    calls[0] = 0
+    assert implied_bounds(system, "x") == Interval(Fraction(0), False, None, False)
+    assert calls[0] <= 4
+
+
+def test_contradictory_unit_rows_prune_before_categorical_splits(monkeypatch):
+    levels = {f"g{i}": ("a", "b") for i in range(12)}
+    clauses = [Clause((_unit("x", ">=", 1),), "low"), Clause((_unit("x", "<=", 0),), "high")]
+    clauses += [Clause((CategoricalAtom(v, frozenset("a")), CategoricalAtom(v, frozenset("b"))), v) for v in levels]
+    system = ConstraintSystem(clauses, {"x": None}, levels, {})
+    calls = _count_calls(monkeypatch)
+    checks = _count_calls(monkeypatch, "_solve")  # memo hits too: walking 2^12 paths shows here
+    assert not is_satisfiable(system)
+    assert calls[0] <= 4 and checks[0] <= 4
+
+
+def test_search_yields_the_leaves_and_witnesses_of_checking_every_clause():
+    rng = random.Random(5150)
+    for multivar in (False, True):
+        for _ in range(150):
+            system = random_system(rng, multivar=multivar)
+            assert list(analyzer._leaves(system)) == list(reference_leaves(system))
+            assert is_satisfiable(system).witness == reference_witness(system)
+
+
+def test_no_feasibility_answer_outlives_a_call(monkeypatch):
+    rules = parse_rules(GENDER_RULES + "c: x >= 0\nd: x >= 1\n")
+    calls = _count_calls(monkeypatch)
+    first = analyze_ruleset(rules, SCHEMA)
+    first_calls, calls[0] = calls[0], 0
+    assert analyze_ruleset(rules, SCHEMA) == first
+    assert calls[0] == first_calls > 0
+
+
+def test_simplify_asks_each_conditional_branch_once(monkeypatch):
+    rules = parse_rules('c: if (gender == "male") income > 2000\nd: x >= 0\ne: x >= 1\n')
+    claims = []
+    entails = analyzer._entails
+
+    def recorded(parts, claim, schema):
+        claims.append(claim.body)
+        return entails(parts, claim, schema)
+
+    monkeypatch.setattr(analyzer, "_entails", recorded)
+    simplified, log = simplify_ruleset(rules, SCHEMA)
+    assert [s.action for s in log] == ["drop_redundant"]
+    assert [r.name for r in simplified] == ["c", "e"]
+    conditional = rules["c"].body
+    assert claims.count(conditional.cond) == 1
+    assert claims.count(conditional.then) == 1
+    assert claims.count(conditional) == 2  # redundancy is asked again after the drop
 
 
 _COEFFS = {"": 1, "2 * ": 2, "-1 * ": -1}
