@@ -40,13 +40,14 @@ from .errors import (
     RuleParseError,
     RuleTypeError,
     SchemaSyntaxError,
+    UnevaluableRulesError,
     UnknownKeyError,
     UnknownVariableError,
     UnsupportedForAnalysisError,
     ValidusError,
 )
 from .evaluator import Entry, EvalOptions, ValidationReport, evaluate_ruleset
-from .model import NA, DataPoint, Dataset, Key, NAType, Value, build_dataset, get_value
+from .model import NA, DataPoint, Dataset, Key, NAType, Value, build_dataset
 from .rules import (
     Rule,
     RuleSet,
@@ -59,7 +60,7 @@ from .rules import (
     referenced_signature,
 )
 from .schema import Schema, VariableDecl, check_domain, parse_schema
-from .tribool import TriBool, kleene_apply
+from .tribool import TriBool
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -11,12 +11,13 @@ import csv
 import io
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 from .analyzer import INFEASIBLE, Finding, analyze_ruleset, lint_ruleset, simplify_ruleset
 from .classifier import classify_rule
 from .csvio import dataset_from_csv
-from .errors import ValidusError
+from .errors import UnevaluableRulesError, ValidusError
 from .evaluator import EvalOptions, ValidationReport, evaluate_ruleset
 from .rules import RuleSet, format_rule, format_ruleset, parse_rules
 from .schema import Schema, parse_schema
@@ -105,15 +106,10 @@ def _unsupported_records(unsupported: list[tuple[str, str]]) -> list[dict]:
     return [{"rule": name, "reason": reason} for name, reason in unsupported]
 
 
-def _entry_records(report: ValidationReport) -> list[dict]:
+def _entry_rows(report: ValidationReport) -> list[tuple[str, str, str, str, str]]:
     return [
-        {
-            "rule": entry.rule,
-            "table": entry.table,
-            "unit": "ALL" if entry.unit is None else entry.unit,
-            "time": "ALL" if entry.time is None else entry.time,
-            "result": str(entry.result),
-        }
+        (entry.rule, entry.table, "ALL" if entry.unit is None else entry.unit,
+         "ALL" if entry.time is None else entry.time, str(entry.result))
         for entry in report.entries
     ]
 
@@ -126,18 +122,38 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _emit_report(args, rules: list[dict], entries: list[dict],
+# one entry as json.dumps(payload, indent=2) lays it out, at depth 2
+_ENTRY_JSON = ('    {\n      "rule": %s,\n      "table": %s,\n      "unit": %s,\n'
+               '      "time": %s,\n      "result": %s\n    }')
+
+
+def _json_report(payload: dict) -> str:
+    """``json.dumps(payload, indent=2)``, with the flat entries, if any,
+    written into a template: the indenting encoder runs in pure Python."""
+    if not payload["entries"]:
+        return json.dumps(payload, indent=2)
+    members = []
+    for key, value in payload.items():
+        if key == "entries":
+            quote = encode_basestring_ascii
+            text = "[\n" + ",\n".join(_ENTRY_JSON % tuple(map(quote, row)) for row in value) + "\n  ]"
+        else:
+            text = json.dumps(value, indent=2).replace("\n", "\n  ")
+        members.append(f"  {json.dumps(key)}: {text}")
+    return "{\n" + ",\n".join(members) + "\n}"
+
+
+def _emit_report(args, rules: list[dict], entries: list[tuple[str, str, str, str, str]],
                  findings: list[dict], summary: dict) -> None:
     if args.format == "json":
         payload = {"rules": rules, "entries": entries, "findings": findings, "summary": summary}
-        _emit(args, json.dumps(payload, indent=2) + "\n")
+        _emit(args, _json_report(payload) + "\n")
         return
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     if entries:
         writer.writerow(["rule", "table", "unit", "time", "result"])
-        for entry in entries:
-            writer.writerow([entry["rule"], entry["table"], entry["unit"], entry["time"], entry["result"]])
+        writer.writerows(entries)
     elif findings:
         writer.writerow(["kind", "rule", "variable", "value", "low", "high", "evidence"])
         for f in findings:
@@ -160,7 +176,7 @@ def _cmd_validate(args) -> int:
     report = evaluate_ruleset(rules, dataset, schema, options)
     counts = report.counts()
     summary = {"per_rule": report.summary, "totals": counts, "strict_na": args.strict_na}
-    _emit_report(args, _rule_records(rules), _entry_records(report), [], summary)
+    _emit_report(args, _rule_records(rules), _entry_rows(report), [], summary)
     if counts["false"] > 0 or (args.strict_na and counts["na"] > 0):
         return EXIT_FAILURES
     if counts["na"] > 0:
@@ -232,7 +248,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: no such file: {exc.filename}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except ValidusError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        for error in exc.errors if isinstance(exc, UnevaluableRulesError) else [exc]:
+            print(f"error: {error}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
 

@@ -72,6 +72,15 @@ class IncompatibleScopeError(ValidusError):
         super().__init__(f"rule {rule!r} cannot be scheduled: {reason}")
 
 
+class UnevaluableRulesError(ValidusError):
+    """Several rules that cannot be evaluated; ``errors`` holds each
+    rule's own error, in file order."""
+
+    def __init__(self, errors: list[ValidusError]):
+        self.errors = errors
+        super().__init__("; ".join(str(error) for error in errors))
+
+
 class UnsupportedForAnalysisError(ValidusError):
     def __init__(self, rule: str, reason: str):
         self.rule = rule

@@ -3,20 +3,25 @@
 Each rule is scheduled over the scopes it needs: plain record rules get
 one verdict per (unit, occasion) of their table, aggregate rules one
 verdict per occasion (unit = ALL), and single-occasion data collapses
-the occasion dimension as well.  Missing values, type confusion,
-division by zero, and lags reaching before the first occasion or into
-an occasion the table lacks all evaluate to NA instead of aborting the
-run; each records a diagnostic.
+the occasion dimension as well.  Each rule is compiled once per run
+into a plan: one closure per node, with its table column, lag,
+comparison and aggregate memo bound in, so a verdict is one call tree
+over the dataset's table index.  Both operands of every node are
+evaluated, in source order, so every diagnostic is recorded.  Missing
+values, type confusion, division by zero, and lags reaching before the
+first occasion or into an occasion the table lacks all evaluate to NA
+instead of aborting the run; each records a diagnostic.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
-from .errors import IncompatibleScopeError, UnknownVariableError
-from .model import NA, Dataset, Key, Value, is_na, natural_order
+from .errors import IncompatibleScopeError, UnevaluableRulesError, UnknownVariableError, ValidusError
+from .model import NA, Dataset, Key, Value, is_number, is_text, natural_order
 from .rules import (
     COMPARE,
     Aggregate,
@@ -35,7 +40,7 @@ from .rules import (
     scoped_nodes,
 )
 from .schema import Schema
-from .tribool import TriBool, and_, implies, not_, or_
+from .tribool import TriBool, and2, implies, not_, or2
 
 NA_POLICIES = ("propagate", "ignore")
 
@@ -77,58 +82,41 @@ class ValidationReport:
     diagnostics: list[Diagnostic] = field(default_factory=list)
 
     def counts(self) -> dict[str, int]:
-        total = {"true": 0, "false": 0, "na": 0}
-        for entry in self.entries:
-            total[entry.result.value] += 1
-        return total
+        results = [entry.result for entry in self.entries]
+        return {"true": results.count(TriBool.TRUE), "false": results.count(TriBool.FALSE),
+                "na": results.count(TriBool.NA)}
 
 
 __all__ = ["EvalOptions", "Entry", "Diagnostic", "ValidationReport", "evaluate_ruleset"]
 
 
+_T, _F, _N = TriBool.TRUE, TriBool.FALSE, TriBool.NA
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+_TESTS = {
+    "is_number": is_number,
+    "is_integer": lambda v: is_number(v) and v.denominator == 1,
+    "is_text": is_text,
+}
+
+# A compiled node: (unit, occasion) -> value or truth value.  unit is
+# None only where no record is in scope, and no reference reads it there.
+Node = Callable[[Optional[str], Optional[str]], Union[Value, TriBool]]
+# The rule's plan: the table its verdicts are reported under, its scopes
+# in report order, and its compiled body.
+Plan = tuple[str, list[tuple[Optional[str], Optional[str]]], Node]
+
+
 class _Evaluator:
+    """One run: the dataset, schema and options, each rule's plan, and the
+    (kind, message) of every diagnostic the current verdict recorded."""
+
     def __init__(self, dataset: Dataset, schema: Schema, options: EvalOptions):
         self.dataset = dataset
         self.schema = schema
         self.options = options
-        self.diagnostics: list[Diagnostic] = []
-        self._times: dict[str, list[Optional[str]]] = {}
-        self._units: dict[str, list[str]] = {}
-        self._records: dict[str, list[tuple[str, Optional[str]]]] = {}
-        self._positions: dict[str, dict[Optional[str], int]] = {}
+        self.notes: list[tuple[str, str]] = []
+        self.plans: dict[str, Plan] = {}
         self._resolved: dict[tuple[Optional[str], str], str] = {}
-        # the current rule's group table per id of its Aggregate nodes
-        self.groups: dict[int, str] = {}
-        # (id of Aggregate node, occasion) -> (value, (kind, message) of
-        # each diagnostic the evaluation recorded), for the current rule
-        self.aggregates: dict[tuple[int, Optional[str]], tuple[Value, list[tuple[str, str]]]] = {}
-        self._entry_scope: tuple[str, str, Optional[str], Optional[str]] = ("", "", None, None)
-
-    # -- dataset access ----------------------------------------------
-
-    def times(self, table: str) -> list[Optional[str]]:
-        if table not in self._times:
-            self._times[table] = self.dataset.times(table)
-        return self._times[table]
-
-    def units(self, table: str) -> list[str]:
-        if table not in self._units:
-            self._units[table] = self.dataset.units(table)
-        return self._units[table]
-
-    def records(self, table: str) -> list[tuple[str, Optional[str]]]:
-        if table not in self._records:
-            self._records[table] = self.dataset.records(table)
-        return self._records[table]
-
-    def positions(self, table: str) -> dict[Optional[str], int]:
-        if table not in self._positions:
-            self._positions[table] = {t: i for i, t in enumerate(self.times(table))}
-        return self._positions[table]
-
-    def _diag(self, kind: str, message: str) -> None:
-        rule, table, unit, time = self._entry_scope
-        self.diagnostics.append(Diagnostic(rule, table, unit, time, kind, message))
 
     def _resolve(self, rule_name: str, ref: VarRef) -> str:
         name = (ref.table, ref.variable)
@@ -140,240 +128,278 @@ class _Evaluator:
             self._resolved[name] = hit[0]
         return self._resolved[name]
 
-    def _cell(self, table: str, unit: str, time: Optional[str], variable: str, lag: int) -> Value:
-        if lag > 0:
-            position = self.positions(table).get(time)
-            if position is None:
-                self._diag("unresolved_reference",
-                           f"{variable}@{lag}: occasion {time} is not an occasion of table {table}")
-                return NA
-            if position < lag:
-                self._diag("unresolved_reference", f"{variable}@{lag} reaches before the first occasion")
-                return NA
-            time = self.times(table)[position - lag]
-        key = Key(table, time, unit, variable)
-        if key not in self.dataset:
-            self._diag("missing_cell", f"no data point for {key!r}")
-            return NA
-        return self.dataset.get(key)
+    def scoping(self, rule: Rule) -> tuple[Optional[str], dict[int, str]]:
+        """The table whose records the rule is evaluated on (None for a
+        rule evaluated once per occasion) and the group table of each of
+        its aggregates, keyed by node id.  Resolves every reference, so a
+        rule whose scope is not determined fails here, whatever the data."""
+        nodes = scoped_nodes(rule.body)
+        # tables referenced directly in each scope: None or an aggregate's id
+        scope_tables: dict[Optional[int], set[str]] = {}
+        for node, scope in nodes:
+            if isinstance(node, VarRef):
+                key = None if scope is None else id(scope)
+                scope_tables.setdefault(key, set()).add(self._resolve(rule.name, node))
+        bare_tables = scope_tables.get(None, set())
+        if len(bare_tables) > 1:
+            raise IncompatibleScopeError(rule.name, "references records of several tables")
+        record_table = next(iter(bare_tables), None)
+        groups: dict[int, str] = {}
+        for node, scope in nodes:  # every aggregate comes after its enclosing one
+            if isinstance(node, Aggregate):
+                own = scope_tables.get(id(node), set())
+                if len(own) > 1:
+                    raise IncompatibleScopeError(rule.name, "one aggregate spans several tables")
+                enclosing = record_table if scope is None else groups[id(scope)]
+                group = next(iter(own), enclosing)
+                if group is None:
+                    raise IncompatibleScopeError(rule.name, "aggregate group cannot be determined")
+                groups[id(node)] = group
+        return record_table, groups
 
-    # -- expression evaluation ---------------------------------------
+    def plan(self, rule: Rule) -> Plan:
+        record_table, groups = self.scoping(rule)
+        body = self.compile(rule.body, groups)
+        if record_table is not None:
+            return record_table, self.dataset.index(record_table).records, body
+        tables = sorted(set(groups.values()))
+        label = tables[0] if len(tables) == 1 else ",".join(tables) if tables else "-"
+        times = {t for table in tables for t in self.dataset.index(table).times}
+        ordered = sorted(times, key=natural_order) if times else [None]
+        return label, [(None, time) for time in ordered], body
 
-    def eval_logical(self, expr: Expr, unit: Optional[str], time: Optional[str]) -> TriBool:
-        result = self.eval(expr, unit, time)
-        assert isinstance(result, TriBool)
-        return result
+    # -- compilation: one closure per node ------------------------------
 
-    def eval(self, expr: Expr, unit: Optional[str], time: Optional[str]) -> Union[Value, TriBool]:
-        if isinstance(expr, NumberLit):
-            return expr.value
-        if isinstance(expr, TextLit):
-            return expr.value
-        if isinstance(expr, NALit):
-            return NA
+    def compile(self, expr: Expr, groups: dict[int, str]) -> Node:
+        if isinstance(expr, (NumberLit, TextLit, NALit)):
+            value = NA if isinstance(expr, NALit) else expr.value
+            return lambda unit, time: value
         if isinstance(expr, VarRef):
-            assert unit is not None, "bare variable reference outside record scope"
-            ref_table = self._resolved[expr.table, expr.variable]
-            return self._cell(ref_table, unit, time, expr.variable, expr.lag)
+            return self._compile_ref(expr)
         if isinstance(expr, Aggregate):
-            return self._aggregate(expr, time)
-        if isinstance(expr, Unary):
-            return self._unary(expr, unit, time)
-        if isinstance(expr, Binary):
-            return self._binary(expr, unit, time)
+            return self._compile_aggregate(expr, groups)
         if isinstance(expr, If):
-            cond = self.eval_logical(expr.cond, unit, time)
-            then = self.eval_logical(expr.then, unit, time)
-            return implies(cond, then)
+            cond, then = self.compile(expr.cond, groups), self.compile(expr.then, groups)
+            return lambda unit, time: implies(cond(unit, time), then(unit, time))
+        if isinstance(expr, Unary):
+            operand = self.compile(expr.operand, groups)
+            if expr.op == "not":
+                return lambda unit, time: not_(operand(unit, time))
+            return self._compile_sign(expr.op, operand)
+        if isinstance(expr, Binary):
+            left, right = self.compile(expr.left, groups), self.compile(expr.right, groups)
+            if expr.op in ("and", "or"):
+                connective = and2 if expr.op == "and" else or2
+                return lambda unit, time: connective(left(unit, time), right(unit, time))
+            if expr.op in COMPARE:
+                return self._compile_compare(expr.op, left, right)
+            return self._compile_arithmetic(expr.op, left, right)
         if isinstance(expr, Builtin):
-            return self._builtin(expr, unit, time)
+            return self._compile_builtin(expr, groups)
         raise AssertionError(f"cannot evaluate {expr!r}")
 
-    def _unary(self, expr: Unary, unit, time) -> Union[Value, TriBool]:
-        if expr.op == "not":
-            return not_(self.eval_logical(expr.operand, unit, time))
-        value = self.eval(expr.operand, unit, time)
-        if is_na(value):
-            return NA
-        if not isinstance(value, Fraction):
-            self._diag("type_mismatch", f"{expr.op} applied to text {value!r}")
-            return NA
-        return -value if expr.op == "neg" else abs(value)
+    def _compile_ref(self, ref: VarRef) -> Node:
+        table = self._resolved[ref.table, ref.variable]
+        variable, lag, notes = ref.variable, ref.lag, self.notes
+        index = self.dataset.index(table)
+        column = index.columns.get(variable, {})
 
-    def _binary(self, expr: Binary, unit, time) -> Union[Value, TriBool]:
-        if expr.op in ("and", "or"):
-            left = self.eval_logical(expr.left, unit, time)
-            right = self.eval_logical(expr.right, unit, time)
-            return and_([left, right]) if expr.op == "and" else or_([left, right])
-
-        left = self.eval(expr.left, unit, time)
-        right = self.eval(expr.right, unit, time)
-        if expr.op in ("+", "-", "*", "/"):
-            if is_na(left) or is_na(right):
+        def cell(unit, time):
+            try:
+                return column[unit, time]
+            except KeyError:
+                notes.append(("missing_cell", f"no data point for {Key(table, time, unit, variable)!r}"))
                 return NA
-            if not isinstance(left, Fraction) or not isinstance(right, Fraction):
-                self._diag("type_mismatch", f"arithmetic {expr.op} on text operand")
+
+        if lag == 0:
+            return cell
+        times, positions = index.times, index.positions
+        earlier = {time: times[i - lag] for i, time in enumerate(times) if i >= lag}
+
+        def lagged(unit, time):
+            if time in earlier:
+                return cell(unit, earlier[time])
+            if time in positions:
+                notes.append(("unresolved_reference", f"{variable}@{lag} reaches before the first occasion"))
+            else:
+                notes.append(("unresolved_reference",
+                              f"{variable}@{lag}: occasion {time} is not an occasion of table {table}"))
+            return NA
+
+        return lagged
+
+    def _compile_sign(self, op: str, operand: Node) -> Node:
+        apply = operator.neg if op == "neg" else abs
+        notes = self.notes
+
+        def sign(unit, time):
+            value = operand(unit, time)
+            if value is NA:
                 return NA
-            if expr.op == "/":
-                if right == 0:
-                    self._diag("division_by_zero", "division by zero")
-                    return NA
-                return left / right
-            if expr.op == "+":
-                return left + right
-            if expr.op == "-":
-                return left - right
-            return left * right
+            if not isinstance(value, Fraction):
+                notes.append(("type_mismatch", f"{op} applied to text {value!r}"))
+                return NA
+            return apply(value)
 
-        # comparison
-        if is_na(left) or is_na(right):
-            return TriBool.NA
-        if isinstance(left, Fraction) and isinstance(right, Fraction):
-            return TriBool.of(COMPARE[expr.op](left, right))
-        if isinstance(left, str) and isinstance(right, str):
-            if expr.op in ("==", "!="):
-                return TriBool.of(COMPARE[expr.op](left, right))
-            self._diag("type_mismatch", f"ordering {expr.op} is undefined for text")
-            return TriBool.NA
-        self._diag("type_mismatch", f"comparison {expr.op} between number and text")
-        return TriBool.NA
+        return sign
 
-    def _builtin(self, expr: Builtin, unit, time) -> TriBool:
+    def _compile_arithmetic(self, op: str, left: Node, right: Node) -> Node:
+        apply, notes = _ARITHMETIC[op], self.notes
+
+        def arithmetic(unit, time):
+            a, b = left(unit, time), right(unit, time)
+            if a is NA or b is NA:
+                return NA
+            if not isinstance(a, Fraction) or not isinstance(b, Fraction):
+                notes.append(("type_mismatch", f"arithmetic {op} on text operand"))
+                return NA
+            try:
+                return apply(a, b)
+            except ZeroDivisionError:
+                notes.append(("division_by_zero", "division by zero"))
+                return NA
+
+        return arithmetic
+
+    def _compile_compare(self, op: str, left: Node, right: Node) -> Node:
+        test, textual, notes = COMPARE[op], op in ("==", "!="), self.notes
+
+        def compare(unit, time):
+            a, b = left(unit, time), right(unit, time)
+            if a is NA or b is NA:
+                return _N
+            if isinstance(a, Fraction) and isinstance(b, Fraction):
+                return _T if test(a, b) else _F
+            if isinstance(a, str) and isinstance(b, str):
+                if textual:
+                    return _T if test(a, b) else _F
+                notes.append(("type_mismatch", f"ordering {op} is undefined for text"))
+                return _N
+            notes.append(("type_mismatch", f"comparison {op} between number and text"))
+            return _N
+
+        return compare
+
+    def _compile_builtin(self, expr: Builtin, groups: dict[int, str]) -> Node:
+        arg = self.compile(expr.args[0], groups)
         if expr.fn == "in_set":
-            value = self.eval(expr.args[0], unit, time)
-            if is_na(value):
-                return TriBool.NA
             items = expr.args[1]
             assert isinstance(items, SetLit)
-            return TriBool.of(any(value == item for item in items.items))
-        value = self.eval(expr.args[0], unit, time)
+            members = frozenset(items.items)  # a number never equals a text
+            return lambda unit, time: _N if (v := arg(unit, time)) is NA else _T if v in members else _F
         if expr.fn == "is_na":
-            return TriBool.of(is_na(value))
-        if is_na(value):
-            return TriBool.FALSE
-        if expr.fn == "is_number":
-            return TriBool.of(isinstance(value, Fraction))
-        if expr.fn == "is_integer":
-            return TriBool.of(isinstance(value, Fraction) and value.denominator == 1)
-        return TriBool.of(isinstance(value, str))  # is_text
+            return lambda unit, time: _T if arg(unit, time) is NA else _F
+        test = _TESTS[expr.fn]
+        return lambda unit, time: _T if test(arg(unit, time)) else _F
 
-    def _aggregate(self, expr: Aggregate, time: Optional[str]) -> Value:
+    def _compile_aggregate(self, expr: Aggregate, groups: dict[int, str]) -> Node:
         """An aggregate's value depends on the occasion, never on the unit,
         so it is computed once per (node, occasion).  A later use records
         the same diagnostics again, at its own entry's scope."""
-        # keyed on identity: hashing a deep frozen tree costs more than it
-        # saves, and the rules outlive the run, so no id is reused
-        memo_key = (id(expr), time)
-        hit = self.aggregates.get(memo_key)
-        if hit is None:
-            start = len(self.diagnostics)
-            value = self._compute_aggregate(expr, time)
-            hit = value, [(d.kind, d.message) for d in self.diagnostics[start:]]
-            self.aggregates[memo_key] = hit
-        else:
-            for kind, message in hit[1]:
-                self._diag(kind, message)
-        return hit[0]
+        group_table = groups[id(expr)]
+        element = self.compile(expr.arg, groups)
+        units = self.dataset.index(group_table).units
+        fn, notes = expr.fn, self.notes
+        numeric = fn != "count"
+        propagate = self.options.na_policy == "propagate"
+        memo: dict[Optional[str], tuple[Value, list[tuple[str, str]]]] = {}
 
-    def _compute_aggregate(self, expr: Aggregate, time: Optional[str]) -> Value:
-        group_table = self.groups[id(expr)]
-        numeric = expr.fn != "count"
-        values: list[Value] = []
-        for unit in self.units(group_table):
-            element = self.eval(expr.arg, unit, time)
-            assert not isinstance(element, TriBool)
-            if numeric and isinstance(element, str):
-                self._diag("type_mismatch", f"{expr.fn} over text value {element!r}")
-                element = NA
-            values.append(element)
-
-        if self.options.na_policy == "propagate":
-            if any(is_na(v) for v in values):
+        def compute(time):
+            kept: list[Value] = []
+            saw_na = False
+            for unit in units:
+                value = element(unit, time)
+                if numeric and isinstance(value, str):
+                    notes.append(("type_mismatch", f"{fn} over text value {value!r}"))
+                    value = NA
+                if value is NA:
+                    saw_na = True
+                else:
+                    kept.append(value)
+            if saw_na and propagate:
                 return NA
-            kept = values
-        else:
-            kept = [v for v in values if not is_na(v)]
-        if not kept:
-            self._diag("empty_group", f"{expr.fn} over an empty group in table {group_table!r}")
-            return NA
-        if expr.fn == "count":
-            return Fraction(len(kept))
-        numbers = [v for v in kept if isinstance(v, Fraction)]
-        if expr.fn == "sum":
-            return sum(numbers, Fraction(0))
-        if expr.fn == "mean":
-            return sum(numbers, Fraction(0)) / len(numbers)
-        if expr.fn == "min":
-            return min(numbers)
-        return max(numbers)
+            if not kept:
+                notes.append(("empty_group", f"{fn} over an empty group in table {group_table!r}"))
+                return NA
+            return _fold(fn, kept)
+
+        def aggregate(unit, time):
+            hit = memo.get(time)
+            if hit is None:
+                start = len(notes)
+                value = compute(time)
+                hit = memo[time] = value, notes[start:]
+            else:
+                notes.extend(hit[1])
+            return hit[0]
+
+        return aggregate
 
 
-def _rule_scoping(evaluator: _Evaluator, rule: Rule) -> tuple[Optional[str], dict[int, str]]:
-    """The table whose records the rule is evaluated on (None for a rule
-    evaluated once per occasion) and the group table of each of its
-    aggregates, keyed by node id.  Resolves every reference, so a rule
-    whose scope is not determined fails here, whatever the data."""
-    nodes = scoped_nodes(rule.body)
-    # tables referenced directly in each scope: None or an aggregate's id
-    scope_tables: dict[Optional[int], set[str]] = {}
-    for node, scope in nodes:
-        if isinstance(node, VarRef):
-            key = None if scope is None else id(scope)
-            scope_tables.setdefault(key, set()).add(evaluator._resolve(rule.name, node))
-    bare_tables = scope_tables.get(None, set())
-    if len(bare_tables) > 1:
-        raise IncompatibleScopeError(rule.name, "references records of several tables")
-    record_table = next(iter(bare_tables), None)
-    groups: dict[int, str] = {}
-    for node, scope in nodes:  # every aggregate comes after its enclosing one
-        if isinstance(node, Aggregate):
-            own = scope_tables.get(id(node), set())
-            if len(own) > 1:
-                raise IncompatibleScopeError(rule.name, "one aggregate spans several tables")
-            enclosing = record_table if scope is None else groups[id(scope)]
-            group = next(iter(own), enclosing)
-            if group is None:
-                raise IncompatibleScopeError(rule.name, "aggregate group cannot be determined")
-            groups[id(node)] = group
-    return record_table, groups
+def _fold(fn: str, kept: list[Value]) -> Fraction:
+    """The aggregate of a non-empty group without NA."""
+    if fn == "count":
+        return Fraction(len(kept))
+    numbers = [v for v in kept if isinstance(v, Fraction)]
+    if fn == "sum":
+        return sum(numbers, Fraction(0))
+    if fn == "mean":
+        return sum(numbers, Fraction(0)) / len(numbers)
+    if fn == "min":
+        return min(numbers)
+    return max(numbers)
+
+
+def _rule_scoping(evaluator: _Evaluator, rule: Rule) -> Plan:
+    """The rule's plan, built on the first call for the rule and returned
+    again on later ones.  Building it resolves every reference and the
+    rule's scope, so a rule that cannot be evaluated fails here, whatever
+    the data."""
+    plan = evaluator.plans.get(rule.name)
+    if plan is None:
+        plan = evaluator.plans[rule.name] = evaluator.plan(rule)
+    return plan
 
 
 def evaluate_ruleset(rules: RuleSet, dataset: Dataset, schema: Schema,
                      options: EvalOptions = EvalOptions()) -> ValidationReport:
     """Evaluate every rule over every scope it applies to.
 
-    The report is deterministic: entries are ordered by rule (file
-    order), then table, unit, and time in natural order.
+    Every rule is planned before the first verdict: one rule that cannot
+    be evaluated raises its own error, several raise
+    UnevaluableRulesError naming each in file order.  The report is
+    deterministic: entries are ordered by rule (file order), then table,
+    unit, and time in natural order.
     """
     evaluator = _Evaluator(dataset, schema, options)
+    failures: list[ValidusError] = []
+    for rule in rules:
+        try:
+            _rule_scoping(evaluator, rule)
+        except (UnknownVariableError, IncompatibleScopeError) as exc:
+            failures.append(exc)
+    if len(failures) == 1:
+        raise failures[0]
+    if failures:
+        raise UnevaluableRulesError(failures)
+
     entries: list[Entry] = []
     summary: dict[str, dict[str, int]] = {}
-
+    diagnostics: list[Diagnostic] = []
+    notes = evaluator.notes
     for rule in rules:
-        tally = {"true": 0, "false": 0, "na": 0}
-        summary[rule.name] = tally
-        # groups and memo are per rule: a node two rules share may have
-        # a different group in each
-        record_table, evaluator.groups = _rule_scoping(evaluator, rule)
-        evaluator.aggregates = {}
+        # each rule's evaluation starts with this call, which returns the
+        # plan built above (bench/tracer.py opens the rule's span on it)
+        table, scopes, body = _rule_scoping(evaluator, rule)
+        name = rule.name
+        verdicts = []
+        for unit, time in scopes:
+            verdict = body(unit, time)
+            verdicts.append(verdict)
+            entries.append(Entry(name, table, unit, time, verdict))
+            if notes:
+                diagnostics += [Diagnostic(name, table, unit, time, kind, message) for kind, message in notes]
+                notes.clear()
+        summary[name] = {"true": verdicts.count(_T), "false": verdicts.count(_F), "na": verdicts.count(_N)}
 
-        if record_table is not None:
-            for unit, time in evaluator.records(record_table):
-                evaluator._entry_scope = (rule.name, record_table, unit, time)
-                verdict = evaluator.eval_logical(rule.body, unit, time)
-                entries.append(Entry(rule.name, record_table, unit, time, verdict))
-                tally[verdict.value] += 1
-        else:
-            tables = sorted(set(evaluator.groups.values()))
-            label = tables[0] if len(tables) == 1 else ",".join(tables) if tables else "-"
-            times: set[Optional[str]] = set()
-            for t in tables:
-                times.update(evaluator.times(t))
-            ordered = sorted(times, key=natural_order) if times else [None]
-            for time in ordered:
-                evaluator._entry_scope = (rule.name, label, None, time)
-                verdict = evaluator.eval_logical(rule.body, None, time)
-                entries.append(Entry(rule.name, label, None, time, verdict))
-                tally[verdict.value] += 1
-
-    return ValidationReport(entries=entries, summary=summary, diagnostics=evaluator.diagnostics)
+    return ValidationReport(entries=entries, summary=summary, diagnostics=diagnostics)

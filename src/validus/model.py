@@ -8,9 +8,10 @@ variable.  A dataset binds every key of its key set to exactly one value.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Union
+from typing import Iterable, NamedTuple, Optional, Union
 
 from .errors import DuplicateKeyError, MissingKeyError, UnknownKeyError
 
@@ -116,6 +117,18 @@ class DataPoint:
     value: Value
 
 
+class TableIndex(NamedTuple):
+    """One table's records, ordered once: units and occasions in natural
+    order, records by unit then occasion, each occasion's position, and
+    one column per variable mapping (unit, occasion) to the cell value."""
+
+    units: list[str]
+    times: list[Optional[str]]
+    records: list[tuple[str, Optional[str]]]
+    positions: dict[Optional[str], int]
+    columns: dict[str, dict[tuple[str, Optional[str]], Value]]
+
+
 class Dataset:
     """Total assignment of values to a finite key set.
 
@@ -125,6 +138,7 @@ class Dataset:
     def __init__(self, points: dict[Key, Value], key_set: frozenset[Key]):
         self._points = dict(points)
         self.key_set = key_set
+        self._indexes: Optional[dict[str, TableIndex]] = None
 
     @property
     def points(self) -> dict[Key, Value]:
@@ -150,27 +164,55 @@ class Dataset:
         except KeyError:
             raise MissingKeyError(key) from None
 
+    def index(self, table: str) -> TableIndex:
+        """The table's index (empty for a table without data points); all
+        tables are indexed together, on the first call."""
+        if self._indexes is None:
+            self._indexes = _index_tables(self._points)
+        found = self._indexes.get(table)
+        return found if found is not None else TableIndex([], [], [], {}, {})
+
     def tables(self) -> list[str]:
         return sorted({k.table for k in self.key_set})
 
     def units(self, table: str) -> list[str]:
-        return sorted({k.unit for k in self.key_set if k.table == table}, key=natural_order)
+        return list(self.index(table).units)
 
     def times(self, table: str) -> list[Optional[str]]:
         """Distinct occasions of a table, oldest first (numeric-aware order)."""
-        times = {k.time for k in self.key_set if k.table == table}
-        if times == {None}:
-            return [None]
-        return sorted(times, key=natural_order)
+        return list(self.index(table).times)
 
     def records(self, table: str) -> list[tuple[str, Optional[str]]]:
         """(unit, time) of every record of a table, by unit then time in
         natural order."""
-        pairs = {(k.unit, k.time) for k in self.key_set if k.table == table}
-        return sorted(pairs, key=lambda p: (natural_order(p[0]), natural_order(p[1])))
+        return list(self.index(table).records)
 
     def variables(self, table: str) -> list[str]:
-        return sorted({k.variable for k in self.key_set if k.table == table})
+        return sorted(self.index(table).columns)
+
+
+def _index_tables(points: dict[Key, Value]) -> dict[str, TableIndex]:
+    """Index every table in one pass over the points.  Each distinct unit
+    or occasion label is ranked by ``natural_order`` once, and records
+    are sorted by those ranks."""
+    records: dict[str, set[tuple[str, Optional[str]]]] = defaultdict(set)
+    columns: dict[str, dict[str, dict]] = defaultdict(lambda: defaultdict(dict))
+    for key, value in points.items():
+        records[key.table].add((key.unit, key.time))
+        columns[key.table][key.variable][key.unit, key.time] = value
+    labels = {label for pairs in records.values() for record in pairs for label in record}
+    rank = {label: i for i, label in enumerate(sorted(labels, key=natural_order))}
+    indexes = {}
+    for table, pairs in records.items():
+        times = sorted({time for _, time in pairs}, key=rank.__getitem__)
+        indexes[table] = TableIndex(
+            units=sorted({unit for unit, _ in pairs}, key=rank.__getitem__),
+            times=times,
+            records=sorted(pairs, key=lambda r: (rank[r[0]], rank[r[1]])),
+            positions={time: i for i, time in enumerate(times)},
+            columns=dict(columns[table]),
+        )
+    return indexes
 
 
 def natural_order(label: Optional[str]):
@@ -178,7 +220,9 @@ def natural_order(label: Optional[str]):
     Numerically equal labels (``1``, ``01``, ``1.0``) order by their text,
     so the order never depends on set iteration."""
     if label is None:
-        return (0, Fraction(0), "")
+        return (0, 0, "")
+    if label.isascii() and label.isdigit():  # the common case: an int compares faster
+        return (1, int(label), label)
     try:
         return (1, Fraction(label), label)
     except (ValueError, ZeroDivisionError):

@@ -9,6 +9,7 @@ disjunction).
 from __future__ import annotations
 
 from enum import Enum
+from functools import reduce
 from typing import Iterable
 
 
@@ -21,41 +22,46 @@ class TriBool(Enum):
         return self.value.upper() if self is not TriBool.NA else "NA"
 
     def __str__(self) -> str:
-        return {"true": "True", "false": "False", "na": "NA"}[self.value]
+        return _TEXT[self._value_]
 
     @staticmethod
     def of(flag: bool) -> "TriBool":
-        return TriBool.TRUE if flag else TriBool.FALSE
+        return _T if flag else _F
+
+
+# enum member and value lookups are slow; these are read instead
+_T, _F, _N = TriBool.TRUE, TriBool.FALSE, TriBool.NA
+_TEXT = {"true": "True", "false": "False", "na": "NA"}
 
 
 def not_(a: TriBool) -> TriBool:
-    if a is TriBool.NA:
-        return TriBool.NA
-    return TriBool.of(a is TriBool.FALSE)
+    return _F if a is _T else _T if a is _F else _N
+
+
+def and2(a: TriBool, b: TriBool) -> TriBool:
+    """Conjunction of two operands, both already evaluated."""
+    if a is _F or b is _F:
+        return _F
+    return _N if a is _N or b is _N else _T
+
+
+def or2(a: TriBool, b: TriBool) -> TriBool:
+    """Disjunction of two operands, both already evaluated."""
+    if a is _T or b is _T:
+        return _T
+    return _N if a is _N or b is _N else _F
 
 
 def and_(args: Iterable[TriBool]) -> TriBool:
-    saw_na = False
-    for a in args:
-        if a is TriBool.FALSE:
-            return TriBool.FALSE
-        if a is TriBool.NA:
-            saw_na = True
-    return TriBool.NA if saw_na else TriBool.TRUE
+    return reduce(and2, args, _T)
 
 
 def or_(args: Iterable[TriBool]) -> TriBool:
-    saw_na = False
-    for a in args:
-        if a is TriBool.TRUE:
-            return TriBool.TRUE
-        if a is TriBool.NA:
-            saw_na = True
-    return TriBool.NA if saw_na else TriBool.FALSE
+    return reduce(or2, args, _F)
 
 
 def implies(cond: TriBool, conseq: TriBool) -> TriBool:
-    return or_([not_(cond), conseq])
+    return or2(not_(cond), conseq)
 
 
 def kleene_apply(op: str, args: list[TriBool]) -> TriBool:

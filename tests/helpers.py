@@ -437,8 +437,18 @@ class PanelOracle:
             return None
         if isinstance(a, Fraction) and isinstance(b, Fraction):
             return {"<": a < b, "<=": a <= b, ">": a > b, ">=": a >= b, "==": a == b, "!=": a != b}[op]
-        self.kinds.append("type_mismatch")  # no rule below compares two texts
+        if isinstance(a, str) and isinstance(b, str) and op in ("==", "!="):
+            return (a == b) == (op == "==")
+        self.kinds.append("type_mismatch")  # text with a number, or text ordered
         return None
+
+    def sign(self, op: str, a):
+        if a is None:
+            return None
+        if isinstance(a, str):
+            self.kinds.append("type_mismatch")
+            return None
+        return -a if op == "neg" else abs(a)
 
     def agg(self, fn: str, element, time: int):
         """Recomputed at every use, as the naive definition reads."""
@@ -464,6 +474,22 @@ class PanelOracle:
         return min(kept) if fn == "min" else max(kept)
 
 
+def _not(a):
+    return None if a is None else not a
+
+
+def _and(a, b):
+    if a is False or b is False:
+        return False
+    return None if a is None or b is None else True
+
+
+def _or(a, b):
+    if a is True or b is True:
+        return True
+    return None if a is None or b is None else False
+
+
 def _x(o, u, t, lag=0):
     return o.cell(u, t, "x", lag)
 
@@ -482,6 +508,21 @@ PANEL_RULES = [
      lambda o, u, t: o.cmp("<=", o.arith("-", _x(o, u, t), _x(o, u, t, 1)), Fraction(3))),
     ("step2", "y - y@2 >= -4", "record",
      lambda o, u, t: o.cmp(">=", o.arith("-", _y(o, u, t), _y(o, u, t, 2)), Fraction(-4))),
+    ("member", 'in_set(x, {1, 2.5, "n/a"})', "record",
+     lambda o, u, t: None if (v := _x(o, u, t)) is None else v in (Fraction(1), Fraction(5, 2), "n/a")),
+    ("kinds", "is_na(x) or is_number(y)", "record",
+     lambda o, u, t: _or(_x(o, u, t) is None, isinstance(_y(o, u, t), Fraction))),
+    ("whole", "not (is_integer(x) and is_text(y))", "record",
+     lambda o, u, t: _not(_and(isinstance(v := _x(o, u, t), Fraction) and v.denominator == 1,
+                               isinstance(_y(o, u, t), str)))),
+    ("sign", "-x <= abs(y)", "record",
+     lambda o, u, t: o.cmp("<=", o.sign("neg", _x(o, u, t)), o.sign("abs", _y(o, u, t)))),
+    ("label", 'y == "n/a" or x < "m"', "record",
+     lambda o, u, t: _or(o.cmp("==", _y(o, u, t), "n/a"), o.cmp("<", _x(o, u, t), "m"))),
+    # division by zero, and a missing cell where the earlier record is absent
+    ("inverse", "1 / x >= 0 or is_na(y@1)", "record",
+     lambda o, u, t: _or(o.cmp(">=", o.arith("/", Fraction(1), _x(o, u, t)), Fraction(0)),
+                         _y(o, u, t, 1) is None)),
     ("avg", "mean(x) >= 1", "occasion",
      lambda o, t: o.cmp(">=", o.agg("mean", lambda u, s: _x(o, u, s), t), Fraction(1))),
     ("tot", "sum(y) <= count(x)", "occasion",

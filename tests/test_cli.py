@@ -247,3 +247,20 @@ def test_validate_csv_format(workspace, capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == "rule,table,unit,time,result"
     assert lines[1] == "r,person,1,ALL,True"
+
+
+def test_validate_names_every_rule_it_cannot_evaluate(workspace, capsys):
+    tmp, write = workspace
+    code = run([
+        "validate",
+        "--rules", write("rules.txt", "salary: salary >= 0\nnonneg: age >= 0\nwage: wage <= 10\n"),
+        "--schema", write("schema.txt", PERSON_SCHEMA),
+        "--data", f"person={write('person.csv', PERSON_CSV)}",
+        "-o", str(tmp / "report.json"),
+    ])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: rule 'salary' references unknown variable 'salary'",
+        "error: rule 'wage' references unknown variable 'wage'",
+    ]
+    assert not (tmp / "report.json").exists()

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from helpers import PANEL_RULES, PANEL_SCHEMA_TEXT, panel_oracle, random_panel
-from validus.errors import IncompatibleScopeError, UnknownVariableError
+from validus.errors import IncompatibleScopeError, UnevaluableRulesError, UnknownVariableError
 from validus.evaluator import NA_POLICIES, EvalOptions, evaluate_ruleset
 from validus.model import NA, DataPoint, Dataset, Key, build_dataset
 from validus.rules import parse_rules
@@ -129,6 +129,20 @@ def test_unknown_variable_raises():
         evaluate_ruleset(parse_rules("r: salary >= 0"), EXAMPLE, PERSON_SCHEMA)
 
 
+def test_every_rule_that_cannot_be_evaluated_is_named():
+    schema = parse_schema("a.x : numeric\nb.y : numeric\n")
+    ds = build_dataset([DataPoint(Key("a", None, "1", "x"), Fraction(1))])
+    rules = parse_rules("ok: x >= 0\nunknown: z >= 0\nfine: x <= 9\ncross: x >= b.y\nspan: mean(x + y) >= 0")
+    with pytest.raises(UnevaluableRulesError) as caught:
+        evaluate_ruleset(rules, ds, schema)
+    assert [(type(e), e.rule) for e in caught.value.errors] == [
+        (UnknownVariableError, "unknown"), (IncompatibleScopeError, "cross"), (IncompatibleScopeError, "span"),
+    ]
+    # a single bad rule raises its own error, whichever rule it is
+    with pytest.raises(IncompatibleScopeError, match="rule 'span'"):
+        evaluate_ruleset(rules.without("unknown").without("cross"), ds, schema)
+
+
 def test_cross_table_record_rule_rejected():
     schema = parse_schema("a.x : numeric\nb.y : numeric\nc.z : numeric\n")
     ds = build_dataset([
@@ -210,26 +224,30 @@ def test_aggregate_per_occasion():
     ]
 
 
-class CountingDataset(Dataset):
-    def __init__(self, dataset: Dataset):
-        super().__init__(dataset.points, dataset.key_set)
-        self.gets = 0
+class CountingColumn(dict):
+    """A table column that counts the cells read from it."""
 
-    def get(self, key: Key):
-        self.gets += 1
-        return super().get(key)
+    def __init__(self, column: dict):
+        super().__init__(column)
+        self.reads = 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
 
 
 def test_record_with_aggregate_reads_each_cell_a_bounded_number_of_times():
     # the group mean is needed once per occasion, not once per record
     n_units, n_times = 40, 3
-    ds = CountingDataset(timed_dataset({
+    ds = timed_dataset({
         str(u): {str(t): Fraction(u * t) for t in range(1, n_times + 1)}
         for u in range(1, n_units + 1)
-    }))
+    })
+    columns = ds.index("shop").columns
+    columns["price"] = counted = CountingColumn(columns["price"])
     report = evaluate_ruleset(parse_rules("r: price <= 2 * mean(price)"), ds, TIMED_SCHEMA)
     assert len(report.entries) == n_units * n_times
-    assert ds.gets <= 3 * n_units * n_times
+    assert n_units * n_times <= counted.reads <= 3 * n_units * n_times
 
 
 _MEAN_TEXT = ("type_mismatch", "mean over text value 'text'")

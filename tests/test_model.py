@@ -1,6 +1,10 @@
 """Datasets: exactly-once keys, NA fill, total access."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -73,6 +77,37 @@ def test_tables_units_times():
     assert ds.units("person") == ["1", "2"]
     assert ds.times("person") == [None]
     assert ds.variables("person") == ["age", "job"]
+
+
+_LABEL_ORDER = """
+from validus.model import NA, DataPoint, Key, build_dataset, natural_order
+labels = ["1", "01", "1.0", "2", "10", "a"]
+points = [DataPoint(Key("p", t, u, "x"), NA) for u in labels for t in labels if u != t]
+points += [DataPoint(Key("q", t, u, "y"), NA) for u in labels[::2] for t in labels[1::2]]
+ds = build_dataset(points)
+for table in ("p", "q"):
+    keys = [k for k in ds.key_set if k.table == table]
+    expected = (
+        sorted({(k.unit, k.time) for k in keys}, key=lambda r: (natural_order(r[0]), natural_order(r[1]))),
+        sorted({k.unit for k in keys}, key=natural_order),
+        sorted({k.time for k in keys}, key=natural_order),
+    )
+    assert (ds.records(table), ds.units(table), ds.times(table)) == expected, table
+    print(table, ds.units(table), ds.times(table), ds.records(table))
+"""
+
+
+def test_index_orders_labels_as_natural_order_sorts_them():
+    # numerically equal labels order by their text, whatever the hash seed
+    src = Path(__file__).resolve().parents[1] / "src"
+    outputs = []
+    for seed in ("0", "5"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(src)}
+        proc = subprocess.run([sys.executable, "-c", _LABEL_ORDER], env=env,
+                              capture_output=True, text=True, check=True, timeout=120)
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].startswith("p ['01', '1', '1.0', '2', '10', 'a'] ['01', '1', '1.0', '2', '10', 'a']")
 
 
 values = st.one_of(
