@@ -1,0 +1,90 @@
+"""Randomized stress run: the rule parser against its reference copy.
+
+On each seeded case it checks that
+- a rule file of formatted random rules (comments, blank lines, CRLF line
+  ends, escaped strings) and a token-soup text parse to the same rules,
+  or fail with the same error at the same place, with ``parse_rules`` and
+  with ``tests/helpers.py::reference_parse_rules``;
+- a random rule whose number literals are fractions such as -1/3 gives
+  the same verdicts on a small random dataset after a format/parse round
+  trip.
+Then it prints the µs per rule of ``parse_rules`` (and of the reference)
+on generated files of 1k, 5k and 20k rules; the figure should stay flat.
+
+    python scripts/parser_stress.py [count] [seed]
+"""
+
+import random
+import sys
+import time
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+
+from helpers import (  # noqa: E402
+    ROUND_TRIP_SCHEMA_TEXT,
+    parse_outcome,
+    random_rule,
+    random_rule_file,
+    random_trade_csv,
+    reference_parse_rules,
+    token_soup,
+    verdicts_of,
+    with_fraction_literals,
+)
+
+from validus.csvio import dataset_from_csv  # noqa: E402
+from validus.rules import format_rule, parse_rule, parse_rules  # noqa: E402
+from validus.schema import parse_schema  # noqa: E402
+
+
+def _disagree(kind: str, case: int, text: str, got, expected) -> None:
+    print(f"DISAGREEMENT ({kind}) at case {case}:")
+    print(repr(text))
+    print(f"  got:      {got!r}"[:2000])
+    print(f"  expected: {expected!r}"[:2000])
+    raise SystemExit(1)
+
+
+def _best_of(runs: int, fn, arg) -> float:
+    best = float("inf")
+    for _ in range(runs):
+        t0 = time.perf_counter()
+        fn(arg)
+        best = min(best, time.perf_counter() - t0)
+    return best
+
+
+def main(count: int = 1000, seed: int = 20261018) -> None:
+    rng = random.Random(seed)
+    schema = parse_schema(ROUND_TRIP_SCHEMA_TEXT)
+    parsed = failed = evaluated = 0
+    for i in range(count):
+        for kind, text in (("rule file", random_rule_file(rng, 10)), ("token soup", token_soup(rng))):
+            ours = parse_outcome(parse_rules, text)
+            theirs = parse_outcome(reference_parse_rules, text)
+            if ours != theirs:
+                _disagree(kind, i, text, ours, theirs)
+            parsed += isinstance(ours, list)
+            failed += not isinstance(ours, list)
+        rule = with_fraction_literals(random_rule(rng, name=f"g{i}"), rng)
+        dataset = dataset_from_csv({"trade": random_trade_csv(rng)})
+        expected = verdicts_of(rule, dataset, schema)
+        again = verdicts_of(parse_rule(format_rule(rule)), dataset, schema)
+        if again != expected:
+            _disagree("round trip", i, format_rule(rule), again, expected)
+        evaluated += not isinstance(expected, str)
+    print(f"{count} cases: {2 * count} texts ({parsed} parsed, {failed} rejected), "
+          f"{count} round trips ({evaluated} evaluated), 0 disagreements")
+
+    print(f"{'rules':>6} {'parse_rules':>12} {'µs/rule':>8} {'reference':>10} {'µs/rule':>8}")
+    for size in (1_000, 5_000, 20_000):
+        text = random_rule_file(random.Random(f"{seed}:{size}"), size)
+        ours = _best_of(3, parse_rules, text)
+        theirs = _best_of(3, reference_parse_rules, text)
+        print(f"{size:>6} {ours:>11.3f}s {ours / size * 1e6:>8.1f} {theirs:>9.3f}s {theirs / size * 1e6:>8.1f}")
+
+
+if __name__ == "__main__":
+    args = [int(a) for a in sys.argv[1:3]]
+    main(*args)

@@ -79,16 +79,11 @@ def _load_data(args, schema: Schema):
     return dataset_from_csv(tables, schema.unit_column, schema.time_column)
 
 
-def _rule_records(rules: RuleSet) -> list[dict]:
+def _rule_records(rules: RuleSet) -> list[tuple[str, str, str, int]]:
     records = []
     for rule in rules:
         sig = classify_rule(rule)
-        records.append({
-            "name": rule.name,
-            "text": format_rule(rule),
-            "signature": str(sig),
-            "level": sig.level,
-        })
+        records.append((rule.name, format_rule(rule), str(sig), sig.level))
     return records
 
 
@@ -122,29 +117,40 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-# one entry as json.dumps(payload, indent=2) lays it out, at depth 2
+# a rule record and an entry as json.dumps(payload, indent=2) lays them
+# out, at depth 2
+_RULE_JSON = ('    {\n      "name": %s,\n      "text": %s,\n      "signature": %s,\n'
+              '      "level": %d\n    }')
 _ENTRY_JSON = ('    {\n      "rule": %s,\n      "table": %s,\n      "unit": %s,\n'
                '      "time": %s,\n      "result": %s\n    }')
 
 
+def _json_records(key: str, rows: list[tuple]) -> str:
+    quote = encode_basestring_ascii
+    if key == "rules":
+        records = [_RULE_JSON % (quote(name), quote(text), quote(sig), level)
+                   for name, text, sig, level in rows]
+    else:
+        records = [_ENTRY_JSON % tuple(map(quote, row)) for row in rows]
+    return "[\n" + ",\n".join(records) + "\n  ]"
+
+
 def _json_report(payload: dict) -> str:
-    """``json.dumps(payload, indent=2)``, with the flat entries, if any,
-    written into a template: the indenting encoder runs in pure Python."""
-    if not payload["entries"]:
-        return json.dumps(payload, indent=2)
+    """``json.dumps(payload, indent=2)``, with the flat rule records and
+    entries written into templates: the indenting encoder runs in pure
+    Python."""
     members = []
     for key, value in payload.items():
-        if key == "entries":
-            quote = encode_basestring_ascii
-            text = "[\n" + ",\n".join(_ENTRY_JSON % tuple(map(quote, row)) for row in value) + "\n  ]"
+        if key in ("rules", "entries") and value:
+            text = _json_records(key, value)
         else:
             text = json.dumps(value, indent=2).replace("\n", "\n  ")
         members.append(f"  {json.dumps(key)}: {text}")
     return "{\n" + ",\n".join(members) + "\n}"
 
 
-def _emit_report(args, rules: list[dict], entries: list[tuple[str, str, str, str, str]],
-                 findings: list[dict], summary: dict) -> None:
+def _emit_report(args, rules: list[tuple[str, str, str, int]],
+                 entries: list[tuple[str, str, str, str, str]], findings: list[dict], summary: dict) -> None:
     if args.format == "json":
         payload = {"rules": rules, "entries": entries, "findings": findings, "summary": summary}
         _emit(args, _json_report(payload) + "\n")
@@ -160,8 +166,7 @@ def _emit_report(args, rules: list[dict], entries: list[tuple[str, str, str, str
             writer.writerow([f.get(k, "") for k in ("kind", "rule", "variable", "value", "low", "high", "evidence")])
     else:
         writer.writerow(["name", "signature", "level"])
-        for rule in rules:
-            writer.writerow([rule["name"], rule["signature"], rule["level"]])
+        writer.writerows((name, sig, level) for name, _, sig, level in rules)
     _emit(args, out.getvalue())
 
 

@@ -15,6 +15,7 @@ are exact decimal literals)::
     factor     = number | string | "NA" | set | varref | call
                | "(" expr ")" | "-" factor ;
     set        = "{" literal { "," literal } "}" ;
+    literal    = [ "-" ] number | string ;
     call       = fn "(" expr { "," expr } ")" ;
     varref     = [ ident "." ] ident [ "@" integer ] ;
 
@@ -161,25 +162,19 @@ class RuleSet:
 
 
 # --- lexer --------------------------------------------------------------
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # NUMBER STRING IDENT OP EOF
-    text: str
-    line: int
-    col: int
-    value: object = None
-
+# A token is a tuple (kind, text, line, col, value).  The kind is the
+# name of the pattern group that matched (NUMBER, STRING, IDENT, OP) or
+# EOF; the value is a NUMBER's Fraction or a STRING's unescaped text.
 
 _TOKEN_RE = re.compile(
     r"""
-      (?P<ws>[ \t\r]+)
+      (?P<ws>[ \t\r\n]+)
     | (?P<comment>\#[^\n]*)
-    | (?P<nl>\n)
-    | (?P<number>\d+(?:\.\d+)?)
-    | (?P<ident>[A-Za-z_]\w*)
-    | (?P<string>"(?:\\.|[^"\\\n])*")
-    | (?P<op><=|==|!=|>=|[-+*/<>(){},.@:])
+    | (?P<NUMBER>\d+(?:\.\d+)?)
+    | (?P<IDENT>[A-Za-z_]\w*)
+    | (?P<STRING>"(?:\\.|[^"\\\n])*")
+    | (?P<OP><=|==|!=|>=|[-+*/<>(){},.@:])
+    | (?P<bad>(?s:.))
     """,
     re.VERBOSE,
 )
@@ -204,189 +199,177 @@ def _unescape(raw: str, line: int, col: int) -> str:
     return "".join(out)
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
+def _tokenize(text: str) -> list[tuple]:
+    # ``bad`` matches any character no token starts with, so the matches
+    # tile the text and each one starts where the previous one ended
+    tokens: list[tuple] = []
+    append = tokens.append
+    numbers: dict[str, Fraction] = {}
     line, line_start = 1, 0
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        col = pos - line_start + 1
-        if not m:
-            raise RuleParseError(line, col, f"a token, not {text[pos]!r}")
-        pos = m.end()
-        if m.lastgroup in ("ws", "comment"):
-            continue
-        if m.lastgroup == "nl":
-            line += 1
-            line_start = pos
-            continue
-        raw = m.group()
-        if m.lastgroup == "number":
-            tokens.append(_Token("NUMBER", raw, line, col, Fraction(raw)))
-        elif m.lastgroup == "ident":
-            tokens.append(_Token("IDENT", raw, line, col))
-        elif m.lastgroup == "string":
-            tokens.append(_Token("STRING", raw, line, col, _unescape(raw, line, col)))
-        else:
-            tokens.append(_Token("OP", raw, line, col))
-    tokens.append(_Token("EOF", "", line, pos - line_start + 1))
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "ws":
+            raw = m.group()
+            if "\n" in raw:
+                line += raw.count("\n")
+                line_start = m.start() + raw.rindex("\n") + 1
+        elif kind == "IDENT" or kind == "OP":
+            append((kind, m.group(), line, m.start() - line_start + 1, None))
+        elif kind == "NUMBER":
+            raw = m.group()
+            value = numbers.get(raw)
+            if value is None:
+                value = numbers[raw] = Fraction(raw)
+            append((kind, raw, line, m.start() - line_start + 1, value))
+        elif kind == "STRING":
+            raw, col = m.group(), m.start() - line_start + 1
+            append((kind, raw, line, col, _unescape(raw, line, col)))
+        elif kind == "bad":
+            raise RuleParseError(line, m.start() - line_start + 1, f"a token, not {m.group()!r}")
+    append(("EOF", "", line, len(text) - line_start + 1, None))
     return tokens
 
 
 # --- parser -------------------------------------------------------------
+# Operators and keywords are recognised by their text alone: no number,
+# string or name has the text of an operator, and a keyword is a name.
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
+    def __init__(self, tokens: list[tuple]):
         self.tokens = tokens
         self.pos = 0
 
-    @property
-    def cur(self) -> _Token:
-        return self.tokens[self.pos]
-
     def _fail(self, expected: str):
-        tok = self.cur
-        raise RuleParseError(tok.line, tok.col, expected)
+        _, _, line, col, _ = self.tokens[self.pos]
+        raise RuleParseError(line, col, expected)
 
-    def _advance(self) -> _Token:
-        tok = self.cur
-        self.pos += 1
-        return tok
-
-    def _accept_op(self, *ops: str) -> Optional[_Token]:
-        if self.cur.kind == "OP" and self.cur.text in ops:
-            return self._advance()
-        return None
-
-    def _expect_op(self, op: str) -> _Token:
-        tok = self._accept_op(op)
-        if tok is None:
+    def _expect_op(self, op: str) -> None:
+        if self.tokens[self.pos][1] != op:
             self._fail(f"{op!r}")
-        return tok
-
-    def _accept_word(self, word: str) -> Optional[_Token]:
-        if self.cur.kind == "IDENT" and self.cur.text == word:
-            return self._advance()
-        return None
+        self.pos += 1
 
     def ruleset(self) -> list[Rule]:
         rules = []
-        while self.cur.kind != "EOF":
+        while self.tokens[self.pos][0] != "EOF":
             rules.append(self.rule())
         return rules
 
     def rule(self) -> Rule:
-        if self.cur.kind != "IDENT" or self.cur.text in _KEYWORDS:
+        kind, name, line, col, _ = self.tokens[self.pos]
+        if kind != "IDENT" or name in _KEYWORDS:
             self._fail("a rule name")
-        name_tok = self._advance()
+        self.pos += 1
         self._expect_op(":")
-        body = self.expr()
-        return Rule(name_tok.text, body, (name_tok.line, name_tok.col))
+        return Rule(name, self.expr(), (line, col))
 
     def expr(self) -> Expr:
-        if self._accept_word("if"):
+        if self.tokens[self.pos][1] == "if":
+            self.pos += 1
             self._expect_op("(")
             cond = self.expr()
             self._expect_op(")")
-            then = self.expr()
-            return If(cond, then)
+            return If(cond, self.expr())
         return self.or_expr()
 
     def or_expr(self) -> Expr:
         node = self.and_expr()
-        while self._accept_word("or"):
+        while self.tokens[self.pos][1] == "or":
+            self.pos += 1
             node = Binary("or", node, self.and_expr())
         return node
 
     def and_expr(self) -> Expr:
         node = self.not_expr()
-        while self._accept_word("and"):
+        while self.tokens[self.pos][1] == "and":
+            self.pos += 1
             node = Binary("and", node, self.not_expr())
         return node
 
     def not_expr(self) -> Expr:
-        if self._accept_word("not"):
+        if self.tokens[self.pos][1] == "not":
+            self.pos += 1
             return Unary("not", self.not_expr())
         return self.cmp()
 
     def cmp(self) -> Expr:
         node = self.sum()
-        if self.cur.kind == "OP" and self.cur.text in COMPARE:
-            op = self._advance().text
+        op = self.tokens[self.pos][1]
+        if op in COMPARE:
+            self.pos += 1
             node = Binary(op, node, self.sum())
         return node
 
     def sum(self) -> Expr:
         node = self.term()
-        while True:
-            tok = self._accept_op("+", "-")
-            if tok is None:
-                return node
-            node = Binary(tok.text, node, self.term())
+        while (op := self.tokens[self.pos][1]) in ("+", "-"):
+            self.pos += 1
+            node = Binary(op, node, self.term())
+        return node
 
     def term(self) -> Expr:
         node = self.factor()
-        while True:
-            tok = self._accept_op("*", "/")
-            if tok is None:
-                return node
-            node = Binary(tok.text, node, self.factor())
+        while (op := self.tokens[self.pos][1]) in ("*", "/"):
+            self.pos += 1
+            node = Binary(op, node, self.factor())
+        return node
 
     def factor(self) -> Expr:
-        tok = self.cur
-        if tok.kind == "NUMBER":
-            self._advance()
-            return NumberLit(tok.value)
-        if tok.kind == "STRING":
-            self._advance()
-            return TextLit(tok.value)
-        if self._accept_op("-"):
+        kind, text, _, _, value = self.tokens[self.pos]
+        if kind == "NUMBER":
+            self.pos += 1
+            return NumberLit(value)
+        if kind == "STRING":
+            self.pos += 1
+            return TextLit(value)
+        if kind == "IDENT":
+            if text in _KEYWORDS:
+                if text != "NA":
+                    self._fail("an expression")
+                self.pos += 1
+                return NALit()
+            if text in _CALL_FNS and self.tokens[self.pos + 1][1] == "(":
+                return self.call()
+            return self.varref()
+        if text == "-":
+            self.pos += 1
             inner = self.factor()
             if isinstance(inner, NumberLit):  # fold negative literals
                 return NumberLit(-inner.value)
             return Unary("neg", inner)
-        if self._accept_op("("):
+        if text == "(":
+            self.pos += 1
             node = self.expr()
             self._expect_op(")")
             return node
-        if self._accept_op("{"):
+        if text == "{":
+            self.pos += 1
             return self.set_tail()
-        if tok.kind == "IDENT":
-            if tok.text == "NA":
-                self._advance()
-                return NALit()
-            if tok.text in _KEYWORDS:
-                self._fail("an expression")
-            if tok.text in _CALL_FNS and self._peek_is_call():
-                return self.call()
-            return self.varref()
         self._fail("an expression")
 
-    def _peek_is_call(self) -> bool:
-        nxt = self.tokens[self.pos + 1]
-        return nxt.kind == "OP" and nxt.text == "("
-
     def set_tail(self) -> SetLit:
+        tokens = self.tokens
         items: list[Union[Fraction, str]] = []
         while True:
-            tok = self.cur
-            if tok.kind == "NUMBER":
-                self._advance()
-                items.append(tok.value)
-            elif tok.kind == "STRING":
-                self._advance()
-                items.append(tok.value)
+            kind, text, _, _, value = tokens[self.pos]
+            if kind == "NUMBER" or kind == "STRING":
+                self.pos += 1
+                items.append(value)
+            elif text == "-" and tokens[self.pos + 1][0] == "NUMBER":
+                items.append(-tokens[self.pos + 1][4])
+                self.pos += 2
             else:
                 self._fail("a number or string inside { }")
-            if self._accept_op("}"):
+            if tokens[self.pos][1] == "}":
+                self.pos += 1
                 return SetLit(tuple(items))
             self._expect_op(",")
 
     def call(self) -> Expr:
-        fn = self._advance().text
-        self._expect_op("(")
+        fn = self.tokens[self.pos][1]
+        self.pos += 2  # the name and its "("
         args = [self.expr()]
-        while self._accept_op(","):
+        while self.tokens[self.pos][1] == ",":
+            self.pos += 1
             args.append(self.expr())
         self._expect_op(")")
         if fn == "abs":
@@ -405,22 +388,26 @@ class _Parser:
         return Builtin(fn, tuple(args))
 
     def varref(self) -> VarRef:
-        first = self._advance().text
+        tokens = self.tokens
+        name = tokens[self.pos][1]
+        self.pos += 1
         table: Optional[str] = None
-        name = first
-        if self._accept_op("."):
-            if self.cur.kind != "IDENT":
+        if tokens[self.pos][1] == ".":
+            self.pos += 1
+            kind, text, _, _, _ = tokens[self.pos]
+            if kind != "IDENT":
                 self._fail("a variable name after '.'")
-            table = first
-            name = self._advance().text
+            table, name = name, text
+            self.pos += 1
         lag = 0
-        if self._accept_op("@"):
-            tok = self.cur
-            if tok.kind != "NUMBER" or not isinstance(tok.value, Fraction) or tok.value.denominator != 1:
+        if tokens[self.pos][1] == "@":
+            self.pos += 1
+            kind, _, _, _, value = tokens[self.pos]
+            if kind != "NUMBER" or value.denominator != 1:
                 self._fail("an integer lag after '@'")
-            self._advance()
-            lag = int(tok.value)
-        return VarRef(name, table=table, lag=lag)
+            self.pos += 1
+            lag = int(value)
+        return VarRef(name, table, lag)
 
 
 # --- static typing ------------------------------------------------------
@@ -583,15 +570,20 @@ class SpanReport:
 
 
 def referenced_signature(rule: Rule) -> SpanReport:
-    nodes = scoped_nodes(rule.body)
-    refs = [node for node, _ in nodes if isinstance(node, VarRef)]
+    refs: list[VarRef] = []
+    has_aggregate = False
+    for node, _ in scoped_nodes(rule.body):
+        if isinstance(node, VarRef):
+            refs.append(node)
+        elif isinstance(node, Aggregate):
+            has_aggregate = True
     explicit = {ref.table for ref in refs if ref.table is not None}
     fold = next(iter(explicit)) if len(explicit) == 1 else None
     variables = frozenset((ref.table or fold, ref.variable) for ref in refs)
     return SpanReport(
         tables=frozenset(table for table, _ in variables) or frozenset({None}),
         variables=variables,
-        has_aggregate=any(isinstance(node, Aggregate) for node, _ in nodes),
+        has_aggregate=has_aggregate,
         max_lag=max((ref.lag for ref in refs), default=0),
     )
 
@@ -601,20 +593,21 @@ def referenced_signature(rule: Rule) -> SpanReport:
 _PREC_IF, _PREC_OR, _PREC_AND, _PREC_NOT, _PREC_CMP, _PREC_SUM, _PREC_TERM, _PREC_NEG, _PREC_ATOM = range(9)
 
 
+_BINARY_PREC = {
+    "or": _PREC_OR, "and": _PREC_AND, "+": _PREC_SUM, "-": _PREC_SUM, "*": _PREC_TERM, "/": _PREC_TERM,
+}
+_UNARY_PREC = {"not": _PREC_NOT, "neg": _PREC_NEG}
+
+
 def _prec(expr: Expr) -> int:
+    if isinstance(expr, Binary):
+        return _BINARY_PREC.get(expr.op, _PREC_CMP)
     if isinstance(expr, If):
         return _PREC_IF
-    if isinstance(expr, Binary):
-        return {
-            "or": _PREC_OR,
-            "and": _PREC_AND,
-            "+": _PREC_SUM,
-            "-": _PREC_SUM,
-            "*": _PREC_TERM,
-            "/": _PREC_TERM,
-        }.get(expr.op, _PREC_CMP)
     if isinstance(expr, Unary):
-        return {"not": _PREC_NOT, "neg": _PREC_NEG}.get(expr.op, _PREC_ATOM)
+        return _UNARY_PREC.get(expr.op, _PREC_ATOM)
+    if isinstance(expr, NumberLit) and "/" in format_number(expr.value):
+        return _PREC_TERM  # the text p/q reads back as a division
     return _PREC_ATOM
 
 
@@ -627,12 +620,17 @@ def _fmt_literal(item: Union[Fraction, str]) -> str:
 
 def format_expr(expr: Expr, minprec: int = 0) -> str:
     text = _format_bare(expr)
-    if _prec(expr) < minprec:
+    if minprec and _prec(expr) < minprec:
         return f"({text})"
     return text
 
 
 def _format_bare(expr: Expr) -> str:
+    if isinstance(expr, Binary):
+        prec = _prec(expr)
+        left = format_expr(expr.left, prec)
+        right = format_expr(expr.right, prec + 1)
+        return f"{left} {expr.op} {right}"
     if isinstance(expr, NumberLit):
         return format_number(expr.value)
     if isinstance(expr, TextLit):
@@ -656,11 +654,6 @@ def _format_bare(expr: Expr) -> str:
         return "-" + format_expr(expr.operand, _PREC_NEG)
     if isinstance(expr, If):
         return f"if ({format_expr(expr.cond)}) {format_expr(expr.then)}"
-    if isinstance(expr, Binary):
-        prec = _prec(expr)
-        left = format_expr(expr.left, prec)
-        right = format_expr(expr.right, prec + 1)
-        return f"{left} {expr.op} {right}"
     raise AssertionError(f"unhandled node {expr!r}")
 
 

@@ -6,25 +6,38 @@ they are used to check.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
+import re
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional, Union
 
 import numpy as np
 
 from validus.analyzer import CategoricalAtom, Clause, ConstraintSystem, LinearAtom, _atom_rows
+from validus.errors import RuleParseError, ValidusError
+from validus.evaluator import evaluate_ruleset
 from validus.linear import feasible
 from validus.rules import (
+    AGGREGATE_FNS,
+    COMPARE,
     Aggregate,
     Binary,
     Builtin,
     Expr,
     If,
+    NALit,
     NumberLit,
     Rule,
+    RuleSet,
     SetLit,
+    TextLit,
     Unary,
     VarRef,
+    format_rule,
+    type_check,
 )
 from validus.tribool import TriBool, and_, implies, not_, or_
 
@@ -386,6 +399,395 @@ def random_rule(rng: random.Random, name: str = "g") -> Rule:
         return If(logical(depth - 1), logical(depth - 1))
 
     return Rule(name, logical(rng.randint(1, 3)))
+
+
+# --- reference rule parser: one token object and one regex match at a time --
+
+@dataclass(frozen=True)
+class _RefToken:
+    kind: str  # NUMBER STRING IDENT OP EOF
+    text: str
+    line: int
+    col: int
+    value: object = None
+
+
+_REF_TOKEN_RE = re.compile(
+    r"""
+      (?P<ws>[ \t\r]+)
+    | (?P<comment>\#[^\n]*)
+    | (?P<nl>\n)
+    | (?P<number>\d+(?:\.\d+)?)
+    | (?P<ident>[A-Za-z_]\w*)
+    | (?P<string>"(?:\\.|[^"\\\n])*")
+    | (?P<op><=|==|!=|>=|[-+*/<>(){},.@:])
+    """,
+    re.VERBOSE,
+)
+_REF_ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t"}
+_REF_KEYWORDS = ("if", "and", "or", "not", "NA")
+_REF_CALL_FNS = AGGREGATE_FNS + ("abs", "is_number", "is_integer", "is_text", "is_na", "in_set")
+
+
+def _ref_unescape(raw: str, line: int, col: int) -> str:
+    out = []
+    i = 1
+    while i < len(raw) - 1:
+        ch = raw[i]
+        if ch == "\\":
+            esc = raw[i + 1]
+            if esc not in _REF_ESCAPES:
+                raise RuleParseError(line, col, f"valid escape, not \\{esc}")
+            out.append(_REF_ESCAPES[esc])
+            i += 2
+        else:
+            out.append(ch)
+            i += 1
+    return "".join(out)
+
+
+def _ref_tokenize(text: str) -> list[_RefToken]:
+    tokens: list[_RefToken] = []
+    line, line_start = 1, 0
+    pos = 0
+    while pos < len(text):
+        m = _REF_TOKEN_RE.match(text, pos)
+        col = pos - line_start + 1
+        if not m:
+            raise RuleParseError(line, col, f"a token, not {text[pos]!r}")
+        pos = m.end()
+        if m.lastgroup in ("ws", "comment"):
+            continue
+        if m.lastgroup == "nl":
+            line += 1
+            line_start = pos
+            continue
+        raw = m.group()
+        if m.lastgroup == "number":
+            tokens.append(_RefToken("NUMBER", raw, line, col, Fraction(raw)))
+        elif m.lastgroup == "ident":
+            tokens.append(_RefToken("IDENT", raw, line, col))
+        elif m.lastgroup == "string":
+            tokens.append(_RefToken("STRING", raw, line, col, _ref_unescape(raw, line, col)))
+        else:
+            tokens.append(_RefToken("OP", raw, line, col))
+    tokens.append(_RefToken("EOF", "", line, pos - line_start + 1))
+    return tokens
+
+
+class _RefParser:
+    def __init__(self, tokens: list[_RefToken]):
+        self.tokens = tokens
+        self.pos = 0
+
+    @property
+    def cur(self) -> _RefToken:
+        return self.tokens[self.pos]
+
+    def _fail(self, expected: str):
+        tok = self.cur
+        raise RuleParseError(tok.line, tok.col, expected)
+
+    def _advance(self) -> _RefToken:
+        tok = self.cur
+        self.pos += 1
+        return tok
+
+    def _accept_op(self, *ops: str) -> Optional[_RefToken]:
+        if self.cur.kind == "OP" and self.cur.text in ops:
+            return self._advance()
+        return None
+
+    def _expect_op(self, op: str) -> _RefToken:
+        tok = self._accept_op(op)
+        if tok is None:
+            self._fail(f"{op!r}")
+        return tok
+
+    def _accept_word(self, word: str) -> Optional[_RefToken]:
+        if self.cur.kind == "IDENT" and self.cur.text == word:
+            return self._advance()
+        return None
+
+    def ruleset(self) -> list[Rule]:
+        rules = []
+        while self.cur.kind != "EOF":
+            rules.append(self.rule())
+        return rules
+
+    def rule(self) -> Rule:
+        if self.cur.kind != "IDENT" or self.cur.text in _REF_KEYWORDS:
+            self._fail("a rule name")
+        name_tok = self._advance()
+        self._expect_op(":")
+        body = self.expr()
+        return Rule(name_tok.text, body, (name_tok.line, name_tok.col))
+
+    def expr(self) -> Expr:
+        if self._accept_word("if"):
+            self._expect_op("(")
+            cond = self.expr()
+            self._expect_op(")")
+            then = self.expr()
+            return If(cond, then)
+        return self.or_expr()
+
+    def or_expr(self) -> Expr:
+        node = self.and_expr()
+        while self._accept_word("or"):
+            node = Binary("or", node, self.and_expr())
+        return node
+
+    def and_expr(self) -> Expr:
+        node = self.not_expr()
+        while self._accept_word("and"):
+            node = Binary("and", node, self.not_expr())
+        return node
+
+    def not_expr(self) -> Expr:
+        if self._accept_word("not"):
+            return Unary("not", self.not_expr())
+        return self.cmp()
+
+    def cmp(self) -> Expr:
+        node = self.sum()
+        if self.cur.kind == "OP" and self.cur.text in COMPARE:
+            op = self._advance().text
+            node = Binary(op, node, self.sum())
+        return node
+
+    def sum(self) -> Expr:
+        node = self.term()
+        while True:
+            tok = self._accept_op("+", "-")
+            if tok is None:
+                return node
+            node = Binary(tok.text, node, self.term())
+
+    def term(self) -> Expr:
+        node = self.factor()
+        while True:
+            tok = self._accept_op("*", "/")
+            if tok is None:
+                return node
+            node = Binary(tok.text, node, self.factor())
+
+    def factor(self) -> Expr:
+        tok = self.cur
+        if tok.kind == "NUMBER":
+            self._advance()
+            return NumberLit(tok.value)
+        if tok.kind == "STRING":
+            self._advance()
+            return TextLit(tok.value)
+        if self._accept_op("-"):
+            inner = self.factor()
+            if isinstance(inner, NumberLit):  # fold negative literals
+                return NumberLit(-inner.value)
+            return Unary("neg", inner)
+        if self._accept_op("("):
+            node = self.expr()
+            self._expect_op(")")
+            return node
+        if self._accept_op("{"):
+            return self.set_tail()
+        if tok.kind == "IDENT":
+            if tok.text == "NA":
+                self._advance()
+                return NALit()
+            if tok.text in _REF_KEYWORDS:
+                self._fail("an expression")
+            if tok.text in _REF_CALL_FNS and self._peek_is_call():
+                return self.call()
+            return self.varref()
+        self._fail("an expression")
+
+    def _peek_is_call(self) -> bool:
+        nxt = self.tokens[self.pos + 1]
+        return nxt.kind == "OP" and nxt.text == "("
+
+    def set_tail(self) -> SetLit:
+        items: list[Union[Fraction, str]] = []
+        while True:
+            tok = self.cur
+            if tok.kind == "NUMBER":
+                self._advance()
+                items.append(tok.value)
+            elif tok.kind == "STRING":
+                self._advance()
+                items.append(tok.value)
+            elif tok.kind == "OP" and tok.text == "-" and self.tokens[self.pos + 1].kind == "NUMBER":
+                self._advance()
+                items.append(-self._advance().value)
+            else:
+                self._fail("a number or string inside { }")
+            if self._accept_op("}"):
+                return SetLit(tuple(items))
+            self._expect_op(",")
+
+    def call(self) -> Expr:
+        fn = self._advance().text
+        self._expect_op("(")
+        args = [self.expr()]
+        while self._accept_op(","):
+            args.append(self.expr())
+        self._expect_op(")")
+        if fn == "abs":
+            if len(args) != 1:
+                self._fail("one argument to abs")
+            return Unary("abs", args[0])
+        if fn in AGGREGATE_FNS:
+            if len(args) != 1:
+                self._fail(f"one argument to {fn}")
+            return Aggregate(fn, args[0])
+        if fn == "in_set":
+            if len(args) != 2:
+                self._fail("two arguments to in_set")
+        elif len(args) != 1:
+            self._fail(f"one argument to {fn}")
+        return Builtin(fn, tuple(args))
+
+    def varref(self) -> VarRef:
+        first = self._advance().text
+        table: Optional[str] = None
+        name = first
+        if self._accept_op("."):
+            if self.cur.kind != "IDENT":
+                self._fail("a variable name after '.'")
+            table = first
+            name = self._advance().text
+        lag = 0
+        if self._accept_op("@"):
+            tok = self.cur
+            if tok.kind != "NUMBER" or not isinstance(tok.value, Fraction) or tok.value.denominator != 1:
+                self._fail("an integer lag after '@'")
+            self._advance()
+            lag = int(tok.value)
+        return VarRef(name, table=table, lag=lag)
+
+
+def reference_parse_rules(text: str) -> RuleSet:
+    """``parse_rules`` as it was before the lexer became one regex pass
+    over tuple tokens: one regex match and one frozen token object at a
+    time, read through a cursor property.  It differs from that version
+    only where the grammar now does: a set literal takes a "-" before a
+    number.  The type check and the rule set are the production ones."""
+    rules = _RefParser(_ref_tokenize(text)).ruleset()
+    for rule in rules:
+        type_check(rule)
+    return RuleSet(tuple(rules))
+
+
+def parse_outcome(parse, text: str):
+    """What ``parse(text)`` gives, in a form two parsers can be compared
+    on: each rule's name, body and source span, or the error's type with
+    its line, column and expected text (its message, for other errors)."""
+    try:
+        ruleset = parse(text)
+    except RuleParseError as exc:
+        return ("RuleParseError", exc.line, exc.column, exc.expected)
+    except ValidusError as exc:
+        return (type(exc).__name__, str(exc))
+    return [(rule.name, rule.body, rule.source_span) for rule in ruleset]
+
+
+# --- rule files for the parser: valid files and token soup -----------------
+
+_ESCAPED_STRINGS = ('"plain"', '"say \\"hi\\""', '"back\\\\slash"', '"tab\\tnew\\nline"', '""', '"# not a comment"')
+
+
+def random_rule_file(rng: random.Random, count: int) -> str:
+    """``count`` formatted random rules, some broken over several lines,
+    with comments, blank lines, CRLF line ends, indentation and string
+    literals holding every escape."""
+    parts = []
+    for i in range(count):
+        if rng.random() < 0.15:
+            text = f"s{i}: name == {rng.choice(_ESCAPED_STRINGS)} or in_set(kind, {{{rng.choice(_ESCAPED_STRINGS)}}})"
+        else:
+            text = format_rule(random_rule(rng, name=f"g{i}"))
+        if rng.random() < 0.3:
+            text = text.replace(" and ", rng.choice(["\n  and ", " and\n\t", " # why\n and "]))
+        if rng.random() < 0.2:
+            text = rng.choice(["  ", "\t", " \t"]) + text
+        if rng.random() < 0.2:
+            text += "  # trailing: \"quoted\" $ @"
+        parts.append(text)
+        if rng.random() < 0.2:
+            parts.append(rng.choice(["", "# comment", "   ", "#", "# é ünïcode"]))
+    return "".join(part + rng.choice(["\n", "\n", "\r\n"]) for part in parts)
+
+
+_SOUP = (
+    "r", "x", "y", "t.", "t.x", "x@1", "x@1.5", "x@", "x@0", "@", ".", "1", "2.5", "007", "0.",
+    "-", "+", "*", "/", "<", "<=", "==", "!=", ">=", ">", "=", "!", "(", ")", "{", "}", ",", ":",
+    "and", "or", "not", "if", "if (", "NA", "mean(", "sum(", "count(", "abs(", "in_set(", "is_na(",
+    "{-1", "{-", "{-x}", "{1, -2}", '"s"', '"a\\"b"', '"bad\\q"', '"', '"unterminated', '"\\', "$",
+    "# c", "#", "\n", "\r\n", "\r", " ", "\t", "\f", "r:", "r2:", "é", "x >= 0", "a: b", "\n q: ",
+)
+
+
+def token_soup(rng: random.Random) -> str:
+    """A short text built from DSL fragments and stray characters: most
+    fail to parse, somewhere; some are rule files with a mutation."""
+    if rng.random() < 0.3:
+        text = format_rule(random_rule(rng, name="m"))
+        for _ in range(rng.randint(1, 2)):
+            at = rng.randint(0, len(text))
+            cut = rng.choice([0, 0, 1, 2])
+            text = text[:at] + rng.choice(("",) + _SOUP) + text[at + cut:]
+        return text
+    pieces = [rng.choice(["r: ", "r: x ", "", "  a:"])]
+    for _ in range(rng.randint(1, 8)):
+        pieces.append(rng.choice(_SOUP))
+        pieces.append(rng.choice(["", " ", " ", "\n"]))
+    return "".join(pieces)
+
+
+def with_fraction_literals(rule: Rule, rng: random.Random) -> Rule:
+    """``rule`` with every number literal replaced by a signed fraction
+    that has no finite decimal form, so it prints as p/q."""
+    def fraction() -> Fraction:
+        q = rng.choice([3, 7, 9, 11, 13])
+        p = rng.choice([q * k + r for k in range(3) for r in range(1, q)])
+        return Fraction(rng.choice([1, -1]) * p, q)
+
+    def rebuild(node):
+        if isinstance(node, NumberLit):
+            return NumberLit(fraction())
+        if isinstance(node, tuple):
+            return tuple(rebuild(item) for item in node)
+        if dataclasses.is_dataclass(node):
+            return type(node)(*(rebuild(getattr(node, f.name)) for f in dataclasses.fields(node)))
+        return node
+
+    return Rule(rule.name, rebuild(rule.body))
+
+
+ROUND_TRIP_SCHEMA_TEXT = "trade.alpha : numeric\ntrade.beta : numeric\ntrade.gamma : numeric\n"
+
+
+def random_trade_csv(rng: random.Random) -> str:
+    """A small panel for table ``trade`` (the variables ``random_rule``
+    reads), with NA, text, zero and fractional cells."""
+    lines = ["id,time,alpha,beta,gamma"]
+    for unit in range(1, rng.randint(2, 4)):
+        for time in range(1, rng.randint(2, 4)):
+            cells = [rng.choice(["NA", "n/a", "0", "-1.5", "2", "0.25", "7", "-3"]) for _ in range(3)]
+            lines.append(",".join([str(unit), str(time)] + cells))
+    return "\n".join(lines) + "\n"
+
+
+def verdicts_of(rule: Rule, dataset, schema):
+    """What ``validate`` makes of one rule, for comparing two forms of
+    it: its entries and the kind of each diagnostic, or the name of the
+    error that rejects it."""
+    try:
+        report = evaluate_ruleset(RuleSet((rule,)), dataset, schema)
+    except ValidusError as exc:
+        return type(exc).__name__
+    return ([(e.unit, e.time, e.result) for e in report.entries],
+            [(d.unit, d.time, d.kind) for d in report.diagnostics])
 
 
 # --- plain-Python reference for evaluate_ruleset over one panel table -----

@@ -114,6 +114,17 @@ def test_in_set():
     assert results(report, "r") == {("1", None): T, ("2", None): F, ("3", None): N}
 
 
+def test_in_set_with_negative_numbers():
+    report = evaluate_ruleset(
+        parse_rules("r: in_set(age, {-1, 0, 1.5, -2.25})"),
+        person_dataset({"1": (Fraction(-1), "a"), "2": (Fraction(1), "a"), "3": (Fraction(-9, 4), "a"),
+                        "4": (Fraction(3, 2), "a"), "5": (NA, "a")}),
+        PERSON_SCHEMA,
+    )
+    assert results(report, "r") == {("1", None): T, ("2", None): F, ("3", None): T,
+                                     ("4", None): T, ("5", None): N}
+
+
 def test_division_by_zero_is_na():
     report = evaluate_ruleset(
         parse_rules("r: 1 / age >= 0"),

@@ -1,11 +1,27 @@
 """Rule DSL: parsing, negation, span reports, canonical formatting."""
 
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import abstract_eval, all_assignments, atom_keys
+from helpers import (
+    ROUND_TRIP_SCHEMA_TEXT,
+    abstract_eval,
+    all_assignments,
+    atom_keys,
+    parse_outcome,
+    random_rule,
+    random_rule_file,
+    random_trade_csv,
+    reference_parse_rules,
+    token_soup,
+    verdicts_of,
+    with_fraction_literals,
+)
+from validus.csvio import dataset_from_csv
 from validus.errors import DuplicateRuleNameError, RuleParseError, RuleTypeError
 from validus.rules import (
     Aggregate,
@@ -19,6 +35,7 @@ from validus.rules import (
     TextLit,
     Unary,
     VarRef,
+    format_expr,
     format_rule,
     format_ruleset,
     negate_rule,
@@ -27,6 +44,7 @@ from validus.rules import (
     referenced_signature,
     scoped_nodes,
 )
+from validus.schema import parse_schema
 from validus.tribool import not_
 
 
@@ -108,6 +126,44 @@ def test_duplicate_rule_names_rejected():
     with pytest.raises(DuplicateRuleNameError) as err:
         parse_rules("a: age >= 0\nb: age >= 1\nb: age >= 2\na: age >= 3\n")
     assert err.value.name == "a"
+
+
+def test_parse_negative_numbers_in_sets():
+    rule = parse_rule('s: in_set(x, {-1, 0, 1, - 2.5, "a"})')
+    assert rule.body == Builtin("in_set", (VarRef("x"), SetLit((
+        Fraction(-1), Fraction(0), Fraction(1), Fraction(-5, 2), "a"))))
+    assert format_rule(rule) == 's: in_set(x, {-1, 0, 1, -2.5, "a"})'
+    assert parse_rule(format_rule(rule)) == rule
+    # a "-" before anything but a number is still the same error, at the "-"
+    for text in ("s: in_set(x, {-x})", 's: in_set(x, {1, -"a"})', "s: in_set(x, {--1})"):
+        with pytest.raises(RuleParseError) as err:
+            parse_rules(text)
+        assert err.value.expected == "a number or string inside { }"
+        assert text[err.value.column - 1] == "-"
+
+
+def test_parser_matches_reference_on_rule_files():
+    rng = random.Random(7301)
+    for _ in range(20):
+        text = random_rule_file(rng, 100)
+        outcome = parse_outcome(parse_rules, text)
+        assert isinstance(outcome, list) and len(outcome) == 100
+        assert outcome == parse_outcome(reference_parse_rules, text)
+
+
+def test_parser_matches_reference_on_token_soup():
+    rng = random.Random(7302)
+    seen = Counter()
+    for _ in range(20_000):
+        text = token_soup(rng)
+        outcome = parse_outcome(parse_rules, text)
+        assert outcome == parse_outcome(reference_parse_rules, text), text
+        seen["parsed" if isinstance(outcome, list) else outcome[-1]] += 1
+    assert seen["parsed"] >= 500
+    for expected in ("a token, not '$'", "valid escape, not \\q", "a token, not '\"'",
+                     "an integer lag after '@'", "a variable name after '.'", "an expression",
+                     "')'", "a rule name", "a number or string inside { }"):
+        assert seen[expected] > 0, expected
 
 
 def test_comments_and_blank_lines():
@@ -244,6 +300,29 @@ def test_precedence_formats_explicitly():
     other = parse_rule("p: (x > 0 or y > 0) and z > 1")
     assert format_rule(other) == "p: (x > 0 or y > 0) and z > 1"
     assert parse_rule(format_rule(other)) == other
+
+
+def test_fraction_literals_keep_their_value_when_formatted():
+    third = NumberLit(Fraction(1, 3))
+    assert format_expr(Binary("/", VarRef("x"), third)) == "x / (1/3)"
+    assert format_expr(Unary("neg", third)) == "-(1/3)"
+    assert format_expr(Binary("-", VarRef("x"), NumberLit(Fraction(-1, 3)))) == "x - -1/3"
+    assert format_expr(Binary("*", third, VarRef("x"))) == "1/3 * x"
+    # literals with a decimal form print as before
+    assert format_expr(Binary("/", VarRef("x"), NumberLit(Fraction(-1, 4)))) == "x / -0.25"
+
+
+def test_fraction_literals_give_the_same_verdicts_after_a_round_trip():
+    rng = random.Random(7303)
+    schema = parse_schema(ROUND_TRIP_SCHEMA_TEXT)
+    evaluated = 0
+    for i in range(300):
+        rule = with_fraction_literals(random_rule(rng, name=f"g{i}"), rng)
+        dataset = dataset_from_csv({"trade": random_trade_csv(rng)})
+        expected = verdicts_of(rule, dataset, schema)
+        assert verdicts_of(parse_rule(format_rule(rule)), dataset, schema) == expected, format_rule(rule)
+        evaluated += not isinstance(expected, str)
+    assert evaluated >= 100
 
 
 def test_format_ruleset_is_reparseable():
