@@ -18,7 +18,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 from .errors import IncompatibleScopeError, UnevaluableRulesError, UnknownVariableError, ValidusError
 from .model import NA, Dataset, Key, Value, is_number, is_text, natural_order
@@ -54,9 +54,9 @@ class EvalOptions:
             raise ValueError(f"na_policy must be one of {NA_POLICIES}, not {self.na_policy!r}")
 
 
-@dataclass(frozen=True)
-class Entry:
-    """One verdict; unit or time of None means the whole dimension (ALL)."""
+class Entry(NamedTuple):
+    """One verdict; unit or time of None means the whole dimension (ALL).
+    A named tuple, so it equals the plain tuple of its fields."""
 
     rule: str
     table: str
@@ -65,8 +65,10 @@ class Entry:
     result: TriBool
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
+    """A note recorded while one verdict was evaluated (such as a missing
+    cell or a division by zero); a named tuple, like ``Entry``."""
+
     rule: str
     table: str
     unit: Optional[str]

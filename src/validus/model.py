@@ -4,11 +4,15 @@ A value is an exact rational number, a piece of text, or the missing
 marker NA.  A key names one observed cell: which table (unit type) it
 belongs to, at which measurement occasion, for which unit, and for which
 variable.  A dataset binds every key of its key set to exactly one value.
+
+A dataset stores that map by column, and only so: one dict per (table,
+variable) from (unit, occasion) to the value.  ``bind_cells`` is the one
+way cells enter a column and the one place a key bound twice is caught;
+``build_dataset`` and the CSV reader both go through it.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Union
@@ -58,6 +62,9 @@ def parse_value(text: str) -> Value:
     if stripped == "" or stripped == "NA":
         return NA
     try:
+        # plain integers, the common cell, skip the Fraction regex
+        if (stripped[1:] if stripped[0] in "+-" else stripped).isdigit() and stripped.isascii():
+            return Fraction(int(stripped))
         return Fraction(stripped)
     except (ValueError, ZeroDivisionError):
         return text
@@ -117,50 +124,70 @@ class DataPoint:
     value: Value
 
 
+Record = tuple[str, Optional[str]]
+# one variable of one table: (unit, occasion) -> value
+Column = dict[Record, Value]
+
+
 class TableIndex(NamedTuple):
     """One table's records, ordered once: units and occasions in natural
     order, records by unit then occasion, each occasion's position, and
-    one column per variable mapping (unit, occasion) to the cell value."""
+    the dataset's column of each variable."""
 
     units: list[str]
     times: list[Optional[str]]
-    records: list[tuple[str, Optional[str]]]
+    records: list[Record]
     positions: dict[Optional[str], int]
-    columns: dict[str, dict[tuple[str, Optional[str]], Value]]
+    columns: dict[str, Column]
 
 
 class Dataset:
-    """Total assignment of values to a finite key set.
+    """Total assignment of values to a finite key set, held as one column
+    per (table, variable).  Build it with ``build_dataset`` or
+    ``csvio.dataset_from_csv``.
 
     Immutable after construction; equality compares the full mapping.
     """
 
-    def __init__(self, points: dict[Key, Value], key_set: frozenset[Key]):
-        self._points = dict(points)
-        self.key_set = key_set
+    def __init__(self, columns: dict[str, dict[str, Column]]):
+        # a table without cells is no table of the dataset
+        self._columns = {table: variables for table, variables in columns.items() if variables}
+        self._key_set: Optional[frozenset[Key]] = None
         self._indexes: Optional[dict[str, TableIndex]] = None
+
+    def _cells(self):
+        for table, variables in self._columns.items():
+            for variable, column in variables.items():
+                for (unit, time), value in column.items():
+                    yield Key(table, time, unit, variable), value
 
     @property
     def points(self) -> dict[Key, Value]:
-        return dict(self._points)
+        return dict(self._cells())
+
+    @property
+    def key_set(self) -> frozenset[Key]:
+        if self._key_set is None:
+            self._key_set = frozenset(key for key, _ in self._cells())
+        return self._key_set
 
     def __contains__(self, key: Key) -> bool:
-        return key in self._points
+        return (key.unit, key.time) in self._columns.get(key.table, {}).get(key.variable, {})
 
     def __len__(self) -> int:
-        return len(self._points)
+        return sum(len(column) for variables in self._columns.values() for column in variables.values())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Dataset):
             return NotImplemented
-        return self._points == other._points and self.key_set == other.key_set
+        return self._columns == other._columns
 
     def __repr__(self) -> str:
-        return f"Dataset({len(self._points)} points)"
+        return f"Dataset({len(self)} points)"
 
     def get(self, key: Key) -> Value:
         try:
-            return self._points[key]
+            return self._columns[key.table][key.variable][key.unit, key.time]
         except KeyError:
             raise MissingKeyError(key) from None
 
@@ -168,12 +195,12 @@ class Dataset:
         """The table's index (empty for a table without data points); all
         tables are indexed together, on the first call."""
         if self._indexes is None:
-            self._indexes = _index_tables(self._points)
+            self._indexes = _index_tables(self._columns)
         found = self._indexes.get(table)
         return found if found is not None else TableIndex([], [], [], {}, {})
 
     def tables(self) -> list[str]:
-        return sorted({k.table for k in self.key_set})
+        return sorted(self._columns)
 
     def units(self, table: str) -> list[str]:
         return list(self.index(table).units)
@@ -182,24 +209,20 @@ class Dataset:
         """Distinct occasions of a table, oldest first (numeric-aware order)."""
         return list(self.index(table).times)
 
-    def records(self, table: str) -> list[tuple[str, Optional[str]]]:
+    def records(self, table: str) -> list[Record]:
         """(unit, time) of every record of a table, by unit then time in
         natural order."""
         return list(self.index(table).records)
 
     def variables(self, table: str) -> list[str]:
-        return sorted(self.index(table).columns)
+        return sorted(self._columns.get(table, {}))
 
 
-def _index_tables(points: dict[Key, Value]) -> dict[str, TableIndex]:
-    """Index every table in one pass over the points.  Each distinct unit
-    or occasion label is ranked by ``natural_order`` once, and records
-    are sorted by those ranks."""
-    records: dict[str, set[tuple[str, Optional[str]]]] = defaultdict(set)
-    columns: dict[str, dict[str, dict]] = defaultdict(lambda: defaultdict(dict))
-    for key, value in points.items():
-        records[key.table].add((key.unit, key.time))
-        columns[key.table][key.variable][key.unit, key.time] = value
+def _index_tables(tables: dict[str, dict[str, Column]]) -> dict[str, TableIndex]:
+    """Index every table.  A table's records are the union of its
+    columns' keys.  Each distinct unit or occasion label is ranked by
+    ``natural_order`` once, and records are sorted by those ranks."""
+    records = {table: set().union(*variables.values()) for table, variables in tables.items()}
     labels = {label for pairs in records.values() for record in pairs for label in record}
     rank = {label: i for i, label in enumerate(sorted(labels, key=natural_order))}
     indexes = {}
@@ -210,7 +233,7 @@ def _index_tables(points: dict[Key, Value]) -> dict[str, TableIndex]:
             times=times,
             records=sorted(pairs, key=lambda r: (rank[r[0]], rank[r[1]])),
             positions={time: i for i, time in enumerate(times)},
-            columns=dict(columns[table]),
+            columns=tables[table],
         )
     return indexes
 
@@ -229,27 +252,48 @@ def natural_order(label: Optional[str]):
         return (2, Fraction(0), label)
 
 
+def bind_cells(tables: dict[str, dict[str, Column]], table: str, unit: str, time: Optional[str],
+               variables: Iterable[str], values: Iterable[Value]) -> Optional[Key]:
+    """Bind one record's cells, in order, into its table's columns in
+    ``tables`` (table -> variable -> column).  Returns the key of the
+    first cell whose column already holds the record, or None; such a
+    cell is not bound.  A column is created by its first cell."""
+    columns = tables.get(table)
+    if columns is None:
+        columns = tables[table] = {}
+    record = unit, time
+    duplicate = None
+    for variable, value in zip(variables, values):
+        column = columns.get(variable)
+        if column is None:
+            columns[variable] = {record: value}
+        elif record not in column:
+            column[record] = value
+        elif duplicate is None:
+            duplicate = Key(table, time, unit, variable)
+    return duplicate
+
+
 def build_dataset(points: Iterable[DataPoint], declared_keys: Optional[Iterable[Key]] = None) -> Dataset:
     """Assemble a dataset, enforcing exactly-once keys.
 
     With ``declared_keys`` given, every point's key must be declared and
     declared keys absent from ``points`` are bound to NA.
     """
-    mapping: dict[Key, Value] = {}
+    points = list(points)
+    tables: dict[str, dict[str, Column]] = {}
     for point in points:
-        if point.key in mapping:
-            raise DuplicateKeyError(point.key)
-        mapping[point.key] = point.value
-    if declared_keys is None:
-        key_set = frozenset(mapping)
-    else:
+        key = point.key
+        if bind_cells(tables, key.table, key.unit, key.time, (key.variable,), (point.value,)) is not None:
+            raise DuplicateKeyError(key)
+    if declared_keys is not None:
         key_set = frozenset(declared_keys)
-        for key in mapping:
-            if key not in key_set:
-                raise UnknownKeyError(key)
+        for point in points:
+            if point.key not in key_set:
+                raise UnknownKeyError(point.key)
         for key in key_set:
-            mapping.setdefault(key, NA)
-    return Dataset(mapping, key_set)
+            bind_cells(tables, key.table, key.unit, key.time, (key.variable,), (NA,))  # a bound key stays
+    return Dataset(tables)
 
 
 def get_value(dataset: Dataset, key: Key) -> Value:

@@ -126,7 +126,10 @@ class Rule:
     source_span: Optional[tuple[int, int]] = None
 
     def __repr__(self) -> str:
-        return f"Rule({format_rule(self)!r})"
+        try:
+            return f"Rule({format_rule(self)!r})"
+        except ValueError:  # a body that has no rule text
+            return f"Rule(name={self.name!r}, body={self.body!r})"
 
 
 @dataclass(frozen=True)
@@ -612,8 +615,12 @@ def _prec(expr: Expr) -> int:
 
 
 def _fmt_literal(item: Union[Fraction, str]) -> str:
+    """A set item or a text literal as the parser reads it."""
     if isinstance(item, Fraction):
-        return format_number(item)
+        text = format_number(item)
+        if "/" in text:  # p/q would read back as a division, which a set cannot hold
+            raise ValueError(f"set item {text} has no finite decimal form, so the rule text would not parse")
+        return text
     escaped = item.replace("\\", "\\\\").replace('"', '\\"')
     return f'"{escaped}"'
 
@@ -658,7 +665,8 @@ def _format_bare(expr: Expr) -> str:
 
 
 def format_rule(rule: Rule) -> str:
-    """Canonical one-line text; reparsing reproduces the same AST."""
+    """Canonical one-line text; reparsing reproduces the same AST.  A set
+    item with no finite decimal form has no such text: ValueError."""
     return f"{rule.name}: {format_expr(rule.body)}"
 
 

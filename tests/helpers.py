@@ -6,7 +6,9 @@ they are used to check.
 
 from __future__ import annotations
 
+import csv
 import dataclasses
+import io
 import itertools
 import random
 import re
@@ -17,9 +19,11 @@ from typing import Optional, Union
 import numpy as np
 
 from validus.analyzer import CategoricalAtom, Clause, ConstraintSystem, LinearAtom, _atom_rows
-from validus.errors import RuleParseError, ValidusError
+from validus.csvio import CsvFormatError
+from validus.errors import DuplicateKeyError, RuleParseError, ValidusError
 from validus.evaluator import evaluate_ruleset
 from validus.linear import feasible
+from validus.model import NA, DataPoint, Key, natural_order
 from validus.rules import (
     AGGREGATE_FNS,
     COMPARE,
@@ -984,3 +988,140 @@ def random_panel(rng: random.Random) -> dict:
                 else:
                     cells[u, t, var] = Fraction(rng.randint(-3, 6), rng.choice([1, 1, 2]))
     return cells or {(1, 1, "x"): Fraction(1)}
+
+
+# --- CSV ingest as it was before cells went straight into columns ---------
+# One DataPoint and one Key per cell, an exactly-once check over a map from
+# Key to value once every table is read, and the per-table order computed
+# from that map.  The value types, natural_order and the exception classes
+# are the production ones; cell parsing, the check and the order are not.
+
+def reference_parse_value(text: str):
+    stripped = text.strip()
+    if stripped == "" or stripped == "NA":
+        return NA
+    try:
+        return Fraction(stripped)
+    except (ValueError, ZeroDivisionError):
+        return text
+
+
+def reference_read_table(table: str, text: str, unit_column: str = "id",
+                         time_column: Optional[str] = "time") -> list[DataPoint]:
+    reader = csv.reader(io.StringIO(text))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise CsvFormatError(table, "missing header row") from None
+    if unit_column not in header:
+        raise CsvFormatError(table, f"missing unit column {unit_column!r}")
+    unit_idx = header.index(unit_column)
+    time_idx = header.index(time_column) if time_column in header else None
+    variable_cols = [
+        (i, name) for i, name in enumerate(header) if i not in (unit_idx, time_idx)
+    ]
+
+    points: list[DataPoint] = []
+    for lineno, row in enumerate(reader, start=2):
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        if len(row) != len(header):
+            raise CsvFormatError(table, f"row {lineno} has {len(row)} cells, header has {len(header)}")
+        unit = row[unit_idx].strip()
+        if not unit:
+            raise CsvFormatError(table, f"row {lineno} has an empty unit cell")
+        time = None
+        if time_idx is not None:
+            raw_time = row[time_idx].strip()
+            time = raw_time or None
+        for i, name in variable_cols:
+            key = Key(table, time, unit, name)
+            points.append(DataPoint(key, reference_parse_value(row[i])))
+    return points
+
+
+def reference_dataset_from_csv(tables: dict[str, str], unit_column: str = "id",
+                               time_column: Optional[str] = "time") -> dict[Key, object]:
+    """The map from key to value that ``dataset_from_csv`` held before
+    columns became the only storage, or the error it raised."""
+    points: list[DataPoint] = []
+    for table, text in tables.items():
+        points.extend(reference_read_table(table, text, unit_column, time_column))
+    mapping = {}
+    for point in points:
+        if point.key in mapping:
+            raise DuplicateKeyError(point.key)
+        mapping[point.key] = point.value
+    return mapping
+
+
+def reference_table_order(mapping: dict[Key, object]) -> dict[str, tuple[list, list, list]]:
+    """(units, times, records) of each table of a key-value map, in
+    natural order, computed from the keys one by one."""
+    records: dict[str, set] = {}
+    for key in mapping:
+        records.setdefault(key.table, set()).add((key.unit, key.time))
+    labels = {label for pairs in records.values() for record in pairs for label in record}
+    rank = {label: i for i, label in enumerate(sorted(labels, key=natural_order))}
+    return {
+        table: (sorted({unit for unit, _ in pairs}, key=rank.__getitem__),
+                sorted({time for _, time in pairs}, key=rank.__getitem__),
+                sorted(pairs, key=lambda r: (rank[r[0]], rank[r[1]])))
+        for table, pairs in records.items()
+    }
+
+
+_CSV_UNITS = ["1", "2", "01", "10", "a", " 3 "]
+_CSV_TIMES = ["1", "2", "10", "", "1.0"]
+_CSV_CELLS = ["1", "-2", "007", "+5", "1.5", "1/3", "1e3", "NA", "", " ", "n/a", "x y", "q, r",
+              'say "hi"', " 4 ", "٣", "1_0", "two\nlines"]
+
+
+def _csv_cell(rng: random.Random, text: str) -> str:
+    if any(c in text for c in ',"\n') or rng.random() < 0.1:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def random_csv_table(rng: random.Random) -> str:
+    """One table's CSV text: some header-only, some without a unit column
+    or with a repeated name, with blank, ragged and duplicate rows, empty
+    unit cells, quoted cells, NA, empty and text cells, and LF or CRLF
+    line ends.  Units and occasions come from small pools, so records
+    repeat now and then."""
+    header = rng.sample(["x", "y", "z"], rng.randint(0, 3))
+    if rng.random() < 0.1:
+        header.append(rng.choice(["x", "y", "time", "id"]))  # a repeated name
+    if rng.random() < 0.93:
+        header.append("id")
+    has_time = rng.random() < 0.6
+    if has_time:
+        header.append("time")
+    rng.shuffle(header)
+    lines = [",".join(header)]
+    units = rng.sample(_CSV_UNITS, rng.randint(1, 4))
+    for _ in range(rng.choice([0, 1, 2, 3, 5, 8])):
+        roll = rng.random()
+        if roll < 0.05:
+            lines.append(rng.choice(["", ",", " , ", "  "]))  # blank
+            continue
+        row = []
+        for name in header:
+            if name == "id":
+                row.append("" if rng.random() < 0.02 else rng.choice(units))
+            elif name == "time":
+                row.append(rng.choice(_CSV_TIMES[:rng.randint(1, len(_CSV_TIMES))]))
+            else:
+                row.append(rng.choice(_CSV_CELLS))
+        if roll > 0.98:  # ragged
+            row = row[:-1] if row and rng.random() < 0.5 else row + ["1"]
+        lines.append(",".join(_csv_cell(rng, cell) for cell in row))
+    end = rng.choice(["\n", "\r\n"])
+    return end.join(lines) + rng.choice([end, ""])
+
+
+def random_csv_tables(rng: random.Random) -> dict[str, str]:
+    """One to three tables, so an error can sit in an earlier or a later
+    table than a duplicate; now and then a table with no text at all."""
+    return {f"t{i}": "" if rng.random() < 0.02 else random_csv_table(rng)
+            for i in range(rng.randint(1, 3))}

@@ -1,12 +1,17 @@
 """CSV ingestion and export round trips."""
 
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+import validus.csvio
+import validus.model
+from helpers import random_csv_tables, reference_dataset_from_csv, reference_table_order
 from validus.csvio import CsvFormatError, dataset_from_csv, read_table, write_table
-from validus.errors import DuplicateKeyError
-from validus.model import NA, DataPoint, Key, build_dataset
+from validus.errors import DuplicateKeyError, ValidusError
+from validus.model import NA, DataPoint, Dataset, Key, build_dataset
 
 PERSON_CSV = "id,age,job\n1,25,unemployed\n2,employed,42\n"
 
@@ -82,3 +87,74 @@ def test_export_with_time_and_na():
 def test_export_is_deterministic():
     ds = dataset_from_csv({"person": PERSON_CSV})
     assert write_table(ds, "person") == write_table(ds, "person")
+
+
+@pytest.mark.parametrize("tables, error", [
+    # every table is read before a duplicate is reported
+    ({"a": "id,x\n1,1\n1,2\n", "b": "id,x\n1,2,3\n"}, "table 'b': row 2 has 3 cells, header has 2"),
+    ({"a": "id,x\n1,1\n1,2\n2\n"}, "table 'a': row 4 has 1 cells, header has 2"),
+    # the first duplicate in (table, row, column) order
+    ({"a": "id,x,y\n1,1,1\n2,2,2\n", "b": "id,time,y,x\n1,1,0,0\n1,1,0,0\n2,,0,0\n2,,0,0\n"},
+     "key occurs more than once: (b.1, t=1, y)"),
+    # a repeated header name binds the same key twice in every row
+    ({"a": "id,x,y,x\n7,1,2,3\n"}, "key occurs more than once: (a.7, x)"),
+    ({"a": "id,x\n", "b": "id,time,x,x\n5,1,1,2\n"}, "key occurs more than once: (b.5, t=1, x)"),
+])
+def test_errors_are_reported_in_reading_order(tables, error):
+    with pytest.raises(ValidusError) as caught:
+        dataset_from_csv(tables)
+    assert str(caught.value) == error
+
+
+def test_tables_and_columns_come_only_from_cells():
+    ds = dataset_from_csv({"header_only": "id,time,x\n", "no_variables": "id,time\n1,1\n", "t": "id,x\n1,2\n"})
+    assert ds.tables() == ["t"]
+    assert ds.variables("header_only") == [] and ds.variables("no_variables") == []
+    assert len(ds) == 1
+
+
+def _outcome(ingest, tables, time_column):
+    try:
+        return ingest(tables, "id", time_column)
+    except ValidusError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_ingest_matches_the_point_by_point_reference():
+    rng = random.Random(20260)
+    kinds = Counter()
+    for _ in range(4000):
+        tables = random_csv_tables(rng)
+        time_column = rng.choice(["time", "time", None])
+        expected = _outcome(reference_dataset_from_csv, tables, time_column)
+        actual = _outcome(dataset_from_csv, tables, time_column)
+        if isinstance(expected, tuple):
+            kinds[expected[0]] += 1
+            assert actual == expected, tables
+            continue
+        kinds["ok" if expected else "empty"] += 1
+        assert isinstance(actual, Dataset), (tables, actual)
+        assert {k: (type(v), v) for k, v in actual.points.items()} == {
+            k: (type(v), v) for k, v in expected.items()}, tables
+        assert actual.key_set == frozenset(expected)
+        assert len(actual) == len(expected)
+        assert actual == build_dataset(DataPoint(k, v) for k, v in expected.items())
+        order = reference_table_order(expected)
+        assert actual.tables() == sorted(order)
+        for table, (units, times, records) in order.items():
+            assert (actual.units(table), actual.times(table), actual.records(table)) == (units, times, records)
+    assert min(kinds[kind] for kind in ("ok", "empty", "CsvFormatError", "DuplicateKeyError")) >= 100, kinds
+
+
+def test_ingest_builds_no_key_or_data_point_per_cell(monkeypatch):
+    built = Counter()
+    for module in (validus.csvio, validus.model):
+        for name in ("Key", "DataPoint"):
+            def counting(*args, _name=name, _make=getattr(module, name), **kwargs):
+                built[_name] += 1
+                return _make(*args, **kwargs)
+            monkeypatch.setattr(module, name, counting)
+    text = "id,time,a,b\n" + "".join(f"{u},{t},{u * t},x\n" for u in range(20) for t in range(3))
+    ds = validus.csvio.dataset_from_csv({"t": text})
+    assert len(ds) == 120
+    assert built == Counter()

@@ -50,6 +50,15 @@ def test_record_rule_on_example_dataset():
     assert kinds == {"type_mismatch"}
 
 
+def test_entries_and_diagnostics_are_named_tuples():
+    report = evaluate_ruleset(parse_rules("r: age >= 0"), EXAMPLE, PERSON_SCHEMA)
+    assert report.entries == [("r", "person", "1", None, T), ("r", "person", "2", None, N)]
+    assert report.entries[1].result is N
+    (diagnostic,) = report.diagnostics
+    assert diagnostic[:5] == ("r", "person", "2", None, "type_mismatch")
+    assert diagnostic.message == diagnostic[5]
+
+
 def test_vacuous_implication_record():
     rules = parse_rules('r: if (job == "employed") age >= 15')
     report = evaluate_ruleset(rules, EXAMPLE, PERSON_SCHEMA)

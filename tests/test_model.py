@@ -1,6 +1,7 @@
 """Datasets: exactly-once keys, NA fill, total access."""
 
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -150,6 +151,25 @@ def test_total_on_key_set(points):
     assert outside not in ds.key_set
     with pytest.raises(MissingKeyError):
         get_value(ds, outside)
+
+
+def test_parse_value_integer_fast_path_matches_fraction():
+    rng = random.Random(4217)
+    texts = ["007", "-0", "+5", " 12 ", "1_000", "\u0663\u0664", "1\u0663", "1e3", "1/2", ".5", "NA", "", " ",
+             "+", "-", "+-1", "- 1", "9" * 5000, "-" + "9" * 5000]
+    texts += ["".join(rng.choice("0123456789+-_ ./e\u0663x") for _ in range(rng.randint(0, 6)))
+              for _ in range(20000)]
+    for text in texts:
+        stripped = text.strip()
+        if stripped in ("", "NA"):
+            expected = NA
+        else:
+            try:
+                expected = Fraction(stripped)
+            except (ValueError, ZeroDivisionError):
+                expected = text
+        value = parse_value(text)
+        assert (type(value), value) == (type(expected), expected), text[:20]
 
 
 def test_parse_value_round_trip():

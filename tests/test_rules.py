@@ -312,6 +312,16 @@ def test_fraction_literals_keep_their_value_when_formatted():
     assert format_expr(Binary("/", VarRef("x"), NumberLit(Fraction(-1, 4)))) == "x / -0.25"
 
 
+def test_format_rejects_a_set_item_without_a_decimal_form():
+    rule = Rule("s", Builtin("in_set", (VarRef("x"), SetLit((Fraction(1, 2), Fraction(1, 3))))))
+    with pytest.raises(ValueError, match="set item 1/3 has no finite decimal form"):
+        format_rule(rule)
+    # the text it would have printed does not parse back
+    with pytest.raises(RuleParseError, match="parse error at 1:16"):
+        parse_rule("s: in_set(x, {1/3})")
+    assert "Fraction(1, 3)" in repr(rule)
+
+
 def test_fraction_literals_give_the_same_verdicts_after_a_round_trip():
     rng = random.Random(7303)
     schema = parse_schema(ROUND_TRIP_SCHEMA_TEXT)
