@@ -51,13 +51,11 @@ from .model import NA, DataPoint, Dataset, Key, NAType, Value, build_dataset
 from .rules import (
     Rule,
     RuleSet,
-    SpanReport,
     format_rule,
     format_ruleset,
     negate_rule,
     parse_rule,
     parse_rules,
-    referenced_signature,
 )
 from .schema import Schema, VariableDecl, check_domain, parse_schema
 from .tribool import TriBool

@@ -35,7 +35,6 @@ from .linear import Interval, Row, feasible, make_row, project
 from .model import format_number
 from .rules import (
     COMPARE,
-    Aggregate,
     Binary,
     Builtin,
     Expr,
@@ -51,7 +50,7 @@ from .rules import (
     format_expr,
     format_rule,
     negate_expr,
-    scoped_nodes,
+    rule_scope,
 )
 from .schema import CATEGORICAL, Schema, VariableDecl
 
@@ -323,16 +322,14 @@ class _Compiler:
 
 def _check_analyzable(rule: Rule, schema: Schema) -> None:
     """Reject rules outside one record of one table, deciding the tables
-    by the schema resolution ``validate`` uses; an unknown variable is
-    left to the compiler to name."""
-    nodes = [node for node, _ in scoped_nodes(rule.body)]
-    refs = [node for node in nodes if isinstance(node, VarRef)]
-    if any(isinstance(node, Aggregate) for node in nodes):
+    by the scoping ``validate`` uses; an unknown variable is left to the
+    compiler to name."""
+    scope = rule_scope(rule, schema)
+    if scope.has_aggregate:
         raise UnsupportedForAnalysisError(rule.name, "aggregates are not record-scoped")
-    if any(ref.lag for ref in refs):
+    if scope.max_lag:
         raise UnsupportedForAnalysisError(rule.name, "lagged references span occasions")
-    resolved = (schema.lookup(ref.table, ref.variable) for ref in refs)
-    if len({hit[0] for hit in resolved if hit is not None}) > 1:
+    if len(scope.record_tables) > 1:
         raise UnsupportedForAnalysisError(rule.name, "cross-table references")
 
 

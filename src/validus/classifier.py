@@ -12,8 +12,10 @@ admissible signatures; the level is the number of m slots (0 to 4).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
-from .rules import Rule, referenced_signature
+from .rules import Rule, rule_scope
+from .schema import Schema
 
 SINGLE = "s"
 MULTI = "m"
@@ -61,19 +63,24 @@ def level_of(sig: RuleSignature) -> int:
     return [sig.type_span, sig.time_span, sig.unit_span, sig.variable_span].count(MULTI)
 
 
-def classify_rule(rule: Rule) -> RuleSignature:
-    """Read the signature off the rule's syntax.
+def classify_rule(rule: Rule, schema: Optional[Schema] = None) -> RuleSignature:
+    """Read the signature off the rule's scoping.
 
-    Multiple tables make the type span m (and force the unit and
-    variable spans to m); any aggregate or a second table makes the
-    unit span m; any lag makes the time span m; more than one distinct
-    referenced variable makes the variable span m.
+    Each reference counts under the table the schema resolves it to.
+    Without a schema, and for a name the schema does not resolve, it
+    counts under its qualifier, else the rule's only qualifier, else
+    the default table, which is no unit type of its own.  Multiple
+    tables make the type span m (and force the unit and variable spans
+    to m); any aggregate or a second table makes the unit span m; any
+    lag makes the time span m; more than one distinct (table, variable)
+    makes the variable span m.
     """
-    span = referenced_signature(rule)
-    multi_table = len(span.tables) > 1
+    scope = rule_scope(rule, schema)
+    variables = {(table or ref.table or scope.fold, ref.variable) for ref, table in scope.refs}
+    multi_table = len({table for table, _ in variables if table is not None}) > 1
     return RuleSignature(
         type_span=MULTI if multi_table else SINGLE,
-        time_span=MULTI if span.max_lag > 0 else SINGLE,
-        unit_span=MULTI if (span.has_aggregate or multi_table) else SINGLE,
-        variable_span=MULTI if len(span.variables) > 1 else SINGLE,
+        time_span=MULTI if scope.max_lag > 0 else SINGLE,
+        unit_span=MULTI if (scope.has_aggregate or multi_table) else SINGLE,
+        variable_span=MULTI if len(variables) > 1 else SINGLE,
     )

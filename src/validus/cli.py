@@ -34,24 +34,19 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Validate tabular data against a rule file, and analyze the rules themselves.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, needs_schema, needs_data in (
-        ("validate", True, True),
-        ("classify", False, False),
-        ("lint", True, False),
-        ("analyze", True, False),
-        ("simplify", True, False),
-    ):
+    for name in ("validate", "classify", "lint", "analyze", "simplify"):
         cmd = sub.add_parser(name)
         cmd.add_argument("--rules", required=True, metavar="FILE")
-        cmd.add_argument("--schema", required=needs_schema, metavar="FILE")
-        cmd.add_argument("--data", action="append", default=[], metavar="TABLE=FILE")
-        cmd.add_argument("--na-policy", choices=("propagate", "ignore"), default="propagate")
-        cmd.add_argument("--strict-na", action="store_true")
-        cmd.add_argument("--format", choices=("json", "csv"), default="json")
-        cmd.add_argument("--unit-column", default="id")
-        cmd.add_argument("--time-column", default="time")
+        cmd.add_argument("--schema", required=name != "classify", metavar="FILE")
+        if name != "simplify":
+            cmd.add_argument("--format", choices=("json", "csv"), default="json")
+        if name == "validate":
+            cmd.add_argument("--data", action="append", default=[], metavar="TABLE=FILE")
+            cmd.add_argument("--na-policy", choices=("propagate", "ignore"), default="propagate")
+            cmd.add_argument("--strict-na", action="store_true")
+            cmd.add_argument("--unit-column", default="id")
+            cmd.add_argument("--time-column", default="time")
         cmd.add_argument("-o", "--output", metavar="FILE")
-        cmd.set_defaults(needs_data=needs_data)
     return parser
 
 
@@ -61,10 +56,7 @@ def _read(path: str) -> str:
 
 
 def _load_schema(args) -> Optional[Schema]:
-    if not args.schema:
-        return None
-    schema = parse_schema(_read(args.schema))
-    return schema.with_columns(args.unit_column, args.time_column or None)
+    return parse_schema(_read(args.schema)) if args.schema else None
 
 
 def _load_data(args, schema: Schema):
@@ -76,13 +68,13 @@ def _load_data(args, schema: Schema):
         if table not in schema.tables:
             raise ValidusError(f"--data table {table!r} is not declared in the schema")
         tables[table] = _read(path)
-    return dataset_from_csv(tables, schema.unit_column, schema.time_column)
+    return dataset_from_csv(tables, args.unit_column, args.time_column or None)
 
 
-def _rule_records(rules: RuleSet) -> list[tuple[str, str, str, int]]:
+def _rule_records(rules: RuleSet, schema: Optional[Schema]) -> list[tuple[str, str, str, int]]:
     records = []
     for rule in rules:
-        sig = classify_rule(rule)
+        sig = classify_rule(rule, schema)
         records.append((rule.name, format_rule(rule), str(sig), sig.level))
     return records
 
@@ -181,7 +173,7 @@ def _cmd_validate(args) -> int:
     report = evaluate_ruleset(rules, dataset, schema, options)
     counts = report.counts()
     summary = {"per_rule": report.summary, "totals": counts, "strict_na": args.strict_na}
-    _emit_report(args, _rule_records(rules), _entry_rows(report), [], summary)
+    _emit_report(args, _rule_records(rules, schema), _entry_rows(report), [], summary)
     if counts["false"] > 0 or (args.strict_na and counts["na"] > 0):
         return EXIT_FAILURES
     if counts["na"] > 0:
@@ -190,8 +182,9 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    schema = _load_schema(args)
     rules = parse_rules(_read(args.rules))
-    _emit_report(args, _rule_records(rules), [], [], {})
+    _emit_report(args, _rule_records(rules, schema), [], [], {})
     return EXIT_OK
 
 
@@ -201,7 +194,7 @@ def _cmd_lint(args) -> int:
     findings, _, unsupported = lint_ruleset(rules, schema)
     records = [_finding_record(f) for f in findings]
     summary = {"finding_count": len(records), "unsupported": _unsupported_records(unsupported)}
-    _emit_report(args, _rule_records(rules), [], records, summary)
+    _emit_report(args, _rule_records(rules, schema), [], records, summary)
     return EXIT_OK
 
 
@@ -216,7 +209,7 @@ def _cmd_analyze(args) -> int:
         "finding_count": len(records),
         "unsupported": _unsupported_records(unsupported),
     }
-    _emit_report(args, _rule_records(rules), [], records, summary)
+    _emit_report(args, _rule_records(rules, schema), [], records, summary)
     return EXIT_INFEASIBLE if infeasible else EXIT_OK
 
 

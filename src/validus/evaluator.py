@@ -37,7 +37,7 @@ from .rules import (
     TextLit,
     Unary,
     VarRef,
-    scoped_nodes,
+    rule_scope,
 )
 from .schema import Schema
 from .tribool import TriBool, and2, implies, not_, or2
@@ -118,78 +118,55 @@ class _Evaluator:
         self.options = options
         self.notes: list[tuple[str, str]] = []
         self.plans: dict[str, Plan] = {}
-        self._resolved: dict[tuple[Optional[str], str], str] = {}
-
-    def _resolve(self, rule_name: str, ref: VarRef) -> str:
-        name = (ref.table, ref.variable)
-        if name not in self._resolved:
-            hit = self.schema.lookup(ref.table, ref.variable)
-            if hit is None:  # not cached, so each rule that uses it is named
-                shown = ref.variable if ref.table is None else f"{ref.table}.{ref.variable}"
-                raise UnknownVariableError(rule_name, shown)
-            self._resolved[name] = hit[0]
-        return self._resolved[name]
-
-    def scoping(self, rule: Rule) -> tuple[Optional[str], dict[int, str]]:
-        """The table whose records the rule is evaluated on (None for a
-        rule evaluated once per occasion) and the group table of each of
-        its aggregates, keyed by node id.  Resolves every reference, so a
-        rule whose scope is not determined fails here, whatever the data."""
-        nodes = scoped_nodes(rule.body)
-        # tables referenced directly in each scope: None or an aggregate's id
-        scope_tables: dict[Optional[int], set[str]] = {}
-        for node, scope in nodes:
-            if isinstance(node, VarRef):
-                key = None if scope is None else id(scope)
-                scope_tables.setdefault(key, set()).add(self._resolve(rule.name, node))
-        bare_tables = scope_tables.get(None, set())
-        if len(bare_tables) > 1:
-            raise IncompatibleScopeError(rule.name, "references records of several tables")
-        record_table = next(iter(bare_tables), None)
-        groups: dict[int, str] = {}
-        for node, scope in nodes:  # every aggregate comes after its enclosing one
-            if isinstance(node, Aggregate):
-                own = scope_tables.get(id(node), set())
-                if len(own) > 1:
-                    raise IncompatibleScopeError(rule.name, "one aggregate spans several tables")
-                enclosing = record_table if scope is None else groups[id(scope)]
-                group = next(iter(own), enclosing)
-                if group is None:
-                    raise IncompatibleScopeError(rule.name, "aggregate group cannot be determined")
-                groups[id(node)] = group
-        return record_table, groups
 
     def plan(self, rule: Rule) -> Plan:
-        record_table, groups = self.scoping(rule)
-        body = self.compile(rule.body, groups)
-        if record_table is not None:
+        """Scope the rule and compile it.  A rule whose scope is not
+        determined fails here, whatever the data."""
+        scope = rule_scope(rule, self.schema)
+        for ref, table in scope.refs:
+            if table is None:
+                shown = ref.variable if ref.table is None else f"{ref.table}.{ref.variable}"
+                raise UnknownVariableError(rule.name, shown)
+        if len(scope.record_tables) > 1:
+            raise IncompatibleScopeError(rule.name, "references records of several tables")
+        for _, own, group in scope.aggregates:
+            if len(own) > 1:
+                raise IncompatibleScopeError(rule.name, "one aggregate spans several tables")
+            if group is None:
+                raise IncompatibleScopeError(rule.name, "aggregate group cannot be determined")
+        # each reference's table and each aggregate's group, by node id
+        tables = {id(node): table for node, table in scope.refs}
+        tables.update((id(node), group) for node, _, group in scope.aggregates)
+        body = self.compile(rule.body, tables)
+        if scope.record_tables:
+            record_table = next(iter(scope.record_tables))
             return record_table, self.dataset.index(record_table).records, body
-        tables = sorted(set(groups.values()))
-        label = tables[0] if len(tables) == 1 else ",".join(tables) if tables else "-"
-        times = {t for table in tables for t in self.dataset.index(table).times}
+        groups = sorted({group for _, _, group in scope.aggregates})
+        label = groups[0] if len(groups) == 1 else ",".join(groups) if groups else "-"
+        times = {t for table in groups for t in self.dataset.index(table).times}
         ordered = sorted(times, key=natural_order) if times else [None]
         return label, [(None, time) for time in ordered], body
 
     # -- compilation: one closure per node ------------------------------
 
-    def compile(self, expr: Expr, groups: dict[int, str]) -> Node:
+    def compile(self, expr: Expr, tables: dict[int, str]) -> Node:
         if isinstance(expr, (NumberLit, TextLit, NALit)):
             value = NA if isinstance(expr, NALit) else expr.value
             return lambda unit, time: value
         if isinstance(expr, VarRef):
-            return self._compile_ref(expr)
+            return self._compile_ref(expr, tables[id(expr)])
         if isinstance(expr, Aggregate):
-            return self._compile_aggregate(expr, groups)
+            return self._compile_aggregate(expr, tables)
         if isinstance(expr, If):
-            cond, then = self.compile(expr.cond, groups), self.compile(expr.then, groups)
+            cond, then = self.compile(expr.cond, tables), self.compile(expr.then, tables)
             return lambda unit, time: implies(cond(unit, time), then(unit, time))
         if isinstance(expr, Unary):
-            operand = self.compile(expr.operand, groups)
+            operand = self.compile(expr.operand, tables)
             if expr.op == "not":
                 return lambda unit, time: not_(operand(unit, time))
             return self._compile_sign(expr.op, operand)
         if isinstance(expr, Binary):
-            left, right = self.compile(expr.left, groups), self.compile(expr.right, groups)
+            left, right = self.compile(expr.left, tables), self.compile(expr.right, tables)
             if expr.op in ("and", "or"):
                 connective = and2 if expr.op == "and" else or2
                 return lambda unit, time: connective(left(unit, time), right(unit, time))
@@ -197,11 +174,10 @@ class _Evaluator:
                 return self._compile_compare(expr.op, left, right)
             return self._compile_arithmetic(expr.op, left, right)
         if isinstance(expr, Builtin):
-            return self._compile_builtin(expr, groups)
+            return self._compile_builtin(expr, tables)
         raise AssertionError(f"cannot evaluate {expr!r}")
 
-    def _compile_ref(self, ref: VarRef) -> Node:
-        table = self._resolved[ref.table, ref.variable]
+    def _compile_ref(self, ref: VarRef, table: str) -> Node:
         variable, lag, notes = ref.variable, ref.lag, self.notes
         index = self.dataset.index(table)
         column = index.columns.get(variable, {})
@@ -282,8 +258,8 @@ class _Evaluator:
 
         return compare
 
-    def _compile_builtin(self, expr: Builtin, groups: dict[int, str]) -> Node:
-        arg = self.compile(expr.args[0], groups)
+    def _compile_builtin(self, expr: Builtin, tables: dict[int, str]) -> Node:
+        arg = self.compile(expr.args[0], tables)
         if expr.fn == "in_set":
             items = expr.args[1]
             assert isinstance(items, SetLit)
@@ -294,12 +270,12 @@ class _Evaluator:
         test = _TESTS[expr.fn]
         return lambda unit, time: _T if test(arg(unit, time)) else _F
 
-    def _compile_aggregate(self, expr: Aggregate, groups: dict[int, str]) -> Node:
+    def _compile_aggregate(self, expr: Aggregate, tables: dict[int, str]) -> Node:
         """An aggregate's value depends on the occasion, never on the unit,
         so it is computed once per (node, occasion).  A later use records
         the same diagnostics again, at its own entry's scope."""
-        group_table = groups[id(expr)]
-        element = self.compile(expr.arg, groups)
+        group_table = tables[id(expr)]
+        element = self.compile(expr.arg, tables)
         units = self.dataset.index(group_table).units
         fn, notes = expr.fn, self.notes
         numeric = fn != "count"

@@ -33,10 +33,11 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Optional, Union
+from typing import Iterator, NamedTuple, Optional, Union
 
 from .errors import DuplicateRuleNameError, RuleParseError, RuleTypeError
 from .model import format_number
+from .schema import Schema
 
 AGGREGATE_FNS = ("mean", "sum", "min", "max", "count")
 BUILTIN_FNS = ("is_number", "is_integer", "is_text", "is_na", "in_set")
@@ -556,39 +557,69 @@ def scoped_nodes(expr: Expr) -> list[tuple[Expr, Optional[Aggregate]]]:
     return nodes
 
 
-@dataclass(frozen=True)
-class SpanReport:
-    """What a rule touches along the four key dimensions.
+class RuleScope(NamedTuple):
+    """The tables a rule reads, from one walk of its body.
 
-    ``tables`` uses None for the default (unqualified) table.
-    ``variables`` holds (table, name) pairs; an unqualified name is
-    attributed to the single explicitly named table when there is
-    exactly one, else to the default table.
+    ``refs`` holds each reference in source order with its table.  With
+    a schema the table is the one ``Schema.lookup`` resolves, and None
+    when it resolves none.  Without one it is the qualifier, or else
+    ``fold``, the rule's only qualifier when it names one table, or else
+    None for the default table.  ``record_tables`` holds the tables that
+    references outside every aggregate read, and ``aggregates`` each
+    aggregate, enclosing ones first, with the tables its own references
+    read (not those of aggregates inside it) and its group table: its
+    one own table, else the group of the enclosing aggregate, else the
+    one record table, else None.  Only tables that are not None count.
     """
 
-    tables: frozenset[Optional[str]]
-    variables: frozenset[tuple[Optional[str], str]]
-    has_aggregate: bool
+    refs: list[tuple[VarRef, Optional[str]]]
+    fold: Optional[str]
+    record_tables: set[str]
+    aggregates: list[tuple[Aggregate, set[str], Optional[str]]]
     max_lag: int
 
+    @property
+    def has_aggregate(self) -> bool:
+        return bool(self.aggregates)
 
-def referenced_signature(rule: Rule) -> SpanReport:
-    refs: list[VarRef] = []
-    has_aggregate = False
-    for node, _ in scoped_nodes(rule.body):
+
+def rule_scope(rule: Rule, schema: Optional[Schema] = None) -> RuleScope:
+    """Scope ``rule`` in one walk.  Raises nothing: each caller turns
+    the facts into its own errors."""
+    found: list[tuple[VarRef, Optional[Aggregate]]] = []
+    aggregates: list[tuple[Aggregate, Optional[Aggregate]]] = []
+    for node, scope in scoped_nodes(rule.body):
         if isinstance(node, VarRef):
-            refs.append(node)
+            found.append((node, scope))
         elif isinstance(node, Aggregate):
-            has_aggregate = True
-    explicit = {ref.table for ref in refs if ref.table is not None}
+            aggregates.append((node, scope))
+    explicit = {ref.table for ref, _ in found if ref.table is not None}
     fold = next(iter(explicit)) if len(explicit) == 1 else None
-    variables = frozenset((ref.table or fold, ref.variable) for ref in refs)
-    return SpanReport(
-        tables=frozenset(table for table, _ in variables) or frozenset({None}),
-        variables=variables,
-        has_aggregate=has_aggregate,
-        max_lag=max((ref.lag for ref in refs), default=0),
-    )
+    refs: list[tuple[VarRef, Optional[str]]] = []
+    # tables read directly in each scope: None or an aggregate's id
+    scope_tables: dict[Optional[int], set[str]] = {}
+    max_lag = 0
+    for ref, scope in found:
+        if schema is None:
+            table = ref.table or fold
+        else:
+            hit = schema.lookup(ref.table, ref.variable)
+            table = None if hit is None else hit[0]
+        refs.append((ref, table))
+        if table is not None:
+            scope_tables.setdefault(None if scope is None else id(scope), set()).add(table)
+        if ref.lag > max_lag:
+            max_lag = ref.lag
+    record_tables = scope_tables.get(None, set())
+    record_table = next(iter(record_tables)) if len(record_tables) == 1 else None
+    groups: dict[int, Optional[str]] = {}
+    scoped: list[tuple[Aggregate, set[str], Optional[str]]] = []
+    for node, scope in aggregates:  # an aggregate comes after its enclosing one
+        own = scope_tables.get(id(node), set())
+        enclosing = record_table if scope is None else groups[id(scope)]
+        groups[id(node)] = group = None if len(own) > 1 else next(iter(own), enclosing)
+        scoped.append((node, own, group))
+    return RuleScope(refs, fold, record_tables, scoped, max_lag)
 
 
 # --- formatting ---------------------------------------------------------

@@ -17,12 +17,12 @@ Bounds are inclusive on both ends.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
 from .errors import DuplicateVariableError, SchemaSyntaxError
-from .model import Value, is_na
+from .model import Value, format_number, is_na
 from .tribool import TriBool
 
 NUMERIC = "numeric"
@@ -62,12 +62,9 @@ class VariableDecl:
 
 @dataclass(frozen=True)
 class Schema:
-    """All table declarations plus the names of the unit and time columns
-    used when ingesting CSV data."""
+    """All table declarations."""
 
     tables: dict[str, tuple[VariableDecl, ...]] = field(default_factory=dict)
-    unit_column: str = "id"
-    time_column: Optional[str] = "time"
 
     def lookup(self, table: Optional[str], variable: str) -> Optional[tuple[str, VariableDecl]]:
         """Resolve a possibly unqualified variable reference.
@@ -89,9 +86,6 @@ class Schema:
         if len(hits) == 1:
             return hits[0]
         return None
-
-    def with_columns(self, unit_column: str, time_column: Optional[str]) -> "Schema":
-        return replace(self, unit_column=unit_column, time_column=time_column)
 
 
 _DECL_RE = re.compile(
@@ -199,8 +193,6 @@ def format_schema(schema: Schema) -> str:
         for decl in schema.tables[table]:
             parts = [f"{table}.{decl.name} : {decl.kind}"]
             if decl.bounds is not None:
-                from .model import format_number
-
                 parts.append(f"[{format_number(decl.bounds[0])}, {format_number(decl.bounds[1])}]")
             if decl.levels is not None:
                 parts.append("{" + ", ".join(decl.levels) + "}")

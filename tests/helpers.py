@@ -20,7 +20,14 @@ import numpy as np
 
 from validus.analyzer import CategoricalAtom, Clause, ConstraintSystem, LinearAtom, _atom_rows
 from validus.csvio import CsvFormatError
-from validus.errors import DuplicateKeyError, RuleParseError, ValidusError
+from validus.errors import (
+    DuplicateKeyError,
+    IncompatibleScopeError,
+    RuleParseError,
+    UnknownVariableError,
+    UnsupportedForAnalysisError,
+    ValidusError,
+)
 from validus.evaluator import evaluate_ruleset
 from validus.linear import feasible
 from validus.model import NA, DataPoint, Key, natural_order
@@ -41,6 +48,7 @@ from validus.rules import (
     Unary,
     VarRef,
     format_rule,
+    scoped_nodes,
     type_check,
 )
 from validus.tribool import TriBool, and_, implies, not_, or_
@@ -1125,3 +1133,125 @@ def random_csv_tables(rng: random.Random) -> dict[str, str]:
     table than a duplicate; now and then a table with no text at all."""
     return {f"t{i}": "" if rng.random() < 0.02 else random_csv_table(rng)
             for i in range(rng.randint(1, 3))}
+
+
+# --- reference scoping: each command's own walk, before one scoping served all --
+
+def reference_scoping(rule: Rule, schema) -> tuple[Optional[str], dict[int, str]]:
+    """The evaluator's scoping as it was when it resolved names itself:
+    the table whose records the rule is evaluated on (None for a rule
+    evaluated once per occasion) and the group table of each aggregate,
+    keyed by node id; or the error that rejects the rule."""
+    resolved: dict[tuple[Optional[str], str], str] = {}
+
+    def resolve(ref: VarRef) -> str:
+        name = (ref.table, ref.variable)
+        if name not in resolved:
+            hit = schema.lookup(ref.table, ref.variable)
+            if hit is None:
+                shown = ref.variable if ref.table is None else f"{ref.table}.{ref.variable}"
+                raise UnknownVariableError(rule.name, shown)
+            resolved[name] = hit[0]
+        return resolved[name]
+
+    nodes = scoped_nodes(rule.body)
+    scope_tables: dict[Optional[int], set[str]] = {}
+    for node, scope in nodes:
+        if isinstance(node, VarRef):
+            key = None if scope is None else id(scope)
+            scope_tables.setdefault(key, set()).add(resolve(node))
+    bare_tables = scope_tables.get(None, set())
+    if len(bare_tables) > 1:
+        raise IncompatibleScopeError(rule.name, "references records of several tables")
+    record_table = next(iter(bare_tables), None)
+    groups: dict[int, str] = {}
+    for node, scope in nodes:
+        if isinstance(node, Aggregate):
+            own = scope_tables.get(id(node), set())
+            if len(own) > 1:
+                raise IncompatibleScopeError(rule.name, "one aggregate spans several tables")
+            enclosing = record_table if scope is None else groups[id(scope)]
+            group = next(iter(own), enclosing)
+            if group is None:
+                raise IncompatibleScopeError(rule.name, "aggregate group cannot be determined")
+            groups[id(node)] = group
+    return record_table, groups
+
+
+def reference_check_analyzable(rule: Rule, schema) -> None:
+    """The analyzer's fragment check as it was when it walked the rule
+    and looked names up itself."""
+    nodes = [node for node, _ in scoped_nodes(rule.body)]
+    refs = [node for node in nodes if isinstance(node, VarRef)]
+    if any(isinstance(node, Aggregate) for node in nodes):
+        raise UnsupportedForAnalysisError(rule.name, "aggregates are not record-scoped")
+    if any(ref.lag for ref in refs):
+        raise UnsupportedForAnalysisError(rule.name, "lagged references span occasions")
+    resolved = (schema.lookup(ref.table, ref.variable) for ref in refs)
+    if len({hit[0] for hit in resolved if hit is not None}) > 1:
+        raise UnsupportedForAnalysisError(rule.name, "cross-table references")
+
+
+def reference_signature(rule: Rule) -> str:
+    """The classifier's signature as it was when it read the rule's syntax
+    alone: an unqualified name is attributed to the one explicitly named
+    table when there is exactly one, else to the default table (None)."""
+    refs: list[VarRef] = []
+    has_aggregate = False
+    for node, _ in scoped_nodes(rule.body):
+        if isinstance(node, VarRef):
+            refs.append(node)
+        elif isinstance(node, Aggregate):
+            has_aggregate = True
+    explicit = {ref.table for ref in refs if ref.table is not None}
+    fold = next(iter(explicit)) if len(explicit) == 1 else None
+    variables = frozenset((ref.table or fold, ref.variable) for ref in refs)
+    tables = frozenset(table for table, _ in variables) or frozenset({None})
+    multi_table = len(tables) > 1
+    slots = (multi_table, max((ref.lag for ref in refs), default=0) > 0,
+             has_aggregate or multi_table, len(variables) > 1)
+    return "".join("m" if multi else "s" for multi in slots)
+
+
+def schema_signature_oracle(rule: Rule, schema) -> str:
+    """The signature a schema gives the rule, by plain recursion: each
+    name counts under the table ``Schema.lookup`` resolves it to, and a
+    name the schema does not resolve under its qualifier, else the
+    rule's one qualifier, else the default table, which is no unit type
+    of its own."""
+    refs: list[VarRef] = []
+    aggregates = 0
+
+    def walk(node: Expr) -> None:
+        nonlocal aggregates
+        if isinstance(node, VarRef):
+            refs.append(node)
+        elif isinstance(node, Aggregate):
+            aggregates += 1
+            walk(node.arg)
+        elif isinstance(node, Unary):
+            walk(node.operand)
+        elif isinstance(node, Binary):
+            walk(node.left)
+            walk(node.right)
+        elif isinstance(node, If):
+            walk(node.cond)
+            walk(node.then)
+        elif isinstance(node, Builtin):
+            for arg in node.args:
+                walk(arg)
+
+    walk(rule.body)
+    qualifiers = sorted({ref.table for ref in refs if ref.table is not None})
+    fold = qualifiers[0] if len(qualifiers) == 1 else None
+
+    def table_of(ref: VarRef) -> Optional[str]:
+        hit = schema.lookup(ref.table, ref.variable)
+        return hit[0] if hit is not None else ref.table or fold
+
+    variables = {(table_of(ref), ref.variable) for ref in refs}
+    unit_types = {table for table, _ in variables if table is not None}
+    multi_table = len(unit_types) > 1
+    slots = (multi_table, any(ref.lag > 0 for ref in refs),
+             aggregates > 0 or multi_table, len(variables) > 1)
+    return "".join("m" if multi else "s" for multi in slots)

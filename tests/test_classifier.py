@@ -13,6 +13,7 @@ from validus.classifier import (
     level_of,
 )
 from validus.rules import format_rule, negate_rule, parse_rule
+from validus.schema import parse_schema
 
 GOLDEN = [
     ("r: age >= 0", "ssss", 0),
@@ -64,6 +65,18 @@ def test_qualified_single_table_stays_single_type():
 def test_cross_table_forces_units_and_variables():
     sig = classify_rule(parse_rule("r: mean(trade.x) == mean(partner.x)"))
     assert sig.type_span == "m" and sig.unit_span == "m" and sig.variable_span == "m"
+
+
+def test_schema_resolves_names_before_the_fold():
+    # x is declared in table a only, so q reads two unit types, and
+    # r's unqualified y is b.y, not the a.y the fold would make it
+    schema = parse_schema("a.x : numeric\nb.y : numeric\n")
+    q = parse_rule("q: x >= mean(b.y)")
+    r = parse_rule("r: a.x >= 0 and y <= 1")
+    assert str(classify_rule(q, schema)) == "msmm" and classify_rule(q, schema).level == 3
+    assert str(classify_rule(r, schema)) == "msmm"
+    assert str(classify_rule(q)) == "ssmm"
+    assert str(classify_rule(r)) == "sssm"
 
 
 def test_generated_corpus_stays_admissible():

@@ -115,6 +115,28 @@ def test_classify_parse_error_exits_2(workspace, capsys):
     assert "error: parse error at 2:1" in capsys.readouterr().err
 
 
+AB_SCHEMA = "a.x : numeric\nb.y : numeric\n"
+
+
+def test_classify_reads_the_schema_validate_scopes_with(workspace, capsys):
+    tmp, write = workspace
+    rules = write("rules.txt", "q: x >= mean(b.y)\nr: a.x >= 0 and y <= 1\n")
+    schema = write("schema.txt", AB_SCHEMA)
+    assert run(["classify", "--rules", rules, "--schema", schema, "--format", "csv"]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == ["q,msmm,3", "r,msmm,3"]
+    assert run(["classify", "--rules", rules, "--format", "csv"]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == ["q,ssmm,2", "r,sssm,1"]
+
+    a_csv, b_csv = write("a.csv", "id,x\n1,5\n"), write("b.csv", "id,y\n1,3\n")
+    data = ["--data", f"a={a_csv}", "--data", f"b={b_csv}"]
+    code = run(["validate", "--rules", write("q.txt", "q: x >= mean(b.y)\n"), "--schema", schema] + data)
+    assert code == 0
+    record = json.loads(capsys.readouterr().out)["rules"][0]
+    assert (record["signature"], record["level"]) == ("msmm", 3)
+    assert run(["validate", "--rules", write("r.txt", "r: a.x >= 0 and y <= 1\n"), "--schema", schema] + data) == 2
+    assert capsys.readouterr().err == "error: rule 'r' cannot be scheduled: references records of several tables\n"
+
+
 def test_analyze_partial_infeasibility(workspace, capsys):
     tmp, write = workspace
     rules = 'a: if (gender == "male") income > 2000\nb: if (gender == "male") income < 1000\n'
@@ -264,3 +286,31 @@ def test_validate_names_every_rule_it_cannot_evaluate(workspace, capsys):
         "error: rule 'wage' references unknown variable 'wage'",
     ]
     assert not (tmp / "report.json").exists()
+
+
+_VALIDATE_ONLY = [["--data", "person=person.csv"], ["--na-policy", "ignore"], ["--strict-na"],
+                  ["--unit-column", "id"], ["--time-column", "time"]]
+
+
+@pytest.mark.parametrize("command, option", [
+    (command, option) for command in ("classify", "lint", "analyze", "simplify") for option in _VALIDATE_ONLY
+] + [("simplify", ["--format", "csv"])], ids=lambda value: value if isinstance(value, str) else value[0])
+def test_options_a_command_does_not_read_are_usage_errors(workspace, capsys, command, option):
+    tmp, write = workspace
+    argv = [command, "--rules", write("rules.txt", "r: age >= 0\n"), "--schema", write("schema.txt", PERSON_SCHEMA)]
+    with pytest.raises(SystemExit) as exit_info:
+        run(argv + option)
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_validate_reads_the_unit_and_time_columns(workspace, capsys):
+    tmp, write = workspace
+    panel = write("person.csv", "key,period,age\n7,2,30\n7,1,-1\n")
+    argv = ["validate", "--rules", write("rules.txt", "r: age >= 0\n"), "--schema", write("schema.txt", PERSON_SCHEMA),
+            "--data", f"person={panel}", "--format", "csv", "--unit-column", "key"]
+    assert run(argv + ["--time-column", "period"]) == 1
+    assert capsys.readouterr().out.splitlines()[1:] == ["r,person,7,1,False", "r,person,7,2,True"]
+    # with no time column, the period is one more variable and the unit repeats
+    assert run(argv + ["--time-column", ""]) == 2
+    assert "more than once" in capsys.readouterr().err

@@ -41,7 +41,7 @@ from validus.rules import (
     negate_rule,
     parse_rule,
     parse_rules,
-    referenced_signature,
+    rule_scope,
     scoped_nodes,
 )
 from validus.schema import parse_schema
@@ -238,33 +238,42 @@ def test_scoped_nodes_pair_each_node_with_its_innermost_aggregate():
     ]
 
 
+def _variables(span):
+    return frozenset((table, ref.variable) for ref, table in span.refs)
+
+
+def _tables(span):
+    return frozenset(table for ref, table in span.refs)
+
+
 def test_span_plain_rule():
-    span = referenced_signature(parse_rule("r: age >= 0"))
-    assert span.tables == frozenset({None})
-    assert span.variables == frozenset({(None, "age")})
+    span = rule_scope(parse_rule("r: age >= 0"))
+    assert _tables(span) == frozenset({None})
+    assert _variables(span) == frozenset({(None, "age")})
     assert not span.has_aggregate and span.max_lag == 0
 
 
 def test_span_two_variables():
-    span = referenced_signature(parse_rule('r: if (job == "employed") age >= 15'))
-    assert span.variables == frozenset({(None, "job"), (None, "age")})
+    span = rule_scope(parse_rule('r: if (job == "employed") age >= 15'))
+    assert _variables(span) == frozenset({(None, "job"), (None, "age")})
 
 
 def test_span_lag():
-    span = referenced_signature(parse_rule("r: abs(price - price@1) <= 0.1 * price@1"))
+    span = rule_scope(parse_rule("r: abs(price - price@1) <= 0.1 * price@1"))
     assert span.max_lag == 1 and not span.has_aggregate
 
 
 def test_span_aggregate_and_tables():
-    span = referenced_signature(parse_rule("r: mean(trade.exports) == mean(partner.imports)"))
-    assert span.tables == frozenset({"trade", "partner"})
+    span = rule_scope(parse_rule("r: mean(trade.exports) == mean(partner.imports)"))
+    assert _tables(span) == frozenset({"trade", "partner"})
     assert span.has_aggregate
+    assert [(own, group) for _, own, group in span.aggregates] == [({"trade"}, "trade"), ({"partner"}, "partner")]
 
 
 def test_span_qualifier_folds_into_single_table():
-    span = referenced_signature(parse_rule("r: trade.x >= 0 and y <= 1"))
-    assert span.tables == frozenset({"trade"})
-    assert span.variables == frozenset({("trade", "x"), ("trade", "y")})
+    span = rule_scope(parse_rule("r: trade.x >= 0 and y <= 1"))
+    assert _tables(span) == frozenset({"trade"})
+    assert _variables(span) == frozenset({("trade", "x"), ("trade", "y")})
 
 
 # --- formatting ---------------------------------------------------------------
@@ -396,7 +405,7 @@ def test_round_trip_generated(rule):
 @given(_rule_bodies)
 def test_span_stable_under_round_trip(rule):
     again = parse_rule(format_rule(rule))
-    assert referenced_signature(again) == referenced_signature(rule)
+    assert rule_scope(again) == rule_scope(rule)
 
 
 @given(_rule_bodies)
