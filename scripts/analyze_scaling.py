@@ -1,0 +1,80 @@
+"""Time ``analyze_ruleset`` on seeded random rule sets of growing size.
+
+Each rule set mixes three shapes over 12 numeric variables declared in
+[0, 100] and 2 categorical variables over {a, b, c}:
+- 40% ``x_i + x_j <= c``,
+- 30% ``if (c_k == "lvl") x_i >= c``,
+- 30% ``x_i - x_j <= c``.
+For each rule count and seed it prints the wall time of one
+``analyze_ruleset`` call and a digest of its findings, so two versions
+of the analyzer can be compared for speed and for identical output;
+then the median and the worst time per rule count.  stdlib only.
+
+    PYTHONPATH=src python scripts/analyze_scaling.py [--rules 20 30 40] [--seeds 1 10]
+"""
+
+import argparse
+import hashlib
+import random
+import statistics
+import time
+
+from validus.analyzer import analyze_ruleset
+from validus.rules import parse_rules
+from validus.schema import parse_schema
+
+NUMERIC = [f"x{i}" for i in range(12)]
+CATEGORICAL = ["c0", "c1"]
+LEVELS = ["a", "b", "c"]
+
+SCHEMA = "".join(f"t.{v} : numeric [0, 100]\n" for v in NUMERIC)
+SCHEMA += "".join(f"t.{v} : categorical {{{', '.join(LEVELS)}}}\n" for v in CATEGORICAL)
+
+
+def rule_text(rules: int, seed: int) -> str:
+    """``rules`` rules in the 40/30/30 mix, shuffled; the same text for
+    the same arguments."""
+    rng = random.Random(f"analyze-scaling:{rules}:{seed}")
+    n_sum = round(0.4 * rules)
+    n_cond = round(0.3 * rules)
+    shapes = ["sum"] * n_sum + ["cond"] * n_cond + ["diff"] * (rules - n_sum - n_cond)
+    rng.shuffle(shapes)
+    lines = []
+    for i, shape in enumerate(shapes):
+        a, b = rng.sample(NUMERIC, 2)
+        if shape == "sum":
+            body = f"{a} + {b} <= {rng.randint(40, 180)}"
+        elif shape == "cond":
+            body = f'if ({rng.choice(CATEGORICAL)} == "{rng.choice(LEVELS)}") {a} >= {rng.randint(0, 90)}'
+        else:
+            body = f"{a} - {b} <= {rng.randint(-20, 60)}"
+        lines.append(f"r{i}: {body}\n")
+    return "".join(lines)
+
+
+def digest(findings, unsupported) -> str:
+    return hashlib.sha256(repr((findings, unsupported)).encode()).hexdigest()[:16]
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--rules", type=int, nargs="+", default=[20, 30, 40], help="rule counts to time")
+    parser.add_argument("--seeds", type=int, nargs=2, default=[1, 10], metavar=("FIRST", "LAST"),
+                        help="inclusive range of seeds")
+    args = parser.parse_args()
+    schema = parse_schema(SCHEMA)
+    for rules in args.rules:
+        times = []
+        for seed in range(args.seeds[0], args.seeds[1] + 1):
+            ruleset = parse_rules(rule_text(rules, seed))
+            start = time.perf_counter()
+            findings, unsupported = analyze_ruleset(ruleset, schema)
+            elapsed = time.perf_counter() - start
+            times.append(elapsed)
+            print(f"rules {rules:3d}  seed {seed:3d}  {elapsed:9.3f} s  "
+                  f"{len(findings):3d} findings  digest {digest(findings, unsupported)}", flush=True)
+        print(f"rules {rules:3d}  median {statistics.median(times):.3f} s  worst {max(times):.3f} s", flush=True)
+
+
+if __name__ == "__main__":
+    main()

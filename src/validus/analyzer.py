@@ -25,7 +25,7 @@ a fixpoint, preserving the solution set.
 from __future__ import annotations
 
 from contextvars import ContextVar
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import wraps
 from typing import Iterable, Iterator, Optional, Union
@@ -391,36 +391,60 @@ def _atom_rows(atom: LinearAtom) -> list[Row]:
     raise ValueError(f"no direct rows for relation {atom.relation!r}")
 
 
-#: Feasibility answers of the public analyzer call in progress, keyed by
-#: the exact row tuple; unset outside such a call.
-_SOLVED: ContextVar[Optional[dict[tuple[Row, ...], Optional[dict[str, Fraction]]]]] = ContextVar(
-    "_SOLVED", default=None)
+@dataclass
+class _Memo:
+    """What the public analyzer call in progress works out once: the
+    feasibility answer of each distinct row tuple, and the rows of each
+    option of each distinct linear atom."""
+
+    solved: dict[tuple[Row, ...], Optional[dict[str, Fraction]]] = field(default_factory=dict)
+    options: dict[LinearAtom, list[list[Row]]] = field(default_factory=dict)
+
+
+#: The memo of the public analyzer call in progress; unset outside one.
+_MEMO: ContextVar[Optional[_Memo]] = ContextVar("_MEMO", default=None)
 
 
 def _solves_once(fn):
-    """Give the outermost public call one feasibility memo, shared by the
-    public calls it makes and dropped when it returns."""
+    """Give the outermost public call one memo, shared by the public
+    calls it makes and dropped when it returns."""
     @wraps(fn)
     def call(*args, **kwargs):
-        if _SOLVED.get() is not None:
+        if _MEMO.get() is not None:
             return fn(*args, **kwargs)
-        token = _SOLVED.set({})
+        token = _MEMO.set(_Memo())
         try:
             return fn(*args, **kwargs)
         finally:
-            _SOLVED.reset(token)
+            _MEMO.reset(token)
     return call
 
 
 def _solve(rows: list[Row]) -> Optional[dict[str, Fraction]]:
     """``feasible(rows)``, solved once per distinct row tuple per call."""
-    memo = _SOLVED.get()
+    memo = _MEMO.get()
     if memo is None:
         return feasible(rows)
     key = tuple(rows)
-    if key not in memo:
-        memo[key] = feasible(rows)
-    return memo[key]
+    if key not in memo.solved:
+        memo.solved[key] = feasible(rows)
+    return memo.solved[key]
+
+
+def _linear_options(atom: LinearAtom) -> list[list[Row]]:
+    """The rows each option of a linear atom adds (two options for !=,
+    else one), built once per call."""
+    memo = _MEMO.get()
+    if memo is not None and (known := memo.options.get(atom)) is not None:
+        return known
+    if atom.relation == "!=":
+        options = [_atom_rows(LinearAtom(atom.coeffs, "<", atom.constant)),
+                   _atom_rows(LinearAtom(atom.coeffs, ">", atom.constant))]
+    else:
+        options = [_atom_rows(atom)]
+    if memo is not None:
+        memo.options[atom] = options
+    return options
 
 
 def _leaves(system: ConstraintSystem) -> Iterator[tuple[dict[str, frozenset[str]], list[Row]]]:
@@ -435,6 +459,10 @@ def _leaves(system: ConstraintSystem) -> Iterator[tuple[dict[str, frozenset[str]
     """
     domains = {v: frozenset(levels) for v, levels in system.categorical_vars.items()}
     clauses = system.clauses
+    # each clause's options: a categorical atom, or the rows a linear option adds
+    plans = [[option for atom in clause.disjuncts
+              for option in ([atom] if isinstance(atom, CategoricalAtom) else _linear_options(atom))]
+             for clause in clauses]
 
     def descend(index: int, cats: dict[str, frozenset[str]], rows: list[Row],
                 checked: bool) -> Iterator[tuple[dict[str, frozenset[str]], list[Row]]]:
@@ -451,16 +479,13 @@ def _leaves(system: ConstraintSystem) -> Iterator[tuple[dict[str, frozenset[str]
                 return
         # (categories, added rows or None for a categorical option)
         options: list[tuple[dict[str, frozenset[str]], Optional[list[Row]]]] = []
-        for atom in clause.disjuncts:
-            if isinstance(atom, CategoricalAtom):
-                narrowed = cats[atom.variable] & atom.allowed
+        for option in plans[index]:
+            if isinstance(option, CategoricalAtom):
+                narrowed = cats[option.variable] & option.allowed
                 if narrowed:
-                    options.append(({**cats, atom.variable: narrowed}, None))
-            elif atom.relation == "!=":
-                options.append((cats, _atom_rows(LinearAtom(atom.coeffs, "<", atom.constant))))
-                options.append((cats, _atom_rows(LinearAtom(atom.coeffs, ">", atom.constant))))
+                    options.append(({**cats, option.variable: narrowed}, None))
             else:
-                options.append((cats, _atom_rows(atom)))
+                options.append((cats, option))
         branches = len(options) > 1
         for next_cats, added in options:
             if added is None:
@@ -545,15 +570,22 @@ def implied_bounds(system: ConstraintSystem, variable: str) -> Interval:
     """Tightest interval enclosing the attainable values of a numeric
     variable over all solutions of a satisfiable system."""
     var_id = _resolve_variable(system, variable)
-    hull: Optional[Interval] = None
+    return _hulls(system, [var_id])[var_id]
+
+
+def _hulls(system: ConstraintSystem, var_ids: list[str]) -> dict[str, Interval]:
+    """``implied_bounds`` of each of ``var_ids``, in one walk over the
+    leaves."""
+    hulls: dict[str, Interval] = {}
     for _cats, rows in _leaves(system):
-        interval = project(rows, var_id)
-        if interval is None:
-            continue
-        hull = interval if hull is None else hull.hull(interval)
-    if hull is None:
+        for var_id in var_ids:
+            interval = project(rows, var_id)
+            if interval is None:
+                continue
+            hulls[var_id] = interval if var_id not in hulls else hulls[var_id].hull(interval)
+    if len(hulls) < len(var_ids):
         raise ValueError("implied_bounds needs a satisfiable system")
-    return hull
+    return hulls
 
 
 def _resolve_variable(system: ConstraintSystem, variable: str) -> str:
@@ -572,9 +604,13 @@ def _interval_text(value: Optional[Fraction]) -> Optional[str]:
 @_solves_once
 def implied_bound_findings(system: ConstraintSystem) -> list[Finding]:
     """Fixed values and range restrictions implied by the whole set."""
-    findings = []
-    for var_id in sorted(system.numeric_vars, key=lambda v: system.label(v)):
-        interval = implied_bounds(system, var_id)
+    findings: list[Finding] = []
+    var_ids = sorted(system.numeric_vars, key=lambda v: system.label(v))
+    if not var_ids:
+        return findings
+    hulls = _hulls(system, var_ids)
+    for var_id in var_ids:
+        interval = hulls[var_id]
         label = system.label(var_id)
         declared = system.numeric_vars[var_id]
         if interval.is_point:

@@ -1,55 +1,109 @@
 """Exact feasibility of conjunctions of linear inequalities.
 
 Constraints are rows "sum of coeff*var <= bound" (or strictly below).
-Variable elimination keeps everything in exact rational arithmetic, so
-strict inequalities and degenerate systems are decided exactly, and a
-feasible system yields a rational witness by back substitution.
+Every row is kept in one normal form: its coefficients are coprime
+integers, and its bound is an ``int`` when integral and a ``Fraction``
+otherwise.  Variable elimination (Fourier-Motzkin) cancels a variable
+with gcd-reduced integer multipliers, and among rows with the same
+coefficients keeps only the tightest, which implies the others.  The
+arithmetic stays exact, so strict inequalities and degenerate systems
+are decided exactly, and a feasible system yields a rational witness by
+back substitution.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from math import gcd, lcm
+from typing import Optional, Union
 
 ZERO = Fraction(0)
+
+#: A row bound: an ``int`` when integral, else a ``Fraction``.
+Bound = Union[int, Fraction]
 
 
 @dataclass(frozen=True)
 class Row:
-    """sum(coeff * var) <= bound, strictly when ``strict``."""
+    """sum(coeff * var) <= bound, strictly when ``strict``; the
+    coefficients are coprime integers, sorted by variable."""
 
-    coeffs: tuple[tuple[str, Fraction], ...]
+    coeffs: tuple[tuple[str, int], ...]
     strict: bool
-    bound: Fraction
+    bound: Bound
 
-    def coeff(self, var: str) -> Fraction:
+    def coeff(self, var: str) -> int:
         for name, c in self.coeffs:
             if name == var:
                 return c
-        return ZERO
-
-    def evaluate(self, assignment: dict[str, Fraction]) -> Fraction:
-        return sum((c * assignment.get(v, ZERO) for v, c in self.coeffs), ZERO)
+        return 0
 
     def holds(self, assignment: dict[str, Fraction]) -> bool:
-        lhs = self.evaluate(assignment)
-        return lhs < self.bound if self.strict else lhs <= self.bound
+        num, den = _dot(self.coeffs, assignment)
+        lhs, rhs = num * self.bound.denominator, self.bound.numerator * den
+        return lhs < rhs if self.strict else lhs <= rhs
+
+
+def _dot(coeffs: tuple[tuple[str, int], ...], assignment: dict[str, Fraction],
+         skip: Optional[str] = None) -> tuple[int, int]:
+    """sum(coeff * value) over the variables other than ``skip`` (absent
+    ones count as 0), as an integer numerator and positive denominator."""
+    num, den = 0, 1
+    for v, c in coeffs:
+        value = assignment.get(v)
+        if value is None or v == skip:
+            continue
+        n, d = value.numerator, value.denominator
+        if d == den:
+            num += c * n
+        else:
+            num, den = num * d + c * n * den, den * d
+    return num, den
+
+
+def _normal(items: list[tuple[str, int]], strict: bool, bound: Bound) -> Row:
+    """The row of nonzero integer coefficients ``items`` (sorted by
+    variable) divided by their gcd."""
+    g = gcd(*(c for _, c in items))
+    if g > 1:
+        items = [(v, c // g) for v, c in items]
+        bound = Fraction(bound, g)
+    if type(bound) is Fraction and bound.denominator == 1:
+        bound = bound.numerator
+    return Row(tuple(items), strict, bound)
 
 
 def make_row(coeffs: dict[str, Fraction], strict: bool, bound) -> Row:
-    items = tuple(sorted((v, Fraction(c)) for v, c in coeffs.items() if c != 0))
-    return Row(items, strict, Fraction(bound))
+    """The normal form of sum(coeffs[v] * v) <= bound (strictly when
+    ``strict``): scaled by a positive factor to coprime integers."""
+    items = sorted((v, Fraction(c)) for v, c in coeffs.items() if c != 0)
+    scale = lcm(*(c.denominator for _, c in items))
+    return _normal([(v, (c * scale).numerator) for v, c in items], strict, Fraction(bound) * scale)
 
 
-def _scale_add(a: Row, fa: Fraction, b: Row, fb: Fraction) -> Row:
-    # fa, fb > 0 so the inequality direction is preserved
-    coeffs: dict[str, Fraction] = {}
-    for v, c in a.coeffs:
-        coeffs[v] = coeffs.get(v, ZERO) + fa * c
-    for v, c in b.coeffs:
-        coeffs[v] = coeffs.get(v, ZERO) + fb * c
-    return make_row(coeffs, a.strict or b.strict, fa * a.bound + fb * b.bound)
+def _combine(low: Row, up: Row, var: str) -> Row:
+    """The row ``low`` and ``up`` imply once ``var`` cancels; ``var`` has
+    a negative coefficient in ``low`` and a positive one in ``up``."""
+    a, b = -low.coeff(var), up.coeff(var)
+    g = gcd(a, b)
+    fl, fu = b // g, a // g  # positive, so the inequality direction is kept
+    coeffs = {v: fl * c for v, c in low.coeffs}
+    for v, c in up.coeffs:
+        coeffs[v] = coeffs.get(v, 0) + fu * c
+    items = sorted((v, c) for v, c in coeffs.items() if c)
+    return _normal(items, low.strict or up.strict, fl * low.bound + fu * up.bound)
+
+
+def _tightest(rows: list[Row]) -> list[Row]:
+    """One row per coefficient tuple: the least bound, strict on a tie.
+    The kept row implies every row it replaces."""
+    kept: dict[tuple[tuple[str, int], ...], Row] = {}
+    for row in rows:
+        best = kept.get(row.coeffs)
+        if best is None or row.bound < best.bound or (row.bound == best.bound and row.strict):
+            kept[row.coeffs] = row
+    return list(kept.values())
 
 
 def _constant_row_ok(row: Row) -> bool:
@@ -95,7 +149,7 @@ def _eliminate(rows: list[Row], keep: frozenset[str]) -> Optional[tuple[list[Row
     Returns the projected rows and the elimination trace, or None when a
     constant row already shows infeasibility.
     """
-    rows = list(dict.fromkeys(rows))
+    rows = _tightest(rows)
     trace: list[_Elimination] = []
     while True:
         pending = []
@@ -113,8 +167,8 @@ def _eliminate(rows: list[Row], keep: frozenset[str]) -> Optional[tuple[list[Row
         combined = list(rest)
         for low in lowers:
             for up in uppers:
-                combined.append(_scale_add(low, up.coeff(var), up, -low.coeff(var)))
-        rows = list(dict.fromkeys(combined))
+                combined.append(_combine(low, up, var))
+        rows = _tightest(combined)
 
 
 def _bounds_on(var: str, lowers: list[Row], uppers: list[Row],
@@ -123,18 +177,23 @@ def _bounds_on(var: str, lowers: list[Row], uppers: list[Row],
     lo: Optional[tuple[Fraction, bool]] = None
     hi: Optional[tuple[Fraction, bool]] = None
     for row in lowers:
-        c = row.coeff(var)
-        rest = row.evaluate(assignment) - c * assignment.get(var, ZERO)
-        value = (row.bound - rest) / c  # c < 0 flips into a lower bound
+        value = _solve_for(var, row, assignment)  # c < 0 flips into a lower bound
         if lo is None or value > lo[0] or (value == lo[0] and row.strict):
             lo = (value, row.strict)
     for row in uppers:
-        c = row.coeff(var)
-        rest = row.evaluate(assignment) - c * assignment.get(var, ZERO)
-        value = (row.bound - rest) / c
+        value = _solve_for(var, row, assignment)
         if hi is None or value < hi[0] or (value == hi[0] and row.strict):
             hi = (value, row.strict)
     return lo, hi
+
+
+def _solve_for(var: str, row: Row, assignment: dict[str, Fraction]) -> Fraction:
+    """The value of ``var`` at which ``row`` is tight, the other
+    variables taking their ``assignment`` values."""
+    num, den = _dot(row.coeffs, assignment, var)
+    bound = row.bound
+    # (bound - num/den) / c
+    return Fraction(bound.numerator * den - num * bound.denominator, bound.denominator * den * row.coeff(var))
 
 
 def _choose(lo: Optional[tuple[Fraction, bool]], hi: Optional[tuple[Fraction, bool]]) -> Fraction:

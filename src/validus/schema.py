@@ -65,6 +65,22 @@ class Schema:
     """All table declarations."""
 
     tables: dict[str, tuple[VariableDecl, ...]] = field(default_factory=dict)
+    #: (table or None, name) -> (table, decl), built once from ``tables``
+    _names: dict[tuple[Optional[str], str], tuple[str, VariableDecl]] = field(
+        init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        names: dict[tuple[Optional[str], str], tuple[str, VariableDecl]] = {}
+        declared: dict[str, int] = {}
+        for tbl, decls in self.tables.items():
+            for decl in decls:
+                names.setdefault((tbl, decl.name), (tbl, decl))
+                names.setdefault((None, decl.name), (tbl, decl))
+                declared[decl.name] = declared.get(decl.name, 0) + 1
+        for name, count in declared.items():
+            if count > 1:
+                del names[None, name]
+        object.__setattr__(self, "_names", names)
 
     def lookup(self, table: Optional[str], variable: str) -> Optional[tuple[str, VariableDecl]]:
         """Resolve a possibly unqualified variable reference.
@@ -72,20 +88,7 @@ class Schema:
         Unqualified names resolve when exactly one table declares them.
         Returns (table, decl) or None.
         """
-        if table is not None:
-            for decl in self.tables.get(table, ()):
-                if decl.name == variable:
-                    return table, decl
-            return None
-        hits = [
-            (tbl, decl)
-            for tbl, decls in self.tables.items()
-            for decl in decls
-            if decl.name == variable
-        ]
-        if len(hits) == 1:
-            return hits[0]
-        return None
+        return self._names.get((table, variable))
 
 
 _DECL_RE = re.compile(

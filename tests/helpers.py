@@ -29,7 +29,7 @@ from validus.errors import (
     ValidusError,
 )
 from validus.evaluator import evaluate_ruleset
-from validus.linear import feasible
+from validus.linear import Interval, feasible
 from validus.model import NA, DataPoint, Key, natural_order
 from validus.rules import (
     AGGREGATE_FNS,
@@ -234,6 +234,147 @@ def reference_witness(system: ConstraintSystem):
     return None
 
 
+# --- reference Fourier-Motzkin: the solver before integer rows -------------
+
+@dataclass(frozen=True)
+class ReferenceRow:
+    """sum(coeff * var) <= bound, strictly when ``strict``; coefficients
+    and bound are the ``Fraction``s given, not normalised."""
+
+    coeffs: tuple[tuple[str, Fraction], ...]
+    strict: bool
+    bound: Fraction
+
+    def coeff(self, var: str) -> Fraction:
+        for name, c in self.coeffs:
+            if name == var:
+                return c
+        return Fraction(0)
+
+    def evaluate(self, assignment: dict) -> Fraction:
+        return sum((c * assignment.get(v, Fraction(0)) for v, c in self.coeffs), Fraction(0))
+
+    def holds(self, assignment: dict) -> bool:
+        lhs = self.evaluate(assignment)
+        return lhs < self.bound if self.strict else lhs <= self.bound
+
+
+def reference_make_row(coeffs: dict, strict: bool, bound) -> ReferenceRow:
+    items = tuple(sorted((v, Fraction(c)) for v, c in coeffs.items() if c != 0))
+    return ReferenceRow(items, strict, Fraction(bound))
+
+
+def _ref_scale_add(a: ReferenceRow, fa: Fraction, b: ReferenceRow, fb: Fraction) -> ReferenceRow:
+    coeffs: dict = {}
+    for v, c in a.coeffs:
+        coeffs[v] = coeffs.get(v, Fraction(0)) + fa * c
+    for v, c in b.coeffs:
+        coeffs[v] = coeffs.get(v, Fraction(0)) + fb * c
+    return reference_make_row(coeffs, a.strict or b.strict, fa * a.bound + fb * b.bound)
+
+
+def _ref_split(rows: list, var: str) -> tuple[list, list, list]:
+    lowers, uppers, rest = [], [], []
+    for row in rows:
+        c = row.coeff(var)
+        (lowers if c < 0 else uppers if c > 0 else rest).append(row)
+    return lowers, uppers, rest
+
+
+def _ref_pick_var(rows: list, keep: frozenset) -> Optional[str]:
+    counts: dict = {}
+    for row in rows:
+        for v, c in row.coeffs:
+            if v in keep:
+                continue
+            lo_up = counts.setdefault(v, [0, 0])
+            lo_up[0 if c < 0 else 1] += 1
+    if not counts:
+        return None
+    return min(counts, key=lambda v: (counts[v][0] * counts[v][1], v))
+
+
+def _ref_eliminate(rows: list, keep: frozenset):
+    rows = list(dict.fromkeys(rows))
+    trace = []
+    while True:
+        pending = []
+        for row in rows:
+            if row.coeffs:
+                pending.append(row)
+            elif not (0 < row.bound if row.strict else 0 <= row.bound):
+                return None
+        rows = pending
+        var = _ref_pick_var(rows, keep)
+        if var is None:
+            return rows, trace
+        lowers, uppers, rest = _ref_split(rows, var)
+        trace.append((var, lowers, uppers))
+        combined = list(rest)
+        for low in lowers:
+            for up in uppers:
+                combined.append(_ref_scale_add(low, up.coeff(var), up, -low.coeff(var)))
+        rows = list(dict.fromkeys(combined))
+
+
+def _ref_bounds_on(var: str, lowers: list, uppers: list, assignment: dict):
+    lo = hi = None
+    for row in lowers:
+        c = row.coeff(var)
+        value = (row.bound - (row.evaluate(assignment) - c * assignment.get(var, Fraction(0)))) / c
+        if lo is None or value > lo[0] or (value == lo[0] and row.strict):
+            lo = (value, row.strict)
+    for row in uppers:
+        c = row.coeff(var)
+        value = (row.bound - (row.evaluate(assignment) - c * assignment.get(var, Fraction(0)))) / c
+        if hi is None or value < hi[0] or (value == hi[0] and row.strict):
+            hi = (value, row.strict)
+    return lo, hi
+
+
+def _ref_choose(lo, hi) -> Fraction:
+    if lo is None and hi is None:
+        return Fraction(0)
+    if lo is None:
+        return hi[0] - 1
+    if hi is None:
+        return lo[0] + 1
+    if lo[0] == hi[0]:
+        return lo[0]
+    return (lo[0] + hi[0]) / 2
+
+
+def reference_feasible(rows: list) -> Optional[dict]:
+    """``linear.feasible`` as it was over ``Fraction`` rows, keeping
+    every parallel row: a witness assignment, or None if infeasible."""
+    result = _ref_eliminate(rows, frozenset())
+    if result is None:
+        return None
+    assignment: dict = {}
+    for var, lowers, uppers in reversed(result[1]):
+        assignment[var] = _ref_choose(*_ref_bounds_on(var, lowers, uppers, assignment))
+    assert all(row.holds(assignment) for row in rows)
+    return assignment
+
+
+def reference_project(rows: list, var: str) -> Optional[Interval]:
+    """``linear.project`` as it was over ``Fraction`` rows."""
+    result = _ref_eliminate(rows, frozenset({var}))
+    if result is None:
+        return None
+    lowers, uppers, _rest = _ref_split(result[0], var)
+    lo, hi = _ref_bounds_on(var, lowers, uppers, {})
+    if lo is not None and hi is not None:
+        if lo[0] > hi[0] or (lo[0] == hi[0] and (lo[1] or hi[1])):
+            return None
+    return Interval(
+        lo=None if lo is None else lo[0],
+        lo_open=False if lo is None else lo[1],
+        hi=None if hi is None else hi[0],
+        hi_open=False if hi is None else hi[1],
+    )
+
+
 # --- exact LP oracle for general systems -----------------------------------
 
 def lp_oracle(system: ConstraintSystem) -> bool:
@@ -357,6 +498,39 @@ def random_system(rng: random.Random, multivar: bool) -> ConstraintSystem:
         categorical_vars={v: CAT_VARS[v] for v in cat_pool},
         display={},
     )
+
+
+def random_row_specs(rng: random.Random) -> list[tuple[dict, bool, Fraction]]:
+    """(coefficients, strict, bound) of a random system over up to four
+    variables: fractional coefficients and bounds, strict rows,
+    equalities as row pairs, and parallel copies with other bounds."""
+    names = NUM_VARS[:rng.randint(1, 4)]
+
+    def number(spread: int) -> Fraction:
+        return Fraction(rng.randint(-spread, spread), rng.choice([1, 1, 1, 2, 3, 6]))
+
+    specs = []
+    for _ in range(rng.randint(1, 7)):
+        coeffs = {}
+        for v in rng.sample(names, rng.randint(1, len(names))):
+            c = Fraction(0)
+            while c == 0:
+                c = number(4)
+            coeffs[v] = c
+        bound = number(8)
+        kind = rng.random()
+        if kind < 0.15:  # equality
+            specs.append((coeffs, False, bound))
+            specs.append(({v: -c for v, c in coeffs.items()}, False, -bound))
+            continue
+        specs.append((coeffs, rng.random() < 0.3, bound))
+        if kind < 0.55:  # parallel copies: scaled, with the same or another bound
+            for _ in range(rng.randint(1, 3)):
+                scale = Fraction(rng.randint(1, 4), rng.randint(1, 3))
+                moved = rng.choice([bound, bound, bound + number(2)])
+                specs.append(({v: c * scale for v, c in coeffs.items()}, rng.random() < 0.5, moved * scale))
+    rng.shuffle(specs)
+    return specs
 
 
 # rule generator covering every syntactic feature, for classifier coverage
@@ -1136,6 +1310,19 @@ def random_csv_tables(rng: random.Random) -> dict[str, str]:
 
 
 # --- reference scoping: each command's own walk, before one scoping served all --
+
+def reference_lookup(schema, table: Optional[str], variable: str):
+    """``Schema.lookup`` as a scan of every declaration: a qualified name
+    resolves in its table, an unqualified one when exactly one
+    declaration has it."""
+    if table is not None:
+        for decl in schema.tables.get(table, ()):
+            if decl.name == variable:
+                return table, decl
+        return None
+    hits = [(tbl, decl) for tbl, decls in schema.tables.items() for decl in decls if decl.name == variable]
+    return hits[0] if len(hits) == 1 else None
+
 
 def reference_scoping(rule: Rule, schema) -> tuple[Optional[str], dict[int, str]]:
     """The evaluator's scoping as it was when it resolved names itself:

@@ -7,7 +7,16 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import grid_oracle, grid_points, lp_oracle, random_system, reference_leaves, reference_witness
+from helpers import (
+    grid_oracle,
+    grid_points,
+    lp_oracle,
+    random_system,
+    reference_leaves,
+    reference_make_row,
+    reference_project,
+    reference_witness,
+)
 from validus import analyzer
 from validus.analyzer import (
     CONTRADICTION,
@@ -37,7 +46,7 @@ from validus.analyzer import (
 from validus.errors import IncompatibleScopeError, UnsupportedForAnalysisError
 from validus.evaluator import evaluate_ruleset
 from validus.linear import Interval
-from validus.model import DataPoint, Key, build_dataset
+from validus.model import DataPoint, Key, build_dataset, format_number
 from validus.rules import format_ruleset, parse_rule, parse_rules
 from validus.schema import parse_schema
 from validus.tribool import TriBool
@@ -234,6 +243,45 @@ def test_no_restriction_when_domain_is_filled():
     schema = parse_schema("t.x : numeric [0, 100]\n")
     system = compile_rules(parse_rules("r: x >= 0"), schema)
     assert implied_bound_findings(system) == []
+
+
+def test_bound_findings_equal_the_per_variable_hulls():
+    rng = random.Random(6011)
+    kinds = {FIXED_VALUE: 0, RANGE_RESTRICTION: 0}
+    checked = 0
+    while checked < 150:
+        system = random_system(rng, multivar=rng.random() < 0.5)
+        for var in system.numeric_vars:  # declare a domain for some variables
+            if rng.random() < 0.5:
+                low, high = sorted(Fraction(rng.randint(-4, 4), rng.choice([1, 2])) for _ in range(2))
+                system.numeric_vars[var] = (low, high)
+                system.clauses += [Clause((LinearAtom(((var, Fraction(1)),), ">=", low),), "domain"),
+                                   Clause((LinearAtom(((var, Fraction(1)),), "<=", high),), "domain")]
+        if not is_satisfiable(system):
+            continue
+        checked += 1
+        expected = []
+        for var in sorted(system.numeric_vars):
+            hull = implied_bounds(system, var)
+            reference = None
+            for _cats, rows in reference_leaves(system):
+                interval = reference_project([reference_make_row(dict(r.coeffs), r.strict, r.bound) for r in rows], var)
+                reference = interval if reference is None else reference.hull(interval)
+            assert hull == reference
+            declared = system.numeric_vars[var] or (None, None)
+            if hull.is_point:
+                expected.append((FIXED_VALUE, var, format_number(hull.lo), None, None))
+            elif (hull.lo, hull.lo_open, hull.hi, hull.hi_open) != (declared[0], False, declared[1], False):
+                expected.append((RANGE_RESTRICTION, var, None, _text(hull.lo), _text(hull.hi)))
+        findings = implied_bound_findings(system)
+        assert [(f.kind, f.variable, f.value, f.low, f.high) for f in findings] == expected
+        for finding in findings:
+            kinds[finding.kind] += 1
+    assert kinds[FIXED_VALUE] > 10 and kinds[RANGE_RESTRICTION] > 50
+
+
+def _text(value):
+    return None if value is None else format_number(value)
 
 
 # --- partial infeasibility -------------------------------------------------------

@@ -1,9 +1,11 @@
-"""Exact linear feasibility: goldens, witnesses, and an LP cross-check."""
+"""Exact linear feasibility: goldens, witnesses, row normal form, and
+cross-checks against an LP and the Fraction-row solver."""
 
 import random
 from fractions import Fraction
 
-from validus.linear import Interval, feasible, make_row, project
+from helpers import random_row_specs, reference_feasible, reference_make_row, reference_project
+from validus.linear import Interval, _eliminate, feasible, make_row, project
 
 
 def le(coeffs, bound):
@@ -136,3 +138,56 @@ def test_agreement_with_exact_simplex():
     for _ in range(120):
         rows = _random_rows(rng, rng.randint(1, 3), rng.randint(1, 5))
         assert (feasible(rows) is not None) == lp_feasible(rows)
+
+
+# --- integer rows -------------------------------------------------------------
+
+def test_rows_are_scaled_to_coprime_integers():
+    third = Fraction(1, 3)
+    assert make_row({"x": 2 * third, "y": 4 * third}, False, 2) == make_row({"x": 1, "y": 2}, False, 3)
+    row = make_row({"x": Fraction(-4), "y": Fraction(6), "z": Fraction(0)}, True, Fraction(-10))
+    assert row.coeffs == (("x", -2), ("y", 3)) and row.strict and row.bound == -5
+    assert all(type(c) is int for _, c in row.coeffs) and type(row.bound) is int
+    half = make_row({"x": Fraction(2)}, False, 1)
+    assert half.coeffs == (("x", 1),) and half.bound == Fraction(1, 2) and type(half.bound) is Fraction
+    assert make_row({}, False, Fraction(6, 3)).bound == 2 and type(make_row({}, False, Fraction(2)).bound) is int
+
+
+def test_parallel_rows_reduce_to_the_tightest():
+    rows = [make_row({"x": k, "y": k}, False, bound * k) for k, bound in ((1, 9), (3, 4), (2, 7), (Fraction(1, 2), 5))]
+    assert len(set(rows)) == 4
+    projected, trace = _eliminate(rows, frozenset({"x", "y"}))
+    assert projected == [make_row({"x": 1, "y": 1}, False, 4)] and trace == []
+    # on a tie the strict row stays, wherever it comes
+    for strict_at in range(3):
+        tied = [le({"x": 1, "y": 1}, 4) if i != strict_at else lt({"x": 2, "y": 2}, 8) for i in range(3)]
+        assert _eliminate(tied, frozenset({"x", "y"}))[0] == [lt({"x": 1, "y": 1}, 4)]
+    # after an elimination step: eliminating x gives y <= 4, y < 4 and y <= 5
+    rows = [le({"x": 1, "y": 1}, 4), le({"x": -1}, 0), lt({"x": 2, "y": 1}, 4), le({"x": 3, "y": 1}, 5),
+            le({"y": 1, "z": 1}, 1)]
+    projected, trace = _eliminate(rows, frozenset({"y", "z"}))
+    assert [step.var for step in trace] == ["x"]
+    assert projected == [le({"y": 1, "z": 1}, 1), lt({"y": 1}, 4)]
+
+
+def test_matches_the_fraction_row_solver():
+    rng = random.Random(2718)
+    outcomes = {True: 0, False: 0}
+    pruned = 0
+    for _ in range(600):
+        specs = random_row_specs(rng)
+        rows = [make_row(*spec) for spec in specs]
+        reference = [reference_make_row(*spec) for spec in specs]
+        pruned += len(_eliminate(rows, frozenset({"x0", "x1", "x2", "x3"}))[0]) < len(rows)
+        witness = feasible(rows)
+        assert (witness is None) == (reference_feasible(reference) is None), specs
+        outcomes[witness is not None] += 1
+        if witness is not None:
+            assert all(type(value) is Fraction for value in witness.values())
+            assert all(row.holds(witness) for row in reference)
+        for var in sorted({v for coeffs, _, _ in specs for v in coeffs}):
+            interval = project(rows, var)
+            assert interval == reference_project(reference, var), (specs, var)
+            if interval is not None:
+                assert all(end is None or type(end) is Fraction for end in (interval.lo, interval.hi))
+    assert outcomes[True] > 150 and outcomes[False] > 150 and pruned > 150

@@ -1,10 +1,12 @@
 """Schema parsing and domain membership."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from helpers import reference_lookup
 from validus.errors import DuplicateVariableError, SchemaSyntaxError
 from validus.model import NA
 from validus.schema import (
@@ -65,6 +67,30 @@ def test_lookup_resolution():
     assert schema.lookup(None, "y")[0] == "b"
     assert schema.lookup(None, "x") is None  # ambiguous
     assert schema.lookup(None, "zzz") is None
+
+
+def test_lookup_matches_a_scan_of_every_declaration():
+    rng = random.Random(404)
+    names = ["a", "b", "c", "d", "e"]
+    outcomes = {"qualified": 0, "unique": 0, "ambiguous": 0, "missing": 0}
+    for _ in range(300):
+        tables = {}
+        for table in rng.sample(["p", "q", "r", "s"], rng.randint(1, 4)):
+            tables[table] = tuple(VariableDecl(n, rng.choice(["numeric", "integer"]))
+                                  for n in rng.sample(names, rng.randint(0, 4)))
+        schema = Schema(tables)
+        for table in [None, "p", "q", "r", "s", "zz"]:
+            for name in names + ["zz"]:
+                hit = schema.lookup(table, name)
+                assert hit == reference_lookup(schema, table, name)
+                if table is not None:
+                    outcomes["qualified"] += hit is not None
+                elif hit is not None:
+                    outcomes["unique"] += 1
+                else:
+                    declared = sum(d.name == name for decls in tables.values() for d in decls)
+                    outcomes["ambiguous" if declared else "missing"] += 1
+    assert min(outcomes.values()) > 100
 
 
 def test_format_parse_round_trip():
