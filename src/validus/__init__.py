@@ -46,7 +46,7 @@ from .errors import (
     UnsupportedForAnalysisError,
     ValidusError,
 )
-from .evaluator import Entry, EvalOptions, ValidationReport, evaluate_ruleset
+from .evaluator import Entry, EvalOptions, RuleVerdicts, ValidationReport, evaluate_ruleset
 from .model import NA, DataPoint, Dataset, Key, NAType, Value, build_dataset
 from .rules import (
     Rule,

@@ -18,14 +18,17 @@ from .analyzer import INFEASIBLE, Finding, analyze_ruleset, lint_ruleset, simpli
 from .classifier import classify_rule
 from .csvio import dataset_from_csv
 from .errors import UnevaluableRulesError, ValidusError
-from .evaluator import EvalOptions, ValidationReport, evaluate_ruleset
+from .evaluator import EvalOptions, RuleVerdicts, evaluate_ruleset
 from .rules import RuleSet, format_rule, format_ruleset, parse_rules
 from .schema import Schema, parse_schema
+from .tribool import TriBool
 
 EXIT_OK = 0
 EXIT_FAILURES = 1
 EXIT_INPUT_ERROR = 2
 EXIT_INFEASIBLE = 3
+
+_T, _F, _N = TriBool.TRUE, TriBool.FALSE, TriBool.NA
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -93,14 +96,6 @@ def _unsupported_records(unsupported: list[tuple[str, str]]) -> list[dict]:
     return [{"rule": name, "reason": reason} for name, reason in unsupported]
 
 
-def _entry_rows(report: ValidationReport) -> list[tuple[str, str, str, str, str]]:
-    return [
-        (entry.rule, entry.table, "ALL" if entry.unit is None else entry.unit,
-         "ALL" if entry.time is None else entry.time, str(entry.result))
-        for entry in report.entries
-    ]
-
-
 def _emit(args, text: str) -> None:
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
@@ -109,55 +104,76 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-# a rule record and an entry as json.dumps(payload, indent=2) lays them
-# out, at depth 2
+# the report, a rule record, and an entry's three pieces as
+# json.dumps(payload, indent=2) lays them out; an entry's head holds its
+# rule and table, its middle the unit and time, its tail the result
+_REPORT_JSON = '{\n  "rules": %s,\n  "entries": %s,\n  "findings": %s,\n  "summary": %s\n}\n'
 _RULE_JSON = ('    {\n      "name": %s,\n      "text": %s,\n      "signature": %s,\n'
               '      "level": %d\n    }')
-_ENTRY_JSON = ('    {\n      "rule": %s,\n      "table": %s,\n      "unit": %s,\n'
-               '      "time": %s,\n      "result": %s\n    }')
+_ENTRY_HEAD_JSON = '    {\n      "rule": %s,\n      "table": %s,\n      "unit": '
+_ENTRY_MIDDLE_JSON = '%s,\n      "time": %s,\n      "result": '
+_ENTRY_TAIL_JSON = '%s\n    }'
+_FINDING_FIELDS = ("kind", "rule", "variable", "value", "low", "high", "evidence")
 
 
-def _json_records(key: str, rows: list[tuple]) -> str:
+def _json_entries(blocks: list[RuleVerdicts]) -> list[str]:
+    """The JSON text of each non-empty block's entries.  Every piece is
+    quoted once: a head per rule, a middle per scope of each distinct
+    scope tuple (the record rules of one table share theirs), a tail per
+    result value."""
     quote = encode_basestring_ascii
-    if key == "rules":
-        records = [_RULE_JSON % (quote(name), quote(text), quote(sig), level)
-                   for name, text, sig, level in rows]
-    else:
-        records = [_ENTRY_JSON % tuple(map(quote, row)) for row in rows]
-    return "[\n" + ",\n".join(records) + "\n  ]"
+    t, f, n = (_ENTRY_TAIL_JSON % quote(str(value)) for value in (_T, _F, _N))
+    middles: dict[int, list[str]] = {}
+    texts = []
+    for rule, table, scopes, results in blocks:
+        if not results:
+            continue
+        mids = middles.get(id(scopes))
+        if mids is None:
+            mids = middles[id(scopes)] = [
+                _ENTRY_MIDDLE_JSON % (quote("ALL" if unit is None else unit), quote("ALL" if time is None else time))
+                for unit, time in scopes]
+        head = _ENTRY_HEAD_JSON % (quote(rule), quote(table))
+        texts.append(head + (",\n" + head).join(
+            [mid + (t if v is _T else f if v is _F else n) for mid, v in zip(mids, results)]))
+    return texts
 
 
-def _json_report(payload: dict) -> str:
-    """``json.dumps(payload, indent=2)``, with the flat rule records and
-    entries written into templates: the indenting encoder runs in pure
-    Python."""
-    members = []
-    for key, value in payload.items():
-        if key in ("rules", "entries") and value:
-            text = _json_records(key, value)
-        else:
-            text = json.dumps(value, indent=2).replace("\n", "\n  ")
-        members.append(f"  {json.dumps(key)}: {text}")
-    return "{\n" + ",\n".join(members) + "\n}"
+def _json_array(items: list[str]) -> str:
+    return "[\n%s\n  ]" % ",\n".join(items) if items else "[]"
 
 
-def _emit_report(args, rules: list[tuple[str, str, str, int]],
-                 entries: list[tuple[str, str, str, str, str]], findings: list[dict], summary: dict) -> None:
+def _json_report(rules: list[tuple[str, str, str, int]], blocks: list[RuleVerdicts],
+                 findings: list[dict], summary: dict) -> str:
+    """``json.dumps(payload, indent=2) + "\\n"`` of the report.  Rule
+    records and entries are written through templates (with ``indent``
+    the encoder runs in pure Python), and entries from their pieces."""
+    quote = encode_basestring_ascii
+    records = [_RULE_JSON % (quote(name), quote(text), quote(sig), level) for name, text, sig, level in rules]
+    return _REPORT_JSON % (_json_array(records), _json_array(_json_entries(blocks)),
+                           json.dumps(findings, indent=2).replace("\n", "\n  "),
+                           json.dumps(summary, indent=2).replace("\n", "\n  "))
+
+
+def _emit_report(args, rules: list[tuple[str, str, str, int]], blocks: list[RuleVerdicts],
+                 findings: list[dict], summary: dict) -> None:
+    """Write the report.  As CSV, each command writes its own table, with
+    its header even when the table is empty: validate its entries, lint
+    and analyze their findings, classify its rules."""
     if args.format == "json":
-        payload = {"rules": rules, "entries": entries, "findings": findings, "summary": summary}
-        _emit(args, _json_report(payload) + "\n")
+        _emit(args, _json_report(rules, blocks, findings, summary))
         return
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    if entries:
-        writer.writerow(["rule", "table", "unit", "time", "result"])
-        writer.writerows(entries)
-    elif findings:
-        writer.writerow(["kind", "rule", "variable", "value", "low", "high", "evidence"])
-        for f in findings:
-            writer.writerow([f.get(k, "") for k in ("kind", "rule", "variable", "value", "low", "high", "evidence")])
+    if args.command == "validate":
+        writer.writerow(("rule", "table", "unit", "time", "result"))
+        writer.writerows((rule, table, "ALL" if unit is None else unit, "ALL" if time is None else time, str(result))
+                         for rule, table, scopes, results in blocks for (unit, time), result in zip(scopes, results))
+    elif args.command in ("lint", "analyze"):
+        writer.writerow(_FINDING_FIELDS)
+        writer.writerows([f.get(k, "") for k in _FINDING_FIELDS] for f in findings)
     else:
-        writer.writerow(["name", "signature", "level"])
+        writer.writerow(("name", "signature", "level"))
         writer.writerows((name, sig, level) for name, _, sig, level in rules)
     _emit(args, out.getvalue())
 
@@ -173,7 +189,7 @@ def _cmd_validate(args) -> int:
     report = evaluate_ruleset(rules, dataset, schema, options)
     counts = report.counts()
     summary = {"per_rule": report.summary, "totals": counts, "strict_na": args.strict_na}
-    _emit_report(args, _rule_records(rules, schema), _entry_rows(report), [], summary)
+    _emit_report(args, _rule_records(rules, schema), report.blocks, [], summary)
     if counts["false"] > 0 or (args.strict_na and counts["na"] > 0):
         return EXIT_FAILURES
     if counts["na"] > 0:

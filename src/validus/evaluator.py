@@ -18,6 +18,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, NamedTuple, Optional, Union
 
 from .errors import IncompatibleScopeError, UnevaluableRulesError, UnknownVariableError, ValidusError
@@ -77,19 +78,37 @@ class Diagnostic(NamedTuple):
     message: str
 
 
+class RuleVerdicts(NamedTuple):
+    """One rule's verdicts: ``results[i]`` is its verdict at ``scopes[i]``.
+    ``scopes`` is the tuple the rule's plan returned, so the record rules
+    of one table all hold the dataset's own ``records`` tuple."""
+
+    rule: str
+    table: str
+    scopes: tuple[tuple[Optional[str], Optional[str]], ...]
+    results: list[TriBool]
+
+
 @dataclass
 class ValidationReport:
-    entries: list[Entry] = field(default_factory=list)
+    blocks: list[RuleVerdicts] = field(default_factory=list)
     summary: dict[str, dict[str, int]] = field(default_factory=dict)
     diagnostics: list[Diagnostic] = field(default_factory=list)
 
+    @cached_property
+    def entries(self) -> list[Entry]:
+        """One ``Entry`` per verdict, in report order, built from the
+        blocks on the first read."""
+        return [Entry(rule, table, unit, time, result)
+                for rule, table, scopes, results in self.blocks
+                for (unit, time), result in zip(scopes, results)]
+
     def counts(self) -> dict[str, int]:
-        results = [entry.result for entry in self.entries]
-        return {"true": results.count(TriBool.TRUE), "false": results.count(TriBool.FALSE),
-                "na": results.count(TriBool.NA)}
+        return {key: sum(block.results.count(value) for block in self.blocks)
+                for key, value in (("true", TriBool.TRUE), ("false", TriBool.FALSE), ("na", TriBool.NA))}
 
 
-__all__ = ["EvalOptions", "Entry", "Diagnostic", "ValidationReport", "evaluate_ruleset"]
+__all__ = ["EvalOptions", "Entry", "Diagnostic", "RuleVerdicts", "ValidationReport", "evaluate_ruleset"]
 
 
 _T, _F, _N = TriBool.TRUE, TriBool.FALSE, TriBool.NA
@@ -105,7 +124,7 @@ _TESTS = {
 Node = Callable[[Optional[str], Optional[str]], Union[Value, TriBool]]
 # The rule's plan: the table its verdicts are reported under, its scopes
 # in report order, and its compiled body.
-Plan = tuple[str, list[tuple[Optional[str], Optional[str]]], Node]
+Plan = tuple[str, tuple[tuple[Optional[str], Optional[str]], ...], Node]
 
 
 class _Evaluator:
@@ -145,7 +164,7 @@ class _Evaluator:
         label = groups[0] if len(groups) == 1 else ",".join(groups) if groups else "-"
         times = {t for table in groups for t in self.dataset.index(table).times}
         ordered = sorted(times, key=natural_order) if times else [None]
-        return label, [(None, time) for time in ordered], body
+        return label, tuple((None, time) for time in ordered), body
 
     # -- compilation: one closure per node ------------------------------
 
@@ -346,8 +365,8 @@ def evaluate_ruleset(rules: RuleSet, dataset: Dataset, schema: Schema,
     Every rule is planned before the first verdict: one rule that cannot
     be evaluated raises its own error, several raise
     UnevaluableRulesError naming each in file order.  The report is
-    deterministic: entries are ordered by rule (file order), then table,
-    unit, and time in natural order.
+    deterministic: one block of verdicts per rule, in file order, each
+    over the rule's scopes (unit, then time, in natural order).
     """
     evaluator = _Evaluator(dataset, schema, options)
     failures: list[ValidusError] = []
@@ -361,7 +380,7 @@ def evaluate_ruleset(rules: RuleSet, dataset: Dataset, schema: Schema,
     if failures:
         raise UnevaluableRulesError(failures)
 
-    entries: list[Entry] = []
+    blocks: list[RuleVerdicts] = []
     summary: dict[str, dict[str, int]] = {}
     diagnostics: list[Diagnostic] = []
     notes = evaluator.notes
@@ -370,14 +389,14 @@ def evaluate_ruleset(rules: RuleSet, dataset: Dataset, schema: Schema,
         # plan built above (bench/tracer.py opens the rule's span on it)
         table, scopes, body = _rule_scoping(evaluator, rule)
         name = rule.name
-        verdicts = []
+        results: list[TriBool] = []
+        append = results.append
         for unit, time in scopes:
-            verdict = body(unit, time)
-            verdicts.append(verdict)
-            entries.append(Entry(name, table, unit, time, verdict))
+            append(body(unit, time))
             if notes:
                 diagnostics += [Diagnostic(name, table, unit, time, kind, message) for kind, message in notes]
                 notes.clear()
-        summary[name] = {"true": verdicts.count(_T), "false": verdicts.count(_F), "na": verdicts.count(_N)}
+        blocks.append(RuleVerdicts(name, table, scopes, results))
+        summary[name] = {"true": results.count(_T), "false": results.count(_F), "na": results.count(_N)}
 
-    return ValidationReport(entries=entries, summary=summary, diagnostics=diagnostics)
+    return ValidationReport(blocks=blocks, summary=summary, diagnostics=diagnostics)

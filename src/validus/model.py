@@ -131,12 +131,13 @@ Column = dict[Record, Value]
 
 class TableIndex(NamedTuple):
     """One table's records, ordered once: units and occasions in natural
-    order, records by unit then occasion, each occasion's position, and
+    order, records by unit then occasion (a tuple, since validation
+    reports hand it out as their scopes), each occasion's position, and
     the dataset's column of each variable."""
 
     units: list[str]
     times: list[Optional[str]]
-    records: list[Record]
+    records: tuple[Record, ...]
     positions: dict[Optional[str], int]
     columns: dict[str, Column]
 
@@ -197,7 +198,7 @@ class Dataset:
         if self._indexes is None:
             self._indexes = _index_tables(self._columns)
         found = self._indexes.get(table)
-        return found if found is not None else TableIndex([], [], [], {}, {})
+        return found if found is not None else TableIndex([], [], (), {}, {})
 
     def tables(self) -> list[str]:
         return sorted(self._columns)
@@ -231,7 +232,7 @@ def _index_tables(tables: dict[str, dict[str, Column]]) -> dict[str, TableIndex]
         indexes[table] = TableIndex(
             units=sorted({unit for unit, _ in pairs}, key=rank.__getitem__),
             times=times,
-            records=sorted(pairs, key=lambda r: (rank[r[0]], rank[r[1]])),
+            records=tuple(sorted(pairs, key=lambda r: (rank[r[0]], rank[r[1]]))),
             positions={time: i for i, time in enumerate(times)},
             columns=tables[table],
         )

@@ -6,10 +6,12 @@ they are used to check.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import io
 import itertools
+import json
 import random
 import re
 from dataclasses import dataclass
@@ -18,7 +20,9 @@ from typing import Optional, Union
 
 import numpy as np
 
+import validus.cli
 from validus.analyzer import CategoricalAtom, Clause, ConstraintSystem, LinearAtom, _atom_rows
+from validus.classifier import classify_rule
 from validus.csvio import CsvFormatError
 from validus.errors import (
     DuplicateKeyError,
@@ -1442,3 +1446,103 @@ def schema_signature_oracle(rule: Rule, schema) -> str:
     slots = (multi_table, any(ref.lag > 0 for ref in refs),
              aggregates > 0 or multi_table, len(variables) > 1)
     return "".join("m" if multi else "s" for multi in slots)
+
+
+# --- the report writer against json.dumps and csv.writer -----------------
+# ``report_case`` draws a rule file and tables whose reports hold empty and
+# non-empty blocks, aggregate entries (unit ALL), a panel with named
+# occasions, and units and occasions with non-ASCII characters, quotes,
+# backslashes, commas and newlines (quoted CSV cells).
+# ``reference_reports`` writes what ``validate`` should print the plain
+# way, from ``report.entries``.
+
+REPORT_SCHEMA_TEXT = ("person.x : numeric\nperson.c : categorical {a, b}\n"
+                      "trade.v : numeric\nempty.z : numeric\n")
+_REPORT_UNITS = ("1", "2", "10", "ALL", "é", "日本", 'say "hi"', "back\\slash", "two\nlines",
+                 "a,b", 'q",\n\\', "tab\there", "x y")
+_REPORT_TIMES = ("1", "2", "10", "2020-01", "é", '"t"', "n\nl")
+_REPORT_CELLS = ("1", "2.5", "-3", "0", "NA", "", "abc", "1/2")
+# rules by the tables their verdicts read: record rules give one entry per
+# record (none on an empty table), aggregate rules one per occasion
+_REPORT_RULES = {
+    "person": ("x >= 0", 'if (c == "a") x >= 1', "is_na(x) or x <= 2", "x <= 2 * mean(x)"),
+    "trade": ("v >= 0", "v - v@1 <= 1", "v <= 3 * max(v)"),
+    "empty": ("z >= 0", "not is_na(z)"),
+    "aggregate": ("mean(x) >= 1", "sum(v) <= 10", "count(z) >= 0", "max(v) >= min(x)"),
+}
+
+
+def report_case(rng: random.Random) -> tuple[str, dict[str, str]]:
+    """A rule file and {table: CSV text} over ``REPORT_SCHEMA_TEXT``.
+    Each table is empty (a header only) with some chance; about one case
+    in eight has only record rules over empty tables, so every block is
+    empty."""
+    def table(header: list[str], rows: list[list[str]]) -> str:
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\n").writerows([header] + rows)
+        return out.getvalue()
+
+    all_empty = rng.random() < 0.125
+
+    def units() -> list[str]:
+        return [] if all_empty or rng.random() < 0.25 else rng.sample(_REPORT_UNITS, rng.randint(1, 5))
+
+    person = [[u, rng.choice(_REPORT_CELLS), rng.choice(("a", "b", "NA"))] for u in units()]
+    times = rng.sample(_REPORT_TIMES, rng.randint(1, 4))
+    trade = [[u, t, rng.choice(_REPORT_CELLS)] for u in units() for t in times if rng.random() < 0.8]
+    empty = [[u, rng.choice(_REPORT_CELLS)] for u in units()] if rng.random() < 0.3 else []
+    tables = {"person": table(["id", "x", "c"], person), "trade": table(["id", "time", "v"], trade),
+              "empty": table(["id", "z"], empty)}
+    groups = ("person", "trade", "empty") if all_empty else tuple(_REPORT_RULES)
+    bodies = [body for group in groups for body in _REPORT_RULES[group] if rng.random() < 0.5]
+    if not bodies:
+        bodies = [rng.choice(_REPORT_RULES["empty"])]
+    rng.shuffle(bodies)
+    return "".join(f"r{i}: {body}\n" for i, body in enumerate(bodies)), tables
+
+
+def reference_reports(rules: RuleSet, schema, report) -> tuple[str, str]:
+    """The JSON and CSV reports ``validate`` (default options) should
+    write for ``report``: ``json.dumps(payload, indent=2)`` of the whole
+    payload, totals counted over the entries, and ``csv.writer`` over
+    the entries."""
+    records = []
+    for rule in rules:
+        sig = classify_rule(rule, schema)
+        records.append({"name": rule.name, "text": format_rule(rule), "signature": str(sig), "level": sig.level})
+    rows = [(e.rule, e.table, "ALL" if e.unit is None else e.unit, "ALL" if e.time is None else e.time,
+             str(e.result)) for e in report.entries]
+    totals = {key: sum(1 for e in report.entries if e.result is value)
+              for key, value in (("true", TriBool.TRUE), ("false", TriBool.FALSE), ("na", TriBool.NA))}
+    payload = {
+        "rules": records,
+        "entries": [dict(zip(("rule", "table", "unit", "time", "result"), row)) for row in rows],
+        "findings": [],
+        "summary": {"per_rule": report.summary, "totals": totals, "strict_na": False},
+    }
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["rule", "table", "unit", "time", "result"])
+    writer.writerows(rows)
+    return json.dumps(payload, indent=2) + "\n", out.getvalue()
+
+
+def validate_reports(workdir, rules_text: str, tables: dict[str, str]) -> tuple[str, str]:
+    """The JSON and CSV reports of ``validus validate`` on the files,
+    written in ``workdir`` (a ``pathlib.Path``)."""
+    files = {"schema.txt": REPORT_SCHEMA_TEXT, "rules.txt": rules_text}
+    files.update((f"{name}.csv", text) for name, text in tables.items())
+    for name, text in files.items():
+        (workdir / name).write_text(text, encoding="utf-8", newline="")
+    argv = ["validate", "--rules", str(workdir / "rules.txt"), "--schema", str(workdir / "schema.txt")]
+    argv += [f"--data={name}={workdir / name}.csv" for name in tables]
+    reports = []
+    for fmt in ("json", "csv"):
+        out = workdir / f"report.{fmt}"
+        with contextlib.redirect_stderr(io.StringIO()):  # the NA warning
+            code = validus.cli.main(argv + ["--format", fmt, "-o", str(out)])
+        if code not in (0, 1):
+            raise AssertionError(f"validate exited {code}")
+        with open(out, encoding="utf-8", newline="") as handle:
+            reports.append(handle.read())
+    return reports[0], reports[1]

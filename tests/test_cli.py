@@ -314,3 +314,37 @@ def test_validate_reads_the_unit_and_time_columns(workspace, capsys):
     # with no time column, the period is one more variable and the unit repeats
     assert run(argv + ["--time-column", ""]) == 2
     assert "more than once" in capsys.readouterr().err
+
+
+# --- each command's CSV table keeps its header when it is empty -----------
+
+def test_validate_csv_with_no_verdicts_writes_the_entries_header(workspace, capsys):
+    tmp, write = workspace
+    header_only = write("person.csv", "id,age\n")
+    code = run(["validate", "--rules", write("rules.txt", "a: age >= 0\n"),
+                "--schema", write("schema.txt", PERSON_SCHEMA),
+                "--data", f"person={header_only}", "--format", "csv"])
+    assert code == 0
+    assert capsys.readouterr().out == "rule,table,unit,time,result\n"
+
+
+def test_lint_csv_with_no_findings_writes_the_findings_header(workspace, capsys):
+    tmp, write = workspace
+    code = run(["lint", "--rules", write("rules.txt", "a: x >= 0\n"),
+                "--schema", write("schema.txt", XY_SCHEMA), "--format", "csv"])
+    assert code == 0
+    assert capsys.readouterr().out == "kind,rule,variable,value,low,high,evidence\n"
+
+
+def test_analyze_csv_with_no_findings_writes_the_findings_header(workspace, capsys):
+    tmp, write = workspace
+    code = run(["analyze", "--rules", write("rules.txt", 'a: if (gender == "male") income > 2000\nb: x != 0\n'),
+                "--schema", write("schema.txt", XY_SCHEMA), "--format", "csv"])
+    assert code == 0
+    assert capsys.readouterr().out == "kind,rule,variable,value,low,high,evidence\n"
+
+
+def test_classify_csv_with_no_rules_writes_the_rules_header(workspace, capsys):
+    tmp, write = workspace
+    assert run(["classify", "--rules", write("rules.txt", "# nothing\n"), "--format", "csv"]) == 0
+    assert capsys.readouterr().out == "name,signature,level\n"

@@ -105,7 +105,7 @@ def evaluator_scoping(rule):
     label, scopes, _ = evaluator.plan(rule)
     # over an empty dataset a record rule has no scopes, and a rule
     # evaluated once per occasion has the one scope (ALL, ALL)
-    return (label if scopes == [] else None), evaluator.groups
+    return (label if scopes == () else None), evaluator.groups
 
 
 def kinds(results, phrases):
