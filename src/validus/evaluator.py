@@ -22,7 +22,7 @@ from functools import cached_property
 from typing import Callable, NamedTuple, Optional, Union
 
 from .errors import IncompatibleScopeError, UnevaluableRulesError, UnknownVariableError, ValidusError
-from .model import NA, Dataset, Key, Value, is_number, is_text, natural_order
+from .model import NA, NUMBER, Dataset, Key, Number, Value, as_number, is_number, is_text, natural_order
 from .rules import (
     COMPARE,
     Aggregate,
@@ -112,7 +112,9 @@ __all__ = ["EvalOptions", "Entry", "Diagnostic", "RuleVerdicts", "ValidationRepo
 
 
 _T, _F, _N = TriBool.TRUE, TriBool.FALSE, TriBool.NA
-_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+# int / int would give a float; Fraction(a, b) is the exact quotient of any
+# two numbers, and raises ZeroDivisionError when b is zero
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": Fraction}
 _TESTS = {
     "is_number": is_number,
     "is_integer": lambda v: is_number(v) and v.denominator == 1,
@@ -169,7 +171,10 @@ class _Evaluator:
     # -- compilation: one closure per node ------------------------------
 
     def compile(self, expr: Expr, tables: dict[int, str]) -> Node:
-        if isinstance(expr, (NumberLit, TextLit, NALit)):
+        if isinstance(expr, NumberLit):
+            number = as_number(expr.value)
+            return lambda unit, time: number
+        if isinstance(expr, (TextLit, NALit)):
             value = NA if isinstance(expr, NALit) else expr.value
             return lambda unit, time: value
         if isinstance(expr, VarRef):
@@ -233,7 +238,7 @@ class _Evaluator:
             value = operand(unit, time)
             if value is NA:
                 return NA
-            if not isinstance(value, Fraction):
+            if not isinstance(value, NUMBER):
                 notes.append(("type_mismatch", f"{op} applied to text {value!r}"))
                 return NA
             return apply(value)
@@ -247,7 +252,7 @@ class _Evaluator:
             a, b = left(unit, time), right(unit, time)
             if a is NA or b is NA:
                 return NA
-            if not isinstance(a, Fraction) or not isinstance(b, Fraction):
+            if not isinstance(a, NUMBER) or not isinstance(b, NUMBER):
                 notes.append(("type_mismatch", f"arithmetic {op} on text operand"))
                 return NA
             try:
@@ -265,7 +270,7 @@ class _Evaluator:
             a, b = left(unit, time), right(unit, time)
             if a is NA or b is NA:
                 return _N
-            if isinstance(a, Fraction) and isinstance(b, Fraction):
+            if isinstance(a, NUMBER) and isinstance(b, NUMBER):
                 return _T if test(a, b) else _F
             if isinstance(a, str) and isinstance(b, str):
                 if textual:
@@ -333,18 +338,18 @@ class _Evaluator:
         return aggregate
 
 
-def _fold(fn: str, kept: list[Value]) -> Fraction:
-    """The aggregate of a non-empty group without NA."""
+def _fold(fn: str, kept: list[Value]) -> Number:
+    """The aggregate of a non-empty group without NA; every kept value is
+    a number unless ``fn`` is count."""
     if fn == "count":
-        return Fraction(len(kept))
-    numbers = [v for v in kept if isinstance(v, Fraction)]
+        return len(kept)
     if fn == "sum":
-        return sum(numbers, Fraction(0))
+        return sum(kept)
     if fn == "mean":
-        return sum(numbers, Fraction(0)) / len(numbers)
+        return Fraction(sum(kept), len(kept))
     if fn == "min":
-        return min(numbers)
-    return max(numbers)
+        return min(kept)
+    return max(kept)
 
 
 def _rule_scoping(evaluator: _Evaluator, rule: Rule) -> Plan:

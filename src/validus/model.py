@@ -1,9 +1,14 @@
 """Datasets as finite maps from composite keys to values.
 
 A value is an exact rational number, a piece of text, or the missing
-marker NA.  A key names one observed cell: which table (unit type) it
-belongs to, at which measurement occasion, for which unit, and for which
-variable.  A dataset binds every key of its key set to exactly one value.
+marker NA.  CSV ingest stores a number as an ``int`` when it is
+integral and as a ``Fraction`` otherwise; ``build_dataset`` keeps a
+caller's numbers as given.  The two types compare, hash and combine
+exactly, so code that reads values tests for a number with
+``is_number``.  A key names one observed cell: which table (unit type)
+it belongs to, at which measurement occasion, for which unit, and for
+which variable.  A dataset binds every key of its key set to exactly
+one value.
 
 A dataset stores that map by column, and only so: one dict per (table,
 variable) from (unit, occasion) to the value.  ``bind_cells`` is the one
@@ -39,8 +44,12 @@ class NAType:
 
 NA = NAType()
 
+# The types of an exact rational number
+NUMBER = (int, Fraction)
+Number = Union[int, Fraction]
+
 # A value is exactly one of: exact rational number, text, or NA.
-Value = Union[Fraction, str, NAType]
+Value = Union[int, Fraction, str, NAType]
 
 
 def is_na(value: Value) -> bool:
@@ -48,7 +57,12 @@ def is_na(value: Value) -> bool:
 
 
 def is_number(value: Value) -> bool:
-    return isinstance(value, Fraction)
+    return isinstance(value, NUMBER)
+
+
+def as_number(q: Fraction) -> Number:
+    """A rational in its stored form: an int when it is integral."""
+    return q.numerator if q.denominator == 1 else q
 
 
 def is_text(value: Value) -> bool:
@@ -56,16 +70,17 @@ def is_text(value: Value) -> bool:
 
 
 def parse_value(text: str) -> Value:
-    """Interpret raw cell text: empty or NA is missing, numeric if it
-    parses exactly, text otherwise."""
+    """Interpret raw cell text: empty or NA is missing, a number (int or
+    Fraction, as ``as_number`` stores it) if it parses exactly, text
+    otherwise."""
     stripped = text.strip()
     if stripped == "" or stripped == "NA":
         return NA
     try:
         # plain integers, the common cell, skip the Fraction regex
         if (stripped[1:] if stripped[0] in "+-" else stripped).isdigit() and stripped.isascii():
-            return Fraction(int(stripped))
-        return Fraction(stripped)
+            return int(stripped)
+        return as_number(Fraction(stripped))
     except (ValueError, ZeroDivisionError):
         return text
 
@@ -74,12 +89,12 @@ def format_value(value: Value) -> str:
     """Render a value the way ingestion reads it back (round trip)."""
     if is_na(value):
         return "NA"
-    if isinstance(value, Fraction):
+    if is_number(value):
         return format_number(value)
     return str(value)
 
 
-def format_number(q: Fraction) -> str:
+def format_number(q: Number) -> str:
     """Exact text for a rational: integer, finite decimal, or p/q."""
     if q.denominator == 1:
         return str(q.numerator)
@@ -242,15 +257,17 @@ def _index_tables(tables: dict[str, dict[str, Column]]) -> dict[str, TableIndex]
 def natural_order(label: Optional[str]):
     """Sort key for unit and time labels: numbers before text, by value.
     Numerically equal labels (``1``, ``01``, ``1.0``) order by their text,
-    so the order never depends on set iteration."""
+    so the order never depends on set iteration.  A label that does not
+    parse, such as one of more digits than ``int`` reads, orders as text,
+    as ``parse_value`` reads such a cell."""
     if label is None:
         return (0, 0, "")
-    if label.isascii() and label.isdigit():  # the common case: an int compares faster
-        return (1, int(label), label)
     try:
+        if label.isascii() and label.isdigit():  # the common case: an int compares faster
+            return (1, int(label), label)
         return (1, Fraction(label), label)
     except (ValueError, ZeroDivisionError):
-        return (2, Fraction(0), label)
+        return (2, 0, label)
 
 
 def bind_cells(tables: dict[str, dict[str, Column]], table: str, unit: str, time: Optional[str],

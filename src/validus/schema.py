@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import DuplicateVariableError, SchemaSyntaxError
-from .model import Value, format_number, is_na
+from .model import Value, format_number, is_na, is_number
 from .tribool import TriBool
 
 NUMERIC = "numeric"
@@ -174,7 +174,7 @@ def check_domain(value: Value, decl: VariableDecl) -> TriBool:
     """
     if is_na(value):
         return TriBool.of(decl.nullable)
-    if isinstance(value, Fraction):
+    if is_number(value):
         if decl.kind == CATEGORICAL:
             return TriBool.FALSE
         if decl.kind == INTEGER and value.denominator != 1:

@@ -14,6 +14,7 @@ import itertools
 import json
 import random
 import re
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -23,7 +24,7 @@ import numpy as np
 import validus.cli
 from validus.analyzer import CategoricalAtom, Clause, ConstraintSystem, LinearAtom, _atom_rows
 from validus.classifier import classify_rule
-from validus.csvio import CsvFormatError
+from validus.csvio import CsvFormatError, dataset_from_csv
 from validus.errors import (
     DuplicateKeyError,
     IncompatibleScopeError,
@@ -32,9 +33,9 @@ from validus.errors import (
     UnsupportedForAnalysisError,
     ValidusError,
 )
-from validus.evaluator import evaluate_ruleset
+from validus.evaluator import NA_POLICIES, EvalOptions, evaluate_ruleset
 from validus.linear import Interval, feasible
-from validus.model import NA, DataPoint, Key, natural_order
+from validus.model import NA, DataPoint, Key, build_dataset, natural_order
 from validus.rules import (
     AGGREGATE_FNS,
     COMPARE,
@@ -52,9 +53,11 @@ from validus.rules import (
     Unary,
     VarRef,
     format_rule,
+    parse_rules,
     scoped_nodes,
     type_check,
 )
+from validus.schema import parse_schema
 from validus.tribool import TriBool, and_, implies, not_, or_
 
 # --- three-valued truth-table oracle over rule bodies ---------------------
@@ -1133,6 +1136,11 @@ PANEL_RULES = [
      lambda o, u, t: o.cmp("<=", o.arith("-", _y(o, u, t), _y(o, u, t, 1)),
                            o.arith("-", o.agg("max", lambda v, s: _x(o, v, s, 1), t),
                                    o.agg("min", lambda v, s: _y(o, v, s), t)))),
+    # exact, but False in floats (x = 1, y = 2): division stays rational
+    ("tenths", "x / 10 + y / 10 == (x + y) / 10", "record",
+     lambda o, u, t: o.cmp("==", o.arith("+", o.arith("/", _x(o, u, t), Fraction(10)),
+                                         o.arith("/", _y(o, u, t), Fraction(10))),
+                           o.arith("/", o.arith("+", _x(o, u, t), _y(o, u, t)), Fraction(10)))),
 ]
 
 
@@ -1152,6 +1160,52 @@ def panel_oracle(cells: dict, na_policy: str):
         for kind in oracle.kinds:
             counts[name, kind] = counts.get((name, kind), 0) + 1
     return verdicts, counts
+
+
+def panel_csv(cells: dict) -> tuple[dict[str, str], dict]:
+    """The panel as CSV table ``p``, and the cells that table holds.  A
+    CSV row has every column, so a variable absent from a record that has
+    the other one is written, and read back, as NA.  Numbers are written
+    as ``str(Fraction)`` (``3``, ``-5/2``)."""
+    records = sorted({(u, t) for u, t, _ in cells})
+    held = {(u, t, var): cells.get((u, t, var)) for u, t in records for var in ("x", "y")}
+    lines = ["id,time,x,y"]
+    lines += [",".join([str(u), str(t)] + ["NA" if (v := held[u, t, var]) is None else str(v) for var in ("x", "y")])
+              for u, t in records]
+    return {"p": "\n".join(lines) + "\n"}, held
+
+
+def panel_disagreement(cells: dict) -> Optional[str]:
+    """Evaluate ``PANEL_RULES`` on the panel read both ways, through
+    ``build_dataset`` from the Fraction cells and through
+    ``dataset_from_csv`` from ``panel_csv``, under both NA policies, and
+    compare verdicts and diagnostic counts with ``panel_oracle`` over the
+    cells each dataset holds.  None if all agree, else what differs."""
+    rules = parse_rules("\n".join(f"{name}: {text}" for name, text, _, _ in PANEL_RULES))
+    schema = parse_schema(PANEL_SCHEMA_TEXT)
+    as_tribool = {True: TriBool.TRUE, False: TriBool.FALSE, None: TriBool.NA}
+    tables, held = panel_csv(cells)
+    paths = [
+        ("build_dataset", cells, build_dataset(DataPoint(Key("p", str(t), str(u), var), NA if v is None else v)
+                                               for (u, t, var), v in cells.items())),
+        ("dataset_from_csv", held, dataset_from_csv(tables)),
+    ]
+    for path, oracle_cells, dataset in paths:
+        for policy in NA_POLICIES:
+            verdicts, counts = panel_oracle(oracle_cells, policy)
+            report = evaluate_ruleset(rules, dataset, schema, EvalOptions(policy))
+            got = {(e.rule, e.unit, e.time): e.result for e in report.entries}
+            expected = {(rule, None if u is None else str(u), str(t)): as_tribool[v]
+                        for (rule, u, t), v in verdicts.items()}
+            if got != expected:
+                wrong = sorted((key for key in expected.keys() | got.keys() if got.get(key) != expected.get(key)),
+                               key=repr)[:5]
+                return (f"{path}, {policy}: verdicts differ at {wrong}: got {[got.get(key) for key in wrong]}, "
+                        f"expected {[expected.get(key) for key in wrong]}")
+            diagnostics = Counter((d.rule, d.kind) for d in report.diagnostics)
+            if diagnostics != counts:
+                return f"{path}, {policy}: diagnostics {dict(diagnostics)} != {counts}"
+    return None
 
 
 def random_panel(rng: random.Random) -> dict:

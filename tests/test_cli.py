@@ -51,6 +51,23 @@ def test_validate_example_fails_with_exit_1(workspace, capsys):
     assert verdicts[("avg", "ALL")] == "NA"
 
 
+def test_validate_orders_a_unit_label_too_long_for_int_as_text(workspace, capsys):
+    tmp, write = workspace
+    long_id = "9" * 5000  # more digits than int() reads
+    data = write("person.csv", f"id,age\n{long_id},30\n2,1\n")
+    code = run([
+        "validate",
+        "--rules", write("rules.txt", "a: age >= 0\n"),
+        "--schema", write("schema.txt", PERSON_SCHEMA),
+        "--data", f"person={data}",
+        "-o", str(tmp / "report.json"),
+    ])
+    assert code == 0
+    assert "Traceback" not in capsys.readouterr().err
+    report = json.loads((tmp / "report.json").read_text())
+    assert [(e["unit"], e["result"]) for e in report["entries"]] == [("2", "True"), (long_id, "True")]
+
+
 def test_validate_all_true_exits_0(workspace, capsys):
     tmp, write = workspace
     clean_csv = write("person.csv", "id,age,job\n1,25,employed\n")

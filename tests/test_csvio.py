@@ -134,8 +134,12 @@ def test_ingest_matches_the_point_by_point_reference():
             continue
         kinds["ok" if expected else "empty"] += 1
         assert isinstance(actual, Dataset), (tables, actual)
+        # the reference parses every number as a Fraction; ingest stores an
+        # integral one as an int
+        stored = {k: v.numerator if isinstance(v, Fraction) and v.denominator == 1 else v
+                  for k, v in expected.items()}
         assert {k: (type(v), v) for k, v in actual.points.items()} == {
-            k: (type(v), v) for k, v in expected.items()}, tables
+            k: (type(v), v) for k, v in stored.items()}, tables
         assert actual.key_set == frozenset(expected)
         assert len(actual) == len(expected)
         assert actual == build_dataset(DataPoint(k, v) for k, v in expected.items())

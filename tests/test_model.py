@@ -19,6 +19,7 @@ from validus.model import (
     format_number,
     format_value,
     get_value,
+    natural_order,
     parse_value,
 )
 
@@ -111,6 +112,28 @@ def test_index_orders_labels_as_natural_order_sorts_them():
     assert outputs[0].startswith("p ['01', '1', '1.0', '2', '10', 'a'] ['01', '1', '1.0', '2', '10', 'a']")
 
 
+def _int_first_order(label):
+    """natural_order with int() outside the try: the reference key for
+    every label int() reads (it raises ValueError on a longer one)."""
+    if label is None:
+        return (0, 0, "")
+    if label.isascii() and label.isdigit():
+        return (1, int(label), label)
+    try:
+        return (1, Fraction(label), label)
+    except (ValueError, ZeroDivisionError):
+        return (2, Fraction(0), label)
+
+
+def test_natural_order_key_is_unchanged_where_int_reads_the_label():
+    rng = random.Random(3301)
+    labels = [None, "", "007", "-0", "+5", "1_000", "\u0663\u0664", "1e3", "1/2", ".5", "1/0", "a", "9" * 4300]
+    labels += ["".join(rng.choice("0123456789+-_ ./e\u0663x") for _ in range(rng.randint(0, 7)))
+               for _ in range(20000)]
+    for label in labels:
+        assert natural_order(label) == _int_first_order(label), label
+
+
 values = st.one_of(
     st.integers(-1000, 1000).map(Fraction),
     st.text(st.characters(whitelist_categories=("Lu", "Ll", "Nd")), max_size=6),
@@ -165,7 +188,9 @@ def test_parse_value_integer_fast_path_matches_fraction():
             expected = NA
         else:
             try:
-                expected = Fraction(stripped)
+                q = Fraction(stripped)
+                # an integral number is stored as an int
+                expected = q.numerator if q.denominator == 1 else q
             except (ValueError, ZeroDivisionError):
                 expected = text
         value = parse_value(text)
