@@ -1,14 +1,17 @@
-"""Time ``analyze_ruleset`` on seeded random rule sets of growing size.
+"""Time ``analyze_ruleset`` and ``simplify_ruleset`` on seeded random rule sets.
 
-Each rule set mixes three shapes over 12 numeric variables declared in
-[0, 100] and 2 categorical variables over {a, b, c}:
+The rule sets grow in size.  Each mixes three shapes over 12 numeric
+variables declared in [0, 100] and 2 categorical variables over
+{a, b, c}:
 - 40% ``x_i + x_j <= c``,
 - 30% ``if (c_k == "lvl") x_i >= c``,
 - 30% ``x_i - x_j <= c``.
 For each rule count and seed it prints the wall time of one
-``analyze_ruleset`` call and a digest of its findings, so two versions
-of the analyzer can be compared for speed and for identical output;
-then the median and the worst time per rule count.  stdlib only.
+``analyze_ruleset`` call and a digest of its findings, then the wall
+time of one ``simplify_ruleset`` call and a digest of the simplified
+rule text and its log, so two versions of the analyzer can be compared
+for speed and for identical output; then the median and the worst time
+of each per rule count.  stdlib only.
 
     PYTHONPATH=src python scripts/analyze_scaling.py [--rules 20 30 40] [--seeds 1 10]
 """
@@ -19,8 +22,8 @@ import random
 import statistics
 import time
 
-from validus.analyzer import analyze_ruleset
-from validus.rules import parse_rules
+from validus.analyzer import analyze_ruleset, simplify_ruleset
+from validus.rules import format_ruleset, parse_rules
 from validus.schema import parse_schema
 
 NUMERIC = [f"x{i}" for i in range(12)]
@@ -52,8 +55,8 @@ def rule_text(rules: int, seed: int) -> str:
     return "".join(lines)
 
 
-def digest(findings, unsupported) -> str:
-    return hashlib.sha256(repr((findings, unsupported)).encode()).hexdigest()[:16]
+def digest(*outputs) -> str:
+    return hashlib.sha256(repr(outputs).encode()).hexdigest()[:16]
 
 
 def main() -> None:
@@ -64,16 +67,23 @@ def main() -> None:
     args = parser.parse_args()
     schema = parse_schema(SCHEMA)
     for rules in args.rules:
-        times = []
+        times, simplify_times = [], []
         for seed in range(args.seeds[0], args.seeds[1] + 1):
             ruleset = parse_rules(rule_text(rules, seed))
             start = time.perf_counter()
             findings, unsupported = analyze_ruleset(ruleset, schema)
             elapsed = time.perf_counter() - start
             times.append(elapsed)
+            start = time.perf_counter()
+            simplified, log = simplify_ruleset(ruleset, schema)
+            simplify_times.append(time.perf_counter() - start)
             print(f"rules {rules:3d}  seed {seed:3d}  {elapsed:9.3f} s  "
-                  f"{len(findings):3d} findings  digest {digest(findings, unsupported)}", flush=True)
-        print(f"rules {rules:3d}  median {statistics.median(times):.3f} s  worst {max(times):.3f} s", flush=True)
+                  f"{len(findings):3d} findings  digest {digest(findings, unsupported)}  "
+                  f"simplify {simplify_times[-1]:9.3f} s  {len(log):3d} steps  "
+                  f"digest {digest(format_ruleset(simplified), log)}", flush=True)
+        print(f"rules {rules:3d}  median {statistics.median(times):.3f} s  worst {max(times):.3f} s  "
+              f"simplify median {statistics.median(simplify_times):.3f} s  worst {max(simplify_times):.3f} s",
+              flush=True)
 
 
 if __name__ == "__main__":

@@ -1,15 +1,15 @@
 """Static analysis of rule sets over the schema-declared universes.
 
 Record-scoped rules built from linear numeric comparisons and
-categorical membership compile to conjunctions of disjunctive clauses.
+categorical membership compile to conjunctions of disjunctive clauses;
+each public call compiles each rule, and each negated claim, once.
 Satisfiability is decided exactly: clause disjuncts and categorical
 levels are case-split, and each conjunction of linear atoms goes to the
 rational elimination core.  Feasibility is checked at the leaves and
 for each option of a clause that branches, not after clauses that leave
 no choice, and each public call solves each distinct conjunction once.
-Integer-declared variables are analyzed
-over their rational relaxation, so a set that only fails over the
-integers is reported feasible.
+Integer-declared variables are analyzed over their rational relaxation,
+so a set that only fails over the integers is reported feasible.
 
 On top of the solver sit the rule-set diagnostics: tautology and
 contradiction lint for single rules, infeasibility, levels a rule set
@@ -18,8 +18,8 @@ rules, and conditional rules whose condition or consequent the rest of
 the set already decides.  Tautologies, redundancy, decided conditions
 and consequents, and ``ruleset_implies`` all ask one question through
 one probe: do the compiled rules plus the negated claim admit no
-assignment?  The simplifier applies those last three transformations to
-a fixpoint, preserving the solution set.
+assignment?  The detectors of the last three and the simplifier, which
+applies them to a fixpoint preserving the solution set, share one test.
 """
 
 from __future__ import annotations
@@ -126,10 +126,41 @@ class SatResult:
         return self.satisfiable
 
 
+# --- the per-call memo ---------------------------------------------------
+
+@dataclass
+class _Memo:
+    """What the public analyzer call in progress works out once: the
+    compiled form of each rule and of each negated claim, the
+    feasibility answer of each distinct row tuple, and the rows of each
+    option of each distinct linear atom."""
+
+    parts: dict[tuple[Rule, bool], _Part] = field(default_factory=dict)
+    solved: dict[tuple[Row, ...], Optional[dict[str, Fraction]]] = field(default_factory=dict)
+    options: dict[LinearAtom, list[list[Row]]] = field(default_factory=dict)
+
+
+#: The memo of the public analyzer call in progress; unset outside one.
+_MEMO: ContextVar[Optional[_Memo]] = ContextVar("_MEMO", default=None)
+
+
+def _solves_once(fn):
+    """Give the outermost public call one memo, shared by the public
+    calls it makes and dropped when it returns."""
+    @wraps(fn)
+    def call(*args, **kwargs):
+        if _MEMO.get() is not None:
+            return fn(*args, **kwargs)
+        token = _MEMO.set(_Memo())
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            _MEMO.reset(token)
+    return call
+
+
 # --- compilation ---------------------------------------------------------
 
-_TRUE = "true"
-_FALSE = "false"
 _CNF = list  # list of disjunct tuples
 
 
@@ -333,18 +364,20 @@ def _check_analyzable(rule: Rule, schema: Schema) -> None:
         raise UnsupportedForAnalysisError(rule.name, "cross-table references")
 
 
-def compile_rule_clauses(rule: Rule, schema: Schema, negated: bool = False) -> tuple[_Compiler, _CNF]:
-    _check_analyzable(rule, schema)
-    compiler = _Compiler(rule.name, schema)
-    return compiler, compiler.cnf(negate_expr(rule.body) if negated else rule.body)
-
-
 #: One compiled rule: (clause origin, compiler with its variables, clauses).
 _Part = tuple[str, _Compiler, _CNF]
 
 
-def _compile_part(rule: Rule, schema: Schema) -> _Part:
-    return (rule.name, *compile_rule_clauses(rule, schema))
+def _compile(rule: Rule, schema: Schema, negated: bool = False) -> _Part:
+    """``rule``, or its negation, in clause form, from the memo of the
+    public call in progress: each is compiled once per call."""
+    parts = _MEMO.get().parts
+    if (part := parts.get((rule, negated))) is None:
+        _check_analyzable(rule, schema)
+        compiler = _Compiler(rule.name, schema)
+        cnf = compiler.cnf(negate_expr(rule.body) if negated else rule.body)
+        part = parts[rule, negated] = (f"not:{rule.name}" if negated else rule.name, compiler, cnf)
+    return part
 
 
 def _build_system(parts: Iterable[_Part]) -> ConstraintSystem:
@@ -368,9 +401,10 @@ def _build_system(parts: Iterable[_Part]) -> ConstraintSystem:
     return ConstraintSystem(clauses, numeric, categorical, display)
 
 
+@_solves_once
 def compile_rules(rules: RuleSet, schema: Schema) -> ConstraintSystem:
     """Conjoin every rule into one clause system over the schema domains."""
-    return _build_system([_compile_part(rule, schema) for rule in rules])
+    return _build_system([_compile(rule, schema) for rule in rules])
 
 
 # --- satisfiability -------------------------------------------------------
@@ -389,35 +423,6 @@ def _atom_rows(atom: LinearAtom) -> list[Row]:
     if atom.relation == "==":
         return [make_row(coeffs, False, atom.constant), make_row(negated, False, -atom.constant)]
     raise ValueError(f"no direct rows for relation {atom.relation!r}")
-
-
-@dataclass
-class _Memo:
-    """What the public analyzer call in progress works out once: the
-    feasibility answer of each distinct row tuple, and the rows of each
-    option of each distinct linear atom."""
-
-    solved: dict[tuple[Row, ...], Optional[dict[str, Fraction]]] = field(default_factory=dict)
-    options: dict[LinearAtom, list[list[Row]]] = field(default_factory=dict)
-
-
-#: The memo of the public analyzer call in progress; unset outside one.
-_MEMO: ContextVar[Optional[_Memo]] = ContextVar("_MEMO", default=None)
-
-
-def _solves_once(fn):
-    """Give the outermost public call one memo, shared by the public
-    calls it makes and dropped when it returns."""
-    @wraps(fn)
-    def call(*args, **kwargs):
-        if _MEMO.get() is not None:
-            return fn(*args, **kwargs)
-        token = _MEMO.set(_Memo())
-        try:
-            return fn(*args, **kwargs)
-        finally:
-            _MEMO.reset(token)
-    return call
 
 
 def _solve(rows: list[Row]) -> Optional[dict[str, Fraction]]:
@@ -540,8 +545,23 @@ def is_satisfiable(system: ConstraintSystem) -> SatResult:
 def _entails(parts: list[_Part], claim: Rule, schema: Schema) -> bool:
     """True when the compiled rules ``parts`` entail ``claim``: the rules
     plus the negated claim are unsatisfiable over the declared domains."""
-    negation = (f"not:{claim.name}", *compile_rule_clauses(claim, schema, negated=True))
-    return not is_satisfiable(_build_system([*parts, negation]))
+    return not is_satisfiable(_build_system([*parts, _compile(claim, schema, negated=True)]))
+
+
+#: The branch of a conditional each branch finding says the set entails.
+_BRANCHES = {NONRELAXING: ("cond", "condition"), NONCONSTRAINING: ("then", "consequent")}
+
+
+def _fires(kind: str, rule: Rule, parts: list[_Part], schema: Schema) -> bool:
+    """Whether ``rule`` is a finding of ``kind`` within the compiled rules
+    ``parts``: REDUNDANT when the other rules entail it, NONRELAXING or
+    NONCONSTRAINING when they all entail its condition or consequent."""
+    if kind == REDUNDANT:
+        return _entails([part for part in parts if part[0] != rule.name], rule, schema)
+    if not isinstance(rule.body, If):
+        return False
+    branch = getattr(rule.body, _BRANCHES[kind][0])
+    return _entails(parts, Rule(rule.name, branch, rule.source_span), schema)
 
 
 # --- findings -------------------------------------------------------------
@@ -550,7 +570,7 @@ def _entails(parts: list[_Part], claim: Rule, schema: Schema) -> bool:
 def lint_rule(rule: Rule, schema: Schema) -> Optional[Finding]:
     """Tautology or contradiction verdict for one rule over the schema
     domains, None for a genuine validation rule."""
-    if not is_satisfiable(_build_system([_compile_part(rule, schema)])):
+    if not is_satisfiable(_build_system([_compile(rule, schema)])):
         return Finding(
             kind=CONTRADICTION,
             rule=rule.name,
@@ -671,67 +691,62 @@ def detect_partial_infeasibility(system: ConstraintSystem) -> list[Finding]:
     return findings
 
 
+def _detect(kind: str, rules: RuleSet, schema: Schema) -> list[Finding]:
+    """The rules of ``rules`` that are a finding of ``kind``, in order."""
+    parts = [_compile(rule, schema) for rule in rules]
+    findings = []
+    for rule in rules:
+        if not _fires(kind, rule, parts, schema):
+            continue
+        if kind == REDUNDANT:
+            evidence = f"the other rules plus the negation of {format_rule(rule)!r} are unsatisfiable"
+        else:
+            branch, noun = _BRANCHES[kind]
+            evidence = (f"the rule set plus the negation of the {noun} "
+                        f"{format_expr(getattr(rule.body, branch))!r} is unsatisfiable")
+        findings.append(Finding(kind=kind, rule=rule.name, evidence=evidence))
+    return findings
+
+
 @_solves_once
 def detect_redundant(rules: RuleSet, schema: Schema) -> list[Finding]:
     """Rules already implied by the rest of the set."""
-    parts = [_compile_part(rule, schema) for rule in rules]
-    findings = []
-    for i, rule in enumerate(rules):
-        if _entails(parts[:i] + parts[i + 1:], rule, schema):
-            findings.append(Finding(
-                kind=REDUNDANT,
-                rule=rule.name,
-                evidence=f"the other rules plus the negation of {format_rule(rule)!r} are unsatisfiable",
-            ))
-    return findings
-
-
-def _entailed_branches(rules: RuleSet, schema: Schema, kind: str, branch: str, noun: str) -> list[Finding]:
-    """Conditional rules whose ``branch`` ("cond" or "then") the set entails."""
-    parts = [_compile_part(rule, schema) for rule in rules]
-    findings = []
-    for rule in rules:
-        if not isinstance(rule.body, If):
-            continue
-        claim = getattr(rule.body, branch)
-        if _entails(parts, Rule(rule.name, claim, rule.source_span), schema):
-            findings.append(Finding(
-                kind=kind,
-                rule=rule.name,
-                evidence=f"the rule set plus the negation of the {noun} "
-                         f"{format_expr(claim)!r} is unsatisfiable",
-            ))
-    return findings
+    return _detect(REDUNDANT, rules, schema)
 
 
 @_solves_once
 def detect_nonrelaxing(rules: RuleSet, schema: Schema) -> list[Finding]:
     """Conditional rules whose condition the set forces to be true."""
-    return _entailed_branches(rules, schema, NONRELAXING, "cond", "condition")
+    return _detect(NONRELAXING, rules, schema)
 
 
 @_solves_once
 def detect_nonconstraining(rules: RuleSet, schema: Schema) -> list[Finding]:
     """Conditional rules whose consequent already holds on every solution."""
-    return _entailed_branches(rules, schema, NONCONSTRAINING, "then", "consequent")
+    return _detect(NONCONSTRAINING, rules, schema)
+
+
+def _split(rules: RuleSet, schema: Schema) -> tuple[list[Rule], list[tuple[str, str]]]:
+    """(the analyzable rules, and the name and reason of each rule
+    outside the analyzable fragment)."""
+    supported: list[Rule] = []
+    unsupported: list[tuple[str, str]] = []
+    for rule in rules:
+        try:
+            _compile(rule, schema)
+        except UnsupportedForAnalysisError as exc:
+            unsupported.append((rule.name, exc.reason))
+        else:
+            supported.append(rule)
+    return supported, unsupported
 
 
 @_solves_once
 def lint_ruleset(rules: RuleSet, schema: Schema) -> tuple[list[Finding], RuleSet, list[tuple[str, str]]]:
     """Lint every rule; returns (findings, the analyzable rules, and the
     name and reason of each rule outside the analyzable fragment)."""
-    findings: list[Finding] = []
-    supported: list[Rule] = []
-    unsupported: list[tuple[str, str]] = []
-    for rule in rules:
-        try:
-            finding = lint_rule(rule, schema)
-        except UnsupportedForAnalysisError as exc:
-            unsupported.append((rule.name, exc.reason))
-            continue
-        supported.append(rule)
-        if finding is not None:
-            findings.append(finding)
+    supported, unsupported = _split(rules, schema)
+    findings = [finding for rule in supported if (finding := lint_rule(rule, schema)) is not None]
     return findings, RuleSet(tuple(supported)), unsupported
 
 
@@ -762,7 +777,7 @@ def analyze_ruleset(rules: RuleSet, schema: Schema) -> tuple[list[Finding], list
 def ruleset_implies(stronger: RuleSet, weaker: RuleSet, schema: Schema) -> bool:
     """True when every solution of ``stronger`` satisfies every rule of
     ``weaker`` (checked rule by rule via unsatisfiability probes)."""
-    parts = [_compile_part(rule, schema) for rule in stronger]
+    parts = [_compile(rule, schema) for rule in stronger]
     return all(_entails(parts, rule, schema) for rule in weaker)
 
 
@@ -792,41 +807,27 @@ def simplify_ruleset(rules: RuleSet, schema: Schema) -> tuple[RuleSet, list[Simp
     call; the redundancy probe is asked again, since the other rules
     change.
     """
-    compiled: dict[str, _Part] = {}
-    for rule in rules:
-        try:
-            compiled[rule.name] = _compile_part(rule, schema)
-        except UnsupportedForAnalysisError:
-            continue
+    supported, unsupported = _split(rules, schema)
+    if not is_satisfiable(_build_system([_compile(rule, schema) for rule in supported])):
+        return rules, [SimplifyStep(action="infeasible", rule="", before="", after=None,
+                                    probe="the conjunction of all rules is unsatisfiable")]
 
-    if not is_satisfiable(_build_system(compiled.values())):
-        step = SimplifyStep(
-            action="infeasible", rule="", before="", after=None,
-            probe="the conjunction of all rules is unsatisfiable",
-        )
-        return rules, [step]
-
+    kept = {name for name, _reason in unsupported}
     current = rules
     log: list[SimplifyStep] = []
     settled: set[Rule] = set()
     while True:
-        for rule in current:
-            if rule.name not in compiled:
-                continue
-            parts = [compiled[r.name] for r in current if r.name in compiled]
-            rewrite = _first_rewrite(rule, parts, schema, settled)
-            if rewrite is None:
+        analyzable = [rule for rule in current if rule.name not in kept]
+        parts = [_compile(rule, schema) for rule in analyzable]
+        for rule in analyzable:
+            if (rewrite := _first_rewrite(rule, parts, schema, settled)) is None:
                 continue
             action, new_rule, probe = rewrite
             log.append(SimplifyStep(
                 action=action, rule=rule.name, before=format_rule(rule),
                 after=None if new_rule is None else format_rule(new_rule), probe=probe,
             ))
-            if new_rule is None:
-                current = current.without(rule.name)
-            else:
-                current = current.replacing(rule.name, new_rule)
-                compiled[rule.name] = _compile_part(new_rule, schema)
+            current = current.without(rule.name) if new_rule is None else current.replacing(rule.name, new_rule)
             break
         else:
             return current, log
@@ -840,12 +841,11 @@ def _first_rewrite(rule: Rule, parts: list[_Part], schema: Schema,
     set entails, and gains ``rule`` when that is found."""
     if isinstance(rule.body, If) and rule not in settled:
         consequent = Rule(rule.name, rule.body.then, rule.source_span)
-        if _entails(parts, Rule(rule.name, rule.body.cond, rule.source_span), schema):
+        if _fires(NONRELAXING, rule, parts, schema):
             return "nonrelaxing", consequent, "rule set plus negated condition is unsatisfiable"
-        if _entails(parts, consequent, schema):
+        if _fires(NONCONSTRAINING, rule, parts, schema):
             return "nonconstraining", consequent, "rule set plus negated consequent is unsatisfiable"
         settled.add(rule)
-    others = [part for part in parts if part[0] != rule.name]
-    if _entails(others, rule, schema):
+    if _fires(REDUNDANT, rule, parts, schema):
         return "drop_redundant", None, "remaining rules plus the negated rule are unsatisfiable"
     return None

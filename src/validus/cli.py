@@ -55,7 +55,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+        try:
+            return handle.read()
+        except UnicodeDecodeError as exc:
+            raise ValidusError(f"{path} is not UTF-8 text: {exc.reason}") from None
 
 
 def _load_schema(args) -> Optional[Schema]:
@@ -260,6 +263,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return _COMMANDS[args.command](args)
     except FileNotFoundError as exc:
         print(f"error: no such file: {exc.filename}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    except OSError as exc:  # a directory, no permission, a full disk, ...
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except ValidusError as exc:
         for error in exc.errors if isinstance(exc, UnevaluableRulesError) else [exc]:

@@ -22,8 +22,11 @@ from validus.analyzer import (
     CONTRADICTION,
     FIXED_VALUE,
     INFEASIBLE,
+    NONCONSTRAINING,
+    NONRELAXING,
     PARTIAL_INFEASIBILITY,
     RANGE_RESTRICTION,
+    REDUNDANT,
     TAUTOLOGY,
     CategoricalAtom,
     Clause,
@@ -380,7 +383,14 @@ def test_simplify_preserves_solution_set():
         "a: x >= 0\nb: x >= 0\nc: if (x >= 0) y >= 1\nd: y >= 0",
     ]:
         rules = parse_rules(text)
-        simplified, _ = simplify_ruleset(rules, SCHEMA)
+        simplified, log = simplify_ruleset(rules, SCHEMA)
+        # the first step is the first detector finding, by rule and then
+        # nonrelaxing, nonconstraining, redundant; no step iff none
+        found = {(f.rule, _ACTIONS[f.kind]) for detect in (detect_nonrelaxing, detect_nonconstraining, detect_redundant)
+                 for f in detect(rules, SCHEMA)}
+        first = next(((rule.name, action) for rule in rules for action in _ACTIONS.values()
+                      if (rule.name, action) in found), None)
+        assert ((log[0].rule, log[0].action) if log else None) == first, text
         assert ruleset_implies(rules, simplified, SCHEMA)
         assert ruleset_implies(simplified, rules, SCHEMA)
 
@@ -530,6 +540,32 @@ def test_simplify_asks_each_conditional_branch_once(monkeypatch):
     assert claims.count(conditional) == 2  # redundancy is asked again after the drop
 
 
+def test_each_rule_and_negated_claim_compiles_once_per_call(monkeypatch):
+    rules = parse_rules(GENDER_RULES + "c: x >= 0\nd: x >= 1\ne: if (x >= 1) y >= 0\nf: mean(x) >= 0\n")
+    built = []
+    compiled = []  # (rule name, the body or negated body a compiler was built for)
+
+    class Counted(analyzer._Compiler):
+        def __init__(self, rule_name, schema):
+            super().__init__(rule_name, schema)
+            built.append(self)
+
+        def cnf(self, expr):
+            if not hasattr(self, "top"):
+                self.top = expr
+                compiled.append((self.rule, expr))
+            return super().cnf(expr)
+
+    monkeypatch.setattr(analyzer, "_Compiler", Counted)
+    analyze_ruleset(rules, SCHEMA)
+    # the 5 analyzable rules and their negations, and the negated branches of the 3 conditionals
+    assert len(built) == len(compiled) == len(set(compiled)) == 2 * 5 + 2 * 3
+    built.clear()
+    compiled.clear()
+    simplify_ruleset(rules, SCHEMA)
+    assert len(built) == len(compiled) == len(set(compiled))
+
+
 _COEFFS = {"": 1, "2 * ": 2, "-1 * ": -1}
 
 
@@ -567,6 +603,10 @@ def _all_true_on_grid(rules, grid: list[tuple[Fraction, Fraction]]) -> list[bool
     return holds
 
 
+#: The simplifier's action on each detector's finding, in the order it tries them.
+_ACTIONS = {NONRELAXING: "nonrelaxing", NONCONSTRAINING: "nonconstraining", REDUNDANT: "drop_redundant"}
+
+
 def test_simplification_soundness_randomized():
     rng = random.Random(20240613)
     checked = 0
@@ -576,7 +616,14 @@ def test_simplification_soundness_randomized():
         if not is_satisfiable(compile_rules(rules, SCHEMA)):
             continue
         checked += 1
-        simplified, _ = simplify_ruleset(rules, SCHEMA)
+        simplified, log = simplify_ruleset(rules, SCHEMA)
+        # the first step is the first detector finding, by rule and then
+        # nonrelaxing, nonconstraining, redundant; no step iff none
+        found = {(f.rule, _ACTIONS[f.kind]) for detect in (detect_nonrelaxing, detect_nonconstraining, detect_redundant)
+                 for f in detect(rules, SCHEMA)}
+        first = next(((rule.name, action) for rule in rules for action in _ACTIONS.values()
+                      if (rule.name, action) in found), None)
+        assert ((log[0].rule, log[0].action) if log else None) == first, text
         assert ruleset_implies(rules, simplified, SCHEMA)
         assert ruleset_implies(simplified, rules, SCHEMA)
         # the same verdicts from the evaluator alone, on every cell of the

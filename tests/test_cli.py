@@ -107,6 +107,36 @@ def test_validate_missing_schema_file(workspace, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("bad, kind", [
+    ("rules", "directory"), ("data", "directory"), ("output", "directory"),
+    ("rules", "not UTF-8"), ("data", "not UTF-8"),
+])
+def test_unreadable_input_or_output_is_an_input_error(workspace, capsys, bad, kind):
+    tmp, write = workspace
+    if kind == "directory":
+        (tmp / "a_directory").mkdir()
+        path = str(tmp / "a_directory")
+    else:
+        path = str(tmp / "latin1.txt")
+        (tmp / "latin1.txt").write_bytes("r: age >= 0 # \u00e9\n".encode("latin-1"))
+    files = {
+        "rules": write("rules.txt", "r: age >= 0\n"),
+        "data": write("person.csv", PERSON_CSV),
+        "output": str(tmp / "report.json"),
+    }
+    files[bad] = path
+    code = run([
+        "validate",
+        "--rules", files["rules"],
+        "--schema", write("schema.txt", PERSON_SCHEMA),
+        "--data", f"person={files['data']}",
+        "-o", files["output"],
+    ])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1 and err.startswith("error: ") and path in err
+
+
 def test_classify_table(workspace, capsys):
     tmp, write = workspace
     code = run(["classify", "--rules", write("rules.txt", SECTION_RULES), "--format", "csv"])
