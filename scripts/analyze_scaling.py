@@ -7,11 +7,13 @@ variables declared in [0, 100] and 2 categorical variables over
 - 30% ``if (c_k == "lvl") x_i >= c``,
 - 30% ``x_i - x_j <= c``.
 For each rule count and seed it prints the wall time of one
-``analyze_ruleset`` call and a digest of its findings, then the wall
-time of one ``simplify_ruleset`` call and a digest of the simplified
-rule text and its log, so two versions of the analyzer can be compared
-for speed and for identical output; then the median and the worst time
-of each per rule count.  stdlib only.
+``analyze_ruleset`` call, its number of ``linear.feasible`` calls and a
+digest of its findings, then the same for one ``simplify_ruleset`` call
+with a digest of the simplified rule text and its log, so two versions
+of the analyzer can be compared for speed, for work and for identical
+output; then the median and the worst time of each per rule count.
+``feasible`` is counted by wrapping ``validus.analyzer.feasible`` here.
+stdlib only.
 
     PYTHONPATH=src python scripts/analyze_scaling.py [--rules 20 30 40] [--seeds 1 10]
 """
@@ -22,6 +24,7 @@ import random
 import statistics
 import time
 
+from validus import analyzer
 from validus.analyzer import analyze_ruleset, simplify_ruleset
 from validus.rules import format_ruleset, parse_rules
 from validus.schema import parse_schema
@@ -59,6 +62,20 @@ def digest(*outputs) -> str:
     return hashlib.sha256(repr(outputs).encode()).hexdigest()[:16]
 
 
+def count_feasible() -> list[int]:
+    """Wrap the analyzer's ``feasible``; the returned one-item list counts
+    its calls."""
+    calls = [0]
+    solve = analyzer.feasible
+
+    def counted(rows):
+        calls[0] += 1
+        return solve(rows)
+
+    analyzer.feasible = counted
+    return calls
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--rules", type=int, nargs="+", default=[20, 30, 40], help="rule counts to time")
@@ -66,21 +83,24 @@ def main() -> None:
                         help="inclusive range of seeds")
     args = parser.parse_args()
     schema = parse_schema(SCHEMA)
+    feasible_calls = count_feasible()
     for rules in args.rules:
         times, simplify_times = [], []
         for seed in range(args.seeds[0], args.seeds[1] + 1):
             ruleset = parse_rules(rule_text(rules, seed))
+            feasible_calls[0] = 0
             start = time.perf_counter()
             findings, unsupported = analyze_ruleset(ruleset, schema)
             elapsed = time.perf_counter() - start
             times.append(elapsed)
+            analyze_feasible, feasible_calls[0] = feasible_calls[0], 0
             start = time.perf_counter()
             simplified, log = simplify_ruleset(ruleset, schema)
             simplify_times.append(time.perf_counter() - start)
-            print(f"rules {rules:3d}  seed {seed:3d}  {elapsed:9.3f} s  "
+            print(f"rules {rules:3d}  seed {seed:3d}  {elapsed:9.3f} s  {analyze_feasible:5d} feasible  "
                   f"{len(findings):3d} findings  digest {digest(findings, unsupported)}  "
-                  f"simplify {simplify_times[-1]:9.3f} s  {len(log):3d} steps  "
-                  f"digest {digest(format_ruleset(simplified), log)}", flush=True)
+                  f"simplify {simplify_times[-1]:9.3f} s  {feasible_calls[0]:5d} feasible  "
+                  f"{len(log):3d} steps  digest {digest(format_ruleset(simplified), log)}", flush=True)
         print(f"rules {rules:3d}  median {statistics.median(times):.3f} s  worst {max(times):.3f} s  "
               f"simplify median {statistics.median(simplify_times):.3f} s  worst {max(simplify_times):.3f} s",
               flush=True)

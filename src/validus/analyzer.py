@@ -2,10 +2,11 @@
 
 Record-scoped rules built from linear numeric comparisons and
 categorical membership compile to conjunctions of disjunctive clauses;
-each public call compiles each rule, and each negated claim, once.
-Satisfiability is decided exactly: clause disjuncts and categorical
-levels are case-split, and each conjunction of linear atoms goes to the
-rational elimination core.  Feasibility is checked at the leaves and
+each public call compiles each rule, and each negated claim, once, and
+turns each clause into interned integer rows once.  Satisfiability is
+decided exactly: clause disjuncts and categorical levels are case-split,
+and each conjunction of linear atoms goes to the rational elimination
+core.  Feasibility is checked at the leaves and
 for each option of a clause that branches, not after clauses that leave
 no choice, and each public call solves each distinct conjunction once.
 Integer-declared variables are analyzed over their rational relaxation,
@@ -32,7 +33,7 @@ from typing import Iterable, Iterator, Optional, Union
 
 from .errors import UnsupportedForAnalysisError
 from .linear import Interval, Row, feasible, make_row, project
-from .model import format_number
+from .model import format_number, is_number
 from .rules import (
     COMPARE,
     Binary,
@@ -128,16 +129,53 @@ class SatResult:
 
 # --- the per-call memo ---------------------------------------------------
 
+#: Each option of a clause: its categorical atom, or the ids of the
+#: interned rows a linear option adds.
+_Plan = list[Union[CategoricalAtom, tuple[int, ...]]]
+
+
 @dataclass
 class _Memo:
     """What the public analyzer call in progress works out once: the
-    compiled form of each rule and of each negated claim, the
-    feasibility answer of each distinct row tuple, and the rows of each
-    option of each distinct linear atom."""
+    compiled form of each rule and of each negated claim, the domain
+    clauses of each numeric variable, the plan of each clause, one id for
+    each distinct row, and the feasibility answer of each distinct tuple
+    of row ids."""
 
     parts: dict[tuple[Rule, bool], _Part] = field(default_factory=dict)
-    solved: dict[tuple[Row, ...], Optional[dict[str, Fraction]]] = field(default_factory=dict)
-    options: dict[LinearAtom, list[list[Row]]] = field(default_factory=dict)
+    domains: dict[str, tuple[Clause, Clause]] = field(default_factory=dict)
+    #: by ``id`` of a clause's disjunct tuple, which the entry keeps alive
+    plans: dict[int, tuple[ClauseAtoms, _Plan]] = field(default_factory=dict)
+    ids: dict[Row, int] = field(default_factory=dict)
+    rows: list[Row] = field(default_factory=list)
+    solved: dict[tuple[int, ...], Optional[dict[str, Fraction]]] = field(default_factory=dict)
+
+    def plan(self, disjuncts: ClauseAtoms) -> _Plan:
+        """Each option of a clause: its categorical atom, or the ids of
+        the rows a linear option adds (two options for !=, else one)."""
+        if (known := self.plans.get(id(disjuncts))) is not None:
+            return known[1]
+        plan: _Plan = []
+        for atom in disjuncts:
+            if isinstance(atom, CategoricalAtom):
+                plan.append(atom)
+            elif atom.relation == "!=":
+                plan.append(self.intern(_atom_rows(LinearAtom(atom.coeffs, "<", atom.constant))))
+                plan.append(self.intern(_atom_rows(LinearAtom(atom.coeffs, ">", atom.constant))))
+            else:
+                plan.append(self.intern(_atom_rows(atom)))
+        self.plans[id(disjuncts)] = (disjuncts, plan)
+        return plan
+
+    def intern(self, rows: list[Row]) -> tuple[int, ...]:
+        """The ids of ``rows``; equal rows share one id."""
+        ids = []
+        for row in rows:
+            if (i := self.ids.get(row)) is None:
+                i = self.ids[row] = len(self.rows)
+                self.rows.append(row)
+            ids.append(i)
+        return tuple(ids)
 
 
 #: The memo of the public analyzer call in progress; unset outside one.
@@ -391,13 +429,17 @@ def _build_system(parts: Iterable[_Part]) -> ConstraintSystem:
         numeric.update(compiler.numeric)
         categorical.update(compiler.categorical)
         display.update(compiler.display)
+    domains = _MEMO.get().domains  # each variable's two clauses, built once per call
     for var_id in sorted(numeric):
         bounds = numeric[var_id]
         if bounds is None:
             continue
-        low, high = bounds
-        clauses.append(Clause((LinearAtom(((var_id, Fraction(1)),), ">=", low),), f"domain:{display.get(var_id, var_id)}"))
-        clauses.append(Clause((LinearAtom(((var_id, Fraction(1)),), "<=", high),), f"domain:{display.get(var_id, var_id)}"))
+        if (pair := domains.get(var_id)) is None:
+            low, high = bounds
+            unit, origin = ((var_id, Fraction(1)),), f"domain:{display.get(var_id, var_id)}"
+            pair = domains[var_id] = (Clause((LinearAtom(unit, ">=", low),), origin),
+                                      Clause((LinearAtom(unit, "<=", high),), origin))
+        clauses += pair
     return ConstraintSystem(clauses, numeric, categorical, display)
 
 
@@ -425,35 +467,18 @@ def _atom_rows(atom: LinearAtom) -> list[Row]:
     raise ValueError(f"no direct rows for relation {atom.relation!r}")
 
 
-def _solve(rows: list[Row]) -> Optional[dict[str, Fraction]]:
-    """``feasible(rows)``, solved once per distinct row tuple per call."""
+def _solve(key: tuple[int, ...]) -> Optional[dict[str, Fraction]]:
+    """``feasible`` of the interned rows ``key``, solved once per distinct
+    key per call."""
     memo = _MEMO.get()
-    if memo is None:
-        return feasible(rows)
-    key = tuple(rows)
     if key not in memo.solved:
-        memo.solved[key] = feasible(rows)
+        memo.solved[key] = feasible([memo.rows[i] for i in key])
     return memo.solved[key]
 
 
-def _linear_options(atom: LinearAtom) -> list[list[Row]]:
-    """The rows each option of a linear atom adds (two options for !=,
-    else one), built once per call."""
-    memo = _MEMO.get()
-    if memo is not None and (known := memo.options.get(atom)) is not None:
-        return known
-    if atom.relation == "!=":
-        options = [_atom_rows(LinearAtom(atom.coeffs, "<", atom.constant)),
-                   _atom_rows(LinearAtom(atom.coeffs, ">", atom.constant))]
-    else:
-        options = [_atom_rows(atom)]
-    if memo is not None:
-        memo.options[atom] = options
-    return options
-
-
-def _leaves(system: ConstraintSystem) -> Iterator[tuple[dict[str, frozenset[str]], list[Row]]]:
-    """Every feasible conjunction covering the system's solution set.
+def _search(system: ConstraintSystem, memo: _Memo) -> Iterator[tuple[dict[str, frozenset[str]], tuple[int, ...]]]:
+    """Every feasible conjunction covering the system's solution set, as
+    its categorical state and the ids of its rows.
 
     Feasibility is checked at the leaves and for each option of a clause
     that offers several; rows added by a clause without a choice wait for
@@ -464,26 +489,23 @@ def _leaves(system: ConstraintSystem) -> Iterator[tuple[dict[str, frozenset[str]
     """
     domains = {v: frozenset(levels) for v, levels in system.categorical_vars.items()}
     clauses = system.clauses
-    # each clause's options: a categorical atom, or the rows a linear option adds
-    plans = [[option for atom in clause.disjuncts
-              for option in ([atom] if isinstance(atom, CategoricalAtom) else _linear_options(atom))]
-             for clause in clauses]
+    plans = [memo.plan(clause.disjuncts) for clause in clauses]
 
-    def descend(index: int, cats: dict[str, frozenset[str]], rows: list[Row],
-                checked: bool) -> Iterator[tuple[dict[str, frozenset[str]], list[Row]]]:
-        # checked: ``rows`` are known feasible
+    def descend(index: int, cats: dict[str, frozenset[str]], key: tuple[int, ...],
+                checked: bool) -> Iterator[tuple[dict[str, frozenset[str]], tuple[int, ...]]]:
+        # checked: the rows ``key`` are known feasible
         if index == len(clauses):
-            if _solve(rows) is not None:
-                yield cats, rows
+            if _solve(key) is not None:
+                yield cats, key
             return
         clause = clauses[index]
         for atom in clause.disjuncts:
             # clause already entailed by the categorical state: no branching
             if isinstance(atom, CategoricalAtom) and cats[atom.variable] <= atom.allowed:
-                yield from descend(index + 1, cats, rows, checked)
+                yield from descend(index + 1, cats, key, checked)
                 return
-        # (categories, added rows or None for a categorical option)
-        options: list[tuple[dict[str, frozenset[str]], Optional[list[Row]]]] = []
+        # (categories, ids of the added rows or None for a categorical option)
+        options: list[tuple[dict[str, frozenset[str]], Optional[tuple[int, ...]]]] = []
         for option in plans[index]:
             if isinstance(option, CategoricalAtom):
                 narrowed = cats[option.variable] & option.allowed
@@ -495,32 +517,38 @@ def _leaves(system: ConstraintSystem) -> Iterator[tuple[dict[str, frozenset[str]
         for next_cats, added in options:
             if added is None:
                 if branches and not checked:
-                    if _solve(rows) is None:
+                    if _solve(key) is None:
                         return
                     checked = True
-                yield from descend(index + 1, next_cats, rows, checked)
+                yield from descend(index + 1, next_cats, key, checked)
             elif not branches:
-                yield from descend(index + 1, cats, rows + added, False)
-            elif _solve(extended := rows + added) is not None:
+                yield from descend(index + 1, cats, key + added, False)
+            elif _solve(extended := key + added) is not None:
                 checked = True
                 yield from descend(index + 1, cats, extended, True)
 
-    yield from descend(0, domains, [], True)
+    yield from descend(0, domains, (), True)
 
 
-def _atom_holds(atom: Atom, numeric: dict[str, Fraction], cats: dict[str, str]) -> bool:
-    if isinstance(atom, CategoricalAtom):
-        return cats.get(atom.variable) in atom.allowed
-    total = sum((c * numeric.get(v, Fraction(0)) for v, c in atom.coeffs), Fraction(0))
-    return COMPARE[atom.relation](total, atom.constant)
+def _leaves(system: ConstraintSystem) -> Iterator[tuple[dict[str, frozenset[str]], list[Row]]]:
+    """``_search``'s leaves, each as its categorical state and its rows."""
+    memo = _MEMO.get()
+    if memo is None:  # outside a public call: search under a memo of its own
+        return iter(_solves_once(lambda: list(_leaves(system)))())
+    return ((cats, [memo.rows[i] for i in key]) for cats, key in _search(system, memo))
 
 
 def check_witness(system: ConstraintSystem, witness: dict[str, Union[Fraction, str]]) -> bool:
-    """Re-check a witness against every clause by direct evaluation."""
-    numeric = {v: val for v, val in witness.items() if isinstance(val, Fraction)}
+    """Re-check a witness against every clause: a categorical option by
+    the witness's level, a linear option by its integer rows."""
+    memo = _MEMO.get() or _Memo()
+    numeric = {v: val for v, val in witness.items() if is_number(val)}
     cats = {v: val for v, val in witness.items() if isinstance(val, str)}
+    rows = memo.rows
     return all(
-        any(_atom_holds(atom, numeric, cats) for atom in clause.disjuncts)
+        any(cats.get(option.variable) in option.allowed if isinstance(option, CategoricalAtom)
+            else all(rows[i].holds(numeric) for i in option)
+            for option in memo.plan(clause.disjuncts))
         for clause in system.clauses
     )
 
@@ -529,8 +557,8 @@ def check_witness(system: ConstraintSystem, witness: dict[str, Union[Fraction, s
 def is_satisfiable(system: ConstraintSystem) -> SatResult:
     """Exact satisfiability over the rational relaxation plus declared
     categorical levels; a positive verdict carries a re-checked witness."""
-    for cats, rows in _leaves(system):
-        numeric_witness = _solve(rows)
+    for cats, key in _search(system, _MEMO.get()):
+        numeric_witness = _solve(key)
         assert numeric_witness is not None
         witness: dict[str, Union[Fraction, str]] = {}
         for var in system.numeric_vars:
@@ -804,8 +832,9 @@ def simplify_ruleset(rules: RuleSet, schema: Schema) -> tuple[RuleSet, list[Simp
     are.  An unsatisfiable input is returned unchanged with an
     ``infeasible`` log entry.  Every step keeps the solution set, so a
     conditional's condition and consequent probes are asked once per
-    call; the redundancy probe is asked again, since the other rules
-    change.
+    call.  A rule found not redundant is not asked again until a rewrite:
+    a drop only removes premises of its probe, but a rewrite makes a rule
+    stronger.
     """
     supported, unsupported = _split(rules, schema)
     if not is_satisfiable(_build_system([_compile(rule, schema) for rule in supported])):
@@ -816,29 +845,35 @@ def simplify_ruleset(rules: RuleSet, schema: Schema) -> tuple[RuleSet, list[Simp
     current = rules
     log: list[SimplifyStep] = []
     settled: set[Rule] = set()
+    irredundant: set[Rule] = set()
     while True:
         analyzable = [rule for rule in current if rule.name not in kept]
         parts = [_compile(rule, schema) for rule in analyzable]
         for rule in analyzable:
-            if (rewrite := _first_rewrite(rule, parts, schema, settled)) is None:
+            if (rewrite := _first_rewrite(rule, parts, schema, settled, irredundant)) is None:
                 continue
             action, new_rule, probe = rewrite
             log.append(SimplifyStep(
                 action=action, rule=rule.name, before=format_rule(rule),
                 after=None if new_rule is None else format_rule(new_rule), probe=probe,
             ))
-            current = current.without(rule.name) if new_rule is None else current.replacing(rule.name, new_rule)
+            if new_rule is None:
+                current = current.without(rule.name)
+            else:
+                current = current.replacing(rule.name, new_rule)
+                irredundant.clear()
             break
         else:
             return current, log
 
 
-def _first_rewrite(rule: Rule, parts: list[_Part], schema: Schema,
-                   settled: set[Rule]) -> Optional[tuple[str, Optional[Rule], str]]:
+def _first_rewrite(rule: Rule, parts: list[_Part], schema: Schema, settled: set[Rule],
+                   irredundant: set[Rule]) -> Optional[tuple[str, Optional[Rule], str]]:
     """(action, rewritten rule or None to drop it, probe text) for the
     first simplification that applies to ``rule`` within ``parts``;
     ``settled`` holds the conditionals neither of whose branches the
-    set entails, and gains ``rule`` when that is found."""
+    set entails, and ``irredundant`` the rules the others do not entail,
+    and each gains ``rule`` when that is found."""
     if isinstance(rule.body, If) and rule not in settled:
         consequent = Rule(rule.name, rule.body.then, rule.source_span)
         if _fires(NONRELAXING, rule, parts, schema):
@@ -846,6 +881,8 @@ def _first_rewrite(rule: Rule, parts: list[_Part], schema: Schema,
         if _fires(NONCONSTRAINING, rule, parts, schema):
             return "nonconstraining", consequent, "rule set plus negated consequent is unsatisfiable"
         settled.add(rule)
-    if _fires(REDUNDANT, rule, parts, schema):
-        return "drop_redundant", None, "remaining rules plus the negated rule are unsatisfiable"
+    if rule not in irredundant:
+        if _fires(REDUNDANT, rule, parts, schema):
+            return "drop_redundant", None, "remaining rules plus the negated rule are unsatisfiable"
+        irredundant.add(rule)
     return None

@@ -241,6 +241,28 @@ def reference_witness(system: ConstraintSystem):
     return None
 
 
+# --- reference witness check: every atom evaluated over Fractions ----------
+
+def reference_atom_holds(atom, numeric: dict, cats: dict) -> bool:
+    """Whether one atom holds at a witness, by direct ``Fraction``
+    arithmetic; a numeric variable the witness lacks counts as 0."""
+    if isinstance(atom, CategoricalAtom):
+        return cats.get(atom.variable) in atom.allowed
+    total = sum((c * numeric.get(v, Fraction(0)) for v, c in atom.coeffs), Fraction(0))
+    return COMPARE[atom.relation](total, atom.constant)
+
+
+def reference_check_witness(system: ConstraintSystem, witness: dict) -> bool:
+    """``check_witness`` as it was before it read integer rows, with
+    ``int`` values counted as the numbers they are."""
+    numeric = {v: Fraction(val) for v, val in witness.items() if isinstance(val, (int, Fraction))}
+    cats = {v: val for v, val in witness.items() if isinstance(val, str)}
+    return all(
+        any(reference_atom_holds(atom, numeric, cats) for atom in clause.disjuncts)
+        for clause in system.clauses
+    )
+
+
 # --- reference Fourier-Motzkin: the solver before integer rows -------------
 
 @dataclass(frozen=True)
@@ -505,6 +527,50 @@ def random_system(rng: random.Random, multivar: bool) -> ConstraintSystem:
         categorical_vars={v: CAT_VARS[v] for v in cat_pool},
         display={},
     )
+
+
+def random_witness(rng: random.Random) -> dict:
+    """Values for some of ``NUM_VARS`` (``int`` or fractional ``Fraction``)
+    and ``CAT_VARS``; a variable left out counts as 0 or as no level."""
+    witness = {}
+    for v in NUM_VARS:
+        if rng.random() < 0.85:
+            witness[v] = (rng.randint(-4, 4) if rng.random() < 0.5
+                          else Fraction(rng.randint(-12, 12), rng.choice([1, 2, 3, 4, 6])))
+    for v, levels in CAT_VARS.items():
+        if rng.random() < 0.85:
+            witness[v] = rng.choice(levels)
+    return witness
+
+
+def random_fractional_atom(rng: random.Random, witness: dict) -> LinearAtom:
+    """A linear atom over one to three of ``NUM_VARS`` with any of the six
+    relations and fractional coefficients; a third of the time its
+    constant makes it tight at ``witness``."""
+    coeffs = []
+    for v in sorted(rng.sample(NUM_VARS, rng.randint(1, 3))):
+        c = Fraction(0)
+        while c == 0:
+            c = Fraction(rng.randint(-4, 4), rng.choice([1, 2, 3, 5]))
+        coeffs.append((v, c))
+    if rng.random() < 1 / 3:
+        constant = sum((c * Fraction(witness.get(v, 0)) for v, c in coeffs), Fraction(0))
+    else:
+        constant = Fraction(rng.randint(-16, 16), rng.choice([1, 2, 3, 6]))
+    return LinearAtom(tuple(coeffs), rng.choice(["<", "<=", "==", "!=", ">=", ">"]), constant)
+
+
+def random_witness_system(rng: random.Random, witness: dict) -> ConstraintSystem:
+    """Up to five clauses of fractional linear atoms and categorical
+    atoms over every variable of ``random_witness``."""
+    clauses = []
+    for i in range(rng.randint(1, 5)):
+        disjuncts = tuple(
+            random_categorical_atom(rng, rng.choice(list(CAT_VARS))) if rng.random() < 0.25
+            else random_fractional_atom(rng, witness)
+            for _ in range(rng.randint(1, 3)))
+        clauses.append(Clause(disjuncts, f"c{i}"))
+    return ConstraintSystem(clauses, {v: None for v in NUM_VARS}, dict(CAT_VARS), {})
 
 
 def random_row_specs(rng: random.Random) -> list[tuple[dict, bool, Fraction]]:

@@ -1,17 +1,24 @@
 """Rule-set analysis: the golden corpus, oracle equivalence, and
 solution-preserving simplification."""
 
+import importlib.util
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from helpers import (
+    NUM_VARS,
     grid_oracle,
     grid_points,
     lp_oracle,
+    random_fractional_atom,
     random_system,
+    random_witness,
+    random_witness_system,
+    reference_check_witness,
     reference_leaves,
     reference_make_row,
     reference_project,
@@ -462,6 +469,33 @@ def test_every_sat_verdict_carries_a_sound_witness():
     assert seen_sat > 50
 
 
+def test_check_witness_reads_int_values_as_numbers():
+    system = compile_rules(parse_rules("a: x >= 5\n"), SCHEMA)
+    assert check_witness(system, {"t.x": 7})
+    assert check_witness(system, {"t.x": Fraction(11, 2)})
+    assert not check_witness(system, {"t.x": 4})
+
+
+def test_integer_witness_check_agrees_with_fraction_evaluation():
+    rng = random.Random(8128)
+    verdicts = set()  # (relation, verdict) pairs seen atom by atom
+    for _ in range(3000):
+        witness = random_witness(rng)
+        atom = random_fractional_atom(rng, witness)
+        system = ConstraintSystem([Clause((atom,), "a")], {v: None for v in NUM_VARS}, {}, {})
+        verdict = check_witness(system, witness)
+        assert verdict == reference_check_witness(system, witness), (atom, witness)
+        verdicts.add((atom.relation, verdict))
+    assert len(verdicts) == 12
+    outcomes = []
+    for _ in range(1500):
+        witness = random_witness(rng)
+        system = random_witness_system(rng, witness)
+        outcomes.append(check_witness(system, witness))
+        assert outcomes[-1] == reference_check_witness(system, witness), (system, witness)
+    assert 300 < sum(outcomes) < 1200
+
+
 # --- search work -------------------------------------------------------------------------
 
 def _count_calls(monkeypatch, name: str = "feasible") -> list[int]:
@@ -537,7 +571,17 @@ def test_simplify_asks_each_conditional_branch_once(monkeypatch):
     conditional = rules["c"].body
     assert claims.count(conditional.cond) == 1
     assert claims.count(conditional.then) == 1
-    assert claims.count(conditional) == 2  # redundancy is asked again after the drop
+    assert claims.count(conditional) == 1  # a drop leaves a rule found not redundant so
+
+
+def test_simplify_forgets_irredundant_rules_after_a_rewrite():
+    # r is not redundant at first; once q collapses to y >= 1, t forces x >= 6 and r is
+    schema = parse_schema("t.x : numeric [0, 100]\nt.y : numeric [0, 100]\n")
+    rules = parse_rules("r: x >= 5\nq: if (x >= 5) y >= 1\nt: if (y >= 1) x >= 6\n")
+    simplified, log = simplify_ruleset(rules, schema)
+    assert [(s.action, s.rule) for s in log] == [
+        ("nonrelaxing", "q"), ("drop_redundant", "r"), ("nonrelaxing", "t")]
+    assert format_ruleset(simplified) == "q: y >= 1\nt: x >= 6\n"
 
 
 def test_each_rule_and_negated_claim_compiles_once_per_call(monkeypatch):
@@ -634,3 +678,26 @@ def test_simplification_soundness_randomized():
         assert detect_redundant(simplified, SCHEMA) == []
         assert detect_nonrelaxing(simplified, SCHEMA) == []
         assert detect_nonconstraining(simplified, SCHEMA) == []
+
+
+def test_random_mix_output_is_pinned():
+    # analyze_scaling.py's finding and simplify digests at 20 rules, as an earlier
+    # analyzer printed them: a faster search must give the same output
+    pinned = {
+        1: ("805e1bc2a9dc32e2", "c0b8bd903f5796a4"),
+        2: ("e51ade94905a649a", "57c8b0d61c5b0827"),
+        3: ("0a3fa90b5be75458", "81ca6adce444faca"),
+        4: ("4a66239b5a25ef24", "4be3e999ce364bf4"),
+        5: ("dd2fcdb35bfee7f2", "43f79aad036837de"),
+    }
+    path = Path(__file__).resolve().parent.parent / "scripts" / "analyze_scaling.py"
+    spec = importlib.util.spec_from_file_location("analyze_scaling", path)
+    scaling = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(scaling)
+    schema = parse_schema(scaling.SCHEMA)
+    for seed, digests in pinned.items():
+        rules = parse_rules(scaling.rule_text(20, seed))
+        findings, unsupported = analyze_ruleset(rules, schema)
+        simplified, log = simplify_ruleset(rules, schema)
+        assert (scaling.digest(findings, unsupported),
+                scaling.digest(format_ruleset(simplified), log)) == digests, seed
