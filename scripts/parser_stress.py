@@ -7,13 +7,19 @@ On each seeded case it checks that
   with ``tests/helpers.py::reference_parse_rules``;
 - a random rule whose number literals are fractions such as -1/3 gives
   the same verdicts on a small random dataset after a format/parse round
-  trip.
+  trip;
+- that rule, the rule it came from and a random ``in_set`` rule format
+  to the same text (or the same error) with ``format_rule`` and with
+  ``tests/helpers.py::reference_format_rule``, and each rule of the
+  parsed rule file gets the signature ``reference_signature`` gives it.
 Then it prints the µs per rule of ``parse_rules`` (and of the reference)
-on generated files of 1k, 5k and 20k rules; the figure should stay flat.
+on generated files of 1k, 5k and 20k rules, each with the gen-0/1/2
+garbage collections during its fastest run; the figures should stay flat.
 
     python scripts/parser_stress.py [count] [seed]
 """
 
+import gc
 import random
 import sys
 import time
@@ -23,16 +29,21 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
 from helpers import (  # noqa: E402
     ROUND_TRIP_SCHEMA_TEXT,
+    format_outcome,
     parse_outcome,
     random_rule,
     random_rule_file,
+    random_set_rule,
     random_trade_csv,
+    reference_format_rule,
     reference_parse_rules,
+    reference_signature,
     token_soup,
     verdicts_of,
     with_fraction_literals,
 )
 
+from validus.classifier import classify_rule  # noqa: E402
 from validus.csvio import dataset_from_csv  # noqa: E402
 from validus.rules import format_rule, parse_rule, parse_rules  # noqa: E402
 from validus.schema import parse_schema  # noqa: E402
@@ -46,28 +57,48 @@ def _disagree(kind: str, case: int, text: str, got, expected) -> None:
     raise SystemExit(1)
 
 
-def _best_of(runs: int, fn, arg) -> float:
-    best = float("inf")
+def _collections() -> list[int]:
+    return [generation["collections"] for generation in gc.get_stats()]
+
+
+def _best_of(runs: int, fn, arg) -> tuple[float, list[int]]:
+    """The fastest of ``runs`` calls, and the gen-0/1/2 collections in it."""
+    best, collected = float("inf"), []
     for _ in range(runs):
+        before = _collections()
         t0 = time.perf_counter()
         fn(arg)
-        best = min(best, time.perf_counter() - t0)
-    return best
+        elapsed = time.perf_counter() - t0
+        if elapsed < best:
+            best, collected = elapsed, [after - b for after, b in zip(_collections(), before)]
+    return best, collected
 
 
 def main(count: int = 1000, seed: int = 20261018) -> None:
     rng = random.Random(seed)
     schema = parse_schema(ROUND_TRIP_SCHEMA_TEXT)
-    parsed = failed = evaluated = 0
+    parsed = failed = evaluated = formatted = classified = 0
     for i in range(count):
-        for kind, text in (("rule file", random_rule_file(rng, 10)), ("token soup", token_soup(rng))):
+        rule_file = random_rule_file(rng, 10)
+        for kind, text in (("rule file", rule_file), ("token soup", token_soup(rng))):
             ours = parse_outcome(parse_rules, text)
             theirs = parse_outcome(reference_parse_rules, text)
             if ours != theirs:
                 _disagree(kind, i, text, ours, theirs)
             parsed += isinstance(ours, list)
             failed += not isinstance(ours, list)
-        rule = with_fraction_literals(random_rule(rng, name=f"g{i}"), rng)
+        for parsed_rule in parse_rules(rule_file):
+            got, expected = str(classify_rule(parsed_rule)), reference_signature(parsed_rule)
+            if got != expected:
+                _disagree("signature", i, format_rule(parsed_rule), got, expected)
+            classified += 1
+        plain = random_rule(rng, name=f"g{i}")
+        rule = with_fraction_literals(plain, rng)
+        for formed in (plain, rule, random_set_rule(rng, name=f"s{i}")):
+            got, expected = format_outcome(format_rule, formed), format_outcome(reference_format_rule, formed)
+            if got != expected:
+                _disagree("format", i, repr(formed.body), got, expected)
+            formatted += 1
         dataset = dataset_from_csv({"trade": random_trade_csv(rng)})
         expected = verdicts_of(rule, dataset, schema)
         again = verdicts_of(parse_rule(format_rule(rule)), dataset, schema)
@@ -75,14 +106,16 @@ def main(count: int = 1000, seed: int = 20261018) -> None:
             _disagree("round trip", i, format_rule(rule), again, expected)
         evaluated += not isinstance(expected, str)
     print(f"{count} cases: {2 * count} texts ({parsed} parsed, {failed} rejected), "
-          f"{count} round trips ({evaluated} evaluated), 0 disagreements")
+          f"{count} round trips ({evaluated} evaluated), {formatted} formats, "
+          f"{classified} signatures, 0 disagreements")
 
-    print(f"{'rules':>6} {'parse_rules':>12} {'µs/rule':>8} {'reference':>10} {'µs/rule':>8}")
+    print(f"{'rules':>6} {'parse_rules':>12} {'µs/rule':>8} {'gc 0/1/2':>10} {'reference':>10} {'µs/rule':>8} {'gc 0/1/2':>10}")
     for size in (1_000, 5_000, 20_000):
         text = random_rule_file(random.Random(f"{seed}:{size}"), size)
-        ours = _best_of(3, parse_rules, text)
-        theirs = _best_of(3, reference_parse_rules, text)
-        print(f"{size:>6} {ours:>11.3f}s {ours / size * 1e6:>8.1f} {theirs:>9.3f}s {theirs / size * 1e6:>8.1f}")
+        ours, ours_gc = _best_of(3, parse_rules, text)
+        theirs, theirs_gc = _best_of(3, reference_parse_rules, text)
+        print(f"{size:>6} {ours:>11.3f}s {ours / size * 1e6:>8.1f} {'/'.join(map(str, ours_gc)):>10} "
+              f"{theirs:>9.3f}s {theirs / size * 1e6:>8.1f} {'/'.join(map(str, theirs_gc)):>10}")
 
 
 if __name__ == "__main__":

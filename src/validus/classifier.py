@@ -11,7 +11,7 @@ admissible signatures; the level is the number of m slots (0 to 4).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .rules import Rule, rule_scope
@@ -34,12 +34,16 @@ EXCLUDED_SIGNATURES = ("msss", "mssm", "msms", "mmss", "mmsm", "mmms")
 
 @dataclass(frozen=True)
 class RuleSignature:
-    """Span over (unit type, occasion, unit, variable); each slot s or m."""
+    """Span over (unit type, occasion, unit, variable); each slot s or m.
+    ``text`` is the four slots as one string, ``level`` the number of m
+    slots."""
 
     type_span: str
     time_span: str
     unit_span: str
     variable_span: str
+    text: str = field(init=False, repr=False, compare=False)
+    level: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for slot in (self.type_span, self.time_span, self.unit_span, self.variable_span):
@@ -49,18 +53,22 @@ class RuleSignature:
             raise ValueError("multiple unit types require multiple units")
         if self.type_span == MULTI and self.variable_span == SINGLE:
             raise ValueError("multiple unit types require multiple variables")
-
-    @property
-    def level(self) -> int:
-        return level_of(self)
+        text = self.type_span + self.time_span + self.unit_span + self.variable_span
+        object.__setattr__(self, "text", text)
+        object.__setattr__(self, "level", text.count(MULTI))
 
     def __str__(self) -> str:
-        return self.type_span + self.time_span + self.unit_span + self.variable_span
+        return self.text
 
 
 def level_of(sig: RuleSignature) -> int:
     """Number of dimensions on which the rule needs multiple values."""
-    return [sig.type_span, sig.time_span, sig.unit_span, sig.variable_span].count(MULTI)
+    return sig.level
+
+
+#: The one RuleSignature of each admissible signature, under its slots
+#: as booleans (True for m).
+_SIGNATURES = {tuple(slot == MULTI for slot in text): RuleSignature(*text) for text in ADMISSIBLE_SIGNATURES}
 
 
 def classify_rule(rule: Rule, schema: Optional[Schema] = None) -> RuleSignature:
@@ -73,14 +81,10 @@ def classify_rule(rule: Rule, schema: Optional[Schema] = None) -> RuleSignature:
     tables make the type span m (and force the unit and variable spans
     to m); any aggregate or a second table makes the unit span m; any
     lag makes the time span m; more than one distinct (table, variable)
-    makes the variable span m.
+    makes the variable span m.  The result is one of the ten shared
+    signatures of ``ADMISSIBLE_SIGNATURES``.
     """
     scope = rule_scope(rule, schema)
     variables = {(table or ref.table or scope.fold, ref.variable) for ref, table in scope.refs}
     multi_table = len({table for table, _ in variables if table is not None}) > 1
-    return RuleSignature(
-        type_span=MULTI if multi_table else SINGLE,
-        time_span=MULTI if scope.max_lag > 0 else SINGLE,
-        unit_span=MULTI if (scope.has_aggregate or multi_table) else SINGLE,
-        variable_span=MULTI if len(variables) > 1 else SINGLE,
-    )
+    return _SIGNATURES[multi_table, scope.max_lag > 0, scope.has_aggregate or multi_table, len(variables) > 1]

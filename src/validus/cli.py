@@ -81,7 +81,7 @@ def _rule_records(rules: RuleSet, schema: Optional[Schema]) -> list[tuple[str, s
     records = []
     for rule in rules:
         sig = classify_rule(rule, schema)
-        records.append((rule.name, format_rule(rule), str(sig), sig.level))
+        records.append((rule.name, format_rule(rule), sig.text, sig.level))
     return records
 
 
@@ -158,13 +158,15 @@ def _json_report(rules: list[tuple[str, str, str, int]], blocks: list[RuleVerdic
                            json.dumps(summary, indent=2).replace("\n", "\n  "))
 
 
-def _emit_report(args, rules: list[tuple[str, str, str, int]], blocks: list[RuleVerdicts],
+def _emit_report(args, rules: RuleSet, schema: Optional[Schema], blocks: list[RuleVerdicts],
                  findings: list[dict], summary: dict) -> None:
     """Write the report.  As CSV, each command writes its own table, with
     its header even when the table is empty: validate its entries, lint
-    and analyze their findings, classify its rules."""
+    and analyze their findings, classify its rules.  Only JSON holds each
+    rule's text, and only JSON and classify's table its signature, so
+    the rules are formatted and classified only for those."""
     if args.format == "json":
-        _emit(args, _json_report(rules, blocks, findings, summary))
+        _emit(args, _json_report(_rule_records(rules, schema), blocks, findings, summary))
         return
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
@@ -177,7 +179,9 @@ def _emit_report(args, rules: list[tuple[str, str, str, int]], blocks: list[Rule
         writer.writerows([f.get(k, "") for k in _FINDING_FIELDS] for f in findings)
     else:
         writer.writerow(("name", "signature", "level"))
-        writer.writerows((name, sig, level) for name, _, sig, level in rules)
+        for rule in rules:
+            sig = classify_rule(rule, schema)
+            writer.writerow((rule.name, sig.text, sig.level))
     _emit(args, out.getvalue())
 
 
@@ -192,7 +196,7 @@ def _cmd_validate(args) -> int:
     report = evaluate_ruleset(rules, dataset, schema, options)
     counts = report.counts()
     summary = {"per_rule": report.summary, "totals": counts, "strict_na": args.strict_na}
-    _emit_report(args, _rule_records(rules, schema), report.blocks, [], summary)
+    _emit_report(args, rules, schema, report.blocks, [], summary)
     if counts["false"] > 0 or (args.strict_na and counts["na"] > 0):
         return EXIT_FAILURES
     if counts["na"] > 0:
@@ -203,7 +207,7 @@ def _cmd_validate(args) -> int:
 def _cmd_classify(args) -> int:
     schema = _load_schema(args)
     rules = parse_rules(_read(args.rules))
-    _emit_report(args, _rule_records(rules, schema), [], [], {})
+    _emit_report(args, rules, schema, [], [], {})
     return EXIT_OK
 
 
@@ -213,7 +217,7 @@ def _cmd_lint(args) -> int:
     findings, _, unsupported = lint_ruleset(rules, schema)
     records = [_finding_record(f) for f in findings]
     summary = {"finding_count": len(records), "unsupported": _unsupported_records(unsupported)}
-    _emit_report(args, _rule_records(rules, schema), [], records, summary)
+    _emit_report(args, rules, schema, [], records, summary)
     return EXIT_OK
 
 
@@ -228,7 +232,7 @@ def _cmd_analyze(args) -> int:
         "finding_count": len(records),
         "unsupported": _unsupported_records(unsupported),
     }
-    _emit_report(args, _rule_records(rules, schema), [], records, summary)
+    _emit_report(args, rules, schema, [], records, summary)
     return EXIT_INFEASIBLE if infeasible else EXIT_OK
 
 

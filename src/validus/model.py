@@ -77,9 +77,15 @@ def parse_value(text: str) -> Value:
     if stripped == "" or stripped == "NA":
         return NA
     try:
-        # plain integers, the common cell, skip the Fraction regex
+        # plain integers and decimals, the common cells, skip the Fraction regex
         if (stripped[1:] if stripped[0] in "+-" else stripped).isdigit() and stripped.isascii():
             return int(stripped)
+        head, point, tail = stripped.partition(".")
+        if point and tail.isdigit() and (head[1:] if head[:1] in "+-" else head).isdigit() and stripped.isascii():
+            # each part converts on its own, as Fraction converts it
+            scale = 10 ** len(tail)
+            numerator = abs(int(head)) * scale + int(tail)
+            return as_number(Fraction(-numerator if head[0] == "-" else numerator, scale))
         return as_number(Fraction(stripped))
     except (ValueError, ZeroDivisionError):
         return text

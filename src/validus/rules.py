@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import operator
 import re
+import string
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -55,55 +56,55 @@ _KEYWORDS = ("if", "and", "or", "not", "NA")
 
 # --- abstract syntax ----------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NumberLit:
     value: Fraction
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TextLit:
     value: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NALit:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SetLit:
     """Literal value set; only valid as the second argument of in_set."""
 
     items: tuple[Union[Fraction, str], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VarRef:
     variable: str
     table: Optional[str] = None
     lag: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Aggregate:
     fn: str
     arg: "Expr"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Unary:
     op: str  # neg, not, abs
     operand: "Expr"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Binary:
     op: str  # + - * / < <= == != >= > and or
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class If:
     """Logical implication: if (cond) then."""
 
@@ -111,7 +112,7 @@ class If:
     then: "Expr"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Builtin:
     fn: str
     args: tuple["Expr", ...]
@@ -120,7 +121,7 @@ class Builtin:
 Expr = Union[NumberLit, TextLit, NALit, SetLit, VarRef, Aggregate, Unary, Binary, If, Builtin]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Rule:
     name: str
     body: Expr
@@ -166,27 +167,45 @@ class RuleSet:
 
 
 # --- lexer --------------------------------------------------------------
-# A token is a tuple (kind, text, line, col, value).  The kind is the
-# name of the pattern group that matched (NUMBER, STRING, IDENT, OP) or
-# EOF; the value is a NUMBER's Fraction or a STRING's unescaped text.
+# One findall reads the whole text.  The matches tile it: the last
+# alternative takes any character no token starts with, so each match
+# starts where the previous one ended.  A match's kind follows from its
+# first character, by the pattern's own classes: white space, "#" a
+# comment, \d (str.isdecimal) a NUMBER, [A-Za-z_] an IDENT, a quote a
+# STRING, an operator character an OP.  A lone quote, "=" or "!", and
+# any other character, is a character no token starts with.
 
 _TOKEN_RE = re.compile(
     r"""
-      (?P<ws>[ \t\r\n]+)
-    | (?P<comment>\#[^\n]*)
-    | (?P<NUMBER>\d+(?:\.\d+)?)
-    | (?P<IDENT>[A-Za-z_]\w*)
-    | (?P<STRING>"(?:\\.|[^"\\\n])*")
-    | (?P<OP><=|==|!=|>=|[-+*/<>(){},.@:])
-    | (?P<bad>(?s:.))
+      [ \t\r\n]+
+    | \#[^\n]*
+    | \d+(?:\.\d+)?
+    | [A-Za-z_]\w*
+    | "(?:\\.|[^"\\\n])*"
+    | <=|==|!=|>=|[-+*/<>(){},.@:]
+    | (?s:.)
     """,
     re.VERBOSE,
 )
+
+_WS, _COMMENT, _NUMBER, _IDENT, _STRING, _OP, _BAD = "ws", "comment", "NUMBER", "IDENT", "STRING", "OP", "bad"
+_FIRST_KIND = {
+    **dict.fromkeys(" \t\r\n", _WS),
+    "#": _COMMENT,
+    **dict.fromkeys("0123456789", _NUMBER),
+    **dict.fromkeys(string.ascii_letters + "_", _IDENT),
+    '"': _STRING,
+    **dict.fromkeys("-+*/<>(){},.@:=!", _OP),
+}
+#: the operator characters that are no token on their own
+_LONE = ("=", "!")
 
 _STRING_ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t"}
 
 
 def _unescape(raw: str, line: int, col: int) -> str:
+    if "\\" not in raw:
+        return raw[1:-1]
     out = []
     i = 1
     while i < len(raw) - 1:
@@ -203,34 +222,58 @@ def _unescape(raw: str, line: int, col: int) -> str:
     return "".join(out)
 
 
-def _tokenize(text: str) -> list[tuple]:
-    # ``bad`` matches any character no token starts with, so the matches
-    # tile the text and each one starts where the previous one ended
-    tokens: list[tuple] = []
-    append = tokens.append
+class _Tokens(NamedTuple):
+    """The tokens of a text as parallel columns.  A kind is NUMBER,
+    STRING, IDENT, OP or EOF; a value is a NUMBER's Fraction, a STRING's
+    unescaped text, else None."""
+
+    kinds: list[str]
+    texts: list[str]
+    values: list[object]
+    lines: list[int]
+    cols: list[int]
+
+
+def _tokenize(text: str) -> _Tokens:
+    tokens = _Tokens([], [], [], [], [])
+    add_kind, add_text, add_value, add_line, add_col = (column.append for column in tokens)
+    first_kind = _FIRST_KIND
     numbers: dict[str, Fraction] = {}
-    line, line_start = 1, 0
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "ws":
-            raw = m.group()
-            if "\n" in raw:
-                line += raw.count("\n")
-                line_start = m.start() + raw.rindex("\n") + 1
-        elif kind == "IDENT" or kind == "OP":
-            append((kind, m.group(), line, m.start() - line_start + 1, None))
-        elif kind == "NUMBER":
-            raw = m.group()
-            value = numbers.get(raw)
-            if value is None:
-                value = numbers[raw] = Fraction(raw)
-            append((kind, raw, line, m.start() - line_start + 1, value))
-        elif kind == "STRING":
-            raw, col = m.group(), m.start() - line_start + 1
-            append((kind, raw, line, col, _unescape(raw, line, col)))
-        elif kind == "bad":
-            raise RuleParseError(line, m.start() - line_start + 1, f"a token, not {m.group()!r}")
-    append(("EOF", "", line, len(text) - line_start + 1, None))
+    line, line_start, pos = 1, 0, 0
+    for tok in _TOKEN_RE.findall(text):
+        kind = first_kind.get(tok[0])
+        if kind is _WS:
+            if "\n" in tok:
+                line += tok.count("\n")
+                line_start = pos + tok.rindex("\n") + 1
+        elif kind is not _COMMENT:
+            col = pos - line_start + 1
+            if kind is _IDENT or kind is _OP:
+                value = None
+                if tok in _LONE:
+                    kind = _BAD
+            elif kind is _NUMBER or (kind is None and tok[0].isdecimal()):
+                kind = _NUMBER
+                value = numbers.get(tok)
+                if value is None:
+                    value = numbers[tok] = Fraction(tok)
+            elif kind is _STRING and len(tok) > 1:
+                value = _unescape(tok, line, col)
+            else:
+                kind = _BAD
+            if kind is _BAD:
+                raise RuleParseError(line, col, f"a token, not {tok!r}")
+            add_kind(kind)
+            add_text(tok)
+            add_value(value)
+            add_line(line)
+            add_col(col)
+        pos += len(tok)
+    add_kind("EOF")
+    add_text("")
+    add_value(None)
+    add_line(line)
+    add_col(len(text) - line_start + 1)
     return tokens
 
 
@@ -239,35 +282,36 @@ def _tokenize(text: str) -> list[tuple]:
 # string or name has the text of an operator, and a keyword is a name.
 
 class _Parser:
-    def __init__(self, tokens: list[tuple]):
-        self.tokens = tokens
+    def __init__(self, tokens: _Tokens):
+        self.kinds, self.texts, self.values, self.lines, self.cols = tokens
         self.pos = 0
 
     def _fail(self, expected: str):
-        _, _, line, col, _ = self.tokens[self.pos]
-        raise RuleParseError(line, col, expected)
+        raise RuleParseError(self.lines[self.pos], self.cols[self.pos], expected)
 
     def _expect_op(self, op: str) -> None:
-        if self.tokens[self.pos][1] != op:
+        if self.texts[self.pos] != op:
             self._fail(f"{op!r}")
         self.pos += 1
 
     def ruleset(self) -> list[Rule]:
         rules = []
-        while self.tokens[self.pos][0] != "EOF":
+        kinds = self.kinds
+        while kinds[self.pos] != "EOF":
             rules.append(self.rule())
         return rules
 
     def rule(self) -> Rule:
-        kind, name, line, col, _ = self.tokens[self.pos]
-        if kind != "IDENT" or name in _KEYWORDS:
+        pos = self.pos
+        name = self.texts[pos]
+        if self.kinds[pos] != _IDENT or name in _KEYWORDS:
             self._fail("a rule name")
         self.pos += 1
         self._expect_op(":")
-        return Rule(name, self.expr(), (line, col))
+        return Rule(name, self.expr(), (self.lines[pos], self.cols[pos]))
 
     def expr(self) -> Expr:
-        if self.tokens[self.pos][1] == "if":
+        if self.texts[self.pos] == "if":
             self.pos += 1
             self._expect_op("(")
             cond = self.expr()
@@ -277,27 +321,27 @@ class _Parser:
 
     def or_expr(self) -> Expr:
         node = self.and_expr()
-        while self.tokens[self.pos][1] == "or":
+        while self.texts[self.pos] == "or":
             self.pos += 1
             node = Binary("or", node, self.and_expr())
         return node
 
     def and_expr(self) -> Expr:
         node = self.not_expr()
-        while self.tokens[self.pos][1] == "and":
+        while self.texts[self.pos] == "and":
             self.pos += 1
             node = Binary("and", node, self.not_expr())
         return node
 
     def not_expr(self) -> Expr:
-        if self.tokens[self.pos][1] == "not":
+        if self.texts[self.pos] == "not":
             self.pos += 1
             return Unary("not", self.not_expr())
         return self.cmp()
 
     def cmp(self) -> Expr:
         node = self.sum()
-        op = self.tokens[self.pos][1]
+        op = self.texts[self.pos]
         if op in COMPARE:
             self.pos += 1
             node = Binary(op, node, self.sum())
@@ -305,39 +349,41 @@ class _Parser:
 
     def sum(self) -> Expr:
         node = self.term()
-        while (op := self.tokens[self.pos][1]) in ("+", "-"):
+        while (op := self.texts[self.pos]) in ("+", "-"):
             self.pos += 1
             node = Binary(op, node, self.term())
         return node
 
     def term(self) -> Expr:
         node = self.factor()
-        while (op := self.tokens[self.pos][1]) in ("*", "/"):
+        while (op := self.texts[self.pos]) in ("*", "/"):
             self.pos += 1
             node = Binary(op, node, self.factor())
         return node
 
     def factor(self) -> Expr:
-        kind, text, _, _, value = self.tokens[self.pos]
-        if kind == "NUMBER":
+        pos = self.pos
+        kind = self.kinds[pos]
+        if kind is _NUMBER:
             self.pos += 1
-            return NumberLit(value)
-        if kind == "STRING":
+            return NumberLit(self.values[pos])
+        if kind is _STRING:
             self.pos += 1
-            return TextLit(value)
-        if kind == "IDENT":
+            return TextLit(self.values[pos])
+        text = self.texts[pos]
+        if kind is _IDENT:
             if text in _KEYWORDS:
                 if text != "NA":
                     self._fail("an expression")
                 self.pos += 1
                 return NALit()
-            if text in _CALL_FNS and self.tokens[self.pos + 1][1] == "(":
+            if text in _CALL_FNS and self.texts[pos + 1] == "(":
                 return self.call()
             return self.varref()
         if text == "-":
             self.pos += 1
             inner = self.factor()
-            if isinstance(inner, NumberLit):  # fold negative literals
+            if type(inner) is NumberLit:  # fold negative literals
                 return NumberLit(-inner.value)
             return Unary("neg", inner)
         if text == "(":
@@ -351,28 +397,29 @@ class _Parser:
         self._fail("an expression")
 
     def set_tail(self) -> SetLit:
-        tokens = self.tokens
+        kinds, texts, values = self.kinds, self.texts, self.values
         items: list[Union[Fraction, str]] = []
         while True:
-            kind, text, _, _, value = tokens[self.pos]
-            if kind == "NUMBER" or kind == "STRING":
+            pos = self.pos
+            kind = kinds[pos]
+            if kind is _NUMBER or kind is _STRING:
                 self.pos += 1
-                items.append(value)
-            elif text == "-" and tokens[self.pos + 1][0] == "NUMBER":
-                items.append(-tokens[self.pos + 1][4])
+                items.append(values[pos])
+            elif texts[pos] == "-" and kinds[pos + 1] is _NUMBER:
+                items.append(-values[pos + 1])
                 self.pos += 2
             else:
                 self._fail("a number or string inside { }")
-            if tokens[self.pos][1] == "}":
+            if texts[self.pos] == "}":
                 self.pos += 1
                 return SetLit(tuple(items))
             self._expect_op(",")
 
     def call(self) -> Expr:
-        fn = self.tokens[self.pos][1]
+        fn = self.texts[self.pos]
         self.pos += 2  # the name and its "("
         args = [self.expr()]
-        while self.tokens[self.pos][1] == ",":
+        while self.texts[self.pos] == ",":
             self.pos += 1
             args.append(self.expr())
         self._expect_op(")")
@@ -392,22 +439,21 @@ class _Parser:
         return Builtin(fn, tuple(args))
 
     def varref(self) -> VarRef:
-        tokens = self.tokens
-        name = tokens[self.pos][1]
+        kinds, texts = self.kinds, self.texts
+        name = texts[self.pos]
         self.pos += 1
         table: Optional[str] = None
-        if tokens[self.pos][1] == ".":
+        if texts[self.pos] == ".":
             self.pos += 1
-            kind, text, _, _, _ = tokens[self.pos]
-            if kind != "IDENT":
+            if kinds[self.pos] is not _IDENT:
                 self._fail("a variable name after '.'")
-            table, name = name, text
+            table, name = name, texts[self.pos]
             self.pos += 1
         lag = 0
-        if tokens[self.pos][1] == "@":
+        if texts[self.pos] == "@":
             self.pos += 1
-            kind, _, _, _, value = tokens[self.pos]
-            if kind != "NUMBER" or value.denominator != 1:
+            value = self.values[self.pos]
+            if kinds[self.pos] is not _NUMBER or value.denominator != 1:
                 self._fail("an integer lag after '@'")
             self.pos += 1
             lag = int(value)
@@ -425,32 +471,8 @@ def _typeof(expr: Expr, rule_name: str) -> str:
     def err(node: Expr, message: str):
         raise RuleTypeError(rule_name, format_expr(node), message)
 
-    if isinstance(expr, NumberLit):
-        return T_NUM
-    if isinstance(expr, TextLit):
-        return T_TEXT
-    if isinstance(expr, (NALit, VarRef)):
-        return T_VAL
-    if isinstance(expr, SetLit):
-        return T_SET
-    if isinstance(expr, Aggregate):
-        t = _typeof(expr.arg, rule_name)
-        if expr.fn == "count":
-            if t not in _SCALARS:
-                err(expr, f"count needs a data argument, not {t}")
-        elif t not in _NUMERICISH:
-            err(expr, f"{expr.fn} needs a numeric argument, not {t}")
-        return T_NUM
-    if isinstance(expr, Unary):
-        t = _typeof(expr.operand, rule_name)
-        if expr.op == "not":
-            if t != T_LOG:
-                err(expr, f"not needs a logical operand, not {t}")
-            return T_LOG
-        if t not in _NUMERICISH:
-            err(expr, f"{expr.op} needs a numeric operand, not {t}")
-        return T_NUM
-    if isinstance(expr, Binary):
+    cls = type(expr)
+    if cls is Binary:
         lt = _typeof(expr.left, rule_name)
         rt = _typeof(expr.right, rule_name)
         if expr.op in ("+", "-", "*", "/"):
@@ -468,17 +490,42 @@ def _typeof(expr: Expr, rule_name: str) -> str:
             if t != T_LOG:
                 err(expr, f"{expr.op!r} needs logical operands, got {t}")
         return T_LOG
-    if isinstance(expr, If):
+    if cls is NumberLit:
+        return T_NUM
+    if cls is VarRef or cls is NALit:
+        return T_VAL
+    if cls is TextLit:
+        return T_TEXT
+    if cls is SetLit:
+        return T_SET
+    if cls is Aggregate:
+        t = _typeof(expr.arg, rule_name)
+        if expr.fn == "count":
+            if t not in _SCALARS:
+                err(expr, f"count needs a data argument, not {t}")
+        elif t not in _NUMERICISH:
+            err(expr, f"{expr.fn} needs a numeric argument, not {t}")
+        return T_NUM
+    if cls is Unary:
+        t = _typeof(expr.operand, rule_name)
+        if expr.op == "not":
+            if t != T_LOG:
+                err(expr, f"not needs a logical operand, not {t}")
+            return T_LOG
+        if t not in _NUMERICISH:
+            err(expr, f"{expr.op} needs a numeric operand, not {t}")
+        return T_NUM
+    if cls is If:
         for part in (expr.cond, expr.then):
             if _typeof(part, rule_name) != T_LOG:
                 err(expr, "if needs logical condition and consequent")
         return T_LOG
-    if isinstance(expr, Builtin):
+    if cls is Builtin:
         if expr.fn == "in_set":
             t0 = _typeof(expr.args[0], rule_name)
             if t0 not in _SCALARS:
                 err(expr, f"in_set tests a data value, got {t0}")
-            if not isinstance(expr.args[1], SetLit):
+            if type(expr.args[1]) is not SetLit:
                 err(expr, "the second argument of in_set must be a literal set")
             return T_LOG
         t = _typeof(expr.args[0], rule_name)
@@ -542,17 +589,19 @@ def scoped_nodes(expr: Expr) -> list[tuple[Expr, Optional[Aggregate]]]:
     nodes: list[tuple[Expr, Optional[Aggregate]]] = []
     stack: list[tuple[Expr, Optional[Aggregate]]] = [(expr, None)]
     while stack:
-        node, scope = stack.pop()
-        nodes.append((node, scope))
-        if isinstance(node, Aggregate):
-            stack.append((node.arg, node))
-        elif isinstance(node, Unary):
-            stack.append((node.operand, scope))
-        elif isinstance(node, Binary):
+        item = stack.pop()
+        nodes.append(item)
+        node, scope = item
+        cls = type(node)
+        if cls is Binary:
             stack += ((node.right, scope), (node.left, scope))
-        elif isinstance(node, If):
+        elif cls is Unary:
+            stack.append((node.operand, scope))
+        elif cls is Aggregate:
+            stack.append((node.arg, node))
+        elif cls is If:
             stack += ((node.then, scope), (node.cond, scope))
-        elif isinstance(node, Builtin):
+        elif cls is Builtin:
             stack += ((arg, scope) for arg in reversed(node.args))
     return nodes
 
@@ -588,11 +637,12 @@ def rule_scope(rule: Rule, schema: Optional[Schema] = None) -> RuleScope:
     the facts into its own errors."""
     found: list[tuple[VarRef, Optional[Aggregate]]] = []
     aggregates: list[tuple[Aggregate, Optional[Aggregate]]] = []
-    for node, scope in scoped_nodes(rule.body):
-        if isinstance(node, VarRef):
-            found.append((node, scope))
-        elif isinstance(node, Aggregate):
-            aggregates.append((node, scope))
+    for item in scoped_nodes(rule.body):
+        cls = type(item[0])
+        if cls is VarRef:
+            found.append(item)
+        elif cls is Aggregate:
+            aggregates.append(item)
     explicit = {ref.table for ref, _ in found if ref.table is not None}
     fold = next(iter(explicit)) if len(explicit) == 1 else None
     refs: list[tuple[VarRef, Optional[str]]] = []
@@ -634,13 +684,14 @@ _UNARY_PREC = {"not": _PREC_NOT, "neg": _PREC_NEG}
 
 
 def _prec(expr: Expr) -> int:
-    if isinstance(expr, Binary):
+    cls = type(expr)
+    if cls is Binary:
         return _BINARY_PREC.get(expr.op, _PREC_CMP)
-    if isinstance(expr, If):
-        return _PREC_IF
-    if isinstance(expr, Unary):
+    if cls is Unary:
         return _UNARY_PREC.get(expr.op, _PREC_ATOM)
-    if isinstance(expr, NumberLit) and "/" in format_number(expr.value):
+    if cls is If:
+        return _PREC_IF
+    if cls is NumberLit and expr.value.denominator != 1 and "/" in format_number(expr.value):
         return _PREC_TERM  # the text p/q reads back as a division
     return _PREC_ATOM
 
@@ -664,34 +715,35 @@ def format_expr(expr: Expr, minprec: int = 0) -> str:
 
 
 def _format_bare(expr: Expr) -> str:
-    if isinstance(expr, Binary):
-        prec = _prec(expr)
+    cls = type(expr)
+    if cls is Binary:
+        prec = _BINARY_PREC.get(expr.op, _PREC_CMP)
         left = format_expr(expr.left, prec)
         right = format_expr(expr.right, prec + 1)
         return f"{left} {expr.op} {right}"
-    if isinstance(expr, NumberLit):
-        return format_number(expr.value)
-    if isinstance(expr, TextLit):
-        return _fmt_literal(expr.value)
-    if isinstance(expr, NALit):
-        return "NA"
-    if isinstance(expr, SetLit):
-        return "{" + ", ".join(_fmt_literal(i) for i in expr.items) + "}"
-    if isinstance(expr, VarRef):
+    if cls is VarRef:
         text = expr.variable if expr.table is None else f"{expr.table}.{expr.variable}"
         return text if expr.lag == 0 else f"{text}@{expr.lag}"
-    if isinstance(expr, Aggregate):
+    if cls is NumberLit:
+        return format_number(expr.value)
+    if cls is Aggregate:
         return f"{expr.fn}({format_expr(expr.arg)})"
-    if isinstance(expr, Builtin):
-        return f"{expr.fn}(" + ", ".join(format_expr(a) for a in expr.args) + ")"
-    if isinstance(expr, Unary):
+    if cls is Unary:
         if expr.op == "not":
             return "not " + format_expr(expr.operand, _PREC_NOT)
         if expr.op == "abs":
             return f"abs({format_expr(expr.operand)})"
         return "-" + format_expr(expr.operand, _PREC_NEG)
-    if isinstance(expr, If):
+    if cls is TextLit:
+        return _fmt_literal(expr.value)
+    if cls is Builtin:
+        return f"{expr.fn}(" + ", ".join(format_expr(a) for a in expr.args) + ")"
+    if cls is If:
         return f"if ({format_expr(expr.cond)}) {format_expr(expr.then)}"
+    if cls is SetLit:
+        return "{" + ", ".join(_fmt_literal(i) for i in expr.items) + "}"
+    if cls is NALit:
+        return "NA"
     raise AssertionError(f"unhandled node {expr!r}")
 
 

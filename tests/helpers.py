@@ -35,7 +35,7 @@ from validus.errors import (
 )
 from validus.evaluator import NA_POLICIES, EvalOptions, evaluate_ruleset
 from validus.linear import Interval, feasible
-from validus.model import NA, DataPoint, Key, build_dataset, natural_order
+from validus.model import NA, DataPoint, Key, build_dataset, format_number, natural_order
 from validus.rules import (
     AGGREGATE_FNS,
     COMPARE,
@@ -950,6 +950,110 @@ def parse_outcome(parse, text: str):
     return [(rule.name, rule.body, rule.source_span) for rule in ruleset]
 
 
+# --- reference rule formatter: isinstance dispatch, precedence per node ----
+
+_REF_PREC_IF, _REF_PREC_OR, _REF_PREC_AND, _REF_PREC_NOT, _REF_PREC_CMP = range(5)
+_REF_PREC_SUM, _REF_PREC_TERM, _REF_PREC_NEG, _REF_PREC_ATOM = range(5, 9)
+_REF_BINARY_PREC = {
+    "or": _REF_PREC_OR, "and": _REF_PREC_AND, "+": _REF_PREC_SUM, "-": _REF_PREC_SUM,
+    "*": _REF_PREC_TERM, "/": _REF_PREC_TERM,
+}
+_REF_UNARY_PREC = {"not": _REF_PREC_NOT, "neg": _REF_PREC_NEG}
+
+
+def _ref_prec(expr: Expr) -> int:
+    if isinstance(expr, Binary):
+        return _REF_BINARY_PREC.get(expr.op, _REF_PREC_CMP)
+    if isinstance(expr, If):
+        return _REF_PREC_IF
+    if isinstance(expr, Unary):
+        return _REF_UNARY_PREC.get(expr.op, _REF_PREC_ATOM)
+    if isinstance(expr, NumberLit) and "/" in format_number(expr.value):
+        return _REF_PREC_TERM  # the text p/q reads back as a division
+    return _REF_PREC_ATOM
+
+
+def _ref_fmt_literal(item: Union[Fraction, str]) -> str:
+    if isinstance(item, Fraction):
+        text = format_number(item)
+        if "/" in text:
+            raise ValueError(f"set item {text} has no finite decimal form, so the rule text would not parse")
+        return text
+    escaped = item.replace("\\", "\\\\").replace('"', '\\"')
+    return f'"{escaped}"'
+
+
+def _ref_format_expr(expr: Expr, minprec: int = 0) -> str:
+    text = _ref_format_bare(expr)
+    if minprec and _ref_prec(expr) < minprec:
+        return f"({text})"
+    return text
+
+
+def _ref_format_bare(expr: Expr) -> str:
+    if isinstance(expr, Binary):
+        prec = _ref_prec(expr)
+        left = _ref_format_expr(expr.left, prec)
+        right = _ref_format_expr(expr.right, prec + 1)
+        return f"{left} {expr.op} {right}"
+    if isinstance(expr, NumberLit):
+        return format_number(expr.value)
+    if isinstance(expr, TextLit):
+        return _ref_fmt_literal(expr.value)
+    if isinstance(expr, NALit):
+        return "NA"
+    if isinstance(expr, SetLit):
+        return "{" + ", ".join(_ref_fmt_literal(i) for i in expr.items) + "}"
+    if isinstance(expr, VarRef):
+        text = expr.variable if expr.table is None else f"{expr.table}.{expr.variable}"
+        return text if expr.lag == 0 else f"{text}@{expr.lag}"
+    if isinstance(expr, Aggregate):
+        return f"{expr.fn}({_ref_format_expr(expr.arg)})"
+    if isinstance(expr, Builtin):
+        return f"{expr.fn}(" + ", ".join(_ref_format_expr(a) for a in expr.args) + ")"
+    if isinstance(expr, Unary):
+        if expr.op == "not":
+            return "not " + _ref_format_expr(expr.operand, _REF_PREC_NOT)
+        if expr.op == "abs":
+            return f"abs({_ref_format_expr(expr.operand)})"
+        return "-" + _ref_format_expr(expr.operand, _REF_PREC_NEG)
+    if isinstance(expr, If):
+        return f"if ({_ref_format_expr(expr.cond)}) {_ref_format_expr(expr.then)}"
+    raise AssertionError(f"unhandled node {expr!r}")
+
+
+def reference_format_rule(rule: Rule) -> str:
+    """``format_rule`` as it was before the walks dispatched on node type:
+    isinstance tests in a fixed order, and the precedence of a number
+    literal read off its formatted text every time."""
+    return f"{rule.name}: {_ref_format_expr(rule.body)}"
+
+
+def format_outcome(format_, rule: Rule):
+    """The text ``format_(rule)`` gives, or the type and message of the
+    ValueError it raises for a set item with no finite decimal form."""
+    try:
+        return format_(rule)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+def random_set_rule(rng: random.Random, name: str = "s") -> Rule:
+    """An in_set rule over a literal set of signed decimals, fractions
+    with no finite decimal form (which have no rule text) and strings
+    holding every escape."""
+    def item():
+        roll = rng.random()
+        if roll < 0.4:
+            return Fraction(rng.randint(-999, 999), rng.choice([1, 2, 4, 5, 8, 10, 100]))
+        if roll < 0.5:
+            return Fraction(rng.randint(-9, 9), rng.choice([3, 7]))
+        return rng.choice(["p", 'say "hi"', "back\\slash", "tab\tnew\nline", "", "# not a comment", "é"])
+
+    target = VarRef(rng.choice(["alpha", "beta"]), table=rng.choice([None, "trade"]), lag=rng.choice([0, 0, 1]))
+    return Rule(name, Builtin("in_set", (target, SetLit(tuple(item() for _ in range(rng.randint(1, 4)))))))
+
+
 # --- rule files for the parser: valid files and token soup -----------------
 
 _ESCAPED_STRINGS = ('"plain"', '"say \\"hi\\""', '"back\\\\slash"', '"tab\\tnew\\nline"', '""', '"# not a comment"')
@@ -983,6 +1087,7 @@ _SOUP = (
     "and", "or", "not", "if", "if (", "NA", "mean(", "sum(", "count(", "abs(", "in_set(", "is_na(",
     "{-1", "{-", "{-x}", "{1, -2}", '"s"', '"a\\"b"', '"bad\\q"', '"', '"unterminated', '"\\', "$",
     "# c", "#", "\n", "\r\n", "\r", " ", "\t", "\f", "r:", "r2:", "é", "x >= 0", "a: b", "\n q: ",
+    "\u0663", "x\u0663", "\u00b2", "\v",
 )
 
 

@@ -102,3 +102,13 @@ def test_classification_invariant_under_round_trip_and_negation():
         sig = classify_rule(rule)
         assert classify_rule(parse_rule(format_rule(rule))) == sig
         assert classify_rule(negate_rule(rule)) == sig
+
+
+def test_each_signature_is_one_shared_object():
+    rng = random.Random(20240812)
+    shared = {}
+    for i in range(500):
+        sig = classify_rule(random_rule(rng, name=f"g{i}"))
+        assert sig is shared.setdefault(sig.text, sig)
+        assert sig == RuleSignature(*sig.text) and sig.level == sig.text.count("m")
+    assert len(shared) >= 6

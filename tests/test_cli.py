@@ -395,3 +395,30 @@ def test_classify_csv_with_no_rules_writes_the_rules_header(workspace, capsys):
     tmp, write = workspace
     assert run(["classify", "--rules", write("rules.txt", "# nothing\n"), "--format", "csv"]) == 0
     assert capsys.readouterr().out == "name,signature,level\n"
+
+
+@pytest.mark.parametrize("command", ["classify", "validate", "lint", "analyze"])
+def test_csv_reports_format_and_classify_only_what_they_write(workspace, capsys, monkeypatch, command):
+    import validus.cli as cli
+
+    calls = {"format_rule": 0, "classify_rule": 0}
+
+    def counting(name):
+        original = getattr(cli, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(cli, name, counting(name))
+    tmp, write = workspace
+    argv = [command, "--rules", write("rules.txt", SECTION_RULES), "--schema", write("schema.txt", PERSON_SCHEMA)]
+    if command == "validate":
+        argv += ["--data", f"person={write('person.csv', PERSON_CSV)}"]
+    run(argv + ["--format", "csv", "-o", str(tmp / "report.csv")])
+    # no CSV table holds the rule text; only classify's holds signatures
+    assert calls == {"format_rule": 0, "classify_rule": 4 if command == "classify" else 0}
+    run(argv + ["--format", "json", "-o", str(tmp / "report.json")])
+    assert calls == {"format_rule": 4, "classify_rule": 8 if command == "classify" else 4}

@@ -10,6 +10,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
+from helpers import reference_parse_value
+
 from validus.errors import DuplicateKeyError, MissingKeyError, UnknownKeyError
 from validus.model import (
     NA,
@@ -193,6 +195,23 @@ def test_parse_value_integer_fast_path_matches_fraction():
                 expected = q.numerator if q.denominator == 1 else q
             except (ValueError, ZeroDivisionError):
                 expected = text
+        value = parse_value(text)
+        assert (type(value), value) == (type(expected), expected), text[:20]
+
+
+def test_parse_value_decimal_fast_path_matches_reference():
+    rng = random.Random(4219)
+    texts = ["76.1", "+76.1", "-76.1", "007.250", "-0.0", "+0.50", "4.0", "-4.000", "12.5e1", " 3.25 ",
+             "1.", ".5", "-.5", "+.", "1_0.5", "1.5_0", "\u0663.\u0665", "1.\u0665", "1.2.3", "+-1.5", "- 1.5",
+             "9" * 3000 + "." + "9" * 3000, "NA", ""]
+    texts += ["".join(rng.choice("0123456789+-_ .e\u0663") for _ in range(rng.randint(1, 7)))
+              for _ in range(20000)]
+    texts += [f"{rng.choice(['', '+', '-'])}{rng.randint(0, 10 ** rng.randint(0, 6))}.{rng.randint(0, 999):0{rng.randint(1, 4)}d}"
+              for _ in range(5000)]
+    for text in texts:
+        expected = reference_parse_value(text)
+        if isinstance(expected, Fraction) and expected.denominator == 1:
+            expected = expected.numerator  # an integral number is stored as an int
         value = parse_value(text)
         assert (type(value), value) == (type(expected), expected), text[:20]
 

@@ -12,10 +12,13 @@ from helpers import (
     abstract_eval,
     all_assignments,
     atom_keys,
+    format_outcome,
     parse_outcome,
     random_rule,
     random_rule_file,
+    random_set_rule,
     random_trade_csv,
+    reference_format_rule,
     reference_parse_rules,
     token_soup,
     verdicts_of,
@@ -164,6 +167,35 @@ def test_parser_matches_reference_on_token_soup():
                      "an integer lag after '@'", "a variable name after '.'", "an expression",
                      "')'", "a rule name", "a number or string inside { }"):
         assert seen[expected] > 0, expected
+
+
+def test_lexer_kinds_follow_the_first_character():
+    # \d is str.isdecimal: an Arabic-Indic digit starts a number, and
+    # may follow a letter in a name, but a superscript digit starts no token
+    assert parse_rule("r: \u0663 > x\u0663").body == Binary(">", NumberLit(Fraction(3)), VarRef("x\u0663"))
+    assert parse_rule("r: x >= 1\u0663.\u0665").body == Binary(">=", VarRef("x"), NumberLit(Fraction(27, 2)))
+    for text, column, bad in (("r: x > \u00b2", 8, "\u00b2"), ("r: x\v> 1", 5, "\v"), ('r: x == "', 9, '"'),
+                              ("r: x = 1", 6, "="), ("r: x ! 1", 6, "!"), ("r: x\n  $", 3, "$")):
+        with pytest.raises(RuleParseError) as err:
+            parse_rules(text)
+        line = 2 if "\n" in text else 1
+        assert (err.value.line, err.value.column, err.value.expected) == (line, column, f"a token, not {bad!r}")
+        assert parse_outcome(reference_parse_rules, text) == ("RuleParseError", line, column, f"a token, not {bad!r}")
+
+
+def test_formatter_matches_reference():
+    rng = random.Random(7303)
+    rules = []
+    for i in range(1500):
+        rule = random_rule(rng, name=f"g{i}")
+        rules += [rule, with_fraction_literals(rule, rng), random_set_rule(rng, name=f"s{i}")]
+    rules += parse_rules(random_rule_file(rng, 300)).rules  # escaped strings in sets and comparisons
+    kinds = Counter()
+    for rule in rules:
+        outcome = format_outcome(format_rule, rule)
+        assert outcome == format_outcome(reference_format_rule, rule)
+        kinds["text" if isinstance(outcome, str) else "error"] += 1
+    assert kinds["text"] > 4000 and kinds["error"] > 100
 
 
 def test_comments_and_blank_lines():
