@@ -10,8 +10,13 @@ On each seeded case it checks that
   trip;
 - that rule, the rule it came from and a random ``in_set`` rule format
   to the same text (or the same error) with ``format_rule`` and with
-  ``tests/helpers.py::reference_format_rule``, and each rule of the
-  parsed rule file gets the signature ``reference_signature`` gives it.
+  ``tests/helpers.py::reference_format_escaped``, the reference formatter
+  with newlines and tabs written as escapes;
+- the ``in_set`` rule's text, whose strings hold every escapable
+  character, and each rule of the parsed rule file parse back to the
+  same body after a format;
+- each rule of the parsed rule file gets the signature
+  ``reference_signature`` gives it.
 Then it prints the µs per rule of ``parse_rules`` (and of the reference)
 on generated files of 1k, 5k and 20k rules, each with the gen-0/1/2
 garbage collections during its fastest run; the figures should stay flat.
@@ -35,7 +40,7 @@ from helpers import (  # noqa: E402
     random_rule_file,
     random_set_rule,
     random_trade_csv,
-    reference_format_rule,
+    reference_format_escaped,
     reference_parse_rules,
     reference_signature,
     token_soup,
@@ -77,7 +82,7 @@ def _best_of(runs: int, fn, arg) -> tuple[float, list[int]]:
 def main(count: int = 1000, seed: int = 20261018) -> None:
     rng = random.Random(seed)
     schema = parse_schema(ROUND_TRIP_SCHEMA_TEXT)
-    parsed = failed = evaluated = formatted = classified = 0
+    parsed = failed = evaluated = formatted = classified = reparsed = 0
     for i in range(count):
         rule_file = random_rule_file(rng, 10)
         for kind, text in (("rule file", rule_file), ("token soup", token_soup(rng))):
@@ -87,18 +92,25 @@ def main(count: int = 1000, seed: int = 20261018) -> None:
                 _disagree(kind, i, text, ours, theirs)
             parsed += isinstance(ours, list)
             failed += not isinstance(ours, list)
-        for parsed_rule in parse_rules(rule_file):
+        file_rules = parse_rules(rule_file)
+        for parsed_rule in file_rules:
             got, expected = str(classify_rule(parsed_rule)), reference_signature(parsed_rule)
             if got != expected:
                 _disagree("signature", i, format_rule(parsed_rule), got, expected)
             classified += 1
         plain = random_rule(rng, name=f"g{i}")
         rule = with_fraction_literals(plain, rng)
-        for formed in (plain, rule, random_set_rule(rng, name=f"s{i}")):
-            got, expected = format_outcome(format_rule, formed), format_outcome(reference_format_rule, formed)
+        set_rule = random_set_rule(rng, name=f"s{i}")
+        for formed in (plain, rule, set_rule):
+            got, expected = format_outcome(format_rule, formed), format_outcome(reference_format_escaped, formed)
             if got != expected:
                 _disagree("format", i, repr(formed.body), got, expected)
             formatted += 1
+        for formed in (set_rule, *file_rules):
+            text = format_outcome(format_rule, formed)
+            if isinstance(text, str) and parse_rule(text).body != formed.body:
+                _disagree("text round trip", i, text, parse_rule(text).body, formed.body)
+            reparsed += isinstance(text, str)
         dataset = dataset_from_csv({"trade": random_trade_csv(rng)})
         expected = verdicts_of(rule, dataset, schema)
         again = verdicts_of(parse_rule(format_rule(rule)), dataset, schema)
@@ -106,7 +118,7 @@ def main(count: int = 1000, seed: int = 20261018) -> None:
             _disagree("round trip", i, format_rule(rule), again, expected)
         evaluated += not isinstance(expected, str)
     print(f"{count} cases: {2 * count} texts ({parsed} parsed, {failed} rejected), "
-          f"{count} round trips ({evaluated} evaluated), {formatted} formats, "
+          f"{count} round trips ({evaluated} evaluated), {formatted} formats ({reparsed} parsed back), "
           f"{classified} signatures, 0 disagreements")
 
     print(f"{'rules':>6} {'parse_rules':>12} {'µs/rule':>8} {'gc 0/1/2':>10} {'reference':>10} {'µs/rule':>8} {'gc 0/1/2':>10}")

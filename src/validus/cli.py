@@ -12,16 +12,19 @@ import io
 import json
 import sys
 from json.encoder import encode_basestring_ascii
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from .analyzer import INFEASIBLE, Finding, analyze_ruleset, lint_ruleset, simplify_ruleset
-from .classifier import classify_rule
-from .csvio import dataset_from_csv
 from .errors import UnevaluableRulesError, ValidusError
-from .evaluator import EvalOptions, RuleVerdicts, evaluate_ruleset
-from .rules import RuleSet, format_rule, format_ruleset, parse_rules
-from .schema import Schema, parse_schema
 from .tribool import TriBool
+
+# each command imports the modules it runs when it runs, so a process
+# compiles only those: validate never loads the analyzer, nor analyze
+# the evaluator
+if TYPE_CHECKING:
+    from .analyzer import Finding
+    from .evaluator import RuleVerdicts
+    from .rules import RuleSet
+    from .schema import Schema
 
 EXIT_OK = 0
 EXIT_FAILURES = 1
@@ -62,10 +65,14 @@ def _read(path: str) -> str:
 
 
 def _load_schema(args) -> Optional[Schema]:
+    from .schema import parse_schema
+
     return parse_schema(_read(args.schema)) if args.schema else None
 
 
 def _load_data(args, schema: Schema):
+    from .csvio import dataset_from_csv
+
     tables: dict[str, str] = {}
     for spec in args.data:
         if "=" not in spec:
@@ -78,6 +85,9 @@ def _load_data(args, schema: Schema):
 
 
 def _rule_records(rules: RuleSet, schema: Optional[Schema]) -> list[tuple[str, str, str, int]]:
+    from .classifier import classify_rule
+    from .rules import format_rule
+
     records = []
     for rule in rules:
         sig = classify_rule(rule, schema)
@@ -178,6 +188,8 @@ def _emit_report(args, rules: RuleSet, schema: Optional[Schema], blocks: list[Ru
         writer.writerow(_FINDING_FIELDS)
         writer.writerows([f.get(k, "") for k in _FINDING_FIELDS] for f in findings)
     else:
+        from .classifier import classify_rule
+
         writer.writerow(("name", "signature", "level"))
         for rule in rules:
             sig = classify_rule(rule, schema)
@@ -186,6 +198,9 @@ def _emit_report(args, rules: RuleSet, schema: Optional[Schema], blocks: list[Ru
 
 
 def _cmd_validate(args) -> int:
+    from .evaluator import EvalOptions, evaluate_ruleset
+    from .rules import parse_rules
+
     schema = _load_schema(args)
     rules = parse_rules(_read(args.rules))
     if not args.data:
@@ -205,6 +220,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    from .rules import parse_rules
+
     schema = _load_schema(args)
     rules = parse_rules(_read(args.rules))
     _emit_report(args, rules, schema, [], [], {})
@@ -212,6 +229,9 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_lint(args) -> int:
+    from .analyzer import lint_ruleset
+    from .rules import parse_rules
+
     schema = _load_schema(args)
     rules = parse_rules(_read(args.rules))
     findings, _, unsupported = lint_ruleset(rules, schema)
@@ -222,6 +242,9 @@ def _cmd_lint(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    from .analyzer import INFEASIBLE, analyze_ruleset
+    from .rules import parse_rules
+
     schema = _load_schema(args)
     rules = parse_rules(_read(args.rules))
     findings, unsupported = analyze_ruleset(rules, schema)
@@ -237,6 +260,9 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_simplify(args) -> int:
+    from .analyzer import simplify_ruleset
+    from .rules import format_ruleset, parse_rules
+
     schema = _load_schema(args)
     rules = parse_rules(_read(args.rules))
     simplified, log = simplify_ruleset(rules, schema)

@@ -270,13 +270,16 @@ class _Evaluator:
             a, b = left(unit, time), right(unit, time)
             if a is NA or b is NA:
                 return _N
-            if isinstance(a, NUMBER) and isinstance(b, NUMBER):
+            # a value that is not NA is a number or a str; str is tested
+            # first, as isinstance(x, Fraction) runs ABCMeta's slow check
+            if isinstance(a, str):
+                if isinstance(b, str):
+                    if textual:
+                        return _T if test(a, b) else _F
+                    notes.append(("type_mismatch", f"ordering {op} is undefined for text"))
+                    return _N
+            elif not isinstance(b, str):
                 return _T if test(a, b) else _F
-            if isinstance(a, str) and isinstance(b, str):
-                if textual:
-                    return _T if test(a, b) else _F
-                notes.append(("type_mismatch", f"ordering {op} is undefined for text"))
-                return _N
             notes.append(("type_mismatch", f"comparison {op} between number and text"))
             return _N
 

@@ -703,7 +703,8 @@ def _fmt_literal(item: Union[Fraction, str]) -> str:
         if "/" in text:  # p/q would read back as a division, which a set cannot hold
             raise ValueError(f"set item {text} has no finite decimal form, so the rule text would not parse")
         return text
-    escaped = item.replace("\\", "\\\\").replace('"', '\\"')
+    # the escapes _STRING_ESCAPES reads; a raw newline would end the literal
+    escaped = item.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n").replace("\t", "\\t")
     return f'"{escaped}"'
 
 

@@ -1029,6 +1029,14 @@ def reference_format_rule(rule: Rule) -> str:
     return f"{rule.name}: {_ref_format_expr(rule.body)}"
 
 
+def reference_format_escaped(rule: Rule) -> str:
+    """``reference_format_rule`` with each newline and tab written as the
+    escape ``\\n`` or ``\\t``, as ``format_rule`` writes them: the
+    reference writes them raw, so its text does not parse back.  No other
+    part of a formatted rule holds either character."""
+    return reference_format_rule(rule).replace("\n", "\\n").replace("\t", "\\t")
+
+
 def format_outcome(format_, rule: Rule):
     """The text ``format_(rule)`` gives, or the type and message of the
     ValueError it raises for a set item with no finite decimal form."""

@@ -278,6 +278,20 @@ def test_simplify_minimal_file_unchanged(workspace, capsys):
     assert "simplify:" not in capsys.readouterr().err
 
 
+def test_simplify_writes_text_literal_escapes_that_parse_back(workspace, capsys):
+    tmp, write = workspace
+    out = tmp / "simplified.txt"
+    code = run([
+        "simplify",
+        "--rules", write("rules.txt", 's: name == "a\\nb\\tc"\nt: age >= 0\n'),
+        "--schema", write("schema.txt", "p.age : integer [0, 120]\n"),
+        "-o", str(out),
+    ])
+    assert code == 0
+    assert out.read_text() == 's: name == "a\\nb\\tc"\n'
+    assert run(["classify", "--rules", str(out)]) == 0
+
+
 def test_simplify_infeasible_exits_3(workspace, capsys):
     tmp, write = workspace
     code = run([
@@ -399,20 +413,24 @@ def test_classify_csv_with_no_rules_writes_the_rules_header(workspace, capsys):
 
 @pytest.mark.parametrize("command", ["classify", "validate", "lint", "analyze"])
 def test_csv_reports_format_and_classify_only_what_they_write(workspace, capsys, monkeypatch, command):
-    import validus.cli as cli
+    import validus.classifier
+    import validus.rules
 
-    calls = {"format_rule": 0, "classify_rule": 0}
+    # the commands import these two inside their functions, so they read
+    # them from the defining modules at each call
+    owners = {"format_rule": validus.rules, "classify_rule": validus.classifier}
+    calls = dict.fromkeys(owners, 0)
 
     def counting(name):
-        original = getattr(cli, name)
+        original = getattr(owners[name], name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
             return original(*args, **kwargs)
         return wrapper
 
-    for name in calls:
-        monkeypatch.setattr(cli, name, counting(name))
+    for name, owner in owners.items():
+        monkeypatch.setattr(owner, name, counting(name))
     tmp, write = workspace
     argv = [command, "--rules", write("rules.txt", SECTION_RULES), "--schema", write("schema.txt", PERSON_SCHEMA)]
     if command == "validate":

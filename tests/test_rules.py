@@ -18,6 +18,7 @@ from helpers import (
     random_rule_file,
     random_set_rule,
     random_trade_csv,
+    reference_format_escaped,
     reference_format_rule,
     reference_parse_rules,
     token_soup,
@@ -193,9 +194,18 @@ def test_formatter_matches_reference():
     kinds = Counter()
     for rule in rules:
         outcome = format_outcome(format_rule, rule)
-        assert outcome == format_outcome(reference_format_rule, rule)
+        assert outcome == format_outcome(reference_format_escaped, rule)
         kinds["text" if isinstance(outcome, str) else "error"] += 1
-    assert kinds["text"] > 4000 and kinds["error"] > 100
+        kinds["escaped"] += isinstance(outcome, str) and outcome != reference_format_rule(rule)
+    assert kinds["text"] > 4000 and kinds["error"] > 100 and kinds["escaped"] > 100
+
+
+def test_text_literal_newline_and_tab_are_written_as_escapes():
+    text = 's: name == "a\\nb\\tc" or in_set(kind, {"d\\ne", "q\\"\\\\"})'
+    rule = parse_rule(text)
+    assert rule.body.left.right == TextLit("a\nb\tc")
+    assert format_rule(rule) == text
+    assert parse_rule(format_rule(rule)).body == rule.body
 
 
 def test_comments_and_blank_lines():
@@ -405,7 +415,7 @@ _arith = st.recursive(
 )
 _scalar = st.one_of(
     _arith,
-    st.builds(TextLit, value=st.sampled_from(["employed", "a b", 'quo"te', "back\\slash"])),
+    st.builds(TextLit, value=st.sampled_from(["employed", "a b", 'quo"te', "back\\slash", "tab\tnew\nline"])),
     st.just(NALit()),
 )
 _atoms = st.one_of(
