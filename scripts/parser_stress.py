@@ -11,7 +11,7 @@ On each seeded case it checks that
 - that rule, the rule it came from and a random ``in_set`` rule format
   to the same text (or the same error) with ``format_rule`` and with
   ``tests/helpers.py::reference_format_escaped``, the reference formatter
-  with newlines and tabs written as escapes;
+  with newlines, tabs and carriage returns written as escapes;
 - the ``in_set`` rule's text, whose strings hold every escapable
   character, and each rule of the parsed rule file parse back to the
   same body after a format;
@@ -82,7 +82,7 @@ def _best_of(runs: int, fn, arg) -> tuple[float, list[int]]:
 def main(count: int = 1000, seed: int = 20261018) -> None:
     rng = random.Random(seed)
     schema = parse_schema(ROUND_TRIP_SCHEMA_TEXT)
-    parsed = failed = evaluated = formatted = classified = reparsed = 0
+    parsed = failed = evaluated = formatted = classified = reparsed = carriage = 0
     for i in range(count):
         rule_file = random_rule_file(rng, 10)
         for kind, text in (("rule file", rule_file), ("token soup", token_soup(rng))):
@@ -111,6 +111,7 @@ def main(count: int = 1000, seed: int = 20261018) -> None:
             if isinstance(text, str) and parse_rule(text).body != formed.body:
                 _disagree("text round trip", i, text, parse_rule(text).body, formed.body)
             reparsed += isinstance(text, str)
+            carriage += isinstance(text, str) and "\\r" in text
         dataset = dataset_from_csv({"trade": random_trade_csv(rng)})
         expected = verdicts_of(rule, dataset, schema)
         again = verdicts_of(parse_rule(format_rule(rule)), dataset, schema)
@@ -118,7 +119,8 @@ def main(count: int = 1000, seed: int = 20261018) -> None:
             _disagree("round trip", i, format_rule(rule), again, expected)
         evaluated += not isinstance(expected, str)
     print(f"{count} cases: {2 * count} texts ({parsed} parsed, {failed} rejected), "
-          f"{count} round trips ({evaluated} evaluated), {formatted} formats ({reparsed} parsed back), "
+          f"{count} round trips ({evaluated} evaluated), {formatted} formats ({reparsed} parsed back, "
+          f"{carriage} of them holding \\r), "
           f"{classified} signatures, 0 disagreements")
 
     print(f"{'rules':>6} {'parse_rules':>12} {'µs/rule':>8} {'gc 0/1/2':>10} {'reference':>10} {'µs/rule':>8} {'gc 0/1/2':>10}")

@@ -4,12 +4,13 @@ and csv.writer.
 On each seeded case (``tests/helpers.py::report_case``: random rules over
 a records table, a panel and a header-only table, with units and
 occasions holding non-ASCII characters, quotes, backslashes, commas and
-newlines) it runs ``validus validate`` in both formats and checks that
+newlines) it runs ``validus validate`` in both formats, once to an
+``-o`` file and once to standard output, and checks that each time
 - the JSON report equals ``json.dumps(payload, indent=2)`` of the report
   expanded to one entry per verdict, and
 - the CSV report equals ``csv.writer`` over ``report.entries``,
-as ``tests/helpers.py::reference_reports`` writes them.  It exits 1 at
-the first disagreement.
+as ``tests/helpers.py::reference_reports`` writes them, so the file and
+the standard output agree too.  It exits 1 at the first disagreement.
 
     python scripts/report_stress.py [count] [seed]
 """
@@ -40,8 +41,10 @@ def main(count: int = 500, seed: int = 1018) -> None:
             rules = parse_rules(rules_text)
             report = evaluate_ruleset(rules, dataset_from_csv(tables), schema)
             expected = reference_reports(rules, schema, report)
-            got = validate_reports(Path(workdir), rules_text, tables)
-            for fmt, ours, theirs in zip(("JSON", "CSV"), got, expected):
+            written = validate_reports(Path(workdir), rules_text, tables)
+            printed = validate_reports(Path(workdir), rules_text, tables, stdout=True)
+            for fmt, ours, theirs in zip(("JSON -o", "CSV -o", "JSON stdout", "CSV stdout"),
+                                         written + printed, expected + expected):
                 if ours != theirs:
                     print(f"DISAGREEMENT ({fmt} report) at case {case}:")
                     print(repr(rules_text))
@@ -53,7 +56,7 @@ def main(count: int = 500, seed: int = 1018) -> None:
             seen["all blocks empty" if empty == len(report.blocks) else "some blocks empty" if empty else
                  "no block empty"] += 1
             seen["entries"] += len(report.entries)
-    print(f"{count} cases, {2 * count} reports, 0 disagreements; "
+    print(f"{count} cases, {4 * count} reports, 0 disagreements; "
           + ", ".join(f"{key}: {n}" for key, n in sorted(seen.items())))
 
 

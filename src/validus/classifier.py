@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .rules import Rule, rule_scope
+from .rules import Rule, RuleScope, rule_scope
 from .schema import Schema
 
 SINGLE = "s"
@@ -71,7 +71,7 @@ def level_of(sig: RuleSignature) -> int:
 _SIGNATURES = {tuple(slot == MULTI for slot in text): RuleSignature(*text) for text in ADMISSIBLE_SIGNATURES}
 
 
-def classify_rule(rule: Rule, schema: Optional[Schema] = None) -> RuleSignature:
+def classify_rule(rule: Rule, schema: Optional[Schema] = None, scope: Optional[RuleScope] = None) -> RuleSignature:
     """Read the signature off the rule's scoping.
 
     Each reference counts under the table the schema resolves it to.
@@ -82,9 +82,11 @@ def classify_rule(rule: Rule, schema: Optional[Schema] = None) -> RuleSignature:
     to m); any aggregate or a second table makes the unit span m; any
     lag makes the time span m; more than one distinct (table, variable)
     makes the variable span m.  The result is one of the ten shared
-    signatures of ``ADMISSIBLE_SIGNATURES``.
+    signatures of ``ADMISSIBLE_SIGNATURES``.  ``scope``, when given, is
+    ``rule_scope(rule, schema)``, which the caller already holds.
     """
-    scope = rule_scope(rule, schema)
+    if scope is None:
+        scope = rule_scope(rule, schema)
     variables = {(table or ref.table or scope.fold, ref.variable) for ref, table in scope.refs}
     multi_table = len({table for table, _ in variables if table is not None}) > 1
     return _SIGNATURES[multi_table, scope.max_lag > 0, scope.has_aggregate or multi_table, len(variables) > 1]

@@ -11,8 +11,9 @@ import csv
 import io
 import json
 import sys
+from itertools import islice
 from json.encoder import encode_basestring_ascii
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
 from .errors import UnevaluableRulesError, ValidusError
 from .tribool import TriBool
@@ -23,7 +24,7 @@ from .tribool import TriBool
 if TYPE_CHECKING:
     from .analyzer import Finding
     from .evaluator import RuleVerdicts
-    from .rules import RuleSet
+    from .rules import RuleScope, RuleSet
     from .schema import Schema
 
 EXIT_OK = 0
@@ -84,17 +85,6 @@ def _load_data(args, schema: Schema):
     return dataset_from_csv(tables, args.unit_column, args.time_column or None)
 
 
-def _rule_records(rules: RuleSet, schema: Optional[Schema]) -> list[tuple[str, str, str, int]]:
-    from .classifier import classify_rule
-    from .rules import format_rule
-
-    records = []
-    for rule in rules:
-        sig = classify_rule(rule, schema)
-        records.append((rule.name, format_rule(rule), sig.text, sig.level))
-    return records
-
-
 def _finding_record(finding: Finding) -> dict:
     record = {"kind": finding.kind}
     for attr in ("rule", "variable", "value", "low", "high"):
@@ -109,35 +99,58 @@ def _unsupported_records(unsupported: list[tuple[str, str]]) -> list[dict]:
     return [{"rule": name, "reason": reason} for name, reason in unsupported]
 
 
-def _emit(args, text: str) -> None:
+# entries, rule records or CSV rows per written piece: a piece of a
+# report is some tens of kilobytes, however many verdicts it holds
+_CHUNK = 256
+
+
+def _emit(args, pieces: Iterable[str]) -> None:
+    """Write ``pieces`` in order to ``-o`` or standard output, each one
+    as it is made, so the whole text is never held at once.  Callers
+    compute everything that can raise before this opens the output, so
+    an error leaves an existing ``-o`` file as it was."""
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines(pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
-# the report, a rule record, and an entry's three pieces as
-# json.dumps(payload, indent=2) lays them out; an entry's head holds its
-# rule and table, its middle the unit and time, its tail the result
-_REPORT_JSON = '{\n  "rules": %s,\n  "entries": %s,\n  "findings": %s,\n  "summary": %s\n}\n'
+# a rule record and an entry's three pieces as json.dumps(payload,
+# indent=2) lays them out; an entry's head holds its rule and table, its
+# middle the unit and time, its tail the result
 _RULE_JSON = ('    {\n      "name": %s,\n      "text": %s,\n      "signature": %s,\n'
               '      "level": %d\n    }')
 _ENTRY_HEAD_JSON = '    {\n      "rule": %s,\n      "table": %s,\n      "unit": '
 _ENTRY_MIDDLE_JSON = '%s,\n      "time": %s,\n      "result": '
 _ENTRY_TAIL_JSON = '%s\n    }'
+_REPORT_TAIL_JSON = ',\n  "findings": %s,\n  "summary": %s\n}\n'
+_ENTRY_FIELDS = ("rule", "table", "unit", "time", "result")
 _FINDING_FIELDS = ("kind", "rule", "variable", "value", "low", "high", "evidence")
 
 
-def _json_entries(blocks: list[RuleVerdicts]) -> list[str]:
-    """The JSON text of each non-empty block's entries.  Every piece is
-    quoted once: a head per rule, a middle per scope of each distinct
-    scope tuple (the record rules of one table share theirs), a tail per
-    result value."""
+def _json_rule_records(rules: RuleSet, schema: Optional[Schema], rule_scopes: dict[str, RuleScope]) -> list[str]:
+    """The JSON text of each rule's record: its name, text, signature
+    and level."""
+    from .classifier import classify_rule
+    from .rules import format_rule
+
+    quote = encode_basestring_ascii
+    records = []
+    for rule in rules:
+        sig = classify_rule(rule, schema, rule_scopes.get(rule.name))
+        records.append(_RULE_JSON % (quote(rule.name), quote(format_rule(rule)), quote(sig.text), sig.level))
+    return records
+
+
+def _json_entries(blocks: list[RuleVerdicts]) -> Iterator[str]:
+    """The JSON text of the entries of the non-empty blocks, ``_CHUNK``
+    entries per piece.  Every piece of an entry is quoted once: a head
+    per rule, a middle per scope of each distinct scope tuple (the
+    record rules of one table share theirs), a tail per result value."""
     quote = encode_basestring_ascii
     t, f, n = (_ENTRY_TAIL_JSON % quote(str(value)) for value in (_T, _F, _N))
     middles: dict[int, list[str]] = {}
-    texts = []
     for rule, table, scopes, results in blocks:
         if not results:
             continue
@@ -147,54 +160,81 @@ def _json_entries(blocks: list[RuleVerdicts]) -> list[str]:
                 _ENTRY_MIDDLE_JSON % (quote("ALL" if unit is None else unit), quote("ALL" if time is None else time))
                 for unit, time in scopes]
         head = _ENTRY_HEAD_JSON % (quote(rule), quote(table))
-        texts.append(head + (",\n" + head).join(
-            [mid + (t if v is _T else f if v is _F else n) for mid, v in zip(mids, results)]))
-    return texts
+        joiner = ",\n" + head
+        for start in range(0, len(results), _CHUNK):
+            stop = start + _CHUNK
+            yield head + joiner.join([mid + (t if v is _T else f if v is _F else n)
+                                      for mid, v in zip(mids[start:stop], results[start:stop])])
 
 
-def _json_array(items: list[str]) -> str:
-    return "[\n%s\n  ]" % ",\n".join(items) if items else "[]"
+def _json_array(pieces: Iterable[str]) -> Iterator[str]:
+    """The array of one member of the report's object around ``pieces``,
+    each one or more items joined by ``",\\n"``."""
+    opener = "[\n"
+    for piece in pieces:
+        yield opener
+        yield piece
+        opener = ",\n"
+    yield "[]" if opener == "[\n" else "\n  ]"
 
 
-def _json_report(rules: list[tuple[str, str, str, int]], blocks: list[RuleVerdicts],
-                 findings: list[dict], summary: dict) -> str:
-    """``json.dumps(payload, indent=2) + "\\n"`` of the report.  Rule
-    records and entries are written through templates (with ``indent``
-    the encoder runs in pure Python), and entries from their pieces."""
-    quote = encode_basestring_ascii
-    records = [_RULE_JSON % (quote(name), quote(text), quote(sig), level) for name, text, sig, level in rules]
-    return _REPORT_JSON % (_json_array(records), _json_array(_json_entries(blocks)),
-                           json.dumps(findings, indent=2).replace("\n", "\n  "),
-                           json.dumps(summary, indent=2).replace("\n", "\n  "))
+def _json_report(records: list[str], blocks: list[RuleVerdicts], tail: str) -> Iterator[str]:
+    """``json.dumps(payload, indent=2) + "\\n"`` of the report, in
+    pieces, from the rule records, the blocks and the findings and
+    summary text that follows the entries.  Rule records and entries are
+    written through templates (with ``indent`` the encoder runs in pure
+    Python), and entries from their pieces."""
+    yield '{\n  "rules": '
+    yield from _json_array(",\n".join(records[start:start + _CHUNK]) for start in range(0, len(records), _CHUNK))
+    yield ',\n  "entries": '
+    yield from _json_array(_json_entries(blocks))
+    yield tail
+
+
+def _csv_table(header: tuple[str, ...], rows: Iterable[Iterable]) -> Iterator[str]:
+    """The CSV text of ``header`` and ``rows`` through ``csv.writer``,
+    ``_CHUNK`` rows per piece."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    rows = iter(rows)
+    while True:
+        writer.writerows(islice(rows, _CHUNK))
+        piece = out.getvalue()
+        if not piece:
+            return
+        yield piece
+        out.seek(0)
+        out.truncate()
 
 
 def _emit_report(args, rules: RuleSet, schema: Optional[Schema], blocks: list[RuleVerdicts],
-                 findings: list[dict], summary: dict) -> None:
-    """Write the report.  As CSV, each command writes its own table, with
-    its header even when the table is empty: validate its entries, lint
-    and analyze their findings, classify its rules.  Only JSON holds each
-    rule's text, and only JSON and classify's table its signature, so
-    the rules are formatted and classified only for those."""
+                 findings: list[dict], summary: dict, rule_scopes: Optional[dict[str, RuleScope]] = None) -> None:
+    """Write the report as it is generated.  As CSV, each command writes
+    its own table, with its header even when the table is empty:
+    validate its entries, lint and analyze their findings, classify its
+    rules.  Only JSON holds each rule's text, and only JSON and
+    classify's table its signature, so the rules are formatted and
+    classified only for those, before the output opens; what is left to
+    write is string assembly, which cannot fail.  A rule in
+    ``rule_scopes`` is classified from the scope given there."""
     if args.format == "json":
-        _emit(args, _json_report(_rule_records(rules, schema), blocks, findings, summary))
+        tail = _REPORT_TAIL_JSON % (json.dumps(findings, indent=2).replace("\n", "\n  "),
+                                    json.dumps(summary, indent=2).replace("\n", "\n  "))
+        _emit(args, _json_report(_json_rule_records(rules, schema, rule_scopes or {}), blocks, tail))
         return
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
     if args.command == "validate":
-        writer.writerow(("rule", "table", "unit", "time", "result"))
-        writer.writerows((rule, table, "ALL" if unit is None else unit, "ALL" if time is None else time, str(result))
-                         for rule, table, scopes, results in blocks for (unit, time), result in zip(scopes, results))
+        header, rows = _ENTRY_FIELDS, (
+            (rule, table, "ALL" if unit is None else unit, "ALL" if time is None else time, str(result))
+            for rule, table, scopes, results in blocks for (unit, time), result in zip(scopes, results))
     elif args.command in ("lint", "analyze"):
-        writer.writerow(_FINDING_FIELDS)
-        writer.writerows([f.get(k, "") for k in _FINDING_FIELDS] for f in findings)
+        header, rows = _FINDING_FIELDS, [[f.get(k, "") for k in _FINDING_FIELDS] for f in findings]
     else:
         from .classifier import classify_rule
 
-        writer.writerow(("name", "signature", "level"))
-        for rule in rules:
-            sig = classify_rule(rule, schema)
-            writer.writerow((rule.name, sig.text, sig.level))
-    _emit(args, out.getvalue())
+        sigs = [(rule.name, classify_rule(rule, schema)) for rule in rules]
+        header, rows = ("name", "signature", "level"), [(name, sig.text, sig.level) for name, sig in sigs]
+    _emit(args, _csv_table(header, rows))
 
 
 def _cmd_validate(args) -> int:
@@ -211,7 +251,7 @@ def _cmd_validate(args) -> int:
     report = evaluate_ruleset(rules, dataset, schema, options)
     counts = report.counts()
     summary = {"per_rule": report.summary, "totals": counts, "strict_na": args.strict_na}
-    _emit_report(args, rules, schema, report.blocks, [], summary)
+    _emit_report(args, rules, schema, report.blocks, [], summary, report.rule_scopes)
     if counts["false"] > 0 or (args.strict_na and counts["na"] > 0):
         return EXIT_FAILURES
     if counts["na"] > 0:
@@ -274,7 +314,7 @@ def _cmd_simplify(args) -> int:
             print(f"simplify: {step.action}: dropped {step.before!r}", file=sys.stderr)
         else:
             print(f"simplify: {step.action}: {step.before!r} -> {step.after!r}", file=sys.stderr)
-    _emit(args, format_ruleset(simplified))
+    _emit(args, (format_ruleset(simplified),))
     return EXIT_OK
 
 

@@ -33,6 +33,7 @@ from .rules import (
     NALit,
     NumberLit,
     Rule,
+    RuleScope,
     RuleSet,
     SetLit,
     TextLit,
@@ -91,9 +92,15 @@ class RuleVerdicts(NamedTuple):
 
 @dataclass
 class ValidationReport:
+    """The verdict blocks in file order, each rule's tally, the
+    diagnostics, and each rule's ``RuleScope`` under the schema by rule
+    name, as planning resolved it (``classify_rule`` can read a rule's
+    signature from it without scoping the rule again)."""
+
     blocks: list[RuleVerdicts] = field(default_factory=list)
     summary: dict[str, dict[str, int]] = field(default_factory=dict)
     diagnostics: list[Diagnostic] = field(default_factory=list)
+    rule_scopes: dict[str, RuleScope] = field(default_factory=dict)
 
     @cached_property
     def entries(self) -> list[Entry]:
@@ -130,8 +137,9 @@ Plan = tuple[str, tuple[tuple[Optional[str], Optional[str]], ...], Node]
 
 
 class _Evaluator:
-    """One run: the dataset, schema and options, each rule's plan, and the
-    (kind, message) of every diagnostic the current verdict recorded."""
+    """One run: the dataset, schema and options, each rule's scope and
+    plan, and the (kind, message) of every diagnostic the current verdict
+    recorded."""
 
     def __init__(self, dataset: Dataset, schema: Schema, options: EvalOptions):
         self.dataset = dataset
@@ -139,11 +147,12 @@ class _Evaluator:
         self.options = options
         self.notes: list[tuple[str, str]] = []
         self.plans: dict[str, Plan] = {}
+        self.scopes: dict[str, RuleScope] = {}
 
     def plan(self, rule: Rule) -> Plan:
         """Scope the rule and compile it.  A rule whose scope is not
         determined fails here, whatever the data."""
-        scope = rule_scope(rule, self.schema)
+        scope = self.scopes[rule.name] = rule_scope(rule, self.schema)
         for ref, table in scope.refs:
             if table is None:
                 shown = ref.variable if ref.table is None else f"{ref.table}.{ref.variable}"
@@ -407,4 +416,4 @@ def evaluate_ruleset(rules: RuleSet, dataset: Dataset, schema: Schema,
         blocks.append(RuleVerdicts(name, table, scopes, results))
         summary[name] = {"true": results.count(_T), "false": results.count(_F), "na": results.count(_N)}
 
-    return ValidationReport(blocks=blocks, summary=summary, diagnostics=diagnostics)
+    return ValidationReport(blocks=blocks, summary=summary, diagnostics=diagnostics, rule_scopes=evaluator.scopes)

@@ -1,7 +1,8 @@
 """The rule DSL: abstract syntax, parser, formatter, and rule algebra.
 
-Grammar (comments start with ``#``, strings are double-quoted, numbers
-are exact decimal literals)::
+Grammar (comments start with ``#``, strings are double-quoted with the
+escapes ``\\"``, ``\\\\``, ``\\n``, ``\\t`` and ``\\r``, numbers are exact
+decimal literals)::
 
     ruleset    = { rule } ;
     rule       = name ":" expr ;
@@ -200,7 +201,7 @@ _FIRST_KIND = {
 #: the operator characters that are no token on their own
 _LONE = ("=", "!")
 
-_STRING_ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t"}
+_STRING_ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t", "r": "\r"}
 
 
 def _unescape(raw: str, line: int, col: int) -> str:
@@ -703,8 +704,10 @@ def _fmt_literal(item: Union[Fraction, str]) -> str:
         if "/" in text:  # p/q would read back as a division, which a set cannot hold
             raise ValueError(f"set item {text} has no finite decimal form, so the rule text would not parse")
         return text
-    # the escapes _STRING_ESCAPES reads; a raw newline would end the literal
-    escaped = item.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n").replace("\t", "\\t")
+    # the escapes _STRING_ESCAPES reads; a raw newline would end the
+    # literal, and a raw carriage return reads back from a file as one
+    escaped = (item.replace("\\", "\\\\").replace('"', '\\"')
+               .replace("\n", "\\n").replace("\t", "\\t").replace("\r", "\\r"))
     return f'"{escaped}"'
 
 

@@ -683,7 +683,7 @@ _REF_TOKEN_RE = re.compile(
     """,
     re.VERBOSE,
 )
-_REF_ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t"}
+_REF_ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t", "r": "\r"}
 _REF_KEYWORDS = ("if", "and", "or", "not", "NA")
 _REF_CALL_FNS = AGGREGATE_FNS + ("abs", "is_number", "is_integer", "is_text", "is_na", "in_set")
 
@@ -1030,11 +1030,12 @@ def reference_format_rule(rule: Rule) -> str:
 
 
 def reference_format_escaped(rule: Rule) -> str:
-    """``reference_format_rule`` with each newline and tab written as the
-    escape ``\\n`` or ``\\t``, as ``format_rule`` writes them: the
-    reference writes them raw, so its text does not parse back.  No other
-    part of a formatted rule holds either character."""
-    return reference_format_rule(rule).replace("\n", "\\n").replace("\t", "\\t")
+    """``reference_format_rule`` with each newline, tab and carriage
+    return written as the escape ``\\n``, ``\\t`` or ``\\r``, as
+    ``format_rule`` writes them: the reference writes them raw, so its
+    text does not parse back.  No other part of a formatted rule holds
+    any of these characters."""
+    return reference_format_rule(rule).replace("\n", "\\n").replace("\t", "\\t").replace("\r", "\\r")
 
 
 def format_outcome(format_, rule: Rule):
@@ -1056,7 +1057,7 @@ def random_set_rule(rng: random.Random, name: str = "s") -> Rule:
             return Fraction(rng.randint(-999, 999), rng.choice([1, 2, 4, 5, 8, 10, 100]))
         if roll < 0.5:
             return Fraction(rng.randint(-9, 9), rng.choice([3, 7]))
-        return rng.choice(["p", 'say "hi"', "back\\slash", "tab\tnew\nline", "", "# not a comment", "é"])
+        return rng.choice(["p", 'say "hi"', "back\\slash", "tab\tnew\nline", "car\rreturn", "", "# not a comment", "é"])
 
     target = VarRef(rng.choice(["alpha", "beta"]), table=rng.choice([None, "trade"]), lag=rng.choice([0, 0, 1]))
     return Rule(name, Builtin("in_set", (target, SetLit(tuple(item() for _ in range(rng.randint(1, 4)))))))
@@ -1064,7 +1065,8 @@ def random_set_rule(rng: random.Random, name: str = "s") -> Rule:
 
 # --- rule files for the parser: valid files and token soup -----------------
 
-_ESCAPED_STRINGS = ('"plain"', '"say \\"hi\\""', '"back\\\\slash"', '"tab\\tnew\\nline"', '""', '"# not a comment"')
+_ESCAPED_STRINGS = ('"plain"', '"say \\"hi\\""', '"back\\\\slash"', '"tab\\tnew\\nline"', '"car\\rreturn"', '""',
+                    '"# not a comment"')
 
 
 def random_rule_file(rng: random.Random, count: int) -> str:
@@ -1760,9 +1762,11 @@ def reference_reports(rules: RuleSet, schema, report) -> tuple[str, str]:
     return json.dumps(payload, indent=2) + "\n", out.getvalue()
 
 
-def validate_reports(workdir, rules_text: str, tables: dict[str, str]) -> tuple[str, str]:
+def validate_reports(workdir, rules_text: str, tables: dict[str, str], stdout: bool = False) -> tuple[str, str]:
     """The JSON and CSV reports of ``validus validate`` on the files,
-    written in ``workdir`` (a ``pathlib.Path``)."""
+    written in ``workdir`` (a ``pathlib.Path``): each report as written
+    to an ``-o`` file there, or with ``stdout`` as written to standard
+    output."""
     files = {"schema.txt": REPORT_SCHEMA_TEXT, "rules.txt": rules_text}
     files.update((f"{name}.csv", text) for name, text in tables.items())
     for name, text in files.items():
@@ -1772,10 +1776,15 @@ def validate_reports(workdir, rules_text: str, tables: dict[str, str]) -> tuple[
     reports = []
     for fmt in ("json", "csv"):
         out = workdir / f"report.{fmt}"
-        with contextlib.redirect_stderr(io.StringIO()):  # the NA warning
-            code = validus.cli.main(argv + ["--format", fmt, "-o", str(out)])
+        printed = io.StringIO()
+        # stderr holds the NA warning
+        with contextlib.redirect_stderr(io.StringIO()), contextlib.redirect_stdout(printed):
+            code = validus.cli.main(argv + ["--format", fmt] + ([] if stdout else ["-o", str(out)]))
         if code not in (0, 1):
             raise AssertionError(f"validate exited {code}")
-        with open(out, encoding="utf-8", newline="") as handle:
-            reports.append(handle.read())
+        if stdout:
+            reports.append(printed.getvalue())
+        else:
+            with open(out, encoding="utf-8", newline="") as handle:
+                reports.append(handle.read())
     return reports[0], reports[1]

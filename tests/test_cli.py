@@ -1,10 +1,18 @@
 """Command-line behavior: exit codes, report shapes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from validus.cli import main
+from validus.rules import TextLit, parse_rules
+
+ROOT = Path(__file__).resolve().parent.parent
+DEMO = ROOT / "scripts" / "demo"
 
 PERSON_SCHEMA = "person.age : integer\nperson.job : categorical {employed, unemployed}\n"
 PERSON_CSV = "id,age,job\n1,25,unemployed\n2,employed,42\n"
@@ -283,12 +291,13 @@ def test_simplify_writes_text_literal_escapes_that_parse_back(workspace, capsys)
     out = tmp / "simplified.txt"
     code = run([
         "simplify",
-        "--rules", write("rules.txt", 's: name == "a\\nb\\tc"\nt: age >= 0\n'),
+        "--rules", write("rules.txt", 's: name == "a\\nb\\tc\\rd"\nt: age >= 0\n'),
         "--schema", write("schema.txt", "p.age : integer [0, 120]\n"),
         "-o", str(out),
     ])
     assert code == 0
-    assert out.read_text() == 's: name == "a\\nb\\tc"\n'
+    assert out.read_text() == 's: name == "a\\nb\\tc\\rd"\n'
+    assert parse_rules(out.read_text()).rules[0].body.right == TextLit("a\nb\tc\rd")
     assert run(["classify", "--rules", str(out)]) == 0
 
 
@@ -440,3 +449,74 @@ def test_csv_reports_format_and_classify_only_what_they_write(workspace, capsys,
     assert calls == {"format_rule": 0, "classify_rule": 4 if command == "classify" else 0}
     run(argv + ["--format", "json", "-o", str(tmp / "report.json")])
     assert calls == {"format_rule": 4, "classify_rule": 8 if command == "classify" else 4}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_validate_scopes_each_rule_once(workspace, capsys, monkeypatch, fmt):
+    import validus.classifier
+    import validus.evaluator
+    import validus.rules
+
+    calls = []
+    original = validus.rules.rule_scope
+
+    def counting(rule, schema=None):
+        calls.append(rule.name)
+        return original(rule, schema)
+
+    for owner in (validus.rules, validus.evaluator, validus.classifier):
+        monkeypatch.setattr(owner, "rule_scope", counting)
+    tmp, write = workspace
+    code = run(["validate", "--rules", write("rules.txt", SECTION_RULES),
+                "--schema", write("schema.txt", PERSON_SCHEMA), "--data", f"person={write('person.csv', PERSON_CSV)}",
+                "--format", fmt, "-o", str(tmp / "report")])
+    assert code == 1
+    assert calls == ["int_age", "nonneg", "emp15", "avg"]
+
+
+@pytest.mark.parametrize("command", ["classify", "validate", "lint", "analyze"])
+def test_an_error_before_writing_leaves_the_output_file_untouched(workspace, capsys, monkeypatch, command):
+    import validus.rules
+
+    def failing(rule):
+        raise ValueError(f"cannot format {rule.name}")
+
+    monkeypatch.setattr(validus.rules, "format_rule", failing)
+    tmp, write = workspace
+    out = tmp / "report.json"
+    out.write_bytes(b"an earlier report\r\n")
+    argv = [command, "--rules", write("rules.txt", SECTION_RULES), "--schema", write("schema.txt", PERSON_SCHEMA),
+            "-o", str(out)]
+    if command == "validate":
+        argv += ["--data", f"person={write('person.csv', PERSON_CSV)}"]
+    with pytest.raises(ValueError, match="cannot format int_age"):
+        run(argv)
+    assert out.read_bytes() == b"an earlier report\r\n"
+
+
+_DEMO_RULES = ["--rules", "rules.txt", "--schema", "schema.txt"]
+_DEMO_CHECKS = ["--rules", "ruleset_checks.txt", "--schema", "schema.txt"]
+_DEMO_COMMANDS = {
+    "validate": ["validate", *_DEMO_RULES, "--data", "person=person.csv"],
+    "classify": ["classify", *_DEMO_RULES],
+    "lint": ["lint", *_DEMO_CHECKS],
+    "analyze": ["analyze", *_DEMO_CHECKS],
+}
+
+
+@pytest.mark.parametrize("argv", [
+    argv + ["--format", fmt] for argv in _DEMO_COMMANDS.values() for fmt in ("json", "csv")
+] + [["simplify", *_DEMO_CHECKS]], ids=" ".join)
+def test_stdout_and_output_file_get_the_same_bytes(tmp_path, argv):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+
+    def cli(*extra):
+        return subprocess.run([sys.executable, "-m", "validus.cli", *argv, *extra], cwd=DEMO, env=env,
+                              capture_output=True, timeout=60)
+
+    printed = cli()
+    written = cli("-o", str(tmp_path / "report"))
+    assert written.returncode == printed.returncode in (0, 1, 3)
+    assert written.stdout == b""
+    assert len(printed.stdout) > 40
+    assert (tmp_path / "report").read_bytes() == printed.stdout

@@ -186,3 +186,22 @@ def test_entries_count_equals_the_traced_verdict_count(tmp_path):
     # two validate runs, one per format
     assert tracer.counts["evaluator.verdicts"] == 2 * len(report.entries) == 2 * 7
     assert tracer.missing == []
+
+
+# --- the writer streams: its added memory stays far below the report's ----
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_writer_adds_under_a_quarter_of_the_report_size(tmp_path, fmt):
+    root = Path(__file__).resolve().parent.parent
+    sys.path[:0] = [str(root / "bench"), str(root / "scripts")]
+    try:
+        from report_memory import validate_argv, writer_added_bytes
+        from workloads import validate_records
+    finally:
+        del sys.path[:2]
+    for name, text in validate_records(201, records=10_000).files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8", newline="")
+    added = writer_added_bytes(validate_argv(tmp_path, fmt))
+    size = (tmp_path / f"report.{fmt}").stat().st_size
+    assert size > 3_000_000
+    assert added < size / 4, f"the writer added {added} bytes for a {size}-byte report"

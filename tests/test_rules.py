@@ -197,7 +197,8 @@ def test_formatter_matches_reference():
         assert outcome == format_outcome(reference_format_escaped, rule)
         kinds["text" if isinstance(outcome, str) else "error"] += 1
         kinds["escaped"] += isinstance(outcome, str) and outcome != reference_format_rule(rule)
-    assert kinds["text"] > 4000 and kinds["error"] > 100 and kinds["escaped"] > 100
+        kinds["carriage return"] += isinstance(outcome, str) and "\\r" in outcome
+    assert kinds["text"] > 4000 and kinds["error"] > 100 and kinds["escaped"] > 100 and kinds["carriage return"] > 50
 
 
 def test_text_literal_newline_and_tab_are_written_as_escapes():
@@ -206,6 +207,15 @@ def test_text_literal_newline_and_tab_are_written_as_escapes():
     assert rule.body.left.right == TextLit("a\nb\tc")
     assert format_rule(rule) == text
     assert parse_rule(format_rule(rule)).body == rule.body
+
+
+def test_text_literal_carriage_return_is_written_as_an_escape():
+    # a raw carriage return in a rule file reads back as a line end
+    rule = parse_rule('s: x == "a\rb"')
+    assert rule.body.right == TextLit("a\rb")
+    assert format_rule(rule) == 's: x == "a\\rb"'
+    assert parse_rule(format_rule(rule)) == rule
+    assert parse_rules(format_rule(rule) + "\r\n").rules[0] == rule
 
 
 def test_comments_and_blank_lines():
@@ -415,7 +425,8 @@ _arith = st.recursive(
 )
 _scalar = st.one_of(
     _arith,
-    st.builds(TextLit, value=st.sampled_from(["employed", "a b", 'quo"te', "back\\slash", "tab\tnew\nline"])),
+    st.builds(TextLit, value=st.sampled_from(["employed", "a b", 'quo"te', "back\\slash", "tab\tnew\nline",
+                                             "car\rreturn"])),
     st.just(NALit()),
 )
 _atoms = st.one_of(
