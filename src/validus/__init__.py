@@ -13,25 +13,9 @@ the submodules whose names it uses.
 
 from importlib import import_module as _import_module
 
-__all__ = [
-    "CategoricalAtom", "Clause", "ConstraintSystem", "Finding", "LinearAtom", "SatResult", "SimplifyStep",
-    "analyze_ruleset", "compile_rules", "detect_nonconstraining", "detect_nonrelaxing",
-    "detect_partial_infeasibility", "detect_redundant", "implied_bound_findings", "implied_bounds",
-    "is_satisfiable", "lint_rule", "lint_ruleset", "ruleset_implies", "simplify_ruleset",
-    "RuleSignature", "classify_rule", "level_of",
-    "dataset_from_csv", "read_table", "write_table",
-    "DuplicateKeyError", "DuplicateRuleNameError", "DuplicateVariableError", "IncompatibleScopeError",
-    "MissingKeyError", "RuleParseError", "RuleTypeError", "SchemaSyntaxError", "UnevaluableRulesError",
-    "UnknownKeyError", "UnknownVariableError", "UnsupportedForAnalysisError", "ValidusError",
-    "Entry", "EvalOptions", "RuleVerdicts", "ValidationReport", "evaluate_ruleset",
-    "NA", "DataPoint", "Dataset", "Key", "NAType", "Value", "build_dataset",
-    "Rule", "RuleSet", "format_rule", "format_ruleset", "negate_rule", "parse_rule", "parse_rules",
-    "Schema", "VariableDecl", "check_domain", "parse_schema",
-    "TriBool",
-]
 __version__ = "0.1.0"
 
-# the submodule that defines each name of __all__
+# each public name and the submodule that defines it
 _SUBMODULE = {
     name: module
     for module, names in (
@@ -52,6 +36,7 @@ _SUBMODULE = {
     )
     for name in names.split()
 }
+__all__ = list(_SUBMODULE)
 
 
 def __getattr__(name: str):

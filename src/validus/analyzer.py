@@ -263,11 +263,13 @@ class _Compiler:
             self.fail("in_set needs a plain variable on the left")
         var_id, decl = self.resolve(target)
         if decl.kind == CATEGORICAL:
-            wanted = frozenset(i for i in items.items if isinstance(i, str))
-            allowed = frozenset(decl.levels) & wanted
+            levels = frozenset(decl.levels)
+            allowed = levels & frozenset(i for i in items.items if isinstance(i, str))
             if negated:
-                allowed = frozenset(decl.levels) - allowed
-            return self._categorical_cnf(var_id, decl, allowed)
+                allowed = levels - allowed
+            if allowed == levels:
+                return []
+            return [(CategoricalAtom(var_id, allowed),)] if allowed else [()]
         numbers = [i for i in items.items if isinstance(i, Fraction)]
         unit = ((var_id, Fraction(1)),)
         if not negated:
@@ -275,22 +277,26 @@ class _Compiler:
             return [clause] if clause else [()]
         return [(LinearAtom(unit, "<", n), LinearAtom(unit, ">", n)) for n in numbers]
 
-    def _categorical_cnf(self, var_id: str, decl: VariableDecl, allowed: frozenset[str]) -> _CNF:
-        if not allowed:
-            return [()]
-        if allowed == frozenset(decl.levels):
-            return []
-        return [(CategoricalAtom(var_id, allowed),)]
+    def is_text(self, expr: Expr) -> bool:
+        """Whether ``expr`` is text: a text literal or a categorical variable."""
+        return isinstance(expr, TextLit) or (isinstance(expr, VarRef) and self.resolve(expr)[1].kind == CATEGORICAL)
 
     def comparison(self, op: str, left: Expr, right: Expr) -> _CNF:
-        if isinstance(left, TextLit) and isinstance(right, TextLit):
+        # validate decides a comparison of text with text (== and != only)
+        # or of number with number, and gives NA on anything else
+        left_text, right_text = self.is_text(left), self.is_text(right)
+        if left_text != right_text:
+            self.fail("text compared with a number or NA is outside the two-valued fragment")
+        if left_text:
             if op not in ("==", "!="):
-                self.fail("ordering is undefined for text")
-            holds = (left.value == right.value) == (op == "==")
-            return [] if holds else [()]
-        cat = self._categorical_comparison(op, left, right)
-        if cat is not None:
-            return cat
+                self.fail(f"ordering {op} is undefined for text")
+            if isinstance(left, TextLit) and isinstance(right, TextLit):
+                holds = (left.value == right.value) == (op == "==")
+                return [] if holds else [()]
+            if isinstance(left, VarRef) and isinstance(right, VarRef):
+                self.fail("comparison between two categorical variables")
+            var, text = (left, right) if isinstance(left, VarRef) else (right, left)
+            return self.membership(var, SetLit((text.value,)), op == "!=")
         lc, lk = self.linear(left)
         rc, rk = self.linear(right)
         coeffs = dict(lc)
@@ -306,47 +312,10 @@ class _Compiler:
             return [(LinearAtom(items, "<", constant), LinearAtom(items, ">", constant))]
         return [(LinearAtom(items, op, constant),)]
 
-    def _categorical_comparison(self, op: str, left: Expr, right: Expr) -> Optional[_CNF]:
-        sides = [(left, right), (right, left)]
-        for var_side, lit_side in sides:
-            if not isinstance(var_side, VarRef):
-                continue
-            var_id, decl = self.resolve(var_side)
-            if decl.kind != CATEGORICAL:
-                if isinstance(lit_side, TextLit):
-                    # numeric variable against text is decided by the domain
-                    if op == "==":
-                        return [()]
-                    if op == "!=":
-                        return []
-                    self.fail("ordering between a number and text")
-                return None
-            if isinstance(lit_side, TextLit):
-                if op not in ("==", "!="):
-                    self.fail(f"ordering {op} on a categorical variable")
-                wanted = frozenset({lit_side.value}) & frozenset(decl.levels)
-                allowed = wanted if op == "==" else frozenset(decl.levels) - wanted
-                return self._categorical_cnf(var_id, decl, allowed)
-            if isinstance(lit_side, NumberLit):
-                if op == "==":
-                    return [()]
-                if op == "!=":
-                    return []
-                self.fail("ordering between a categorical variable and a number")
-            if isinstance(lit_side, VarRef):
-                other_id, other_decl = self.resolve(lit_side)
-                if other_decl.kind == CATEGORICAL:
-                    self.fail("comparison between two categorical variables")
-                self.fail("comparison between a categorical and a numeric variable")
-            self.fail("categorical variables compare only against literal text")
-        return None
-
     def linear(self, expr: Expr) -> tuple[dict[str, Fraction], Fraction]:
         """Linear form (coefficients, constant) of a numeric expression."""
         if isinstance(expr, NumberLit):
             return {}, expr.value
-        if isinstance(expr, TextLit):
-            self.fail("text in numeric context")
         if isinstance(expr, NALit):
             self.fail("NA literal is outside the two-valued fragment")
         if isinstance(expr, VarRef):
@@ -384,8 +353,6 @@ class _Compiler:
                     self.fail("division by the constant zero")
                 lc, lk = self.linear(expr.left)
                 return {v: c / rk for v, c in lc.items()}, lk / rk
-        if isinstance(expr, Builtin) or isinstance(expr, If):
-            self.fail(f"{format_expr(expr)!r} in numeric context")
         self.fail(f"cannot linearize {format_expr(expr)!r}")
 
 

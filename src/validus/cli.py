@@ -1,7 +1,7 @@
 """Batch command line: validate data, classify, lint, analyze, simplify.
 
 Exit codes: 0 success, 1 validation failures present, 2 input or parse
-error, 3 infeasible rule set.
+error, 3 infeasible rule set, 141 standard output closed by its reader.
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from itertools import islice
 from json.encoder import encode_basestring_ascii
@@ -31,6 +32,7 @@ EXIT_OK = 0
 EXIT_FAILURES = 1
 EXIT_INPUT_ERROR = 2
 EXIT_INFEASIBLE = 3
+EXIT_CLOSED_PIPE = 128 + 13  # as a process killed by SIGPIPE
 
 _T, _F, _N = TriBool.TRUE, TriBool.FALSE, TriBool.NA
 
@@ -48,7 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if name != "simplify":
             cmd.add_argument("--format", choices=("json", "csv"), default="json")
         if name == "validate":
-            cmd.add_argument("--data", action="append", default=[], metavar="TABLE=FILE")
+            cmd.add_argument("--data", action="append", required=True, metavar="TABLE=FILE")
             cmd.add_argument("--na-policy", choices=("propagate", "ignore"), default="propagate")
             cmd.add_argument("--strict-na", action="store_true")
             cmd.add_argument("--unit-column", default="id")
@@ -243,9 +245,6 @@ def _cmd_validate(args) -> int:
 
     schema = _load_schema(args)
     rules = parse_rules(_read(args.rules))
-    if not args.data:
-        print("validate needs at least one --data TABLE=FILE", file=sys.stderr)
-        return EXIT_INPUT_ERROR
     dataset = _load_data(args, schema)
     options = EvalOptions(na_policy=args.na_policy)
     report = evaluate_ruleset(rules, dataset, schema, options)
@@ -331,6 +330,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
+    except BrokenPipeError:
+        # the reader of standard output stopped early: end quietly, as a
+        # process killed by SIGPIPE would, and let the interpreter's last
+        # flush of what is still buffered go to the null device
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_CLOSED_PIPE
     except FileNotFoundError as exc:
         print(f"error: no such file: {exc.filename}", file=sys.stderr)
         return EXIT_INPUT_ERROR

@@ -221,6 +221,82 @@ def test_lint_section_corpus_is_otherwise_clean():
     assert all(lint_rule(r, SCHEMA) is None for r in rules)
 
 
+#: One rule shape per branch of the compiler, with lint_rule's outcome:
+#: a finding kind, None for a genuine rule, or "unsupported".
+_LINT_SHAPES = [
+    ("x <= y", None),
+    ("-x <= 0", TAUTOLOGY),
+    ("x / 2 <= 2", TAUTOLOGY),
+    ("x * 2 >= 7", CONTRADICTION),
+    ("x + y <= 6", TAUTOLOGY),
+    ("1 < 2", TAUTOLOGY),
+    ("2 < 1", CONTRADICTION),
+    ('"a" == "a"', TAUTOLOGY),
+    ('"a" != "a"', CONTRADICTION),
+    ('c == "z"', CONTRADICTION),
+    ('c != "z"', TAUTOLOGY),
+    ('"a" == c', None),
+    ("3 >= x", TAUTOLOGY),
+    ('in_set(c, {"a", "b", "d"})', TAUTOLOGY),
+    ('not in_set(c, {"a"})', None),
+    ('in_set(c, {1})', CONTRADICTION),
+    ("in_set(x, {1, 2})", None),
+    ("not in_set(x, {0, 1, 2, 3})", None),  # the rational relaxation has 1/2
+    ('in_set(x, {"a"})', CONTRADICTION),
+    ("x != 1", None),
+    ('if (c == "a") x >= 1', None),
+    ('x <= 3 or c == "b"', TAUTOLOGY),
+    ('x == "a"', "unsupported"),
+    ('x != "a"', "unsupported"),
+    ("c == 1", "unsupported"),
+    ("c != 1", "unsupported"),
+    ("c == x", "unsupported"),
+    ('c < "b"', "unsupported"),
+    ('"a" < "b"', "unsupported"),
+    ("x == NA", "unsupported"),
+    ('c != NA', "unsupported"),
+    ("abs(x) <= 3", "unsupported"),
+    ("x * y >= 0", "unsupported"),
+    ("x / 0 <= 1", "unsupported"),
+    ("in_set(x + 1, {1})", "unsupported"),
+]
+
+
+def test_lint_verdicts_hold_for_what_validate_checks():
+    # validate's verdicts on every in-domain record are the reference: a
+    # tautology is TRUE on each, a contradiction FALSE on each, and no
+    # analyzable rule is ever NA
+    schema = parse_schema("t.x : integer [0, 3]\nt.y : integer [0, 3]\nt.c : categorical {a, b, d}\n")
+    rules = parse_rules("\n".join(f"r{i}: {shape}" for i, (shape, _) in enumerate(_LINT_SHAPES)))
+    records = list(itertools.product(range(4), range(4), "abd"))
+    dataset = build_dataset(DataPoint(Key("t", None, str(i), var), value)
+                            for i, record in enumerate(records) for var, value in zip("xyc", record))
+    verdicts: dict[str, set[TriBool]] = {rule.name: set() for rule in rules}
+    for entry in evaluate_ruleset(rules, dataset, schema).entries:
+        verdicts[entry.rule].add(entry.result)
+    assert len(records) == 48
+    for rule, (shape, expected) in zip(rules, _LINT_SHAPES):
+        try:
+            finding = lint_rule(rule, schema)
+        except UnsupportedForAnalysisError:
+            assert expected == "unsupported", shape
+            continue
+        assert (finding and finding.kind) == expected, shape
+        assert TriBool.NA not in verdicts[rule.name], shape
+        if expected == TAUTOLOGY:
+            assert verdicts[rule.name] == {TriBool.TRUE}, shape
+        elif expected == CONTRADICTION:
+            assert verdicts[rule.name] == {TriBool.FALSE}, shape
+
+
+def test_simplify_keeps_the_comparisons_validate_makes_na():
+    schema = parse_schema("t.x : numeric [0, 10]\nt.c : categorical {a, b}\n")
+    rules = parse_rules('cap: x <= 9\nnum_text: x != "a"\ncat_num: c != 1')
+    reason = "text compared with a number or NA is outside the two-valued fragment"
+    assert analyze_ruleset(rules, schema)[1] == [("num_text", reason), ("cat_num", reason)]
+    assert simplify_ruleset(rules, schema) == (rules, [])
+
+
 # --- implied bounds -------------------------------------------------------------
 
 def test_fixed_value():
@@ -228,6 +304,13 @@ def test_fixed_value():
     assert implied_bounds(system, "x") == Interval(Fraction(0), False, Fraction(0), False)
     findings = implied_bound_findings(system)
     assert any(f.kind == FIXED_VALUE and f.variable == "x" and f.value == "0" for f in findings)
+
+
+def test_implied_bounds_rejects_an_unsatisfiable_system_and_an_unknown_variable():
+    with pytest.raises(ValueError, match="satisfiable"):
+        implied_bounds(compile_rules(parse_rules("a: x >= 1\nb: x <= 0"), SCHEMA), "x")
+    with pytest.raises(KeyError, match="'y'"):
+        implied_bounds(compile_rules(parse_rules("a: x >= 1"), SCHEMA), "y")
 
 
 def test_nonrelaxing_set_bounds():

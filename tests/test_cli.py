@@ -115,6 +115,54 @@ def test_validate_missing_schema_file(workspace, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("spec, message", [
+    ("person", "error: --data expects TABLE=FILE, got 'person'"),
+    ("other={csv}", "error: --data table 'other' is not declared in the schema"),
+])
+def test_a_bad_data_option_is_an_input_error(workspace, capsys, spec, message):
+    tmp, write = workspace
+    code = run([
+        "validate",
+        "--rules", write("rules.txt", "r: age >= 0\n"),
+        "--schema", write("schema.txt", PERSON_SCHEMA),
+        "--data", spec.format(csv=write("person.csv", PERSON_CSV)),
+        "-o", str(tmp / "report.json"),
+    ])
+    assert code == 2
+    assert capsys.readouterr().err == message + "\n"
+    assert not (tmp / "report.json").exists()
+
+
+def test_validate_without_data_is_a_usage_error(workspace, capsys):
+    tmp, _ = workspace
+    # no file is read: the rule and schema files do not exist
+    with pytest.raises(SystemExit) as exit_info:
+        run(["validate", "--rules", str(tmp / "missing.txt"), "--schema", str(tmp / "missing.txt")])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "the following arguments are required: --data" in err and "no such file" not in err
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_a_closed_output_pipe_ends_quietly_with_status_141(workspace, fmt):
+    _, write = workspace
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    rules = "".join(f"r{i}: age >= {i}\n" for i in range(5))
+    data = write("person.csv", "id,age\n" + "".join(f"{i},{i % 90}\n" for i in range(10000)))
+    argv = ["validate", "--rules", write("rules.txt", rules), "--schema", write("schema.txt", PERSON_SCHEMA),
+            "--data", f"person={data}", "--format", fmt]
+    full = subprocess.run([sys.executable, "-m", "validus.cli", *argv], env=env, capture_output=True, timeout=60)
+    assert full.returncode == 1 and len(full.stdout) >= 1_000_000
+    proc = subprocess.Popen([sys.executable, "-m", "validus.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    head = proc.stdout.read(100)
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 141
+    assert err == b""
+    assert head == full.stdout[:100]
+
+
 @pytest.mark.parametrize("bad, kind", [
     ("rules", "directory"), ("data", "directory"), ("output", "directory"),
     ("rules", "not UTF-8"), ("data", "not UTF-8"),

@@ -1,6 +1,7 @@
 """Schema parsing and domain membership."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -45,20 +46,21 @@ def test_duplicate_variable_rejected():
         parse_schema("t.age : integer\nt.age : numeric\n")
 
 
-def test_empty_level_set_rejected():
-    with pytest.raises(SchemaSyntaxError):
-        parse_schema("t.job : categorical {}\n")
-
-
-def test_garbage_line_rejected():
-    with pytest.raises(SchemaSyntaxError) as err:
-        parse_schema("t.x : numeric\nnot a declaration\n")
-    assert err.value.line == 2
-
-
-def test_inverted_bounds_rejected():
-    with pytest.raises(SchemaSyntaxError):
-        parse_schema("t.x : numeric [3, 1]\n")
+@pytest.mark.parametrize("text, line, message", [
+    ("t.job : categorical {}\n", 1, "level set is empty"),
+    ("t.x : numeric\nnot a declaration\n", 2, "cannot parse declaration"),
+    ("t.x : numeric [3, 1]\n", 1, "lower bound above upper bound"),
+    ("t.job : categorical {a,,b}\n", 1, "empty level name"),
+    ("t.job : categorical a, b\n", 1, "needs {level, ...}"),
+    ("t.job : categorical {a, a}\n", 1, "duplicate level"),
+    ("t.x : numeric [1/0, 2]\n", 1, "exact numbers"),
+    ("t.x : numeric\nt.y : integer [0, 1] required\n", 2, "trailing text: 'required'"),
+], ids=["empty level set", "garbage line", "inverted bounds", "empty level name", "levels without braces",
+        "duplicate level", "zero denominator", "trailing text"])
+def test_schema_syntax_errors_name_their_line(text, line, message):
+    with pytest.raises(SchemaSyntaxError, match=re.escape(message)) as err:
+        parse_schema(text)
+    assert err.value.line == line
 
 
 def test_lookup_resolution():
