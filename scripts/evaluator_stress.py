@@ -5,7 +5,7 @@ panel whose cells may be absent, NA, text, zero or fractional) it
 evaluates ``PANEL_RULES`` on the panel read two ways, through
 ``build_dataset`` from Fraction cells and through ``dataset_from_csv``
 from the panel written as CSV, where integral cells are ints, under both
-NA policies.  Verdicts and diagnostic counts must equal
+NA policies.  Verdicts, and diagnostics in order, must equal
 ``panel_oracle``'s (``tests/helpers.py::panel_disagreement``).  It exits
 1 at the first disagreement.
 

@@ -14,7 +14,6 @@ import itertools
 import json
 import random
 import re
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -1168,8 +1167,9 @@ def verdicts_of(rule: Rule, dataset, schema):
 # Table ``p`` with numeric variables x and y.  Units and occasions are
 # integers, so their natural order is integer order.  Values are Fraction,
 # text or None for NA; verdicts are True, False or None.  Each rule below
-# is written as direct Python over the cells and counts the diagnostics
-# the evaluator records, by kind; nothing here calls the evaluator.
+# is written as direct Python over the cells and lists the kind of each
+# diagnostic the evaluator records, in the order it records them;
+# nothing here calls the evaluator.
 
 PANEL_SCHEMA_TEXT = "p.x : numeric\np.y : numeric\n"
 
@@ -1327,20 +1327,22 @@ PANEL_RULES = [
 
 def panel_oracle(cells: dict, na_policy: str):
     """Verdicts {(rule, unit, occasion): True/False/None} (unit None for a
-    per-occasion verdict) and diagnostic counts {(rule, kind): n}."""
+    per-occasion verdict) and the diagnostics as a list of (rule, unit,
+    occasion, kind): rule by rule in file order, verdict by verdict in
+    report order, and within one verdict in the order they arise."""
     verdicts = {}
-    counts: dict = {}
+    diagnostics = []
     for name, _text, scope, reference in PANEL_RULES:
         oracle = PanelOracle(cells, na_policy)
         if scope == "record":
-            for u, t in oracle.records:
-                verdicts[name, u, t] = reference(oracle, u, t)
+            scopes = [((u, t), (oracle, u, t)) for u, t in oracle.records]
         else:
-            for t in oracle.times:
-                verdicts[name, None, t] = reference(oracle, t)
-        for kind in oracle.kinds:
-            counts[name, kind] = counts.get((name, kind), 0) + 1
-    return verdicts, counts
+            scopes = [((None, t), (oracle, t)) for t in oracle.times]
+        for (u, t), args in scopes:
+            start = len(oracle.kinds)
+            verdicts[name, u, t] = reference(*args)
+            diagnostics += [(name, u, t, kind) for kind in oracle.kinds[start:]]
+    return verdicts, diagnostics
 
 
 def panel_csv(cells: dict) -> tuple[dict[str, str], dict]:
@@ -1360,8 +1362,9 @@ def panel_disagreement(cells: dict) -> Optional[str]:
     """Evaluate ``PANEL_RULES`` on the panel read both ways, through
     ``build_dataset`` from the Fraction cells and through
     ``dataset_from_csv`` from ``panel_csv``, under both NA policies, and
-    compare verdicts and diagnostic counts with ``panel_oracle`` over the
-    cells each dataset holds.  None if all agree, else what differs."""
+    compare the verdicts, and the diagnostics as an ordered list of
+    (rule, unit, occasion, kind), with ``panel_oracle`` over the cells
+    each dataset holds.  None if all agree, else what differs."""
     rules = parse_rules("\n".join(f"{name}: {text}" for name, text, _, _ in PANEL_RULES))
     schema = parse_schema(PANEL_SCHEMA_TEXT)
     as_tribool = {True: TriBool.TRUE, False: TriBool.FALSE, None: TriBool.NA}
@@ -1373,7 +1376,7 @@ def panel_disagreement(cells: dict) -> Optional[str]:
     ]
     for path, oracle_cells, dataset in paths:
         for policy in NA_POLICIES:
-            verdicts, counts = panel_oracle(oracle_cells, policy)
+            verdicts, kinds = panel_oracle(oracle_cells, policy)
             report = evaluate_ruleset(rules, dataset, schema, EvalOptions(policy))
             got = {(e.rule, e.unit, e.time): e.result for e in report.entries}
             expected = {(rule, None if u is None else str(u), str(t)): as_tribool[v]
@@ -1383,9 +1386,13 @@ def panel_disagreement(cells: dict) -> Optional[str]:
                                key=repr)[:5]
                 return (f"{path}, {policy}: verdicts differ at {wrong}: got {[got.get(key) for key in wrong]}, "
                         f"expected {[expected.get(key) for key in wrong]}")
-            diagnostics = Counter((d.rule, d.kind) for d in report.diagnostics)
-            if diagnostics != counts:
-                return f"{path}, {policy}: diagnostics {dict(diagnostics)} != {counts}"
+            diagnostics = [(d.rule, d.unit, d.time, d.kind) for d in report.diagnostics]
+            expected_kinds = [(rule, None if u is None else str(u), str(t), kind) for rule, u, t, kind in kinds]
+            if diagnostics != expected_kinds:
+                at = next(i for i, pair in enumerate(zip(diagnostics + [None], expected_kinds + [None]))
+                          if pair[0] != pair[1])
+                return (f"{path}, {policy}: diagnostic {at} of {len(expected_kinds)} differs: "
+                        f"got {diagnostics[at:at + 3]}, expected {expected_kinds[at:at + 3]}")
     return None
 
 

@@ -269,6 +269,51 @@ def test_record_with_aggregate_reads_each_cell_a_bounded_number_of_times():
     assert n_units * n_times <= counted.reads <= 3 * n_units * n_times
 
 
+def test_lagged_rule_reads_each_cell_a_bounded_number_of_times():
+    # one read for the record's own cell and one for the earlier one
+    n_units, n_times = 40, 3
+    ds = timed_dataset({
+        str(u): {str(t): Fraction(u * t) for t in range(1, n_times + 1)}
+        for u in range(1, n_units + 1)
+    })
+    columns = ds.index("shop").columns
+    columns["price"] = counted = CountingColumn(columns["price"])
+    report = evaluate_ruleset(parse_rules("r: price - price@1 <= 3"), ds, TIMED_SCHEMA)
+    assert len(report.entries) == n_units * n_times
+    assert n_units * n_times <= counted.reads <= 2 * n_units * n_times
+
+
+def test_notes_of_one_verdict_keep_the_order_of_its_operands():
+    # the left operand's notes come first, then the right's, then the
+    # node's own, at each verdict; each record below collects another set
+    cells = {("1", "1"): ("a", Fraction(0)), ("1", "2"): (Fraction(3), "b"),
+             ("2", "1"): (None, Fraction(0)), ("2", "2"): (Fraction(-4), Fraction(2)),
+             ("3", "1"): (Fraction(1), Fraction(1)), ("3", "2"): (Fraction(2), Fraction(2))}
+    points = []
+    for (unit, time), (x, y) in cells.items():
+        if x is not None:
+            points.append(DataPoint(Key("p", time, unit, "x"), x))
+        points.append(DataPoint(Key("p", time, unit, "y"), y))
+    report = evaluate_ruleset(parse_rules("r: abs(x) + 1 / y + x@1 >= 0"), build_dataset(points),
+                              parse_schema("p.x : numeric\np.y : numeric\n"))
+    assert [(e.unit, e.time, e.result) for e in report.entries] == [
+        ("1", "1", N), ("1", "2", N), ("2", "1", N), ("2", "2", N), ("3", "1", N), ("3", "2", T),
+    ]
+    before_first = ("unresolved_reference", "x@1 reaches before the first occasion")
+    no_x = ("missing_cell", "no data point for (p.2, t=1, x)")
+    assert [(d.unit, d.time, d.kind, d.message) for d in report.diagnostics] == [
+        ("1", "1", "type_mismatch", "abs applied to text 'a'"),
+        ("1", "1", "division_by_zero", "division by zero"),
+        ("1", "1", *before_first),
+        ("1", "2", "type_mismatch", "arithmetic / on text operand"),
+        ("2", "1", *no_x),
+        ("2", "1", "division_by_zero", "division by zero"),
+        ("2", "1", *before_first),
+        ("2", "2", *no_x),
+        ("3", "1", *before_first),
+    ]
+
+
 _MEAN_TEXT = ("type_mismatch", "mean over text value 'text'")
 _MINUS_TEXT = ("type_mismatch", "arithmetic - on text operand")
 _ORDER_TEXT = ("type_mismatch", "comparison <= between number and text")
