@@ -4,13 +4,16 @@ Each rule is scheduled over the scopes it needs: plain record rules get
 one verdict per (unit, occasion) of their table, aggregate rules one
 verdict per occasion (unit = ALL), and single-occasion data collapses
 the occasion dimension as well.  Each rule is compiled once per run
-into a plan: one closure per node, with its table column, lag,
-comparison and aggregate memo bound in, so a verdict is one call tree
-over the dataset's table index.  Both operands of every node are
-evaluated, in source order, so every diagnostic is recorded.  Missing
-values, type confusion, division by zero, and lags reaching before the
-first occasion or into an occasion the table lacks all evaluate to NA
-instead of aborting the run; each records a diagnostic.
+into a column plan: every node becomes a function from the rule's tuple
+of scopes to the node's value at each scope, with its table column,
+lag, comparison and aggregate memo bound in, so a rule's verdicts are
+one call of its body over all of its scopes.  A literal stays a scalar.
+Both operands of every node are evaluated at every scope, so every
+diagnostic is recorded; each note carries its scope's position, and a
+stable sort by position puts every verdict's notes in source order.
+Missing values, type confusion, division by zero, and lags reaching
+before the first occasion or into an occasion the table lacks all
+evaluate to NA instead of aborting the run; each records a diagnostic.
 """
 
 from __future__ import annotations
@@ -19,7 +22,8 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, NamedTuple, Optional, Union
+from operator import itemgetter
+from typing import Callable, NamedTuple, Optional
 
 from .errors import IncompatibleScopeError, UnevaluableRulesError, UnknownVariableError, ValidusError
 from .model import NA, NUMBER, Dataset, Key, Number, Value, as_number, is_number, is_text, natural_order
@@ -42,7 +46,7 @@ from .rules import (
     rule_scope,
 )
 from .schema import Schema
-from .tribool import TriBool, and2, implies, not_, or2
+from .tribool import TriBool
 
 NA_POLICIES = ("propagate", "ignore")
 
@@ -127,25 +131,55 @@ _TESTS = {
     "is_integer": lambda v: is_number(v) and v.denominator == 1,
     "is_text": is_text,
 }
+# the comparison that holds with its operands swapped
+_MIRROR = {"<": ">", "<=": ">=", "==": "==", "!=": "!=", ">=": "<=", ">": "<"}
+# a verdict that its node works out again, one scope at a time, with notes
+_BAD = object()
 
-# A compiled node: (unit, occasion) -> value or truth value.  unit is
-# None only where no record is in scope, and no reference reads it there.
-Node = Callable[[Optional[str], Optional[str]], Union[Value, TriBool]]
+Scopes = tuple[tuple[Optional[str], Optional[str]], ...]
+# A compiled node: the rule's (unit, occasion) scopes -> its value or
+# truth value at each, in order.  unit is None only where no record is in
+# scope, and no reference reads it there.
+Column = Callable[[Scopes], list]
+
+
+class _Literal(NamedTuple):
+    """A literal operand: the same value at every scope.  Operators read
+    ``value`` where they can; called, it is a column like any node."""
+
+    value: Value
+
+    def __call__(self, scopes: Scopes) -> list:
+        return [self.value] * len(scopes)
+
+
 # The rule's plan: the table its verdicts are reported under, its scopes
 # in report order, and its compiled body.
-Plan = tuple[str, tuple[tuple[Optional[str], Optional[str]], ...], Node]
+Plan = tuple[str, Scopes, Column]
+
+
+def _patch(verdicts: list, work_out: Callable[[int], TriBool]) -> list:
+    """``verdicts`` with each ``_BAD`` replaced by ``work_out(position)``,
+    in position order (``index`` scans truth values quickly)."""
+    pos = -1
+    try:
+        while True:
+            pos = verdicts.index(_BAD, pos + 1)
+            verdicts[pos] = work_out(pos)
+    except ValueError:
+        return verdicts
 
 
 class _Evaluator:
     """One run: the dataset, schema and options, each rule's scope and
-    plan, and the (kind, message) of every diagnostic the current verdict
-    recorded."""
+    plan, and the (scope position, kind, message) of every diagnostic the
+    current rule recorded."""
 
     def __init__(self, dataset: Dataset, schema: Schema, options: EvalOptions):
         self.dataset = dataset
         self.schema = schema
         self.options = options
-        self.notes: list[tuple[str, str]] = []
+        self.notes: list[tuple[int, str, str]] = []
         self.plans: dict[str, Plan] = {}
         self.scopes: dict[str, RuleScope] = {}
 
@@ -177,106 +211,125 @@ class _Evaluator:
         ordered = sorted(times, key=natural_order) if times else [None]
         return label, tuple((None, time) for time in ordered), body
 
-    # -- compilation: one closure per node ------------------------------
+    # -- compilation: one column function per node ---------------------
+    # A comprehension computes the common values; a value that may need a
+    # note is worked out again by a function that knows its position.
 
-    def compile(self, expr: Expr, tables: dict[int, str]) -> Node:
+    def compile(self, expr: Expr, tables: dict[int, str]) -> Column:
         if isinstance(expr, NumberLit):
-            number = as_number(expr.value)
-            return lambda unit, time: number
+            return _Literal(as_number(expr.value))
         if isinstance(expr, (TextLit, NALit)):
-            value = NA if isinstance(expr, NALit) else expr.value
-            return lambda unit, time: value
+            return _Literal(NA if isinstance(expr, NALit) else expr.value)
         if isinstance(expr, VarRef):
             return self._compile_ref(expr, tables[id(expr)])
         if isinstance(expr, Aggregate):
             return self._compile_aggregate(expr, tables)
-        if isinstance(expr, If):
+        if isinstance(expr, If):  # not cond or then
             cond, then = self.compile(expr.cond, tables), self.compile(expr.then, tables)
-            return lambda unit, time: implies(cond(unit, time), then(unit, time))
+            return lambda scopes: [_T if c is _F or q is _T else _N if c is _N or q is _N else _F
+                                   for c, q in zip(cond(scopes), then(scopes))]
         if isinstance(expr, Unary):
             operand = self.compile(expr.operand, tables)
             if expr.op == "not":
-                return lambda unit, time: not_(operand(unit, time))
+                return lambda scopes: [_F if v is _T else _T if v is _F else _N for v in operand(scopes)]
             return self._compile_sign(expr.op, operand)
         if isinstance(expr, Binary):
             left, right = self.compile(expr.left, tables), self.compile(expr.right, tables)
-            if expr.op in ("and", "or"):
-                connective = and2 if expr.op == "and" else or2
-                return lambda unit, time: connective(left(unit, time), right(unit, time))
             if expr.op in COMPARE:
                 return self._compile_compare(expr.op, left, right)
-            return self._compile_arithmetic(expr.op, left, right)
+            if expr.op not in ("and", "or"):
+                return self._compile_arithmetic(expr.op, left, right)
+            if expr.op == "and":
+                return lambda scopes: [_F if a is _F or b is _F else _N if a is _N or b is _N else _T
+                                       for a, b in zip(left(scopes), right(scopes))]
+            return lambda scopes: [_T if a is _T or b is _T else _N if a is _N or b is _N else _F
+                                   for a, b in zip(left(scopes), right(scopes))]
         if isinstance(expr, Builtin):
             return self._compile_builtin(expr, tables)
         raise AssertionError(f"cannot evaluate {expr!r}")
 
-    def _compile_ref(self, ref: VarRef, table: str) -> Node:
+    def _compile_ref(self, ref: VarRef, table: str) -> Column:
         variable, lag, notes = ref.variable, ref.lag, self.notes
         index = self.dataset.index(table)
         column = index.columns.get(variable, {})
-
-        def cell(unit, time):
-            try:
-                return column[unit, time]
-            except KeyError:
-                notes.append(("missing_cell", f"no data point for {Key(table, time, unit, variable)!r}"))
-                return NA
-
-        if lag == 0:
-            return cell
         times, positions = index.times, index.positions
         earlier = {time: times[i - lag] for i, time in enumerate(times) if i >= lag}
 
-        def lagged(unit, time):
-            if time in earlier:
-                return cell(unit, earlier[time])
-            if time in positions:
-                notes.append(("unresolved_reference", f"{variable}@{lag} reaches before the first occasion"))
-            else:
-                notes.append(("unresolved_reference",
-                              f"{variable}@{lag}: occasion {time} is not an occasion of table {table}"))
+        def read(pos, unit, time):
+            if lag:
+                if time not in earlier:
+                    notes.append((pos, "unresolved_reference",
+                                  f"{variable}@{lag} reaches before the first occasion" if time in positions
+                                  else f"{variable}@{lag}: occasion {time} is not an occasion of table {table}"))
+                    return NA
+                time = earlier[time]
+            try:
+                return column[unit, time]
+            except KeyError:
+                notes.append((pos, "missing_cell", f"no data point for {Key(table, time, unit, variable)!r}"))
+                return NA
+
+        def cells(scopes):
+            start = len(notes)
+            try:
+                if not lag:
+                    return [column[scope] for scope in scopes]
+                return [column[unit, earlier[time]] if time in earlier else read(pos, unit, time)
+                        for pos, (unit, time) in enumerate(scopes)]
+            except KeyError:  # a missing cell: read every scope again, with its notes
+                del notes[start:]
+                return [read(pos, unit, time) for pos, (unit, time) in enumerate(scopes)]
+
+        return cells
+
+    def _compile_sign(self, op: str, operand: Column) -> Column:
+        apply, notes = operator.neg if op == "neg" else abs, self.notes
+
+        def value(pos, v):
+            if v is NA or isinstance(v, NUMBER):
+                return v if v is NA else apply(v)
+            notes.append((pos, "type_mismatch", f"{op} applied to text {v!r}"))
             return NA
 
-        return lagged
-
-    def _compile_sign(self, op: str, operand: Node) -> Node:
-        apply = operator.neg if op == "neg" else abs
-        notes = self.notes
-
-        def sign(unit, time):
-            value = operand(unit, time)
-            if value is NA:
-                return NA
-            if not isinstance(value, NUMBER):
-                notes.append(("type_mismatch", f"{op} applied to text {value!r}"))
-                return NA
-            return apply(value)
+        def sign(scopes):
+            values = operand(scopes)
+            try:
+                return [v if v is NA else apply(v) for v in values]
+            except TypeError:  # text
+                return [value(pos, v) for pos, v in enumerate(values)]
 
         return sign
 
-    def _compile_arithmetic(self, op: str, left: Node, right: Node) -> Node:
+    def _compile_arithmetic(self, op: str, left: Column, right: Column) -> Column:
         apply, notes = _ARITHMETIC[op], self.notes
 
-        def arithmetic(unit, time):
-            a, b = left(unit, time), right(unit, time)
+        def value(pos, a, b):
             if a is NA or b is NA:
                 return NA
             if not isinstance(a, NUMBER) or not isinstance(b, NUMBER):
-                notes.append(("type_mismatch", f"arithmetic {op} on text operand"))
+                notes.append((pos, "type_mismatch", f"arithmetic {op} on text operand"))
                 return NA
             try:
                 return apply(a, b)
             except ZeroDivisionError:
-                notes.append(("division_by_zero", "division by zero"))
+                notes.append((pos, "division_by_zero", "division by zero"))
                 return NA
+
+        def arithmetic(scopes):
+            lefts, rights = left(scopes), right(scopes)
+            try:  # str + str and str * int would not raise
+                if str not in map(type, lefts) and str not in map(type, rights):
+                    return [NA if a is NA or b is NA else apply(a, b) for a, b in zip(lefts, rights)]
+            except ZeroDivisionError:
+                pass
+            return [value(pos, a, b) for pos, (a, b) in enumerate(zip(lefts, rights))]
 
         return arithmetic
 
-    def _compile_compare(self, op: str, left: Node, right: Node) -> Node:
+    def _compile_compare(self, op: str, left: Column, right: Column) -> Column:
         test, textual, notes = COMPARE[op], op in ("==", "!="), self.notes
 
-        def compare(unit, time):
-            a, b = left(unit, time), right(unit, time)
+        def verdict(a, b, pos):
             if a is NA or b is NA:
                 return _N
             # a value that is not NA is a number or a str; str is tested
@@ -285,67 +338,91 @@ class _Evaluator:
                 if isinstance(b, str):
                     if textual:
                         return _T if test(a, b) else _F
-                    notes.append(("type_mismatch", f"ordering {op} is undefined for text"))
+                    notes.append((pos, "type_mismatch", f"ordering {op} is undefined for text"))
                     return _N
             elif not isinstance(b, str):
                 return _T if test(a, b) else _F
-            notes.append(("type_mismatch", f"comparison {op} between number and text"))
+            notes.append((pos, "type_mismatch", f"comparison {op} between number and text"))
             return _N
+
+        if isinstance(left, _Literal):
+            left, right, test = right, left, COMPARE[_MIRROR[op]]
+        if isinstance(right, _Literal) and right.value is not NA and (textual or not isinstance(right.value, str)):
+            operand, k, text = left, right.value, isinstance(right.value, str)
+
+            def compare(scopes):
+                values = operand(scopes)
+                # an operand of the literal's own kind needs no note
+                return _patch([_N if a is NA else _BAD if (a.__class__ is str) is not text
+                               else _T if test(a, k) else _F for a in values],
+                              lambda pos: verdict(values[pos], k, pos))
+
+            return compare
+        def compare(scopes):
+            lefts, rights = left(scopes), right(scopes)
+            return _patch([_N if a is NA or b is NA else _BAD if a.__class__ is str or b.__class__ is str
+                           else _T if test(a, b) else _F for a, b in zip(lefts, rights)],
+                          lambda pos: verdict(lefts[pos], rights[pos], pos))
 
         return compare
 
-    def _compile_builtin(self, expr: Builtin, tables: dict[int, str]) -> Node:
+    def _compile_builtin(self, expr: Builtin, tables: dict[int, str]) -> Column:
         arg = self.compile(expr.args[0], tables)
         if expr.fn == "in_set":
             items = expr.args[1]
             assert isinstance(items, SetLit)
             members = frozenset(items.items)  # a number never equals a text
-            return lambda unit, time: _N if (v := arg(unit, time)) is NA else _T if v in members else _F
+            return lambda scopes: [_N if v is NA else _T if v in members else _F for v in arg(scopes)]
         if expr.fn == "is_na":
-            return lambda unit, time: _T if arg(unit, time) is NA else _F
+            return lambda scopes: [_T if v is NA else _F for v in arg(scopes)]
         test = _TESTS[expr.fn]
-        return lambda unit, time: _T if test(arg(unit, time)) else _F
+        return lambda scopes: [_T if test(v) else _F for v in arg(scopes)]
 
-    def _compile_aggregate(self, expr: Aggregate, tables: dict[int, str]) -> Node:
+    def _compile_aggregate(self, expr: Aggregate, tables: dict[int, str]) -> Column:
         """An aggregate's value depends on the occasion, never on the unit,
-        so it is computed once per (node, occasion).  A later use records
-        the same diagnostics again, at its own entry's scope."""
+        so it is computed once per (node, occasion): its argument is one
+        column over the group's records at every occasion not yet
+        computed.  Each verdict that reads it records its notes again."""
         group_table = tables[id(expr)]
         element = self.compile(expr.arg, tables)
         units = self.dataset.index(group_table).units
         fn, notes = expr.fn, self.notes
         numeric = fn != "count"
         propagate = self.options.na_policy == "propagate"
-        memo: dict[Optional[str], tuple[Value, list[tuple[str, str]]]] = {}
+        empty = ("empty_group", f"{fn} over an empty group in table {group_table!r}")
+        values: dict[Optional[str], Value] = {}
+        replay: dict[Optional[str], list[tuple[str, str]]] = {}  # an occasion's notes, if any
 
-        def compute(time):
-            kept: list[Value] = []
-            saw_na = False
-            for unit in units:
-                value = element(unit, time)
-                if numeric and isinstance(value, str):
-                    notes.append(("type_mismatch", f"{fn} over text value {value!r}"))
-                    value = NA
-                if value is NA:
-                    saw_na = True
+        def compute(times):
+            n, start = len(units), len(notes)
+            column = element(tuple((unit, time) for time in times for unit in units))
+            if numeric and str in map(type, column):
+                for pos, value in enumerate(column):
+                    if isinstance(value, str):
+                        notes.append((pos, "type_mismatch", f"{fn} over text value {value!r}"))
+                        column[pos] = NA
+            found = sorted(notes[start:], key=itemgetter(0))
+            del notes[start:]
+            for pos, kind, message in found:
+                replay.setdefault(times[pos // n], []).append((kind, message))
+            for i, time in enumerate(times):
+                kept = [value for value in column[i * n:(i + 1) * n] if value is not NA]
+                if len(kept) < n and propagate:
+                    values[time] = NA
+                elif kept:
+                    values[time] = _fold(fn, kept)
                 else:
-                    kept.append(value)
-            if saw_na and propagate:
-                return NA
-            if not kept:
-                notes.append(("empty_group", f"{fn} over an empty group in table {group_table!r}"))
-                return NA
-            return _fold(fn, kept)
+                    replay.setdefault(time, []).append(empty)
+                    values[time] = NA
 
-        def aggregate(unit, time):
-            hit = memo.get(time)
-            if hit is None:
-                start = len(notes)
-                value = compute(time)
-                hit = memo[time] = value, notes[start:]
-            else:
-                notes.extend(hit[1])
-            return hit[0]
+        def aggregate(scopes):
+            todo = [time for time in dict.fromkeys(map(itemgetter(1), scopes)) if time not in values]
+            if todo:
+                compute(todo)
+            if replay:
+                for pos, (_, time) in enumerate(scopes):
+                    notes.extend((pos, kind, message) for kind, message in replay.get(time, ()))
+            return [values[time] for _, time in scopes]
 
         return aggregate
 
@@ -406,13 +483,12 @@ def evaluate_ruleset(rules: RuleSet, dataset: Dataset, schema: Schema,
         # plan built above (bench/tracer.py opens the rule's span on it)
         table, scopes, body = _rule_scoping(evaluator, rule)
         name = rule.name
-        results: list[TriBool] = []
-        append = results.append
-        for unit, time in scopes:
-            append(body(unit, time))
-            if notes:
-                diagnostics += [Diagnostic(name, table, unit, time, kind, message) for kind, message in notes]
-                notes.clear()
+        results: list[TriBool] = body(scopes)
+        if notes:
+            # stable: a verdict's notes keep the order its nodes recorded them in
+            notes.sort(key=itemgetter(0))
+            diagnostics += [Diagnostic(name, table, *scopes[pos], kind, message) for pos, kind, message in notes]
+            notes.clear()
         blocks.append(RuleVerdicts(name, table, scopes, results))
         summary[name] = {"true": results.count(_T), "false": results.count(_F), "na": results.count(_N)}
 
