@@ -237,13 +237,13 @@ class _Evaluator:
             left, right = self.compile(expr.left, tables), self.compile(expr.right, tables)
             if expr.op in COMPARE:
                 return self._compile_compare(expr.op, left, right)
-            if expr.op not in ("and", "or"):
-                return self._compile_arithmetic(expr.op, left, right)
             if expr.op == "and":
                 return lambda scopes: [_F if a is _F or b is _F else _N if a is _N or b is _N else _T
                                        for a, b in zip(left(scopes), right(scopes))]
-            return lambda scopes: [_T if a is _T or b is _T else _N if a is _N or b is _N else _F
-                                   for a, b in zip(left(scopes), right(scopes))]
+            if expr.op == "or":
+                return lambda scopes: [_T if a is _T or b is _T else _N if a is _N or b is _N else _F
+                                       for a, b in zip(left(scopes), right(scopes))]
+            return self._compile_arithmetic(expr.op, left, right)
         if isinstance(expr, Builtin):
             return self._compile_builtin(expr, tables)
         raise AssertionError(f"cannot evaluate {expr!r}")
@@ -315,11 +315,19 @@ class _Evaluator:
                 notes.append((pos, "division_by_zero", "division by zero"))
                 return NA
 
+        if isinstance(left, _Literal) and op in ("+", "*"):
+            left, right = right, left
+        # a number literal on the right is applied as a scalar
+        k = right.value if isinstance(right, _Literal) and isinstance(right.value, NUMBER) else None
+
         def arithmetic(scopes):
             lefts, rights = left(scopes), right(scopes)
             try:  # str + str and str * int would not raise
-                if str not in map(type, lefts) and str not in map(type, rights):
-                    return [NA if a is NA or b is NA else apply(a, b) for a, b in zip(lefts, rights)]
+                if str not in map(type, lefts):
+                    if k is not None:
+                        return [NA if a is NA else apply(a, k) for a in lefts]
+                    if str not in map(type, rights):
+                        return [NA if a is NA or b is NA else apply(a, b) for a, b in zip(lefts, rights)]
             except ZeroDivisionError:
                 pass
             return [value(pos, a, b) for pos, (a, b) in enumerate(zip(lefts, rights))]
