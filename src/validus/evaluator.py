@@ -4,16 +4,17 @@ Each rule is scheduled over the scopes it needs: plain record rules get
 one verdict per (unit, occasion) of their table, aggregate rules one
 verdict per occasion (unit = ALL), and single-occasion data collapses
 the occasion dimension as well.  Each rule is compiled once per run
-into a column plan: every node becomes a function from the rule's tuple
-of scopes to the node's value at each scope, with its table column,
-lag, comparison and aggregate memo bound in, so a rule's verdicts are
-one call of its body over all of its scopes.  A literal stays a scalar.
-Both operands of every node are evaluated at every scope, so every
-diagnostic is recorded; each note carries its scope's position, and a
-stable sort by position puts every verdict's notes in source order.
-Missing values, type confusion, division by zero, and lags reaching
-before the first occasion or into an occasion the table lacks all
-evaluate to NA instead of aborting the run; each records a diagnostic.
+into a column plan: every node becomes a function from a tuple of
+scopes to the node's value at each scope, with its table column, lag,
+comparison and aggregate memo bound in, so a rule's verdicts are one
+call of its body over its scopes (``_CHUNK`` scopes at a time).  A
+literal stays a scalar.  Both operands of every node are evaluated at
+every scope, so every diagnostic is recorded; each note carries its
+scope's position, and a stable sort by position puts every verdict's
+notes in source order.  Missing values, type confusion, division by
+zero, and lags reaching before the first occasion or into an occasion
+the table lacks all evaluate to NA instead of aborting the run; each
+records a diagnostic.
 """
 
 from __future__ import annotations
@@ -135,6 +136,11 @@ _TESTS = {
 _MIRROR = {"<": ">", "<=": ">=", "==": "==", "!=": "!=", ">=": "<=", ">": "<"}
 # a verdict that its node works out again, one scope at a time, with notes
 _BAD = object()
+# A rule's body is called on at most this many scopes at a time, so that
+# a node's column of new values (quotients, say) stays small whatever the
+# table's size; whole-table columns raised validate's peak RSS at 40,000
+# records from 50.6 to 54.0 MB (scripts/report_memory.py, CSV report).
+_CHUNK = 4096
 
 Scopes = tuple[tuple[Optional[str], Optional[str]], ...]
 # A compiled node: the rule's (unit, occasion) scopes -> its value or
@@ -256,18 +262,16 @@ class _Evaluator:
         earlier = {time: times[i - lag] for i, time in enumerate(times) if i >= lag}
 
         def read(pos, unit, time):
-            if lag:
-                if time not in earlier:
-                    notes.append((pos, "unresolved_reference",
-                                  f"{variable}@{lag} reaches before the first occasion" if time in positions
-                                  else f"{variable}@{lag}: occasion {time} is not an occasion of table {table}"))
-                    return NA
-                time = earlier[time]
-            try:
-                return column[unit, time]
-            except KeyError:
-                notes.append((pos, "missing_cell", f"no data point for {Key(table, time, unit, variable)!r}"))
+            if lag and time not in earlier:
+                notes.append((pos, "unresolved_reference",
+                              f"{variable}@{lag} reaches before the first occasion" if time in positions
+                              else f"{variable}@{lag}: occasion {time} is not an occasion of table {table}"))
                 return NA
+            key = unit, earlier[time] if lag else time
+            if key in column:
+                return column[key]
+            notes.append((pos, "missing_cell", f"no data point for {Key(table, key[1], unit, variable)!r}"))
+            return NA
 
         def cells(scopes):
             start = len(notes)
@@ -340,17 +344,12 @@ class _Evaluator:
         def verdict(a, b, pos):
             if a is NA or b is NA:
                 return _N
-            # a value that is not NA is a number or a str; str is tested
-            # first, as isinstance(x, Fraction) runs ABCMeta's slow check
-            if isinstance(a, str):
-                if isinstance(b, str):
-                    if textual:
-                        return _T if test(a, b) else _F
-                    notes.append((pos, "type_mismatch", f"ordering {op} is undefined for text"))
-                    return _N
-            elif not isinstance(b, str):
+            # a value that is not NA is a number or a str
+            texts = isinstance(a, str) + isinstance(b, str)
+            if texts == 0 or texts == 2 and textual:
                 return _T if test(a, b) else _F
-            notes.append((pos, "type_mismatch", f"comparison {op} between number and text"))
+            notes.append((pos, "type_mismatch", f"ordering {op} is undefined for text" if texts == 2
+                          else f"comparison {op} between number and text"))
             return _N
 
         if isinstance(left, _Literal):
@@ -366,6 +365,7 @@ class _Evaluator:
                               lambda pos: verdict(values[pos], k, pos))
 
             return compare
+
         def compare(scopes):
             lefts, rights = left(scopes), right(scopes)
             return _patch([_N if a is NA or b is NA else _BAD if a.__class__ is str or b.__class__ is str
@@ -388,9 +388,9 @@ class _Evaluator:
 
     def _compile_aggregate(self, expr: Aggregate, tables: dict[int, str]) -> Column:
         """An aggregate's value depends on the occasion, never on the unit,
-        so it is computed once per (node, occasion): its argument is one
-        column over the group's records at every occasion not yet
-        computed.  Each verdict that reads it records its notes again."""
+        so it is computed once per (node, occasion), its argument as one
+        column over the group's records at that occasion.  Each verdict
+        that reads it records its notes again."""
         group_table = tables[id(expr)]
         element = self.compile(expr.arg, tables)
         units = self.dataset.index(group_table).units
@@ -401,32 +401,30 @@ class _Evaluator:
         values: dict[Optional[str], Value] = {}
         replay: dict[Optional[str], list[tuple[str, str]]] = {}  # an occasion's notes, if any
 
-        def compute(times):
-            n, start = len(units), len(notes)
-            column = element(tuple((unit, time) for time in times for unit in units))
+        def compute(time):
+            start = len(notes)
+            column = element(tuple((unit, time) for unit in units))
             if numeric and str in map(type, column):
                 for pos, value in enumerate(column):
                     if isinstance(value, str):
                         notes.append((pos, "type_mismatch", f"{fn} over text value {value!r}"))
                         column[pos] = NA
-            found = sorted(notes[start:], key=itemgetter(0))
-            del notes[start:]
-            for pos, kind, message in found:
-                replay.setdefault(times[pos // n], []).append((kind, message))
-            for i, time in enumerate(times):
-                kept = [value for value in column[i * n:(i + 1) * n] if value is not NA]
-                if len(kept) < n and propagate:
-                    values[time] = NA
-                elif kept:
-                    values[time] = _fold(fn, kept)
-                else:
-                    replay.setdefault(time, []).append(empty)
-                    values[time] = NA
+            kept = [value for value in column if value is not NA]
+            if len(kept) < len(column) and propagate:
+                values[time] = NA
+            elif kept:
+                values[time] = _fold(fn, kept)
+            else:
+                notes.append((len(column), *empty))
+                values[time] = NA
+            if len(notes) > start:
+                replay[time] = [(kind, message) for _, kind, message in sorted(notes[start:], key=itemgetter(0))]
+                del notes[start:]
 
         def aggregate(scopes):
-            todo = [time for time in dict.fromkeys(map(itemgetter(1), scopes)) if time not in values]
-            if todo:
-                compute(todo)
+            for time in dict.fromkeys(map(itemgetter(1), scopes)):
+                if time not in values:
+                    compute(time)
             if replay:
                 for pos, (_, time) in enumerate(scopes):
                     notes.extend((pos, kind, message) for kind, message in replay.get(time, ()))
@@ -491,12 +489,15 @@ def evaluate_ruleset(rules: RuleSet, dataset: Dataset, schema: Schema,
         # plan built above (bench/tracer.py opens the rule's span on it)
         table, scopes, body = _rule_scoping(evaluator, rule)
         name = rule.name
-        results: list[TriBool] = body(scopes)
-        if notes:
-            # stable: a verdict's notes keep the order its nodes recorded them in
-            notes.sort(key=itemgetter(0))
-            diagnostics += [Diagnostic(name, table, *scopes[pos], kind, message) for pos, kind, message in notes]
-            notes.clear()
+        results: list[TriBool] = []
+        for start in range(0, len(scopes), _CHUNK):
+            part = scopes[start:start + _CHUNK]
+            results += body(part)
+            if notes:
+                # stable: a verdict's notes keep the order its nodes recorded them in
+                notes.sort(key=itemgetter(0))
+                diagnostics += [Diagnostic(name, table, *part[pos], kind, message) for pos, kind, message in notes]
+                notes.clear()
         blocks.append(RuleVerdicts(name, table, scopes, results))
         summary[name] = {"true": results.count(_T), "false": results.count(_F), "na": results.count(_N)}
 

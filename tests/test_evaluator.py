@@ -11,7 +11,7 @@ import pytest
 
 from helpers import panel_disagreement, random_panel
 from validus.errors import IncompatibleScopeError, UnevaluableRulesError, UnknownVariableError
-from validus.evaluator import NA_POLICIES, EvalOptions, evaluate_ruleset
+from validus.evaluator import _CHUNK, NA_POLICIES, EvalOptions, evaluate_ruleset
 from validus.model import NA, DataPoint, Dataset, Key, build_dataset
 from validus.rules import parse_rules
 from validus.schema import parse_schema
@@ -353,6 +353,21 @@ def test_reused_aggregates_report_their_diagnostics_at_every_verdict(policy):
     if ignore:
         assert results(report, "rel")[("2", "1")] is N
         assert results(report, "centred") == {(None, "1"): T, (None, "2"): N}
+
+
+def test_notes_stay_at_their_verdicts_across_calls_of_a_rule_body():
+    # the body is called on _CHUNK scopes at a time; records with notes
+    # sit on both sides of each boundary
+    n = 2 * _CHUNK + 3
+    texts = {0, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK, n - 1}
+    ages = {i: "text" if i in texts else Fraction(i % 7) for i in range(n)}
+    ds = person_dataset({str(i): (age, "a") for i, age in ages.items()})
+    report = evaluate_ruleset(parse_rules("r: 1 / age >= 0"), ds, PERSON_SCHEMA)
+    assert [e.result for e in report.entries] == [N if i in texts or i % 7 == 0 else T for i in range(n)]
+    assert [(d.unit, d.kind) for d in report.diagnostics] == [
+        (str(i), "type_mismatch" if i in texts else "division_by_zero")
+        for i in range(n) if i in texts or i % 7 == 0
+    ]
 
 
 def test_evaluator_matches_plain_python_oracle_on_random_panels():
