@@ -323,18 +323,22 @@ class _Evaluator:
             left, right = right, left
         # a number literal on the right is applied as a scalar
         k = right.value if isinstance(right, _Literal) and isinstance(right.value, NUMBER) else None
+        divide = op == "/"
 
         def arithmetic(scopes):
             lefts, rights = left(scopes), right(scopes)
-            try:  # str + str and str * int would not raise
-                if str not in map(type, lefts):
-                    if k is not None:
-                        return [NA if a is NA else apply(a, k) for a in lefts]
-                    if str not in map(type, rights):
-                        return [NA if a is NA or b is NA else apply(a, b) for a, b in zip(lefts, rights)]
-            except ZeroDivisionError:
-                pass
-            return [value(pos, a, b) for pos, (a, b) in enumerate(zip(lefts, rights))]
+            # text (str + str and str * int would not raise) and zero divisors
+            # need notes; without them one comprehension does
+            if str not in map(type, lefts):
+                if k is not None and (k or not divide):
+                    return [NA if a is NA else apply(a, k) for a in lefts]
+                if str not in map(type, rights) and (not divide or all(rights)):
+                    return [NA if a is NA or b is NA else apply(a, b) for a, b in zip(lefts, rights)]
+            values = [NA if a is NA or b is NA else _BAD if a.__class__ is str or b.__class__ is str or divide and not b
+                      else apply(a, b) for a, b in zip(lefts, rights)]
+            for pos in [pos for pos, v in enumerate(values) if v is _BAD]:  # index() would compare Fractions
+                values[pos] = value(pos, lefts[pos], rights[pos])
+            return values
 
         return arithmetic
 
@@ -356,13 +360,19 @@ class _Evaluator:
             left, right, test = right, left, COMPARE[_MIRROR[op]]
         if isinstance(right, _Literal) and right.value is not NA and (textual or not isinstance(right.value, str)):
             operand, k, text = left, right.value, isinstance(right.value, str)
+            kn, kd = (None, None) if text else (k.numerator, k.denominator)
 
             def compare(scopes):
                 values = operand(scopes)
                 # an operand of the literal's own kind needs no note
-                return _patch([_N if a is NA else _BAD if (a.__class__ is str) is not text
-                               else _T if test(a, k) else _F for a in values],
-                              lambda pos: verdict(values[pos], k, pos))
+                if text:
+                    verdicts = [_N if a is NA else _BAD if a.__class__ is not str else _T if test(a, k) else _F
+                                for a in values]
+                else:  # n/d against p/q (d, q > 0) is n*q against p*d: exact, and quicker than Fraction's
+                    verdicts = [_N if a is NA else _BAD if a.__class__ is str
+                                else (_T if test(a, k) else _F) if a.__class__ is int
+                                else _T if test(a.numerator * kd, kn * a.denominator) else _F for a in values]
+                return _patch(verdicts, lambda pos: verdict(values[pos], k, pos))
 
             return compare
 

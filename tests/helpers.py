@@ -1295,6 +1295,9 @@ PANEL_RULES = [
      lambda o, u, t: o.cmp("<=", o.sign("neg", _x(o, u, t)), o.sign("abs", _y(o, u, t)))),
     ("label", 'y == "n/a" or x < "m"', "record",
      lambda o, u, t: _or(o.cmp("==", _y(o, u, t), "n/a"), o.cmp("<", _x(o, u, t), "m"))),
+    # both sides of an implication are evaluated, condition first
+    ("cond", "if (y > 1) x@1 <= x", "record",
+     lambda o, u, t: _or(_not(o.cmp(">", _y(o, u, t), Fraction(1))), o.cmp("<=", _x(o, u, t, 1), _x(o, u, t)))),
     # division by zero, and a missing cell where the earlier record is absent
     ("inverse", "1 / x >= 0 or is_na(y@1)", "record",
      lambda o, u, t: _or(o.cmp(">=", o.arith("/", Fraction(1), _x(o, u, t)), Fraction(0)),

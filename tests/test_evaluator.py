@@ -15,7 +15,7 @@ from validus.evaluator import _CHUNK, NA_POLICIES, EvalOptions, evaluate_ruleset
 from validus.model import NA, DataPoint, Dataset, Key, build_dataset
 from validus.rules import parse_rules
 from validus.schema import parse_schema
-from validus.tribool import TriBool
+from validus.tribool import TriBool, and2, implies, not_, or2
 
 T, F, N = TriBool.TRUE, TriBool.FALSE, TriBool.NA
 
@@ -62,6 +62,22 @@ def test_vacuous_implication_record():
     rules = parse_rules('r: if (job == "employed") age >= 15')
     report = evaluate_ruleset(rules, EXAMPLE, PERSON_SCHEMA)
     assert results(report, "r")[("1", None)] is T
+
+
+def test_connectives_follow_the_kleene_tables_of_tribool():
+    # one record per pair of truth values of x >= 0 and y >= 0
+    truth = {T: Fraction(1), F: Fraction(-1), N: NA}
+    pairs = [(a, b) for a in (T, F, N) for b in (T, F, N)]
+    points = []
+    for i, (a, b) in enumerate(pairs):
+        points += [DataPoint(Key("p", None, str(i), "x"), truth[a]), DataPoint(Key("p", None, str(i), "y"), truth[b])]
+    rules = parse_rules("both: x >= 0 and y >= 0\neither: x >= 0 or y >= 0\n"
+                        "cond: if (x >= 0) y >= 0\nneg: not (x >= 0)")
+    report = evaluate_ruleset(rules, build_dataset(points), parse_schema("p.x : numeric\np.y : numeric\n"))
+    reference = {"both": and2, "either": or2, "cond": implies, "neg": lambda a, b: not_(a)}
+    for name, connective in reference.items():
+        assert [results(report, name)[str(i), None] for i in range(len(pairs))] == [
+            connective(a, b) for a, b in pairs], name
 
 
 def test_aggregate_rule_single_entry():
