@@ -1,4 +1,4 @@
-"""Time ``evaluate_ruleset`` per rule shape on seeded panels of growing size.
+"""Time CSV ingest and ``evaluate_ruleset`` per rule shape on seeded panels of growing size.
 
 The panels are the validate-panel workload of ``bench/workloads.py``
 (``validate_panel``) with 100 units and a growing number of occasions:
@@ -9,13 +9,17 @@ of each shape is taken from that workload's rule file:
 - aggregate: ``mean(x) >= 60``, one verdict per occasion,
 - record with aggregate: ``x <= 10 * mean(x)``.
 With the units fixed, every shape's verdicts grow with the records, so
-its time per verdict stays flat exactly when its path is linear.  For
-each size and shape it prints the best of ``--repeat`` timed
+its time per verdict stays flat exactly when its path is linear; the
+same holds for ingest's time per cell.  For each size it prints an
+``ingest`` row: the best of ``--repeat`` timed ``dataset_from_csv``
+calls on the panel's CSV text, the µs per cell, and a digest of the
+dataset's points.  Then, for each shape, the best of ``--repeat`` timed
 ``evaluate_ruleset`` calls (the dataset is read and indexed before),
-the µs per verdict, and a digest of the verdicts and diagnostics, so two
-versions of the evaluator can be compared for speed and for identical
-output.  It exits 1 when a shape's µs per verdict at the largest size is
-more than 3x that at the smallest.  stdlib only.
+the µs per verdict, and a digest of the verdicts and diagnostics.  So
+two versions of the reader or the evaluator can be compared for speed
+and for identical output.  It exits 1 when the µs per cell or a shape's
+µs per verdict at the largest size is more than 3x that at the
+smallest.  stdlib only.
 
     PYTHONPATH=src python scripts/validate_scaling.py [--occasions 50 200 800] [--seed 201] [--repeat 3]
 """
@@ -34,13 +38,28 @@ from validus.schema import parse_schema
 ROOT = Path(__file__).resolve().parent.parent
 UNITS = 100
 SHAPES = {"record": "x_pos", "lagged": "x_drift", "aggregate": "x_mean", "record_agg": "x_rel"}
-LIMIT = 3.0  # largest size's µs per verdict over the smallest size's, per shape
+LIMIT = 3.0  # largest size's µs per cell or verdict over the smallest size's, per row kind
 
 
 def digest(report) -> str:
     verdicts = [(e.unit, e.time, e.result.value) for e in report.entries]
     notes = [(d.unit, d.time, d.kind, d.message) for d in report.diagnostics]
     return hashlib.sha256(repr((verdicts, notes)).encode()).hexdigest()[:12]
+
+
+def points_digest(dataset) -> str:
+    points = sorted((repr(key), repr(value)) for key, value in dataset.points.items())
+    return hashlib.sha256(repr(points).encode()).hexdigest()[:12]
+
+
+def best_of(repeat: int, call):
+    """The least time of ``repeat`` calls, and the last call's result."""
+    best = float("inf")
+    for _ in range(repeat):
+        start = time.perf_counter()
+        result = call()
+        best = min(best, time.perf_counter() - start)
+    return best, result
 
 
 def main() -> int:
@@ -53,29 +72,31 @@ def main() -> int:
     sys.path.insert(0, str(ROOT / "bench"))
     from workloads import validate_panel
 
-    per_verdict: dict[str, list[float]] = {shape: [] for shape in SHAPES}
-    print(f"{'records':>8} {'shape':<11} {'verdicts':>9} {'diagnostics':>11} {'seconds':>9} {'µs/verdict':>11}  digest")
+    per_item: dict[str, list[float]] = {row: [] for row in ("ingest", *SHAPES)}
+    print(f"{'records':>8} {'row':<11} {'cells/verdicts':>14} {'diagnostics':>11} {'seconds':>9} "
+          f"{'µs each':>9}  digest")
+
+    def row(records: int, kind: str, count: int, diagnostics: str, seconds: float, text: str) -> None:
+        per_item[kind].append(seconds / count * 1e6)
+        print(f"{records:>8} {kind:<11} {count:>14} {diagnostics:>11} {seconds:>9.4f} "
+              f"{per_item[kind][-1]:>9.2f}  {text}")
+
     for occasions in args.occasions:
         workload = validate_panel(args.seed, units=UNITS, occasions=occasions)
         rules = {rule.name: rule for rule in parse_rules(workload.files["rules.txt"])}
         schema = parse_schema(workload.files["schema.txt"])
-        dataset = dataset_from_csv({"firm": workload.files["firm.csv"]})
+        tables = {"firm": workload.files["firm.csv"]}
+        seconds, dataset = best_of(args.repeat, lambda: dataset_from_csv(tables))
+        row(UNITS * occasions, "ingest", len(dataset), "-", seconds, points_digest(dataset))
         dataset.index("firm")
         for shape, name in SHAPES.items():
             assert workload.rule_shapes[name] == shape, name
             ruleset = RuleSet((rules[name],))
-            best = float("inf")
-            for _ in range(args.repeat):
-                start = time.perf_counter()
-                report = evaluate_ruleset(ruleset, dataset, schema)
-                best = min(best, time.perf_counter() - start)
-            verdicts = len(report.entries)
-            per_verdict[shape].append(best / verdicts * 1e6)
-            print(f"{UNITS * occasions:>8} {shape:<11} {verdicts:>9} {len(report.diagnostics):>11} "
-                  f"{best:>9.4f} {per_verdict[shape][-1]:>11.2f}  {digest(report)}")
-    failed = [shape for shape, times in per_verdict.items() if times[-1] > LIMIT * times[0]]
-    print(f"limit: µs per verdict at {UNITS * args.occasions[-1]} records at most {LIMIT}x that at "
-          f"{UNITS * args.occasions[0]}; " + (f"exceeded by {', '.join(failed)}" if failed else "met by every shape"))
+            seconds, report = best_of(args.repeat, lambda: evaluate_ruleset(ruleset, dataset, schema))
+            row(UNITS * occasions, shape, len(report.entries), str(len(report.diagnostics)), seconds, digest(report))
+    failed = [kind for kind, times in per_item.items() if times[-1] > LIMIT * times[0]]
+    print(f"limit: µs per cell or verdict at {UNITS * args.occasions[-1]} records at most {LIMIT}x that at "
+          f"{UNITS * args.occasions[0]}; " + (f"exceeded by {', '.join(failed)}" if failed else "met by every row"))
     return 1 if failed else 0
 
 

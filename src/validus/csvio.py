@@ -5,20 +5,28 @@ identify the record, every other column is a variable.  Empty cells and
 the literal ``NA`` ingest as missing; anything that parses as an exact
 number becomes a number; everything else stays text.
 
-``dataset_from_csv`` writes each row's parsed cells straight into the
-dataset's columns (``model.bind_cells``); no key object is built per
-cell.  Every table is read before a key bound twice is reported, so a
-format error anywhere in the input wins over a duplicate.
+The reader takes a table's rows ``_CHUNK`` at a time.  Each row is
+checked in file order (blank rows skipped, then width, then the unit
+cell); then, for each variable, each distinct cell text of the chunk is
+parsed once and the chunk's slice of the column is bound with
+``model.bind_columns``, so no key object is built per cell.  Every table
+is read before a key bound twice is reported, so a format error anywhere
+in the input wins over a duplicate.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+from itertools import islice
 from typing import Iterator, Optional
 
 from .errors import DuplicateKeyError, ValidusError
-from .model import NA, Column, DataPoint, Dataset, Key, Value, bind_cells, format_value, parse_value
+from .model import NA, Column, DataPoint, Dataset, Key, Record, Value, bind_columns, format_value, parse_value
+
+# rows read, checked and parsed together; the memo of parsed cell texts
+# lives for one chunk, which bounds it however large the table
+_CHUNK = 512
 
 
 class CsvFormatError(ValidusError):
@@ -27,14 +35,15 @@ class CsvFormatError(ValidusError):
         super().__init__(f"table {table!r}: {message}")
 
 
-Row = tuple[str, Optional[str], list[Value]]
+# one chunk: its records, and each variable's values at those records
+Chunk = tuple[list[Record], list[list[Value]]]
 
 
-def _read_rows(table: str, text: str, unit_column: str,
-               time_column: Optional[str]) -> tuple[list[str], Iterator[Row]]:
+def _read_chunks(table: str, text: str, unit_column: str,
+                 time_column: Optional[str]) -> tuple[list[str], Iterator[Chunk]]:
     """The table's variable names, in header order, and an iterator over
-    its rows as (unit, time, parsed values).  The header is checked here;
-    each row as the iterator reaches it."""
+    its chunks of rows.  The header is checked here; each row as the
+    iterator reaches its chunk."""
     reader = csv.reader(io.StringIO(text))
     try:
         header = next(reader)
@@ -46,28 +55,47 @@ def _read_rows(table: str, text: str, unit_column: str,
     time_idx = header.index(time_column) if time_column in header else None
     width = len(header)
     value_idx = [i for i in range(width) if i not in (unit_idx, time_idx)]
+    numbered = enumerate(reader, start=2)
 
-    def rows() -> Iterator[Row]:
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
+    def chunks() -> Iterator[Chunk]:
+        while True:
+            rows = list(islice(numbered, _CHUNK))
+            if not rows:
+                return
+            records: list[Record] = []
+            kept = []
+            for lineno, row in rows:
+                if not "".join(row).strip():
+                    continue
+                if len(row) != width:
+                    raise CsvFormatError(table, f"row {lineno} has {len(row)} cells, header has {width}")
+                unit = row[unit_idx].strip()
+                if not unit:
+                    raise CsvFormatError(table, f"row {lineno} has an empty unit cell")
+                records.append((unit, None if time_idx is None else row[time_idx].strip() or None))
+                kept.append(row)
+            if not kept:
                 continue
-            if len(row) != width:
-                raise CsvFormatError(table, f"row {lineno} has {len(row)} cells, header has {width}")
-            unit = row[unit_idx].strip()
-            if not unit:
-                raise CsvFormatError(table, f"row {lineno} has an empty unit cell")
-            time = None if time_idx is None else row[time_idx].strip() or None
-            yield unit, time, [parse_value(row[i]) for i in value_idx]
+            cells = list(zip(*kept))
+            values = []
+            for i in value_idx:
+                texts = cells[i]
+                distinct = set(texts)
+                parsed = dict(zip(distinct, map(parse_value, distinct)))
+                values.append(list(map(parsed.__getitem__, texts)))
+            yield records, values
 
-    return [header[i] for i in value_idx], rows()
+    return [header[i] for i in value_idx], chunks()
 
 
 def read_table(table: str, text: str, unit_column: str = "id",
                time_column: Optional[str] = "time") -> list[DataPoint]:
-    """Data points for one table from CSV text."""
-    variables, rows = _read_rows(table, text, unit_column, time_column)
+    """Data points for one table from CSV text, row by row."""
+    variables, chunks = _read_chunks(table, text, unit_column, time_column)
     return [DataPoint(Key(table, time, unit, name), value)
-            for unit, time, values in rows for name, value in zip(variables, values)]
+            for records, values in chunks
+            for (unit, time), row in zip(records, zip(*values))
+            for name, value in zip(variables, row)]
 
 
 def dataset_from_csv(tables: dict[str, str], unit_column: str = "id",
@@ -76,9 +104,9 @@ def dataset_from_csv(tables: dict[str, str], unit_column: str = "id",
     columns: dict[str, dict[str, Column]] = {}
     duplicate: Optional[Key] = None
     for table, text in tables.items():
-        variables, rows = _read_rows(table, text, unit_column, time_column)
-        for unit, time, values in rows:
-            found = bind_cells(columns, table, unit, time, variables, values)
+        variables, chunks = _read_chunks(table, text, unit_column, time_column)
+        for records, values in chunks:
+            found = bind_columns(columns, table, records, variables, values)
             if duplicate is None:
                 duplicate = found
     if duplicate is not None:

@@ -11,8 +11,10 @@ which variable.  A dataset binds every key of its key set to exactly
 one value.
 
 A dataset stores that map by column, and only so: one dict per (table,
-variable) from (unit, occasion) to the value.  ``bind_cells`` is the one
-way cells enter a column and the one place a key bound twice is caught;
+variable) from (unit, occasion) to the value.  ``bind_columns`` is the
+one way cells enter a column and the one place a key bound twice is
+caught: it binds a slice of records' cells, one column at a time, with
+one dict update per column when no key of the slice is bound yet.
 ``build_dataset`` and the CSV reader both go through it.
 """
 
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Optional, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .errors import DuplicateKeyError, MissingKeyError, UnknownKeyError
 
@@ -276,25 +278,29 @@ def natural_order(label: Optional[str]):
         return (2, 0, label)
 
 
-def bind_cells(tables: dict[str, dict[str, Column]], table: str, unit: str, time: Optional[str],
-               variables: Iterable[str], values: Iterable[Value]) -> Optional[Key]:
-    """Bind one record's cells, in order, into its table's columns in
-    ``tables`` (table -> variable -> column).  Returns the key of the
-    first cell whose column already holds the record, or None; such a
-    cell is not bound.  A column is created by its first cell."""
-    columns = tables.get(table)
-    if columns is None:
-        columns = tables[table] = {}
-    record = unit, time
+def bind_columns(tables: dict[str, dict[str, Column]], table: str, records: Sequence[Record],
+                 variables: Sequence[str], values: Sequence[Sequence[Value]]) -> Optional[Key]:
+    """Bind a slice of records' cells into its table's columns in
+    ``tables`` (table -> variable -> column): ``values[j][i]`` is the cell
+    of ``records[i]`` for ``variables[j]``.  A cell whose key is already
+    bound, before the call or by an earlier cell of the slice in (record,
+    variable) order, is not bound, so a bound key keeps its value.
+    Returns the key of the first such cell in that order, or None.  A
+    column is created by its first cell."""
+    columns = tables.setdefault(table, {})
+    targets = [columns.setdefault(variable, {}) for variable in variables]
+    if (len(set(records)) == len(records) and len(set(variables)) == len(variables)
+            and all(column.keys().isdisjoint(records) for column in targets)):
+        for column, cells in zip(targets, values):
+            column.update(zip(records, cells))
+        return None
     duplicate = None
-    for variable, value in zip(variables, values):
-        column = columns.get(variable)
-        if column is None:
-            columns[variable] = {record: value}
-        elif record not in column:
-            column[record] = value
-        elif duplicate is None:
-            duplicate = Key(table, time, unit, variable)
+    for i, record in enumerate(records):
+        for column, variable, cells in zip(targets, variables, values):
+            if record not in column:
+                column[record] = cells[i]
+            elif duplicate is None:
+                duplicate = Key(table, record[1], record[0], variable)
     return duplicate
 
 
@@ -306,18 +312,39 @@ def build_dataset(points: Iterable[DataPoint], declared_keys: Optional[Iterable[
     """
     points = list(points)
     tables: dict[str, dict[str, Column]] = {}
-    for point in points:
-        key = point.key
-        if bind_cells(tables, key.table, key.unit, key.time, (key.variable,), (point.value,)) is not None:
-            raise DuplicateKeyError(key)
+    duplicates = set()
+    for table, variable, records, values in _slices((point.key, point.value) for point in points):
+        found = bind_columns(tables, table, records, (variable,), (values,))
+        if found is not None:
+            duplicates.add(found)
+    if duplicates:
+        # each is its column's first; report the one a point repeats first
+        seen = set()
+        for point in points:
+            if point.key in duplicates:
+                if point.key in seen:
+                    raise DuplicateKeyError(point.key)
+                seen.add(point.key)
     if declared_keys is not None:
         key_set = frozenset(declared_keys)
         for point in points:
             if point.key not in key_set:
                 raise UnknownKeyError(point.key)
-        for key in key_set:
-            bind_cells(tables, key.table, key.unit, key.time, (key.variable,), (NA,))  # a bound key stays
+        for table, variable, records, values in _slices((key, NA) for key in key_set):
+            bind_columns(tables, table, records, (variable,), (values,))  # a bound key keeps its value
     return Dataset(tables)
+
+
+def _slices(cells: Iterable[tuple[Key, Value]]):
+    """(table, variable, records, values) for each column the cells fall
+    in, with the cells in their given order."""
+    columns: dict[tuple[str, str], tuple[list[Record], list[Value]]] = {}
+    for key, value in cells:
+        records, values = columns.setdefault((key.table, key.variable), ([], []))
+        records.append((key.unit, key.time))
+        values.append(value)
+    for (table, variable), (records, values) in columns.items():
+        yield table, variable, records, values
 
 
 def get_value(dataset: Dataset, key: Key) -> Value:

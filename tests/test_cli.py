@@ -193,6 +193,25 @@ def test_unreadable_input_or_output_is_an_input_error(workspace, capsys, bad, ki
     assert err.count("\n") == 1 and err.startswith("error: ") and path in err
 
 
+@pytest.mark.parametrize("marked", ["rules", "schema", "data"])
+def test_a_utf8_byte_order_mark_is_skipped(tmp_path, capsys, marked):
+    # spreadsheet programs write one at the start of a "CSV UTF-8" file
+    texts = {"rules": SECTION_RULES, "schema": PERSON_SCHEMA, "data": PERSON_CSV}
+
+    def validate(bom):
+        paths = {}
+        for kind, text in texts.items():
+            paths[kind] = tmp_path / f"{kind}-{bom}.txt"
+            paths[kind].write_bytes((b"\xef\xbb\xbf" if bom and kind == marked else b"") + text.encode())
+        code = run(["validate", "--rules", str(paths["rules"]), "--schema", str(paths["schema"]),
+                    "--data", f"person={paths['data']}"])
+        return code, capsys.readouterr()
+
+    plain = validate(False)
+    assert plain[0] == 1 and plain[1].err == ""
+    assert validate(True) == plain
+
+
 def test_classify_table(workspace, capsys):
     tmp, write = workspace
     code = run(["classify", "--rules", write("rules.txt", SECTION_RULES), "--format", "csv"])

@@ -89,6 +89,10 @@ def test_export_is_deterministic():
     assert write_table(ds, "person") == write_table(ds, "person")
 
 
+def _rows(units) -> str:
+    return "".join(f"{unit},{unit}\n" for unit in units)
+
+
 @pytest.mark.parametrize("tables, error", [
     # every table is read before a duplicate is reported
     ({"a": "id,x\n1,1\n1,2\n", "b": "id,x\n1,2,3\n"}, "table 'b': row 2 has 3 cells, header has 2"),
@@ -99,6 +103,13 @@ def test_export_is_deterministic():
     # a repeated header name binds the same key twice in every row
     ({"a": "id,x,y,x\n7,1,2,3\n"}, "key occurs more than once: (a.7, x)"),
     ({"a": "id,x\n", "b": "id,time,x,x\n5,1,1,2\n"}, "key occurs more than once: (b.5, t=1, x)"),
+    # rows 2 to 513 are the first chunk of 512: a duplicate whose two rows
+    # fall in different chunks, and the first of two such
+    ({"a": "id,x\n" + _rows(range(600)) + "7,1\n3,1\n"}, "key occurs more than once: (a.7, x)"),
+    # a width error in a later chunk beats a duplicate in an earlier one
+    ({"a": "id,x\n1,1\n1,2\n" + _rows(range(2, 600)) + "5\n"}, "table 'a': row 602 has 1 cells, header has 2"),
+    # blank rows end one chunk and start the next; line numbers count them
+    ({"a": "id,x\n" + _rows(range(511)) + "\n , \n0,1\n,1\n"}, "table 'a': row 516 has an empty unit cell"),
 ])
 def test_errors_are_reported_in_reading_order(tables, error):
     with pytest.raises(ValidusError) as caught:
@@ -121,6 +132,16 @@ def _outcome(ingest, tables, time_column):
 
 
 def test_ingest_matches_the_point_by_point_reference():
+    _check_against_the_point_by_point_reference()
+
+
+def test_ingest_matches_the_point_by_point_reference_across_chunks(monkeypatch):
+    # two rows a chunk, so most random tables cross chunk boundaries
+    monkeypatch.setattr(validus.csvio, "_CHUNK", 2)
+    _check_against_the_point_by_point_reference()
+
+
+def _check_against_the_point_by_point_reference():
     rng = random.Random(20260)
     kinds = Counter()
     for _ in range(4000):
@@ -162,3 +183,24 @@ def test_ingest_builds_no_key_or_data_point_per_cell(monkeypatch):
     ds = validus.csvio.dataset_from_csv({"t": text})
     assert len(ds) == 120
     assert built == Counter()
+
+
+def test_each_distinct_cell_text_is_parsed_once_per_column_per_chunk(monkeypatch):
+    texts = []
+
+    def counting(text, _parse=validus.csvio.parse_value):
+        texts.append(text)
+        return _parse(text)
+
+    monkeypatch.setattr(validus.csvio, "parse_value", counting)
+    chunk = validus.csvio._CHUNK
+    rows = [(u, f"{u % 7}", ["a", "b", "NA", ""][u % 4]) for u in range(3 * chunk)]
+    text = "id,x,y\n" + "".join(f"{u},{x},{y}\n" for u, x, y in rows)
+    ds = dataset_from_csv({"t": text})
+    assert len(ds) == 2 * len(rows)
+    allowed = Counter()
+    for start in range(0, len(rows), chunk):
+        for column in (1, 2):
+            allowed.update({row[column] for row in rows[start:start + chunk]})
+    assert sum(allowed.values()) == 3 * (7 + 4)
+    assert Counter(texts) <= allowed

@@ -62,10 +62,19 @@ def test_duplicate_key_rejected():
     assert err.value.key == k("1", "age")
 
 
+def test_the_first_repeated_point_is_reported():
+    # the age column is bound first, but a job point is repeated first
+    points = EXAMPLE_POINTS + [DataPoint(k("2", "job"), "x"), DataPoint(k("1", "age"), Fraction(30))]
+    with pytest.raises(DuplicateKeyError) as err:
+        build_dataset(points)
+    assert err.value.key == k("2", "job")
+
+
 def test_declared_keys_fill_with_na():
     declared = {k("1", "age"), k("1", "job")}
     ds = build_dataset([DataPoint(k("1", "age"), Fraction(25))], declared)
     assert get_value(ds, k("1", "job")) is NA
+    assert get_value(ds, k("1", "age")) == 25
     assert ds.key_set == frozenset(declared)
 
 
