@@ -7,7 +7,9 @@ of each shape is taken from that workload's rule file:
 - record: ``x >= 0``,
 - lagged: ``abs(x - x@1) <= 0.5 * x@1``,
 - aggregate: ``mean(x) >= 60``, one verdict per occasion,
-- record with aggregate: ``x <= 10 * mean(x)``.
+- record with aggregate: ``x <= 10 * mean(x)``,
+and one record rule of our own on the same panel:
+- quotient: ``y / x <= 2``, compared without dividing.
 With the units fixed, every shape's verdicts grow with the records, so
 its time per verdict stays flat exactly when its path is linear; the
 same holds for ingest's time per cell.  For each size it prints an
@@ -38,6 +40,7 @@ from validus.schema import parse_schema
 ROOT = Path(__file__).resolve().parent.parent
 UNITS = 100
 SHAPES = {"record": "x_pos", "lagged": "x_drift", "aggregate": "x_mean", "record_agg": "x_rel"}
+QUOTIENT = "y_per_x: y / x <= 2"
 LIMIT = 3.0  # largest size's µs per cell or verdict over the smallest size's, per row kind
 
 
@@ -72,7 +75,7 @@ def main() -> int:
     sys.path.insert(0, str(ROOT / "bench"))
     from workloads import validate_panel
 
-    per_item: dict[str, list[float]] = {row: [] for row in ("ingest", *SHAPES)}
+    per_item: dict[str, list[float]] = {row: [] for row in ("ingest", *SHAPES, "quotient")}
     print(f"{'records':>8} {'row':<11} {'cells/verdicts':>14} {'diagnostics':>11} {'seconds':>9} "
           f"{'µs each':>9}  digest")
 
@@ -84,6 +87,7 @@ def main() -> int:
     for occasions in args.occasions:
         workload = validate_panel(args.seed, units=UNITS, occasions=occasions)
         rules = {rule.name: rule for rule in parse_rules(workload.files["rules.txt"])}
+        (quotient,) = parse_rules(QUOTIENT)
         schema = parse_schema(workload.files["schema.txt"])
         tables = {"firm": workload.files["firm.csv"]}
         seconds, dataset = best_of(args.repeat, lambda: dataset_from_csv(tables))
@@ -91,7 +95,8 @@ def main() -> int:
         dataset.index("firm")
         for shape, name in SHAPES.items():
             assert workload.rule_shapes[name] == shape, name
-            ruleset = RuleSet((rules[name],))
+        for shape, rule in [*((shape, rules[name]) for shape, name in SHAPES.items()), ("quotient", quotient)]:
+            ruleset = RuleSet((rule,))
             seconds, report = best_of(args.repeat, lambda: evaluate_ruleset(ruleset, dataset, schema))
             row(UNITS * occasions, shape, len(report.entries), str(len(report.diagnostics)), seconds, digest(report))
     failed = [kind for kind, times in per_item.items() if times[-1] > LIMIT * times[0]]

@@ -8,7 +8,16 @@ into a column plan: every node becomes a function from a tuple of
 scopes to the node's value at each scope, with its table column, lag,
 comparison and aggregate memo bound in, so a rule's verdicts are one
 call of its body over its scopes (``_CHUNK`` scopes at a time).  A
-literal stays a scalar.  Both operands of every node are evaluated at
+literal stays a scalar.
+
+Numbers stay exact without a Fraction per value: a value node's column
+is a list of int numerators over one positive denominator d.  A
+reference scales its cells by the lcm of its column's denominators, so
+``76.1`` is 761 over 10; ``+`` and ``-`` align two denominators, ``*``
+multiplies them, a mean is its sum over n·d, and a comparison
+cross-multiplies.  ``a / b`` compared with c compares a with c·b,
+mirrored where b < 0; only a quotient that feeds further arithmetic
+builds Fractions.  Both operands of every node are evaluated at
 every scope, so every diagnostic is recorded; each note carries its
 scope's position, and a stable sort by position puts every verdict's
 notes in source order.  Missing values, type confusion, division by
@@ -23,6 +32,7 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from operator import itemgetter
 from typing import Callable, NamedTuple, Optional
 
@@ -124,9 +134,9 @@ __all__ = ["EvalOptions", "Entry", "Diagnostic", "RuleVerdicts", "ValidationRepo
 
 
 _T, _F, _N = TriBool.TRUE, TriBool.FALSE, TriBool.NA
-# int / int would give a float; Fraction(a, b) is the exact quotient of any
-# two numbers, and raises ZeroDivisionError when b is zero
-_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": Fraction}
+# the operators whose result has one denominator: a * b is over da * db,
+# a + b and a - b over lcm(da, db); a quotient is a _Quotient
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 _TESTS = {
     "is_number": is_number,
     "is_integer": lambda v: is_number(v) and v.denominator == 1,
@@ -141,27 +151,111 @@ _BAD = object()
 # table's size; whole-table columns raised validate's peak RSS at 40,000
 # records from 50.6 to 54.0 MB (scripts/report_memory.py, CSV report).
 _CHUNK = 4096
+# A common denominator longer than this many bits is not used: a column
+# whose cells would need one keeps its Fractions (d = 1).  On 4,096 cells
+# 1/k, five rules took 77 ms over a common denominator of 1,479 bits
+# (137 ms in Fractions) but 457 ms over one of 5,925 bits (165 ms;
+# CPython 3.11, one core of a 2-vCPU VM).
+_MAX_SCALE_BITS = 2048
 
 Scopes = tuple[tuple[Optional[str], Optional[str]], ...]
-# A compiled node: the rule's (unit, occasion) scopes -> its value or
-# truth value at each, in order.  unit is None only where no record is in
-# scope, and no reference reads it there.
+# A compiled node: the rule's (unit, occasion) scopes -> its truth value
+# at each, in order, for a logical node; for a value node, (elements, d):
+# the value at each scope is its element over the positive int d.  A
+# number's element is an int, or a Fraction where a quotient or a too
+# long common denominator keeps its value as it is; text and NA are their
+# own elements.  unit is None only where no record is in scope, and no
+# reference reads it there.
 Column = Callable[[Scopes], list]
-
-
-class _Literal(NamedTuple):
-    """A literal operand: the same value at every scope.  Operators read
-    ``value`` where they can; called, it is a column like any node."""
-
-    value: Value
-
-    def __call__(self, scopes: Scopes) -> list:
-        return [self.value] * len(scopes)
-
-
+Numbers = Callable[[Scopes], tuple[list, int]]
 # The rule's plan: the table its verdicts are reported under, its scopes
 # in report order, and its compiled body.
 Plan = tuple[str, Scopes, Column]
+
+
+class _Literal(NamedTuple):
+    """A literal operand: the same value at every scope, as ``element``
+    over ``d`` (a number's numerator and denominator).  Operators read
+    these where they can; called, it is a column like any value node."""
+
+    value: Value
+    element: object
+    d: int
+
+    def __call__(self, scopes: Scopes) -> tuple[list, int]:
+        return [self.element] * len(scopes), self.d
+
+
+def _literal(value: Value) -> _Literal:
+    if isinstance(value, NUMBER):
+        return _Literal(value, value.numerator, value.denominator)
+    return _Literal(value, value, 1)
+
+
+class _Quotient(NamedTuple):
+    """``numerator / denominator``.  ``parts`` gives both operands'
+    elements and denominators, with NA as the numerator's element where
+    the quotient is NA, its note recorded; a comparison reads them
+    without dividing.  Called, it is a column of Fractions over 1."""
+
+    numerator: Numbers
+    denominator: Numbers
+    notes: list
+
+    def parts(self, scopes: Scopes) -> tuple[list, int, list, int]:
+        a, da = self.numerator(scopes)
+        b, db = self.denominator(scopes)
+        if str in map(type, a) or str in map(type, b) or not all(b):
+            for pos, (x, y) in enumerate(zip(a, b)):
+                if x is NA or y is NA:
+                    continue
+                if x.__class__ is str or y.__class__ is str:
+                    self.notes.append((pos, "type_mismatch", "arithmetic / on text operand"))
+                elif y:
+                    continue
+                else:
+                    self.notes.append((pos, "division_by_zero", "division by zero"))
+                a[pos] = NA
+        return a, da, b, db
+
+    def __call__(self, scopes: Scopes) -> tuple[list, int]:
+        a, da, b, db = self.parts(scopes)
+        # (x / da) / (y / db)
+        return [NA if x is NA or y is NA else Fraction(x * db, y * da) for x, y in zip(a, b)], 1
+
+
+def _common(denominators) -> int:
+    """The lcm of positive ints, or 1 where it would pass _MAX_SCALE_BITS."""
+    d = 1
+    for den in denominators:
+        d = lcm(d, den)
+        if d.bit_length() > _MAX_SCALE_BITS:
+            return 1
+    return d
+
+
+def _scale(cells: list, d: int) -> list:
+    """Cells as elements over ``d``, a multiple of each Fraction cell's
+    denominator."""
+    if d == 1:
+        return cells
+    # as_integer_ratio reads a Fraction's two terms faster than its two properties
+    return [v * d if v.__class__ is int else (q := v.as_integer_ratio())[0] * (d // q[1]) if v.__class__ is Fraction
+            else v for v in cells]
+
+
+def _times(elements: list, m: int) -> list:
+    """Elements over d as elements over m·d."""
+    if m == 1:
+        return elements
+    return [e if e is NA or e.__class__ is str else e * m for e in elements]
+
+
+def _values(elements: list, d: int) -> list:
+    """The values of a value node's elements over ``d``."""
+    if d == 1:
+        return elements
+    return [e if e is NA or e.__class__ is str else as_number(Fraction(e, d)) for e in elements]
 
 
 def _patch(verdicts: list, work_out: Callable[[int], TriBool]) -> list:
@@ -178,8 +272,9 @@ def _patch(verdicts: list, work_out: Callable[[int], TriBool]) -> list:
 
 class _Evaluator:
     """One run: the dataset, schema and options, each rule's scope and
-    plan, and the (scope position, kind, message) of every diagnostic the
-    current rule recorded."""
+    plan, the common denominator of each (table, variable) a rule reads
+    as a number, and the (scope position, kind, message) of every
+    diagnostic the current rule recorded."""
 
     def __init__(self, dataset: Dataset, schema: Schema, options: EvalOptions):
         self.dataset = dataset
@@ -188,6 +283,7 @@ class _Evaluator:
         self.notes: list[tuple[int, str, str]] = []
         self.plans: dict[str, Plan] = {}
         self.scopes: dict[str, RuleScope] = {}
+        self.denominators: dict[tuple[str, str], int] = {}
 
     def plan(self, rule: Rule) -> Plan:
         """Scope the rule and compile it.  A rule whose scope is not
@@ -222,12 +318,13 @@ class _Evaluator:
     # note is worked out again by a function that knows its position.
 
     def compile(self, expr: Expr, tables: dict[int, str]) -> Column:
-        if isinstance(expr, NumberLit):
-            return _Literal(as_number(expr.value))
-        if isinstance(expr, (TextLit, NALit)):
-            return _Literal(NA if isinstance(expr, NALit) else expr.value)
+        if isinstance(expr, (NumberLit, TextLit, NALit)):
+            return _literal(as_number(expr.value) if isinstance(expr, NumberLit)
+                            else NA if isinstance(expr, NALit) else expr.value)
         if isinstance(expr, VarRef):
-            return self._compile_ref(expr, tables[id(expr)])
+            table = tables[id(expr)]
+            cells, d = self._compile_ref(expr, table), self._denominator(table, expr.variable)
+            return lambda scopes: (_scale(cells(scopes), d), d)
         if isinstance(expr, Aggregate):
             return self._compile_aggregate(expr, tables)
         if isinstance(expr, If):  # not cond or then
@@ -240,9 +337,10 @@ class _Evaluator:
                 return lambda scopes: [_F if v is _T else _T if v is _F else _N for v in operand(scopes)]
             return self._compile_sign(expr.op, operand)
         if isinstance(expr, Binary):
-            left, right = self.compile(expr.left, tables), self.compile(expr.right, tables)
             if expr.op in COMPARE:
-                return self._compile_compare(expr.op, left, right)
+                return self._compile_compare(expr.op, self._operand(expr.left, expr.right, tables),
+                                             self._operand(expr.right, expr.left, tables))
+            left, right = self.compile(expr.left, tables), self.compile(expr.right, tables)
             if expr.op == "and":
                 return lambda scopes: [_F if a is _F or b is _F else _N if a is _N or b is _N else _T
                                        for a, b in zip(left(scopes), right(scopes))]
@@ -254,7 +352,26 @@ class _Evaluator:
             return self._compile_builtin(expr, tables)
         raise AssertionError(f"cannot evaluate {expr!r}")
 
+    def _operand(self, expr: Expr, beside: Expr, tables: dict[int, str]) -> Numbers:
+        """A comparison's operand.  A reference compared with a literal
+        gives its cells as they are, over 1: the comparison reads a
+        Fraction's terms itself, and no cell is scaled."""
+        if isinstance(expr, VarRef) and isinstance(beside, (NumberLit, TextLit, NALit)):
+            cells = self._compile_ref(expr, tables[id(expr)])
+            return lambda scopes: (cells(scopes), 1)
+        return self.compile(expr, tables)
+
+    def _denominator(self, table: str, variable: str) -> int:
+        """The common denominator of a column's cells, worked out once per run."""
+        key = table, variable
+        if key not in self.denominators:
+            column = self.dataset.index(table).columns.get(variable, {})
+            self.denominators[key] = _common({v.as_integer_ratio()[1] for v in column.values()
+                                              if v.__class__ is Fraction})
+        return self.denominators[key]
+
     def _compile_ref(self, ref: VarRef, table: str) -> Column:
+        """The reference's cells, as the dataset holds them."""
         variable, lag, notes = ref.variable, ref.lag, self.notes
         index = self.dataset.index(table)
         column = index.columns.get(variable, {})
@@ -286,121 +403,150 @@ class _Evaluator:
 
         return cells
 
-    def _compile_sign(self, op: str, operand: Column) -> Column:
+    def _compile_sign(self, op: str, operand: Numbers) -> Numbers:
         apply, notes = operator.neg if op == "neg" else abs, self.notes
 
         def value(pos, v):
-            if v is NA or isinstance(v, NUMBER):
+            if v.__class__ is not str:
                 return v if v is NA else apply(v)
             notes.append((pos, "type_mismatch", f"{op} applied to text {v!r}"))
             return NA
 
         def sign(scopes):
-            values = operand(scopes)
+            values, d = operand(scopes)
             try:
-                return [v if v is NA else apply(v) for v in values]
+                return [v if v is NA else apply(v) for v in values], d
             except TypeError:  # text
-                return [value(pos, v) for pos, v in enumerate(values)]
+                return [value(pos, v) for pos, v in enumerate(values)], d
 
         return sign
 
-    def _compile_arithmetic(self, op: str, left: Column, right: Column) -> Column:
-        apply, notes = _ARITHMETIC[op], self.notes
-
-        def value(pos, a, b):
-            if a is NA or b is NA:
-                return NA
-            if not isinstance(a, NUMBER) or not isinstance(b, NUMBER):
-                notes.append((pos, "type_mismatch", f"arithmetic {op} on text operand"))
-                return NA
-            try:
-                return apply(a, b)
-            except ZeroDivisionError:
-                notes.append((pos, "division_by_zero", "division by zero"))
-                return NA
-
-        if isinstance(left, _Literal) and op in ("+", "*"):
+    def _compile_arithmetic(self, op: str, left: Numbers, right: Numbers) -> Numbers:
+        if op == "/":
+            if not (isinstance(right, _Literal) and isinstance(right.value, NUMBER) and right.value):
+                return _Quotient(left, right, self.notes)
+            kernel, right = "*", _literal(1 / Fraction(right.value))  # times the reciprocal: one denominator
+        else:
+            kernel = op
+        apply, notes = _ARITHMETIC[kernel], self.notes
+        if isinstance(left, _Literal) and kernel != "-":
             left, right = right, left
         # a number literal on the right is applied as a scalar
-        k = right.value if isinstance(right, _Literal) and isinstance(right.value, NUMBER) else None
-        divide = op == "/"
+        k = right.element if isinstance(right, _Literal) and isinstance(right.value, NUMBER) else None
 
         def arithmetic(scopes):
-            lefts, rights = left(scopes), right(scopes)
-            # text (str + str and str * int would not raise) and zero divisors
-            # need notes; without them one comprehension does
+            lefts, da = left(scopes)
+            rights, db = right(scopes)
+            if kernel == "*":
+                d, ma, mb = da * db, 1, 1
+            else:  # both operands over d, the lcm of theirs
+                d = lcm(da, db)
+                ma, mb = d // da, d // db
+            kb = None if k is None else k * mb
+            lefts, rights = _times(lefts, ma), (_times(rights, mb) if kb is None else [kb] * len(rights))
+            # text (str + str and str * int would not raise) needs notes;
+            # without it one comprehension does
             if str not in map(type, lefts):
-                if k is not None and (k or not divide):
-                    return [NA if a is NA else apply(a, k) for a in lefts]
-                if str not in map(type, rights) and (not divide or all(rights)):
-                    return [NA if a is NA or b is NA else apply(a, b) for a, b in zip(lefts, rights)]
-            values = [NA if a is NA or b is NA else _BAD if a.__class__ is str or b.__class__ is str or divide and not b
+                if kb is not None:
+                    return [NA if a is NA else apply(a, kb) for a in lefts], d
+                if str not in map(type, rights):
+                    return [NA if a is NA or b is NA else apply(a, b) for a, b in zip(lefts, rights)], d
+            values = [NA if a is NA or b is NA else _BAD if a.__class__ is str or b.__class__ is str
                       else apply(a, b) for a, b in zip(lefts, rights)]
-            for pos in [pos for pos, v in enumerate(values) if v is _BAD]:  # index() would compare Fractions
-                values[pos] = value(pos, lefts[pos], rights[pos])
-            return values
+            for pos in [pos for pos, v in enumerate(values) if v is _BAD]:  # index() would compare numbers
+                notes.append((pos, "type_mismatch", f"arithmetic {op} on text operand"))
+                values[pos] = NA
+            return values, d
 
         return arithmetic
 
-    def _compile_compare(self, op: str, left: Column, right: Column) -> Column:
-        test, textual, notes = COMPARE[op], op in ("==", "!="), self.notes
+    def _compile_compare(self, op: str, left: Numbers, right: Numbers) -> Column:
+        """a / da against b / db (da, db > 0) is a * db against b * da."""
+        shown, textual, notes = op, op in ("==", "!="), self.notes
 
         def verdict(a, b, pos):
-            if a is NA or b is NA:
-                return _N
-            # a value that is not NA is a number or a str
-            texts = isinstance(a, str) + isinstance(b, str)
-            if texts == 0 or texts == 2 and textual:
-                return _T if test(a, b) else _F
-            notes.append((pos, "type_mismatch", f"ordering {op} is undefined for text" if texts == 2
-                          else f"comparison {op} between number and text"))
+            # neither is NA, and one at least is text; a text literal is b
+            if textual and isinstance(a, str) and isinstance(b, str):
+                return _T if COMPARE[shown](a, b) else _F
+            notes.append((pos, "type_mismatch", f"ordering {shown} is undefined for text" if isinstance(a, str)
+                          and isinstance(b, str) else f"comparison {shown} between number and text"))
             return _N
 
-        if isinstance(left, _Literal):
-            left, right, test = right, left, COMPARE[_MIRROR[op]]
-        if isinstance(right, _Literal) and right.value is not NA and (textual or not isinstance(right.value, str)):
-            operand, k, text = left, right.value, isinstance(right.value, str)
-            kn, kd = (None, None) if text else (k.numerator, k.denominator)
+        if isinstance(left, _Literal):  # a literal records no notes, so its operand may go first
+            left, right, op = right, left, _MIRROR[op]
+        test = COMPARE[op]
+        if isinstance(left, _Quotient) or isinstance(right, _Quotient):
+            # (x / da) / (y / db) against z / dc, both times y * da * dc, is
+            # x * db * dc against z * y * da, mirrored where y < 0
+            first = isinstance(left, _Quotient)
+            quotient, other = (left, right) if first else (right, left)
+            qtest = test if first else COMPARE[_MIRROR[op]]
 
             def compare(scopes):
-                values = operand(scopes)
+                if first:
+                    x_, da, y_, db = quotient.parts(scopes)
+                    z_, dc = other(scopes)
+                else:
+                    z_, dc = other(scopes)
+                    x_, da, y_, db = quotient.parts(scopes)
+                fx = db * dc
+                return _patch([_N if x is NA or y is NA or z is NA else _BAD if z.__class__ is str
+                               else (_T if qtest(x * fx, z * y * da) else _F) if y > 0
+                               else _T if qtest(z * y * da, x * fx) else _F for x, y, z in zip(x_, y_, z_)],
+                              lambda pos: verdict(x_[pos], z_[pos], pos))
+
+            return compare
+        if isinstance(right, _Literal) and right.value is not NA and (textual or not isinstance(right.value, str)):
+            operand, k, kd, text = left, right.element, right.d, isinstance(right.value, str)
+
+            def compare(scopes):
+                values, d = operand(scopes)
                 # an operand of the literal's own kind needs no note
                 if text:
                     verdicts = [_N if a is NA else _BAD if a.__class__ is not str else _T if test(a, k) else _F
                                 for a in values]
-                else:  # n/d against p/q (d, q > 0) is n*q against p*d: exact, and quicker than Fraction's
+                else:  # a / d against k / kd is a * kd against k * d; a Fraction p/q over d, p * kd against k * d * q
+                    kb = k * d
                     verdicts = [_N if a is NA else _BAD if a.__class__ is str
-                                else (_T if test(a, k) else _F) if a.__class__ is int
-                                else _T if test(a.numerator * kd, kn * a.denominator) else _F for a in values]
+                                else (_T if test(a * kd, kb) else _F) if a.__class__ is int
+                                else _T if test((q := a.as_integer_ratio())[0] * kd, kb * q[1]) else _F for a in values]
                 return _patch(verdicts, lambda pos: verdict(values[pos], k, pos))
 
             return compare
 
         def compare(scopes):
-            lefts, rights = left(scopes), right(scopes)
+            lefts, da = left(scopes)
+            rights, db = right(scopes)
             return _patch([_N if a is NA or b is NA else _BAD if a.__class__ is str or b.__class__ is str
-                           else _T if test(a, b) else _F for a, b in zip(lefts, rights)],
+                           else _T if test(a * db, b * da) else _F for a, b in zip(lefts, rights)],
                           lambda pos: verdict(lefts[pos], rights[pos], pos))
 
         return compare
 
     def _compile_builtin(self, expr: Builtin, tables: dict[int, str]) -> Column:
-        arg = self.compile(expr.args[0], tables)
+        # the argument's values as they are: a reference's cells, other values from their elements
+        arg = expr.args[0]
+        if isinstance(arg, VarRef):
+            values = self._compile_ref(arg, tables[id(arg)])
+        else:
+            numbers = self.compile(arg, tables)
+            values = lambda scopes: _values(*numbers(scopes))  # noqa: E731
         if expr.fn == "in_set":
             items = expr.args[1]
             assert isinstance(items, SetLit)
             members = frozenset(items.items)  # a number never equals a text
-            return lambda scopes: [_N if v is NA else _T if v in members else _F for v in arg(scopes)]
+            return lambda scopes: [_N if v is NA else _T if v in members else _F for v in values(scopes)]
         if expr.fn == "is_na":
-            return lambda scopes: [_T if v is NA else _F for v in arg(scopes)]
+            return lambda scopes: [_T if v is NA else _F for v in values(scopes)]
         test = _TESTS[expr.fn]
-        return lambda scopes: [_T if test(v) else _F for v in arg(scopes)]
+        return lambda scopes: [_T if test(v) else _F for v in values(scopes)]
 
-    def _compile_aggregate(self, expr: Aggregate, tables: dict[int, str]) -> Column:
+    def _compile_aggregate(self, expr: Aggregate, tables: dict[int, str]) -> Numbers:
         """An aggregate's value depends on the occasion, never on the unit,
         so it is computed once per (node, occasion), its argument as one
-        column over the group's records at that occasion.  Each verdict
-        that reads it records its notes again."""
+        column over the group's records at that occasion, and kept as a
+        (numerator, denominator) pair.  Each verdict that reads it records
+        its notes again."""
         group_table = tables[id(expr)]
         element = self.compile(expr.arg, tables)
         units = self.dataset.index(group_table).units
@@ -408,12 +554,12 @@ class _Evaluator:
         numeric = fn != "count"
         propagate = self.options.na_policy == "propagate"
         empty = ("empty_group", f"{fn} over an empty group in table {group_table!r}")
-        values: dict[Optional[str], Value] = {}
+        values: dict[Optional[str], object] = {}
         replay: dict[Optional[str], list[tuple[str, str]]] = {}  # an occasion's notes, if any
 
         def compute(time):
             start = len(notes)
-            column = element(tuple((unit, time) for unit in units))
+            column, d = element(tuple((unit, time) for unit in units))
             if numeric and str in map(type, column):
                 for pos, value in enumerate(column):
                     if isinstance(value, str):
@@ -423,7 +569,7 @@ class _Evaluator:
             if len(kept) < len(column) and propagate:
                 values[time] = NA
             elif kept:
-                values[time] = _fold(fn, kept)
+                values[time] = _fold(fn, kept, d)
             else:
                 notes.append((len(column), *empty))
                 values[time] = NA
@@ -432,29 +578,31 @@ class _Evaluator:
                 del notes[start:]
 
         def aggregate(scopes):
-            for time in dict.fromkeys(map(itemgetter(1), scopes)):
+            times = dict.fromkeys(map(itemgetter(1), scopes))
+            for time in times:
                 if time not in values:
                     compute(time)
             if replay:
                 for pos, (_, time) in enumerate(scopes):
                     notes.extend((pos, kind, message) for kind, message in replay.get(time, ()))
-            return [values[time] for _, time in scopes]
+            # this call's occasions over one denominator
+            d = _common({values[time][1] for time in times if values[time] is not NA})
+            over = {time: NA if (v := values[time]) is NA else v[0] * (d // v[1]) if d % v[1] == 0
+                    else Fraction(v[0] * d, v[1]) for time in times}
+            return [over[time] for _, time in scopes], d
 
         return aggregate
 
 
-def _fold(fn: str, kept: list[Value]) -> Number:
-    """The aggregate of a non-empty group without NA; every kept value is
-    a number unless ``fn`` is count."""
+def _fold(fn: str, kept: list, d: int) -> tuple[object, int]:
+    """The aggregate of a non-empty group without NA, whose numbers are
+    elements over ``d`` (any values if ``fn`` is count), as (numerator,
+    denominator)."""
     if fn == "count":
-        return len(kept)
-    if fn == "sum":
-        return sum(kept)
+        return len(kept), 1
     if fn == "mean":
-        return Fraction(sum(kept), len(kept))
-    if fn == "min":
-        return min(kept)
-    return max(kept)
+        return sum(kept), len(kept) * d
+    return (sum(kept) if fn == "sum" else min(kept) if fn == "min" else max(kept)), d
 
 
 def _rule_scoping(evaluator: _Evaluator, rule: Rule) -> Plan:

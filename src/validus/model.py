@@ -248,14 +248,23 @@ def _index_tables(tables: dict[str, dict[str, Column]]) -> dict[str, TableIndex]
     ``natural_order`` once, and records are sorted by those ranks."""
     records = {table: set().union(*variables.values()) for table, variables in tables.items()}
     labels = {label for pairs in records.values() for record in pairs for label in record}
-    rank = {label: i for i, label in enumerate(sorted(labels, key=natural_order))}
+    # Sort keys are freed in the order they were made (``keys``, not a
+    # sorted copy, holds the last reference) and a record's key is an int:
+    # a free list that kept tuples freed in sorted order would pin a little
+    # of every pool they filled, which raised validate's VmHWM at 40,000
+    # records by 2.5 MB (scripts/report_memory.py).
+    keys = [natural_order(label) for label in labels if label is not None]  # (kind, value, label)
+    ordered = [None] * (None in labels) + [key[2] for key in sorted(keys)]
+    del keys
+    rank = {label: i for i, label in enumerate(ordered)}
+    width = len(rank)
     indexes = {}
     for table, pairs in records.items():
         times = sorted({time for _, time in pairs}, key=rank.__getitem__)
         indexes[table] = TableIndex(
             units=sorted({unit for unit, _ in pairs}, key=rank.__getitem__),
             times=times,
-            records=tuple(sorted(pairs, key=lambda r: (rank[r[0]], rank[r[1]]))),
+            records=tuple(sorted(pairs, key=lambda r: rank[r[0]] * width + rank[r[1]])),
             positions={time: i for i, time in enumerate(times)},
             columns=tables[table],
         )
@@ -326,11 +335,12 @@ def build_dataset(points: Iterable[DataPoint], declared_keys: Optional[Iterable[
                     raise DuplicateKeyError(point.key)
                 seen.add(point.key)
     if declared_keys is not None:
-        key_set = frozenset(declared_keys)
+        # in the caller's order, so the NA fill's order does not hang on the hash seed
+        declared = dict.fromkeys(declared_keys)
         for point in points:
-            if point.key not in key_set:
+            if point.key not in declared:
                 raise UnknownKeyError(point.key)
-        for table, variable, records, values in _slices((key, NA) for key in key_set):
+        for table, variable, records, values in _slices((key, NA) for key in declared):
             bind_columns(tables, table, records, (variable,), (values,))  # a bound key keeps its value
     return Dataset(tables)
 

@@ -16,7 +16,8 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from functools import reduce
+from typing import Iterable, Optional, Union
 
 import numpy as np
 
@@ -57,7 +58,60 @@ from validus.rules import (
     type_check,
 )
 from validus.schema import parse_schema
-from validus.tribool import TriBool, and_, implies, not_, or_
+from validus.tribool import TriBool
+
+
+# --- strong Kleene connectives, one value at a time ----------------------
+# The reference the evaluator's compiled connectives are checked against.
+
+_T, _F, _N = TriBool.TRUE, TriBool.FALSE, TriBool.NA
+
+
+def not_(a: TriBool) -> TriBool:
+    return _F if a is _T else _T if a is _F else _N
+
+
+def and2(a: TriBool, b: TriBool) -> TriBool:
+    """Conjunction of two operands, both already evaluated."""
+    if a is _F or b is _F:
+        return _F
+    return _N if a is _N or b is _N else _T
+
+
+def or2(a: TriBool, b: TriBool) -> TriBool:
+    """Disjunction of two operands, both already evaluated."""
+    if a is _T or b is _T:
+        return _T
+    return _N if a is _N or b is _N else _F
+
+
+def and_(args: Iterable[TriBool]) -> TriBool:
+    return reduce(and2, args, _T)
+
+
+def or_(args: Iterable[TriBool]) -> TriBool:
+    return reduce(or2, args, _F)
+
+
+def implies(cond: TriBool, conseq: TriBool) -> TriBool:
+    return or2(not_(cond), conseq)
+
+
+def kleene_apply(op: str, args: list[TriBool]) -> TriBool:
+    """Apply a logical connective; ``if`` reads its two args as
+    (condition, consequent)."""
+    if op == "not":
+        (a,) = args
+        return not_(a)
+    if op == "and":
+        return and_(args)
+    if op == "or":
+        return or_(args)
+    if op == "if":
+        cond, conseq = args
+        return implies(cond, conseq)
+    raise ValueError(f"unknown logical operator {op!r}")
+
 
 # --- three-valued truth-table oracle over rule bodies ---------------------
 
@@ -1325,6 +1379,23 @@ PANEL_RULES = [
      lambda o, u, t: o.cmp("==", o.arith("+", o.arith("/", _x(o, u, t), Fraction(10)),
                                          o.arith("/", _y(o, u, t), Fraction(10))),
                            o.arith("/", o.arith("+", _x(o, u, t), _y(o, u, t)), Fraction(10)))),
+    # decimal literals: operands over different denominators
+    ("half_lag", "0.5 * x@1 >= y - 1.25", "record",
+     lambda o, u, t: o.cmp(">=", o.arith("*", Fraction(1, 2), _x(o, u, t, 1)),
+                           o.arith("-", _y(o, u, t), Fraction(5, 4)))),
+    ("rel3", "x <= 3 * mean(x)", "record",
+     lambda o, u, t: o.cmp("<=", _x(o, u, t),
+                           o.arith("*", Fraction(3), o.agg("mean", lambda v, s: _x(o, v, s), t)))),
+    # quotients compared without dividing: y may be zero or negative
+    ("quot", "x / y >= -0.5", "record",
+     lambda o, u, t: o.cmp(">=", o.arith("/", _x(o, u, t), _y(o, u, t)), Fraction(-1, 2))),
+    ("quot_right", "y - 1 < x@1 / y", "record",
+     lambda o, u, t: o.cmp("<", o.arith("-", _y(o, u, t), Fraction(1)),
+                           o.arith("/", _x(o, u, t, 1), _y(o, u, t)))),
+    # a quotient inside arithmetic
+    ("quot_sum", "x / y + 1 <= 2", "record",
+     lambda o, u, t: o.cmp("<=", o.arith("+", o.arith("/", _x(o, u, t), _y(o, u, t)), Fraction(1)),
+                           Fraction(2))),
 ]
 
 
@@ -1401,7 +1472,10 @@ def panel_disagreement(cells: dict) -> Optional[str]:
 
 def random_panel(rng: random.Random) -> dict:
     """An unbalanced panel: rows (unit, occasion) and single cells may be
-    absent; values may be NA, text, zero or fractional."""
+    absent; values may be NA, text, zero, negative or fractional.  One
+    column of x mixes decimals of 0 to 3 places with p/q cells such as
+    1/3 and -7/6; y, the divisor of the quotient rules, is often zero or
+    negative."""
     n_units, n_times = rng.randint(1, 6), rng.randint(1, 5)
     cells = {}
     for u in range(1, n_units + 1):
@@ -1416,8 +1490,13 @@ def random_panel(rng: random.Random) -> dict:
                     cells[u, t, var] = None
                 elif roll < 0.25:
                     cells[u, t, var] = "n/a"
-                else:
+                elif var == "y":
                     cells[u, t, var] = Fraction(rng.randint(-3, 6), rng.choice([1, 1, 2]))
+                elif roll < 0.4:
+                    cells[u, t, var] = Fraction(rng.randint(-9, 9), rng.choice([3, 6, 7]))
+                else:
+                    scale = 10 ** rng.randint(0, 3)
+                    cells[u, t, var] = Fraction(rng.randint(-3 * scale, 6 * scale), scale)
     return cells or {(1, 1, "x"): Fraction(1)}
 
 

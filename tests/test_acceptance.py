@@ -8,7 +8,7 @@ import json
 import random
 from fractions import Fraction
 
-from helpers import grid_oracle, random_rule, random_system
+from helpers import and_, grid_oracle, implies, not_, or_, random_rule, random_system
 from validus.analyzer import (
     CONTRADICTION,
     PARTIAL_INFEASIBILITY,
@@ -30,7 +30,7 @@ from validus.evaluator import EvalOptions, evaluate_ruleset
 from validus.model import NA, DataPoint, build_dataset
 from validus.rules import format_rule, parse_rule, parse_rules
 from validus.schema import parse_schema
-from validus.tribool import TriBool, and_, implies, not_, or_
+from validus.tribool import TriBool
 
 T, F, N = TriBool.TRUE, TriBool.FALSE, TriBool.NA
 

@@ -1,5 +1,6 @@
 """Three-valued evaluation over datasets: scoping, policies, monotonicity."""
 
+import fractions
 import os
 import random
 import subprocess
@@ -9,13 +10,15 @@ from pathlib import Path
 
 import pytest
 
-from helpers import panel_disagreement, random_panel
+from helpers import and2, implies, not_, or2, panel_disagreement, random_panel
+from validus import evaluator
+from validus.csvio import dataset_from_csv
 from validus.errors import IncompatibleScopeError, UnevaluableRulesError, UnknownVariableError
 from validus.evaluator import _CHUNK, NA_POLICIES, EvalOptions, evaluate_ruleset
 from validus.model import NA, DataPoint, Dataset, Key, build_dataset
 from validus.rules import parse_rules
 from validus.schema import parse_schema
-from validus.tribool import TriBool, and2, implies, not_, or2
+from validus.tribool import TriBool
 
 T, F, N = TriBool.TRUE, TriBool.FALSE, TriBool.NA
 
@@ -394,6 +397,96 @@ def test_evaluator_matches_plain_python_oracle_on_random_panels():
         cells = random_panel(rng)
         found = panel_disagreement(cells)
         assert found is None, f"{found}\n{cells}"
+
+
+# x = 1/k and y = 1/(4097 - k) at unit k: each rule with its reading in plain Fractions
+_N_UNIT_FRACTIONS = 4096
+_UNIT_FRACTION_RULES = {
+    "lit": ("x >= 1/1000", lambda x, y, m: x >= Fraction(1, 1000)),
+    "diff": ("x - y > 0", lambda x, y, m: x - y > 0),
+    "mixed": ("3 * x + y <= 1/100", lambda x, y, m: 3 * x + y <= Fraction(1, 100)),
+    "rel": ("x <= 8 * mean(x)", lambda x, y, m: x <= 8 * m),
+    "quot": ("x / y >= 2", lambda x, y, m: x / y >= 2),
+    "quot_sum": ("x / y + y / x <= 10", lambda x, y, m: x / y + y / x <= 10),
+    "whole": ("is_integer(x * 360)", lambda x, y, m: (x * 360).denominator == 1),
+    "member": ("in_set(2 * x, {1, 2})", lambda x, y, m: 2 * x in (1, 2)),
+}
+
+
+@pytest.mark.parametrize("scale_bits", [None, 1 << 16], ids=["default", "large_denominators_kept"])
+def test_unit_fractions_with_a_large_common_denominator(monkeypatch, scale_bits):
+    # lcm(1, ..., 4096) has about 5,900 bits: past the default bound a column
+    # keeps its Fractions; with the bound raised each value is an int over it
+    if scale_bits is not None:
+        monkeypatch.setattr(evaluator, "_MAX_SCALE_BITS", scale_bits)
+    n = _N_UNIT_FRACTIONS
+    x = {k: Fraction(1, k) for k in range(1, n + 1)}
+    y = {k: Fraction(1, n + 1 - k) for k in range(1, n + 1)}
+    text = "id,x,y\n" + "".join(f"{k},1/{k},1/{n + 1 - k}\n" for k in range(1, n + 1))
+    rules = "".join(f"{name}: {rule}\n" for name, (rule, _) in _UNIT_FRACTION_RULES.items())
+    rules += "sums: sum(x) - sum(y) == 0\nends: max(x) - min(y) >= 1 - 1/4096\nmean_y: mean(y) < 1/400\n"
+    report = evaluate_ruleset(parse_rules(rules), dataset_from_csv({"p": text}),
+                              parse_schema("p.x : numeric\np.y : numeric\n"))
+    mean_x = sum(x.values(), Fraction(0)) / n
+    expected = {(name, str(k), None): TriBool.of(reading(x[k], y[k], mean_x))
+                for name, (_, reading) in _UNIT_FRACTION_RULES.items() for k in range(1, n + 1)}
+    expected.update({("sums", None, None): T, ("ends", None, None): T,
+                     ("mean_y", None, None): TriBool.of(sum(y.values(), Fraction(0)) / n < Fraction(1, 400))})
+    assert {(e.rule, e.unit, e.time): e.result for e in report.entries} == expected
+    assert report.diagnostics == []
+    # no record rule is constant on these cells
+    assert all(report.summary[name]["true"] and report.summary[name]["false"] for name in _UNIT_FRACTION_RULES)
+
+
+def fractions_built(call) -> int:
+    """How many Fraction objects ``call()`` builds: each goes through
+    ``Fraction.__new__`` or, from Python 3.12, ``_from_coprime_ints``."""
+    built = 0
+
+    def profile(frame, event, arg):
+        nonlocal built
+        code = frame.f_code
+        if event == "call" and code.co_filename == fractions.__file__ and code.co_name in (
+                "__new__", "_from_coprime_ints"):
+            built += 1
+
+    sys.setprofile(profile)
+    try:
+        call()
+    finally:
+        sys.setprofile(None)
+    return built
+
+
+def test_a_quotient_compared_with_a_literal_builds_no_fraction():
+    # the quotient rules of bench/workloads.py's validate-records, on
+    # decimal, zero, negative, missing and text cells
+    cells = ["12", "0", "-3", "7.5", "0.25", "-1.5", "NA", "n/a", "1/3", "4000"]
+    rows = [(a, b, c) for a in cells for b in cells for c in cells]
+    text = "id,income,hours,spend\n" + "".join(f"{i},{a},{b},{c}\n" for i, (a, b, c) in enumerate(rows))
+    dataset = dataset_from_csv({"person": text})
+    schema = parse_schema("person.income : numeric\nperson.hours : numeric\nperson.spend : numeric\n")
+    quotients = parse_rules("hourly_wage: income / hours <= 150\nspend_share: spend / income <= 1.5\n")
+    assert fractions_built(lambda: evaluate_ruleset(quotients, dataset, schema)) == 0
+    # a quotient inside arithmetic falls back to Fractions, which the count sees
+    assert fractions_built(lambda: evaluate_ruleset(parse_rules("r: income / hours + 1 <= 2"), dataset, schema)) > 0
+    report = evaluate_ruleset(quotients, dataset, schema)
+
+    def quotient(a, b):
+        if a is None or b is None or b == 0:
+            return None
+        return a / b
+
+    def value(cell):
+        return None if cell == "NA" or cell == "n/a" else Fraction(cell)
+
+    expected = {}
+    for i, (a, b, c) in enumerate(rows):
+        for name, q, bound in (("hourly_wage", quotient(value(a), value(b)), 150),
+                               ("spend_share", quotient(value(c), value(a)), Fraction(3, 2))):
+            expected[name, str(i)] = N if q is None else TriBool.of(q <= bound)
+    assert {(e.rule, e.unit): e.result for e in report.entries} == expected
+    assert sum(d.kind == "division_by_zero" for d in report.diagnostics) == 2 * 8 * 10
 
 
 def test_constant_rule_gets_one_entry():

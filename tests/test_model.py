@@ -123,6 +123,27 @@ def test_index_orders_labels_as_natural_order_sorts_them():
     assert outputs[0].startswith("p ['01', '1', '1.0', '2', '10', 'a'] ['01', '1', '1.0', '2', '10', 'a']")
 
 
+_DECLARED_ORDER = """
+from validus.model import DataPoint, Key, build_dataset
+declared = [Key("p", "1", str(unit), variable) for unit in range(6) for variable in ("x", "y")]
+ds = build_dataset([DataPoint(declared[0], 1)], declared)
+print([(key.unit, key.variable) for key in ds.points])
+"""
+
+
+def test_declared_keys_fill_in_the_callers_order_whatever_the_hash_seed():
+    # the NA fill follows the declared keys' order, not a set's
+    src = Path(__file__).resolve().parents[1] / "src"
+    outputs = []
+    for seed in ("1", "2", "3"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(src)}
+        proc = subprocess.run([sys.executable, "-c", _DECLARED_ORDER], env=env,
+                              capture_output=True, text=True, check=True, timeout=120)
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert outputs[0] == repr([(str(unit), "x") for unit in range(6)] + [(str(unit), "y") for unit in range(6)]) + "\n"
+
+
 def _int_first_order(label):
     """natural_order with int() outside the try: the reference key for
     every label int() reads (it raises ValueError on a longer one)."""

@@ -13,6 +13,7 @@ from helpers import (
     all_assignments,
     atom_keys,
     format_outcome,
+    not_,
     parse_outcome,
     random_rule,
     random_rule_file,
@@ -49,7 +50,6 @@ from validus.rules import (
     scoped_nodes,
 )
 from validus.schema import parse_schema
-from validus.tribool import not_
 
 
 def test_parse_simple_comparison():

@@ -3,7 +3,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from validus.tribool import TriBool, and_, implies, kleene_apply, not_, or_
+from helpers import and_, implies, kleene_apply, not_, or_
+from validus.tribool import TriBool
 
 T, F, N = TriBool.TRUE, TriBool.FALSE, TriBool.NA
 
