@@ -23,15 +23,15 @@ _SUBMODULE = {
                      " analyze_ruleset compile_rules detect_nonconstraining detect_nonrelaxing"
                      " detect_partial_infeasibility detect_redundant implied_bound_findings implied_bounds"
                      " is_satisfiable lint_rule lint_ruleset ruleset_implies simplify_ruleset"),
-        ("classifier", "RuleSignature classify_rule level_of"),
-        ("csvio", "dataset_from_csv read_table write_table"),
+        ("classifier", "RuleSignature classify_rule"),
+        ("csvio", "dataset_from_csv write_table"),
         ("errors", "DuplicateKeyError DuplicateRuleNameError DuplicateVariableError IncompatibleScopeError"
                    " MissingKeyError RuleParseError RuleTypeError SchemaSyntaxError UnevaluableRulesError"
                    " UnknownKeyError UnknownVariableError UnsupportedForAnalysisError ValidusError"),
         ("evaluator", "Entry EvalOptions RuleVerdicts ValidationReport evaluate_ruleset"),
         ("model", "NA DataPoint Dataset Key NAType Value build_dataset"),
-        ("rules", "Rule RuleSet format_rule format_ruleset negate_rule parse_rule parse_rules"),
-        ("schema", "Schema VariableDecl check_domain parse_schema"),
+        ("rules", "Rule RuleSet format_rule format_ruleset parse_rule parse_rules"),
+        ("schema", "Schema VariableDecl parse_schema"),
         ("tribool", "TriBool"),
     )
     for name in names.split()

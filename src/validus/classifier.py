@@ -61,11 +61,6 @@ class RuleSignature:
         return self.text
 
 
-def level_of(sig: RuleSignature) -> int:
-    """Number of dimensions on which the rule needs multiple values."""
-    return sig.level
-
-
 #: The one RuleSignature of each admissible signature, under its slots
 #: as booleans (True for m).
 _SIGNATURES = {tuple(slot == MULTI for slot in text): RuleSignature(*text) for text in ADMISSIBLE_SIGNATURES}

@@ -83,6 +83,8 @@ def _load_data(args, schema: Schema):
         table, path = spec.split("=", 1)
         if table not in schema.tables:
             raise ValidusError(f"--data table {table!r} is not declared in the schema")
+        if table in tables:
+            raise ValidusError(f"--data table {table!r} given twice")
         tables[table] = _read(path)
     return dataset_from_csv(tables, args.unit_column, args.time_column or None)
 

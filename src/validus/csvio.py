@@ -22,7 +22,7 @@ from itertools import islice
 from typing import Iterator, Optional
 
 from .errors import DuplicateKeyError, ValidusError
-from .model import NA, Column, DataPoint, Dataset, Key, Record, Value, bind_columns, format_value, parse_value
+from .model import NA, Column, Dataset, Key, Record, Value, bind_columns, format_value, parse_value
 
 # rows read, checked and parsed together; the memo of parsed cell texts
 # lives for one chunk, which bounds it however large the table
@@ -86,16 +86,6 @@ def _read_chunks(table: str, text: str, unit_column: str,
             yield records, values
 
     return [header[i] for i in value_idx], chunks()
-
-
-def read_table(table: str, text: str, unit_column: str = "id",
-               time_column: Optional[str] = "time") -> list[DataPoint]:
-    """Data points for one table from CSV text, row by row."""
-    variables, chunks = _read_chunks(table, text, unit_column, time_column)
-    return [DataPoint(Key(table, time, unit, name), value)
-            for records, values in chunks
-            for (unit, time), row in zip(records, zip(*values))
-            for name, value in zip(variables, row)]
 
 
 def dataset_from_csv(tables: dict[str, str], unit_column: str = "id",

@@ -18,12 +18,13 @@ multiplies them, a mean is its sum over n·d, and a comparison
 cross-multiplies.  ``a / b`` compared with c compares a with c·b,
 mirrored where b < 0; only a quotient that feeds further arithmetic
 builds Fractions.  Both operands of every node are evaluated at
-every scope, so every diagnostic is recorded; each note carries its
-scope's position, and a stable sort by position puts every verdict's
-notes in source order.  Missing values, type confusion, division by
-zero, and lags reaching before the first occasion or into an occasion
-the table lacks all evaluate to NA instead of aborting the run; each
-records a diagnostic.
+every scope, so every diagnostic is recorded; a numeric operator sets
+each text operand to NA, with its note, before its one comprehension.
+Each note carries its scope's position, and a stable sort by position
+puts every verdict's notes in source order.  Missing values, type
+confusion, division by zero, and lags reaching before the first
+occasion or into an occasion the table lacks all evaluate to NA
+instead of aborting the run; each records a diagnostic.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from operator import itemgetter
 from typing import Callable, NamedTuple, Optional
 
 from .errors import IncompatibleScopeError, UnevaluableRulesError, UnknownVariableError, ValidusError
-from .model import NA, NUMBER, Dataset, Key, Number, Value, as_number, is_number, is_text, natural_order
+from .model import NA, NUMBER, Dataset, Key, Value, as_number, is_number, is_text, natural_order
 from .rules import (
     COMPARE,
     Aggregate,
@@ -144,7 +145,7 @@ _TESTS = {
 }
 # the comparison that holds with its operands swapped
 _MIRROR = {"<": ">", "<=": ">=", "==": "==", "!=": "!=", ">=": "<=", ">": "<"}
-# a verdict that its node works out again, one scope at a time, with notes
+# a comparison's verdict that it works out again, one scope at a time, with its note
 _BAD = object()
 # A rule's body is called on at most this many scopes at a time, so that
 # a node's column of new values (quotients, say) stays small whatever the
@@ -205,17 +206,12 @@ class _Quotient(NamedTuple):
     def parts(self, scopes: Scopes) -> tuple[list, int, list, int]:
         a, da = self.numerator(scopes)
         b, db = self.denominator(scopes)
-        if str in map(type, a) or str in map(type, b) or not all(b):
+        _no_text(self.notes, "arithmetic / on text operand", a, b)
+        if not all(b):
             for pos, (x, y) in enumerate(zip(a, b)):
-                if x is NA or y is NA:
-                    continue
-                if x.__class__ is str or y.__class__ is str:
-                    self.notes.append((pos, "type_mismatch", "arithmetic / on text operand"))
-                elif y:
-                    continue
-                else:
+                if x is not NA and not y:  # y is a number: where it is text, x is NA now
                     self.notes.append((pos, "division_by_zero", "division by zero"))
-                a[pos] = NA
+                    a[pos] = NA
         return a, da, b, db
 
     def __call__(self, scopes: Scopes) -> tuple[list, int]:
@@ -256,6 +252,18 @@ def _values(elements: list, d: int) -> list:
     if d == 1:
         return elements
     return [e if e is NA or e.__class__ is str else as_number(Fraction(e, d)) for e in elements]
+
+
+def _no_text(notes: list, message: str, values: list, beside: Optional[list] = None) -> None:
+    """Set to NA, with a type_mismatch note at its position (``message``,
+    the value in its ``{!r}``), each value of ``values`` that is text or
+    whose ``beside`` value is text, where neither value is NA."""
+    if str not in map(type, values) and (beside is None or str not in map(type, beside)):
+        return
+    for pos, (a, b) in enumerate(zip(values, values if beside is None else beside)):
+        if a is not NA and b is not NA and (a.__class__ is str or b.__class__ is str):
+            notes.append((pos, "type_mismatch", message.format(a)))
+            values[pos] = NA
 
 
 def _patch(verdicts: list, work_out: Callable[[int], TriBool]) -> list:
@@ -314,8 +322,8 @@ class _Evaluator:
         return label, tuple((None, time) for time in ordered), body
 
     # -- compilation: one column function per node ---------------------
-    # A comprehension computes the common values; a value that may need a
-    # note is worked out again by a function that knows its position.
+    # A comprehension computes each node's values; a comparison works out
+    # again, with its note, a verdict that involves text.
 
     def compile(self, expr: Expr, tables: dict[int, str]) -> Column:
         if isinstance(expr, (NumberLit, TextLit, NALit)):
@@ -404,20 +412,12 @@ class _Evaluator:
         return cells
 
     def _compile_sign(self, op: str, operand: Numbers) -> Numbers:
-        apply, notes = operator.neg if op == "neg" else abs, self.notes
-
-        def value(pos, v):
-            if v.__class__ is not str:
-                return v if v is NA else apply(v)
-            notes.append((pos, "type_mismatch", f"{op} applied to text {v!r}"))
-            return NA
+        apply, notes, message = operator.neg if op == "neg" else abs, self.notes, f"{op} applied to text {{!r}}"
 
         def sign(scopes):
             values, d = operand(scopes)
-            try:
-                return [v if v is NA else apply(v) for v in values], d
-            except TypeError:  # text
-                return [value(pos, v) for pos, v in enumerate(values)], d
+            _no_text(notes, message, values)
+            return [v if v is NA else apply(v) for v in values], d
 
         return sign
 
@@ -428,7 +428,7 @@ class _Evaluator:
             kernel, right = "*", _literal(1 / Fraction(right.value))  # times the reciprocal: one denominator
         else:
             kernel = op
-        apply, notes = _ARITHMETIC[kernel], self.notes
+        apply, notes, message = _ARITHMETIC[kernel], self.notes, f"arithmetic {op} on text operand"
         if isinstance(left, _Literal) and kernel != "-":
             left, right = right, left
         # a number literal on the right is applied as a scalar
@@ -437,26 +437,19 @@ class _Evaluator:
         def arithmetic(scopes):
             lefts, da = left(scopes)
             rights, db = right(scopes)
+            # text first (str + str and str * int would not raise)
+            _no_text(notes, message, lefts, None if k is not None else rights)
             if kernel == "*":
                 d, ma, mb = da * db, 1, 1
             else:  # both operands over d, the lcm of theirs
                 d = lcm(da, db)
                 ma, mb = d // da, d // db
-            kb = None if k is None else k * mb
-            lefts, rights = _times(lefts, ma), (_times(rights, mb) if kb is None else [kb] * len(rights))
-            # text (str + str and str * int would not raise) needs notes;
-            # without it one comprehension does
-            if str not in map(type, lefts):
-                if kb is not None:
-                    return [NA if a is NA else apply(a, kb) for a in lefts], d
-                if str not in map(type, rights):
-                    return [NA if a is NA or b is NA else apply(a, b) for a, b in zip(lefts, rights)], d
-            values = [NA if a is NA or b is NA else _BAD if a.__class__ is str or b.__class__ is str
-                      else apply(a, b) for a, b in zip(lefts, rights)]
-            for pos in [pos for pos, v in enumerate(values) if v is _BAD]:  # index() would compare numbers
-                notes.append((pos, "type_mismatch", f"arithmetic {op} on text operand"))
-                values[pos] = NA
-            return values, d
+            lefts = _times(lefts, ma)
+            if k is not None:
+                kb = k * mb
+                return [NA if a is NA else apply(a, kb) for a in lefts], d
+            rights = _times(rights, mb)
+            return [NA if a is NA or b is NA else apply(a, b) for a, b in zip(lefts, rights)], d
 
         return arithmetic
 
@@ -554,17 +547,15 @@ class _Evaluator:
         numeric = fn != "count"
         propagate = self.options.na_policy == "propagate"
         empty = ("empty_group", f"{fn} over an empty group in table {group_table!r}")
+        message = f"{fn} over text value {{!r}}"
         values: dict[Optional[str], object] = {}
         replay: dict[Optional[str], list[tuple[str, str]]] = {}  # an occasion's notes, if any
 
         def compute(time):
             start = len(notes)
             column, d = element(tuple((unit, time) for unit in units))
-            if numeric and str in map(type, column):
-                for pos, value in enumerate(column):
-                    if isinstance(value, str):
-                        notes.append((pos, "type_mismatch", f"{fn} over text value {value!r}"))
-                        column[pos] = NA
+            if numeric:
+                _no_text(notes, message, column)
             kept = [value for value in column if value is not NA]
             if len(kept) < len(column) and propagate:
                 values[time] = NA

@@ -223,21 +223,6 @@ class Dataset:
         found = self._indexes.get(table)
         return found if found is not None else TableIndex([], [], (), {}, {})
 
-    def tables(self) -> list[str]:
-        return sorted(self._columns)
-
-    def units(self, table: str) -> list[str]:
-        return list(self.index(table).units)
-
-    def times(self, table: str) -> list[Optional[str]]:
-        """Distinct occasions of a table, oldest first (numeric-aware order)."""
-        return list(self.index(table).times)
-
-    def records(self, table: str) -> list[Record]:
-        """(unit, time) of every record of a table, by unit then time in
-        natural order."""
-        return list(self.index(table).records)
-
     def variables(self, table: str) -> list[str]:
         return sorted(self._columns.get(table, {}))
 
@@ -355,8 +340,3 @@ def _slices(cells: Iterable[tuple[Key, Value]]):
         values.append(value)
     for (table, variable), (records, values) in columns.items():
         yield table, variable, records, values
-
-
-def get_value(dataset: Dataset, key: Key) -> Value:
-    """Total-function access; MissingKeyError outside the key set."""
-    return dataset.get(key)

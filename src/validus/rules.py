@@ -579,10 +579,6 @@ def negate_expr(expr: Expr) -> Expr:
     return Unary("not", expr)
 
 
-def negate_rule(rule: Rule) -> Rule:
-    return Rule(rule.name, negate_expr(rule.body), rule.source_span)
-
-
 def scoped_nodes(expr: Expr) -> list[tuple[Expr, Optional[Aggregate]]]:
     """Every node of ``expr`` in source order, each with its innermost
     enclosing aggregate (None at record scope).  A node comes before

@@ -11,7 +11,10 @@ Schema file format (one declaration per line, ``#`` starts a comment)::
     person.job  : categorical {employed, unemployed} nullable
     trade.value : numeric
 
-Bounds are inclusive on both ends.
+Bounds are inclusive on both ends.  A categorical level is the text
+between two commas of its set, stripped; double quotes around it are
+dropped (``""`` is the empty level).  A level holds no comma, ``}``,
+``#`` or other double quote, so ``{"a,b", c}`` is a syntax error.
 """
 
 from __future__ import annotations
@@ -22,8 +25,6 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import DuplicateVariableError, SchemaSyntaxError
-from .model import Value, format_number, is_na, is_number
-from .tribool import TriBool
 
 NUMERIC = "numeric"
 INTEGER = "integer"
@@ -106,11 +107,12 @@ _LEVELS_RE = re.compile(r"^\s*\{([^}]*)\}")
 
 def _parse_level(raw: str, lineno: int) -> str:
     raw = raw.strip()
-    if raw.startswith('"') and raw.endswith('"') and len(raw) >= 2:
-        return raw[1:-1]
+    level = raw[1:-1] if len(raw) >= 2 and raw[0] == raw[-1] == '"' else raw
+    if '"' in level:
+        raise SchemaSyntaxError(lineno, f"unbalanced quote in level {raw!r}")
     if not raw:
         raise SchemaSyntaxError(lineno, "empty level name")
-    return raw
+    return level
 
 
 def parse_schema(text: str) -> Schema:
@@ -164,42 +166,3 @@ def parse_schema(text: str) -> Schema:
             raise DuplicateVariableError(table, var)
         decls.append(VariableDecl(var, kind, bounds=bounds, levels=levels, nullable=nullable))
     return Schema(tables={t: tuple(ds) for t, ds in tables.items()})
-
-
-def check_domain(value: Value, decl: VariableDecl) -> TriBool:
-    """Decide domain membership of a single value.
-
-    Always definite for present values; NA passes only a nullable
-    variable.
-    """
-    if is_na(value):
-        return TriBool.of(decl.nullable)
-    if is_number(value):
-        if decl.kind == CATEGORICAL:
-            return TriBool.FALSE
-        if decl.kind == INTEGER and value.denominator != 1:
-            return TriBool.FALSE
-        if decl.bounds is not None:
-            low, high = decl.bounds
-            return TriBool.of(low <= value <= high)
-        return TriBool.TRUE
-    # text value
-    if decl.kind == CATEGORICAL:
-        return TriBool.of(value in decl.levels)
-    return TriBool.FALSE
-
-
-def format_schema(schema: Schema) -> str:
-    """Canonical schema text; parse_schema round-trips it."""
-    lines = []
-    for table in schema.tables:
-        for decl in schema.tables[table]:
-            parts = [f"{table}.{decl.name} : {decl.kind}"]
-            if decl.bounds is not None:
-                parts.append(f"[{format_number(decl.bounds[0])}, {format_number(decl.bounds[1])}]")
-            if decl.levels is not None:
-                parts.append("{" + ", ".join(decl.levels) + "}")
-            if decl.nullable:
-                parts.append("nullable")
-            lines.append(" ".join(parts))
-    return "\n".join(lines) + ("\n" if lines else "")

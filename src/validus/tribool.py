@@ -4,12 +4,11 @@ TRUE and FALSE behave classically; NA means "cannot be decided from the
 data at hand".  Rules combine them with the strong Kleene connectives,
 under which NA propagates except where a definite operand already
 decides the outcome (FALSE dominates conjunction, TRUE dominates
-disjunction).  The evaluator computes the connectives inside its
-compiled rule plans; ``tests/helpers.py`` keeps a one-value-at-a-time
-reference of them for the tests.
+disjunction).  This module holds only the three values and their
+text: the evaluator computes the connectives inside its compiled rule
+plans, and ``tests/helpers.py`` keeps a one-value-at-a-time reference
+of them for the tests.
 """
-
-from __future__ import annotations
 
 from enum import Enum
 
@@ -25,11 +24,6 @@ class TriBool(Enum):
     def __str__(self) -> str:
         return _TEXT[self._value_]
 
-    @staticmethod
-    def of(flag: bool) -> "TriBool":
-        return _T if flag else _F
 
-
-# enum member and value lookups are slow; these are read instead
-_T, _F, _N = TriBool.TRUE, TriBool.FALSE, TriBool.NA
+# an enum value lookup is slow; __str__ reads this instead
 _TEXT = {"true": "True", "false": "False", "na": "NA"}

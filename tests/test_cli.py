@@ -133,6 +133,24 @@ def test_a_bad_data_option_is_an_input_error(workspace, capsys, spec, message):
     assert not (tmp / "report.json").exists()
 
 
+@pytest.mark.parametrize("first, second", [("person.csv", "empty.csv"), ("empty.csv", "person.csv")])
+def test_a_table_given_twice_to_data_is_an_input_error(workspace, capsys, first, second):
+    # neither file may silently replace the other
+    tmp, write = workspace
+    files = {"person.csv": write("person.csv", PERSON_CSV), "empty.csv": write("empty.csv", "")}
+    code = run([
+        "validate",
+        "--rules", write("rules.txt", "r: age >= 0\n"),
+        "--schema", write("schema.txt", PERSON_SCHEMA),
+        "--data", f"person={files[first]}",
+        "--data", f"person={files[second]}",
+        "-o", str(tmp / "report.json"),
+    ])
+    assert code == 2
+    assert capsys.readouterr().err == "error: --data table 'person' given twice\n"
+    assert not (tmp / "report.json").exists()
+
+
 def test_validate_without_data_is_a_usage_error(workspace, capsys):
     tmp, _ = workspace
     # no file is read: the rule and schema files do not exist

@@ -9,7 +9,7 @@ import pytest
 import validus.csvio
 import validus.model
 from helpers import random_csv_tables, reference_dataset_from_csv, reference_table_order
-from validus.csvio import CsvFormatError, dataset_from_csv, read_table, write_table
+from validus.csvio import CsvFormatError, dataset_from_csv, write_table
 from validus.errors import DuplicateKeyError, ValidusError
 from validus.model import NA, DataPoint, Dataset, Key, build_dataset
 
@@ -17,7 +17,7 @@ PERSON_CSV = "id,age,job\n1,25,unemployed\n2,employed,42\n"
 
 
 def test_read_person_table():
-    points = dict((p.key, p.value) for p in read_table("person", PERSON_CSV))
+    points = dataset_from_csv({"person": PERSON_CSV}).points
     assert points[Key("person", None, "1", "age")] == Fraction(25)
     assert points[Key("person", None, "1", "job")] == "unemployed"
     assert points[Key("person", None, "2", "age")] == "employed"
@@ -25,13 +25,13 @@ def test_read_person_table():
 
 
 def test_na_and_empty_cells():
-    points = dict((p.key, p.value) for p in read_table("t", "id,a,b\n1,NA,\n"))
+    points = dataset_from_csv({"t": "id,a,b\n1,NA,\n"}).points
     assert points[Key("t", None, "1", "a")] is NA
     assert points[Key("t", None, "1", "b")] is NA
 
 
 def test_numeric_then_text_fallback():
-    points = dict((p.key, p.value) for p in read_table("t", "id,a\n1,2.5\n2,hello\n"))
+    points = dataset_from_csv({"t": "id,a\n1,2.5\n2,hello\n"}).points
     assert points[Key("t", None, "1", "a")] == Fraction(5, 2)
     assert points[Key("t", None, "2", "a")] == "hello"
 
@@ -39,18 +39,18 @@ def test_numeric_then_text_fallback():
 def test_time_column():
     text = "id,time,price\n1,2020,10\n1,2021,12\n"
     ds = dataset_from_csv({"shop": text})
-    assert ds.times("shop") == ["2020", "2021"]
+    assert ds.index("shop").times == ["2020", "2021"]
     assert ds.get(Key("shop", "2021", "1", "price")) == Fraction(12)
 
 
 def test_missing_unit_column():
     with pytest.raises(CsvFormatError):
-        read_table("t", "name,a\nx,1\n")
+        dataset_from_csv({"t": "name,a\nx,1\n"})
 
 
 def test_ragged_row_rejected():
     with pytest.raises(CsvFormatError):
-        read_table("t", "id,a,b\n1,2\n")
+        dataset_from_csv({"t": "id,a,b\n1,2\n"})
 
 
 def test_duplicate_record_rejected():
@@ -119,7 +119,7 @@ def test_errors_are_reported_in_reading_order(tables, error):
 
 def test_tables_and_columns_come_only_from_cells():
     ds = dataset_from_csv({"header_only": "id,time,x\n", "no_variables": "id,time\n1,1\n", "t": "id,x\n1,2\n"})
-    assert ds.tables() == ["t"]
+    assert {key.table for key in ds.key_set} == {"t"}
     assert ds.variables("header_only") == [] and ds.variables("no_variables") == []
     assert len(ds) == 1
 
@@ -165,16 +165,18 @@ def _check_against_the_point_by_point_reference():
         assert len(actual) == len(expected)
         assert actual == build_dataset(DataPoint(k, v) for k, v in expected.items())
         order = reference_table_order(expected)
-        assert actual.tables() == sorted(order)
+        assert {key.table for key in actual.key_set} == set(order)
         for table, (units, times, records) in order.items():
-            assert (actual.units(table), actual.times(table), actual.records(table)) == (units, times, records)
+            index = actual.index(table)
+            assert (index.units, index.times, list(index.records)) == (units, times, records)
     assert min(kinds[kind] for kind in ("ok", "empty", "CsvFormatError", "DuplicateKeyError")) >= 100, kinds
 
 
 def test_ingest_builds_no_key_or_data_point_per_cell(monkeypatch):
     built = Counter()
-    for module in (validus.csvio, validus.model):
-        for name in ("Key", "DataPoint"):
+    # csvio imports no DataPoint, so it can build one only through model
+    for module, names in ((validus.csvio, ("Key",)), (validus.model, ("Key", "DataPoint"))):
+        for name in names:
             def counting(*args, _name=name, _make=getattr(module, name), **kwargs):
                 built[_name] += 1
                 return _make(*args, **kwargs)

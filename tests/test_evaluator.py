@@ -428,10 +428,10 @@ def test_unit_fractions_with_a_large_common_denominator(monkeypatch, scale_bits)
     report = evaluate_ruleset(parse_rules(rules), dataset_from_csv({"p": text}),
                               parse_schema("p.x : numeric\np.y : numeric\n"))
     mean_x = sum(x.values(), Fraction(0)) / n
-    expected = {(name, str(k), None): TriBool.of(reading(x[k], y[k], mean_x))
+    expected = {(name, str(k), None): T if reading(x[k], y[k], mean_x) else F
                 for name, (_, reading) in _UNIT_FRACTION_RULES.items() for k in range(1, n + 1)}
     expected.update({("sums", None, None): T, ("ends", None, None): T,
-                     ("mean_y", None, None): TriBool.of(sum(y.values(), Fraction(0)) / n < Fraction(1, 400))})
+                     ("mean_y", None, None): T if sum(y.values(), Fraction(0)) / n < Fraction(1, 400) else F})
     assert {(e.rule, e.unit, e.time): e.result for e in report.entries} == expected
     assert report.diagnostics == []
     # no record rule is constant on these cells
@@ -484,7 +484,7 @@ def test_a_quotient_compared_with_a_literal_builds_no_fraction():
     for i, (a, b, c) in enumerate(rows):
         for name, q, bound in (("hourly_wage", quotient(value(a), value(b)), 150),
                                ("spend_share", quotient(value(c), value(a)), Fraction(3, 2))):
-            expected[name, str(i)] = N if q is None else TriBool.of(q <= bound)
+            expected[name, str(i)] = N if q is None else T if q <= bound else F
     assert {(e.rule, e.unit): e.result for e in report.entries} == expected
     assert sum(d.kind == "division_by_zero" for d in report.diagnostics) == 2 * 8 * 10
 

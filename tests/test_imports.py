@@ -7,6 +7,7 @@ fresh interpreter on the demo files in ``scripts/demo``.
 
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -70,12 +71,21 @@ def test_each_command_loads_only_the_modules_it_runs(case, tmp_path):
 
 
 def test_every_public_name_resolves_to_its_defining_module():
-    assert len(validus.__all__) == len(set(validus.__all__)) == 63
+    assert len(validus.__all__) == len(set(validus.__all__)) == 59
     assert set(validus._SUBMODULE) == set(validus.__all__)
     for name in validus.__all__:
         module = importlib.import_module(f"validus.{validus._SUBMODULE[name]}")
         assert getattr(validus, name) is getattr(module, name), name
         assert name in vars(validus), name  # cached after the first lookup
+
+
+def test_readme_lists_every_public_name():
+    # a public name added for the tests alone shows up in this list's diff
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Python API\n", 1)[1].split("\n## ", 1)[0]
+    listed = re.findall(r"`(\w+)`", section)
+    assert len(listed) == len(set(listed))
+    assert set(listed) == set(validus.__all__)
 
 
 def test_star_import_binds_exactly_all():

@@ -20,7 +20,6 @@ from validus.model import (
     build_dataset,
     format_number,
     format_value,
-    get_value,
     natural_order,
     parse_value,
 )
@@ -48,11 +47,11 @@ def test_build_example_dataset():
 
 def test_get_value_on_example():
     ds = build_dataset(EXAMPLE_POINTS)
-    assert get_value(ds, k("1", "age")) == Fraction(25)
-    assert get_value(ds, k("2", "job")) == Fraction(42)
-    assert get_value(ds, k("2", "age")) == "employed"
+    assert ds.get(k("1", "age")) == Fraction(25)
+    assert ds.get(k("2", "job")) == Fraction(42)
+    assert ds.get(k("2", "age")) == "employed"
     with pytest.raises(MissingKeyError):
-        get_value(ds, k("3", "age"))
+        ds.get(k("3", "age"))
 
 
 def test_duplicate_key_rejected():
@@ -73,8 +72,8 @@ def test_the_first_repeated_point_is_reported():
 def test_declared_keys_fill_with_na():
     declared = {k("1", "age"), k("1", "job")}
     ds = build_dataset([DataPoint(k("1", "age"), Fraction(25))], declared)
-    assert get_value(ds, k("1", "job")) is NA
-    assert get_value(ds, k("1", "age")) == 25
+    assert ds.get(k("1", "job")) is NA
+    assert ds.get(k("1", "age")) == 25
     assert ds.key_set == frozenset(declared)
 
 
@@ -86,9 +85,9 @@ def test_point_outside_declared_keys_rejected():
 
 def test_tables_units_times():
     ds = build_dataset(EXAMPLE_POINTS)
-    assert ds.tables() == ["person"]
-    assert ds.units("person") == ["1", "2"]
-    assert ds.times("person") == [None]
+    assert {key.table for key in ds.key_set} == {"person"}
+    assert ds.index("person").units == ["1", "2"]
+    assert ds.index("person").times == [None]
     assert ds.variables("person") == ["age", "job"]
 
 
@@ -105,8 +104,9 @@ for table in ("p", "q"):
         sorted({k.unit for k in keys}, key=natural_order),
         sorted({k.time for k in keys}, key=natural_order),
     )
-    assert (ds.records(table), ds.units(table), ds.times(table)) == expected, table
-    print(table, ds.units(table), ds.times(table), ds.records(table))
+    index = ds.index(table)
+    assert (list(index.records), index.units, index.times) == expected, table
+    print(table, index.units, index.times, list(index.records))
 """
 
 
@@ -201,11 +201,11 @@ def test_order_insensitive(points, rnd):
 def test_total_on_key_set(points):
     ds = build_dataset(points)
     for key in ds.key_set:
-        get_value(ds, key)
+        ds.get(key)
     outside = Key("elsewhere", None, "9", "z")
     assert outside not in ds.key_set
     with pytest.raises(MissingKeyError):
-        get_value(ds, outside)
+        ds.get(outside)
 
 
 def test_parse_value_integer_fast_path_matches_fraction():

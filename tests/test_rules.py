@@ -43,7 +43,7 @@ from validus.rules import (
     format_expr,
     format_rule,
     format_ruleset,
-    negate_rule,
+    negate_expr,
     parse_rule,
     parse_rules,
     rule_scope,
@@ -232,18 +232,18 @@ def test_multiple_rules_and_order():
 
 def test_negate_flips_comparison():
     rule = parse_rule("r: x >= 0")
-    assert negate_rule(rule).body == parse_rule("r: x < 0").body
+    assert negate_expr(rule.body) == parse_rule("r: x < 0").body
 
 
 def test_negate_conditional():
     rule = parse_rule("r: if (x >= 0) y >= 0")
-    assert negate_rule(rule).body == parse_rule("r: x >= 0 and y < 0").body
+    assert negate_expr(rule.body) == parse_rule("r: x >= 0 and y < 0").body
 
 
 def test_negate_builtin_wraps():
     rule = parse_rule("r: is_na(x)")
-    assert negate_rule(rule).body == Unary("not", rule.body)
-    assert negate_rule(negate_rule(rule)).body == rule.body
+    assert negate_expr(rule.body) == Unary("not", rule.body)
+    assert negate_expr(negate_expr(rule.body)) == rule.body
 
 
 NEGATE_CORPUS = [
@@ -262,20 +262,20 @@ NEGATE_CORPUS = [
 def test_negation_truth_tables(text):
     # oracle: enumerate every three-valued assignment of the atoms
     rule = parse_rule(text)
-    negated = negate_rule(rule)
+    negated = negate_expr(rule.body)
     keys = atom_keys(rule.body)
-    assert atom_keys(negated.body) == keys or set(atom_keys(negated.body)) <= set(keys)
+    assert atom_keys(negated) == keys or set(atom_keys(negated)) <= set(keys)
     for assignment in all_assignments(keys):
-        assert abstract_eval(negated.body, assignment) is not_(abstract_eval(rule.body, assignment))
+        assert abstract_eval(negated, assignment) is not_(abstract_eval(rule.body, assignment))
 
 
 @pytest.mark.parametrize("text", NEGATE_CORPUS)
 def test_double_negation_is_equivalent(text):
     rule = parse_rule(text)
-    twice = negate_rule(negate_rule(rule))
+    twice = negate_expr(negate_expr(rule.body))
     keys = atom_keys(rule.body)
     for assignment in all_assignments(keys):
-        assert abstract_eval(twice.body, assignment) is abstract_eval(rule.body, assignment)
+        assert abstract_eval(twice, assignment) is abstract_eval(rule.body, assignment)
 
 
 # --- span report --------------------------------------------------------------
@@ -463,5 +463,5 @@ def test_span_stable_under_round_trip(rule):
 
 @given(_rule_bodies)
 def test_negate_format_parse_is_stable(rule):
-    negated = negate_rule(rule)
+    negated = Rule(rule.name, negate_expr(rule.body))
     assert parse_rule(format_rule(negated)).body == negated.body

@@ -1,23 +1,14 @@
-"""Schema parsing and domain membership."""
+"""Schema parsing and name lookup."""
 
 import random
 import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
 
 from helpers import reference_lookup
 from validus.errors import DuplicateVariableError, SchemaSyntaxError
-from validus.model import NA
-from validus.schema import (
-    Schema,
-    VariableDecl,
-    check_domain,
-    format_schema,
-    parse_schema,
-)
-from validus.tribool import TriBool
+from validus.schema import Schema, VariableDecl, parse_schema
 
 PERSON_SCHEMA = """
 # the running example
@@ -41,6 +32,11 @@ def test_parse_bounds_and_nullable():
     assert n.bounds == (Fraction(-2), Fraction(7)) and not n.nullable
 
 
+def test_quoted_levels_lose_their_quotes():
+    schema = parse_schema('t.c : categorical {"a b", c, ""}\n')
+    assert schema.tables["t"][0].levels == ("a b", "c", "")
+
+
 def test_duplicate_variable_rejected():
     with pytest.raises(DuplicateVariableError):
         parse_schema("t.age : integer\nt.age : numeric\n")
@@ -55,8 +51,10 @@ def test_duplicate_variable_rejected():
     ("t.job : categorical {a, a}\n", 1, "duplicate level"),
     ("t.x : numeric [1/0, 2]\n", 1, "exact numbers"),
     ("t.x : numeric\nt.y : integer [0, 1] required\n", 2, "trailing text: 'required'"),
+    ('t.c : categorical {"a,b", c}\n', 1, "unbalanced quote in level '\"a'"),
+    ('t.c : categorical {a, b"c}\n', 1, "unbalanced quote in level 'b\"c'"),
 ], ids=["empty level set", "garbage line", "inverted bounds", "empty level name", "levels without braces",
-        "duplicate level", "zero denominator", "trailing text"])
+        "duplicate level", "zero denominator", "trailing text", "comma in a quoted level", "quote inside a level"])
 def test_schema_syntax_errors_name_their_line(text, line, message):
     with pytest.raises(SchemaSyntaxError, match=re.escape(message)) as err:
         parse_schema(text)
@@ -95,40 +93,6 @@ def test_lookup_matches_a_scan_of_every_declaration():
     assert min(outcomes.values()) > 100
 
 
-def test_format_parse_round_trip():
-    schema = parse_schema(PERSON_SCHEMA + "t.x : numeric [0, 1.5] nullable\n")
-    assert parse_schema(format_schema(schema)) == Schema(tables=schema.tables)
-
-
-AGE = VariableDecl("age", "integer")
-AGE_NULLABLE = VariableDecl("age", "integer", nullable=True)
-SCORE = VariableDecl("score", "numeric", bounds=(Fraction(0), Fraction(10)))
-JOB = VariableDecl("job", "categorical", levels=("employed", "unemployed"))
-
-
-def test_check_domain_integer():
-    assert check_domain(Fraction(25), AGE) is TriBool.TRUE
-    assert check_domain(Fraction(5, 2), AGE) is TriBool.FALSE
-    assert check_domain("employed", AGE) is TriBool.FALSE
-
-
-def test_check_domain_bounds():
-    assert check_domain(Fraction(10), SCORE) is TriBool.TRUE
-    assert check_domain(Fraction(11), SCORE) is TriBool.FALSE
-    assert check_domain(Fraction(-1, 2), SCORE) is TriBool.FALSE
-
-
-def test_check_domain_categorical():
-    assert check_domain("employed", JOB) is TriBool.TRUE
-    assert check_domain("retired", JOB) is TriBool.FALSE
-    assert check_domain(Fraction(42), JOB) is TriBool.FALSE
-
-
-def test_check_domain_na():
-    assert check_domain(NA, AGE_NULLABLE) is TriBool.TRUE
-    assert check_domain(NA, AGE) is TriBool.FALSE
-
-
 def test_invalid_decl_invariants():
     with pytest.raises(ValueError):
         VariableDecl("x", "categorical")
@@ -136,28 +100,3 @@ def test_invalid_decl_invariants():
         VariableDecl("x", "numeric", levels=("a",))
     with pytest.raises(ValueError):
         VariableDecl("x", "numeric", bounds=(Fraction(2), Fraction(1)))
-
-
-decls = st.one_of(
-    st.just(AGE), st.just(AGE_NULLABLE), st.just(SCORE), st.just(JOB),
-    st.just(VariableDecl("free", "numeric", nullable=True)),
-)
-present_values = st.one_of(
-    st.integers(-20, 20).map(Fraction),
-    st.fractions(min_value=-5, max_value=5),
-    st.sampled_from(["employed", "unemployed", "retired", ""]),
-)
-
-
-@given(present_values, decls)
-def test_present_values_always_decidable(value, decl):
-    assert check_domain(value, decl) in (TriBool.TRUE, TriBool.FALSE)
-
-
-@given(decls)
-def test_every_declared_domain_separates(decl):
-    # some value passes and some value fails: the induced check rejects
-    # and accepts at least one value each
-    candidates = [Fraction(1), Fraction(5, 2), Fraction(-100), "employed", "nope", NA]
-    verdicts = {check_domain(v, decl) for v in candidates}
-    assert TriBool.TRUE in verdicts and TriBool.FALSE in verdicts
