@@ -297,17 +297,11 @@ class _Compiler:
                 self.fail("comparison between two categorical variables")
             var, text = (left, right) if isinstance(left, VarRef) else (right, left)
             return self.membership(var, SetLit((text.value,)), op == "!=")
-        lc, lk = self.linear(left)
-        rc, rk = self.linear(right)
-        coeffs = dict(lc)
-        for v, c in rc.items():
-            coeffs[v] = coeffs.get(v, Fraction(0)) - c
-        coeffs = {v: c for v, c in coeffs.items() if c != 0}
-        constant = rk - lk
-        if not coeffs:
-            holds = COMPARE[op](Fraction(0), constant)
-            return [] if holds else [()]
-        items = tuple(sorted(coeffs.items()))
+        coeffs, offset = self.linear(Binary("-", left, right))
+        items = tuple(sorted((v, c) for v, c in coeffs.items() if c != 0))
+        constant = -offset  # left op right  <=>  sum(items) op -offset
+        if not items:
+            return [] if COMPARE[op](Fraction(0), constant) else [()]
         if op == "!=":
             return [(LinearAtom(items, "<", constant), LinearAtom(items, ">", constant))]
         return [(LinearAtom(items, op, constant),)]

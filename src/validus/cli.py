@@ -67,12 +67,6 @@ def _read(path: str) -> str:
             raise ValidusError(f"{path} is not UTF-8 text: {exc.reason}") from None
 
 
-def _load_schema(args) -> Optional[Schema]:
-    from .schema import parse_schema
-
-    return parse_schema(_read(args.schema)) if args.schema else None
-
-
 def _load_data(args, schema: Schema):
     from .csvio import dataset_from_csv
 
@@ -241,12 +235,9 @@ def _emit_report(args, rules: RuleSet, schema: Optional[Schema], blocks: list[Ru
     _emit(args, _csv_table(header, rows))
 
 
-def _cmd_validate(args) -> int:
+def _cmd_validate(args, rules: RuleSet, schema: Schema) -> int:
     from .evaluator import EvalOptions, evaluate_ruleset
-    from .rules import parse_rules
 
-    schema = _load_schema(args)
-    rules = parse_rules(_read(args.rules))
     dataset = _load_data(args, schema)
     options = EvalOptions(na_policy=args.na_policy)
     report = evaluate_ruleset(rules, dataset, schema, options)
@@ -260,21 +251,14 @@ def _cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def _cmd_classify(args) -> int:
-    from .rules import parse_rules
-
-    schema = _load_schema(args)
-    rules = parse_rules(_read(args.rules))
+def _cmd_classify(args, rules: RuleSet, schema: Optional[Schema]) -> int:
     _emit_report(args, rules, schema, [], [], {})
     return EXIT_OK
 
 
-def _cmd_lint(args) -> int:
+def _cmd_lint(args, rules: RuleSet, schema: Schema) -> int:
     from .analyzer import lint_ruleset
-    from .rules import parse_rules
 
-    schema = _load_schema(args)
-    rules = parse_rules(_read(args.rules))
     findings, _, unsupported = lint_ruleset(rules, schema)
     records = [_finding_record(f) for f in findings]
     summary = {"finding_count": len(records), "unsupported": _unsupported_records(unsupported)}
@@ -282,12 +266,9 @@ def _cmd_lint(args) -> int:
     return EXIT_OK
 
 
-def _cmd_analyze(args) -> int:
+def _cmd_analyze(args, rules: RuleSet, schema: Schema) -> int:
     from .analyzer import INFEASIBLE, analyze_ruleset
-    from .rules import parse_rules
 
-    schema = _load_schema(args)
-    rules = parse_rules(_read(args.rules))
     findings, unsupported = analyze_ruleset(rules, schema)
     records = [_finding_record(f) for f in findings]
     infeasible = any(f.kind == INFEASIBLE for f in findings)
@@ -300,12 +281,10 @@ def _cmd_analyze(args) -> int:
     return EXIT_INFEASIBLE if infeasible else EXIT_OK
 
 
-def _cmd_simplify(args) -> int:
+def _cmd_simplify(args, rules: RuleSet, schema: Schema) -> int:
     from .analyzer import simplify_ruleset
-    from .rules import format_ruleset, parse_rules
+    from .rules import format_ruleset
 
-    schema = _load_schema(args)
-    rules = parse_rules(_read(args.rules))
     simplified, log = simplify_ruleset(rules, schema)
     if any(step.action == "infeasible" for step in log):
         print("rule set is infeasible; nothing to simplify", file=sys.stderr)
@@ -329,9 +308,16 @@ _COMMANDS = {
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    """Read the schema, then the rules, and run the command on them;
+    ``--data`` is read by validate, after both."""
     args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        from .rules import parse_rules
+        from .schema import parse_schema
+
+        schema = parse_schema(_read(args.schema)) if args.schema else None
+        rules = parse_rules(_read(args.rules))
+        return _COMMANDS[args.command](args, rules, schema)
     except BrokenPipeError:
         # the reader of standard output stopped early: end quietly, as a
         # process killed by SIGPIPE would, and let the interpreter's last

@@ -51,6 +51,9 @@ def _read_chunks(table: str, text: str, unit_column: str,
         raise CsvFormatError(table, "missing header row") from None
     if unit_column not in header:
         raise CsvFormatError(table, f"missing unit column {unit_column!r}")
+    if len(set(header)) < len(header):
+        twice = next(name for i, name in enumerate(header) if name in header[:i])
+        raise CsvFormatError(table, f"header names column {twice!r} twice")
     unit_idx = header.index(unit_column)
     time_idx = header.index(time_column) if time_column in header else None
     width = len(header)

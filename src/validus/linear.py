@@ -106,10 +106,6 @@ def _tightest(rows: list[Row]) -> list[Row]:
     return list(kept.values())
 
 
-def _constant_row_ok(row: Row) -> bool:
-    return ZERO < row.bound if row.strict else ZERO <= row.bound
-
-
 @dataclass
 class _Elimination:
     var: str
@@ -117,54 +113,42 @@ class _Elimination:
     uppers: list[Row]  # rows with positive coefficient on var
 
 
-def _split(rows: list[Row], var: str) -> tuple[list[Row], list[Row], list[Row]]:
-    lowers, uppers, rest = [], [], []
-    for row in rows:
-        c = row.coeff(var)
-        if c < 0:
-            lowers.append(row)
-        elif c > 0:
-            uppers.append(row)
-        else:
-            rest.append(row)
-    return lowers, uppers, rest
+#: each variable's rows with a negative coefficient and with a positive one
+_Sides = dict[str, tuple[list[Row], list[Row]]]
 
 
-def _pick_var(rows: list[Row], keep: frozenset[str]) -> Optional[str]:
-    counts: dict[str, list[int]] = {}
-    for row in rows:
-        for v, c in row.coeffs:
-            if v in keep:
-                continue
-            lo_up = counts.setdefault(v, [0, 0])
-            lo_up[0 if c < 0 else 1] += 1
-    if not counts:
-        return None
-    return min(counts, key=lambda v: (counts[v][0] * counts[v][1], v))
+def _eliminate(rows: list[Row], keep: frozenset[str]) -> Optional[tuple[list[Row], list[_Elimination], _Sides]]:
+    """Project away all variables outside ``keep``, each step the one
+    with the fewest combined rows, then by name.  One pass over the rows
+    per step checks the constant rows and finds every variable's sides.
 
-
-def _eliminate(rows: list[Row], keep: frozenset[str]) -> Optional[tuple[list[Row], list[_Elimination]]]:
-    """Project away all variables outside ``keep``.
-
-    Returns the projected rows and the elimination trace, or None when a
-    constant row already shows infeasibility.
+    Returns the projected rows, the elimination trace and the projected
+    rows' sides, or None when a constant row already shows infeasibility.
     """
     rows = _tightest(rows)
     trace: list[_Elimination] = []
     while True:
-        pending = []
+        pending: list[Row] = []
+        sides: _Sides = {}
         for row in rows:
-            if row.coeffs:
-                pending.append(row)
-            elif not _constant_row_ok(row):
-                return None
-        rows = pending
-        var = _pick_var(rows, keep)
-        if var is None:
-            return rows, trace
-        lowers, uppers, rest = _split(rows, var)
+            if not row.coeffs:
+                if row.bound < 0 or (row.strict and row.bound == 0):
+                    return None
+                continue
+            pending.append(row)
+            for v, c in row.coeffs:
+                side = sides.get(v)
+                if side is None:
+                    side = sides[v] = ([], [])
+                side[c > 0].append(row)
+        free = [v for v in sides if v not in keep]
+        if not free:
+            return pending, trace, sides
+        var = min(free, key=lambda v: (len(sides[v][0]) * len(sides[v][1]), v))
+        lowers, uppers = sides[var]
         trace.append(_Elimination(var, lowers, uppers))
-        combined = list(rest)
+        used = set(map(id, lowers)) | set(map(id, uppers))
+        combined = [row for row in pending if id(row) not in used]
         for low in lowers:
             for up in uppers:
                 combined.append(_combine(low, up, var))
@@ -213,7 +197,7 @@ def feasible(rows: list[Row]) -> Optional[dict[str, Fraction]]:
     result = _eliminate(rows, frozenset())
     if result is None:
         return None
-    _, trace = result
+    _, trace, _ = result
     assignment: dict[str, Fraction] = {}
     for step in reversed(trace):
         lo, hi = _bounds_on(step.var, step.lowers, step.uppers, assignment)
@@ -262,9 +246,8 @@ def project(rows: list[Row], var: str) -> Optional[Interval]:
     result = _eliminate(rows, frozenset({var}))
     if result is None:
         return None
-    projected, _ = result
-    lowers, uppers, _rest = _split(projected, var)
-    lo, hi = _bounds_on(var, lowers, uppers, {})
+    _, _, sides = result
+    lo, hi = _bounds_on(var, *sides.get(var, ([], [])), {})
     if lo is not None and hi is not None:
         if lo[0] > hi[0] or (lo[0] == hi[0] and (lo[1] or hi[1])):
             return None

@@ -5,7 +5,8 @@ which variables exist per table, whether each is numeric, integer, or
 categorical, its bounds or level set, and whether NA is an admissible
 value for it.
 
-Schema file format (one declaration per line, ``#`` starts a comment)::
+Schema file format (one declaration per line, ``#`` starts a comment
+anywhere on a line)::
 
     person.age  : integer [0, 120]
     person.job  : categorical {employed, unemployed} nullable
@@ -120,7 +121,10 @@ def parse_schema(text: str) -> Schema:
     docstring."""
     tables: dict[str, list[VariableDecl]] = {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.split("#", 1)[0].strip()
+        line, comment, _ = raw_line.partition("#")
+        line = line.strip()
+        if comment and (line.rfind("{") > line.rfind("}") or line.rfind("[") > line.rfind("]")):
+            raise SchemaSyntaxError(lineno, "'#' starts a comment, so it cannot be part of a level or a bound")
         if not line:
             continue
         m = _DECL_RE.match(line)

@@ -22,7 +22,24 @@ from typing import Iterable, Optional, Union
 import numpy as np
 
 import validus.cli
-from validus.analyzer import CategoricalAtom, Clause, ConstraintSystem, LinearAtom, _atom_rows
+from validus.analyzer import (
+    CONTRADICTION,
+    FIXED_VALUE,
+    INFEASIBLE,
+    NONCONSTRAINING,
+    NONRELAXING,
+    PARTIAL_INFEASIBILITY,
+    RANGE_RESTRICTION,
+    REDUNDANT,
+    TAUTOLOGY,
+    CategoricalAtom,
+    Clause,
+    ConstraintSystem,
+    LinearAtom,
+    _atom_rows,
+    analyze_ruleset,
+    simplify_ruleset,
+)
 from validus.classifier import classify_rule
 from validus.csvio import CsvFormatError, dataset_from_csv
 from validus.errors import (
@@ -53,6 +70,7 @@ from validus.rules import (
     Unary,
     VarRef,
     format_rule,
+    format_ruleset,
     parse_rules,
     scoped_nodes,
     type_check,
@@ -1525,6 +1543,11 @@ def reference_read_table(table: str, text: str, unit_column: str = "id",
         raise CsvFormatError(table, "missing header row") from None
     if unit_column not in header:
         raise CsvFormatError(table, f"missing unit column {unit_column!r}")
+    seen: set[str] = set()
+    for name in header:
+        if name in seen:
+            raise CsvFormatError(table, f"header names column {name!r} twice")
+        seen.add(name)
     unit_idx = header.index(unit_column)
     time_idx = header.index(time_column) if time_column in header else None
     variable_cols = [
@@ -1877,3 +1900,151 @@ def validate_reports(workdir, rules_text: str, tables: dict[str, str], stdout: b
             with open(out, encoding="utf-8", newline="") as handle:
                 reports.append(handle.read())
     return reports[0], reports[1]
+
+
+# --- validate as the oracle of lint, analyze and simplify --------------------
+# In the paper a rule is a predicate over a dataset, so validate's verdicts
+# are the reference semantics.  The analyzer decides over the rational
+# relaxation of the integer domains, so only its sound directions are
+# checked, on the in-domain records: a claim that no solution exists, or
+# that every solution has a property, must hold of the integer records on
+# which validate finds every rule TRUE.
+
+ORACLE_SCHEMA = parse_schema("t.x : integer [0, 4]\nt.y : integer [0, 4]\nt.z : integer [0, 4]\n"
+                             "t.c : categorical {a, b, d}\n")
+_ORACLE_NUMERIC = ("x", "y", "z")
+_ORACLE_LEVELS = ("a", "b", "d")
+#: every in-domain record, by unit: 5 * 5 * 5 * 3 = 375
+ORACLE_RECORDS = {str(i): dict(zip(_ORACLE_NUMERIC + ("c",), values)) for i, values in enumerate(
+    itertools.product(range(5), range(5), range(5), _ORACLE_LEVELS))}
+# records validate reads but the analyzer's domains exclude: out of bounds,
+# not integral, text, an undeclared level and NA cells
+_ORACLE_OUTSIDE = ["-1,2,2,a", "5,0,4,b", "2,2.5,1,d", "1,1,abc,a", "3,0,0,e", ",1,2,b", "0,4,4,"]
+ORACLE_DATASET = dataset_from_csv({"t": "id,x,y,z,c\n" + "".join(
+    [f"{unit},{r['x']},{r['y']},{r['z']},{r['c']}\n" for unit, r in ORACLE_RECORDS.items()]
+    + [f"out{i},{cells}\n" for i, cells in enumerate(_ORACLE_OUTSIDE)])})
+
+
+def _oracle_linear_text(rng: random.Random) -> str:
+    terms = []
+    for var in rng.sample(_ORACLE_NUMERIC, rng.randint(1, 3)):
+        k = rng.choice([-3, -2, -1, 1, 1, 2, 3])
+        piece = var if abs(k) == 1 else f"{abs(k)} * {var}"
+        terms.append(("-" if k < 0 else "+", piece))
+    text = ("-" if terms[0][0] == "-" else "") + terms[0][1]
+    return text + "".join(f" {sign} {piece}" for sign, piece in terms[1:])
+
+
+def _oracle_atom(rng: random.Random) -> str:
+    if rng.random() < 0.25:
+        level = rng.choice(_ORACLE_LEVELS)
+        if rng.random() < 0.6:
+            return f'c {rng.choice(["==", "!="])} "{level}"'
+        levels = sorted(rng.sample(_ORACLE_LEVELS, rng.randint(1, 2)))
+        return "in_set(c, {" + ", ".join(f'"{lv}"' for lv in levels) + "})"
+    relation = rng.choice(["<", "<=", "==", "!=", ">=", ">"])
+    if rng.random() < 0.25:  # variables on both sides
+        left, right = rng.sample(_ORACLE_NUMERIC, 2)
+        offset = rng.randint(-2, 2)
+        return f"{left} {relation} {right}" + (f" {'-' if offset < 0 else '+'} {abs(offset)}" if offset else "")
+    return f"{_oracle_linear_text(rng)} {relation} {rng.randint(-2, 8)}"
+
+
+def random_oracle_ruleset(rng: random.Random) -> RuleSet:
+    """One to five rules over ``ORACLE_SCHEMA``, all in the analyzable
+    fragment: linear atoms with small coefficients over all six
+    relations, categorical ``==``, ``!=`` and ``in_set``, joined by
+    ``or``, ``and`` and ``if``."""
+    lines = []
+    for i in range(rng.randint(1, 5)):
+        shape = rng.random()
+        if shape < 0.35:
+            body = _oracle_atom(rng)
+        elif shape < 0.55:
+            body = f"{_oracle_atom(rng)} or {_oracle_atom(rng)}"
+        elif shape < 0.65:
+            body = f"{_oracle_atom(rng)} and {_oracle_atom(rng)}"
+        else:
+            cond = _oracle_atom(rng) if rng.random() < 0.7 else f"{_oracle_atom(rng)} and {_oracle_atom(rng)}"
+            body = f"if ({cond}) {_oracle_atom(rng)}"
+        lines.append(f"r{i}: {body}")
+    return parse_rules("\n".join(lines))
+
+
+def oracle_verdicts(rules: Iterable[Rule]) -> dict[str, dict[str, TriBool]]:
+    """validate's verdict of each rule at each unit of ``ORACLE_DATASET``."""
+    verdicts: dict[str, dict[str, TriBool]] = {}
+    report = evaluate_ruleset(RuleSet(tuple(rules)), ORACLE_DATASET, ORACLE_SCHEMA)
+    for rule, _table, scopes, results in report.blocks:
+        verdicts[rule] = {unit: result for (unit, _time), result in zip(scopes, results)}
+    return verdicts
+
+
+def _all_true(verdicts: dict[str, dict[str, TriBool]], names: Iterable[str], unit: str) -> bool:
+    return all(verdicts[name][unit] is TriBool.TRUE for name in names)
+
+
+_INTERVAL_RE = re.compile(r"to ([\[(])(\S+), (\S+)([\])]) inside")
+
+
+def _in_interval(value: int, evidence: str) -> bool:
+    left, lo, hi, right = _INTERVAL_RE.search(evidence).groups()
+    above = lo == "-inf" or (value > Fraction(lo) if left == "(" else value >= Fraction(lo))
+    below = hi == "inf" or (value < Fraction(hi) if right == ")" else value <= Fraction(hi))
+    return above and below
+
+
+def check_analysis_against_validate(rules: RuleSet) -> dict[str, int]:
+    """Check every sound claim of ``analyze_ruleset`` (which lints each
+    rule first) and ``simplify_ruleset`` on ``rules`` against validate's
+    verdicts on the in-domain records; returns how many claims of each
+    kind were checked.  An AssertionError names the claim that failed."""
+    names = [rule.name for rule in rules]
+    by_name = {rule.name: rule for rule in rules}
+    # the condition and the consequent of each conditional, as rules
+    branches = [Rule(f"{rule.name}__{part}", getattr(rule.body, part))
+                for rule in rules if isinstance(rule.body, If) for part in ("cond", "then")]
+    verdicts = oracle_verdicts([*rules, *branches])
+    for name, by_unit in verdicts.items():
+        assert all(by_unit[unit] is not TriBool.NA for unit in ORACLE_RECORDS), f"{name} is NA in the domain"
+    solutions = {unit for unit in ORACLE_RECORDS if _all_true(verdicts, names, unit)}
+    findings, unsupported = analyze_ruleset(rules, ORACLE_SCHEMA)
+    assert unsupported == [], unsupported
+    checked: dict[str, int] = {}
+    for f in findings:
+        checked[f.kind] = checked.get(f.kind, 0) + 1
+        claim = f"{f.kind} {f.rule or f.variable} {f.value or ''}: {f.evidence}"
+        if f.kind == INFEASIBLE:
+            assert not solutions, f"{claim}, but validate finds units {sorted(solutions)[:3]} satisfy every rule"
+        elif f.kind == PARTIAL_INFEASIBILITY:
+            assert all(ORACLE_RECORDS[unit][f.variable] != f.value for unit in solutions), claim
+        elif f.kind == FIXED_VALUE:
+            assert all(ORACLE_RECORDS[unit][f.variable] == Fraction(f.value) for unit in solutions), claim
+        elif f.kind == RANGE_RESTRICTION:
+            assert all(_in_interval(ORACLE_RECORDS[unit][f.variable], f.evidence) for unit in solutions), claim
+        elif f.kind == REDUNDANT:
+            others = [name for name in names if name != f.rule]
+            assert all(verdicts[f.rule][unit] is TriBool.TRUE for unit in ORACLE_RECORDS
+                       if _all_true(verdicts, others, unit)), claim
+        elif f.kind in (TAUTOLOGY, CONTRADICTION):
+            want = TriBool.TRUE if f.kind == TAUTOLOGY else TriBool.FALSE
+            assert all(verdicts[f.rule][unit] is want for unit in ORACLE_RECORDS), claim
+        elif f.kind in (NONRELAXING, NONCONSTRAINING):
+            assert isinstance(by_name[f.rule].body, If), claim
+            branch = f"{f.rule}__{'cond' if f.kind == NONRELAXING else 'then'}"
+            assert all(verdicts[branch][unit] is TriBool.TRUE for unit in solutions), claim
+        else:
+            raise AssertionError(f"unexpected finding {f}")
+    simplified, log = simplify_ruleset(rules, ORACLE_SCHEMA)
+    text = format_ruleset(simplified)
+    assert format_ruleset(parse_rules(text)) == text, text
+    if any(step.action == "infeasible" for step in log):
+        assert not solutions and simplified == rules
+        return checked
+    checked["simplify"] = checked.get("simplify", 0) + len(log)
+    after = oracle_verdicts(simplified)
+    kept = [rule.name for rule in simplified]
+    for unit in ORACLE_RECORDS:
+        assert _all_true(after, kept, unit) == (unit in solutions), \
+            f"simplify changed unit {unit}: {format_ruleset(rules)!r} -> {text!r}"
+    return checked

@@ -151,6 +151,37 @@ def test_a_table_given_twice_to_data_is_an_input_error(workspace, capsys, first,
     assert not (tmp / "report.json").exists()
 
 
+@pytest.mark.parametrize("csv_text", ["id,age,age\n1,25,30\n", "id,age,age\n"], ids=["with rows", "header only"])
+def test_a_header_that_names_a_column_twice_is_an_input_error(workspace, capsys, csv_text):
+    tmp, write = workspace
+    code = run([
+        "validate",
+        "--rules", write("rules.txt", "r: age >= 0\n"),
+        "--schema", write("schema.txt", PERSON_SCHEMA),
+        "--data", f"person={write('person.csv', csv_text)}",
+        "-o", str(tmp / "report.json"),
+    ])
+    assert code == 2
+    assert capsys.readouterr().err == "error: table 'person': header names column 'age' twice\n"
+    assert not (tmp / "report.json").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "classify", "lint", "analyze", "simplify"])
+def test_every_command_reads_the_schema_then_the_rules_then_the_data(workspace, capsys, command):
+    tmp, write = workspace
+    schema, rules = write("schema.txt", PERSON_SCHEMA), write("rules.txt", "r: age >= 0\n")
+    data = ["--data", f"person={tmp / 'data.csv'}"] if command == "validate" else []
+    for schema_file, rules_file, missing in ((tmp / "schema.csv", tmp / "rules.csv", "schema.csv"),
+                                             (schema, tmp / "rules.csv", "rules.csv"),
+                                             (schema, rules, "data.csv")):
+        code = run([command, "--rules", str(rules_file), "--schema", str(schema_file), *data, "-o", str(tmp / "out")])
+        err = capsys.readouterr().err
+        if missing == "data.csv" and command != "validate":
+            assert code == 0 and err == ""
+            continue
+        assert code == 2 and err == f"error: no such file: {tmp / missing}\n"
+
+
 def test_validate_without_data_is_a_usage_error(workspace, capsys):
     tmp, _ = workspace
     # no file is read: the rule and schema files do not exist

@@ -100,9 +100,10 @@ def _rows(units) -> str:
     # the first duplicate in (table, row, column) order
     ({"a": "id,x,y\n1,1,1\n2,2,2\n", "b": "id,time,y,x\n1,1,0,0\n1,1,0,0\n2,,0,0\n2,,0,0\n"},
      "key occurs more than once: (b.1, t=1, y)"),
-    # a repeated header name binds the same key twice in every row
-    ({"a": "id,x,y,x\n7,1,2,3\n"}, "key occurs more than once: (a.7, x)"),
-    ({"a": "id,x\n", "b": "id,time,x,x\n5,1,1,2\n"}, "key occurs more than once: (b.5, t=1, x)"),
+    # a header that names a column twice is a format error, not a
+    # duplicate key, and is reported before any row is read
+    ({"a": "id,x,y,x\n7,1,2,3\n"}, "table 'a': header names column 'x' twice"),
+    ({"a": "id,x\n", "b": "id,time,x,x\n5,1,1,2\n"}, "table 'b': header names column 'x' twice"),
     # rows 2 to 513 are the first chunk of 512: a duplicate whose two rows
     # fall in different chunks, and the first of two such
     ({"a": "id,x\n" + _rows(range(600)) + "7,1\n3,1\n"}, "key occurs more than once: (a.7, x)"),
@@ -110,6 +111,11 @@ def _rows(units) -> str:
     ({"a": "id,x\n1,1\n1,2\n" + _rows(range(2, 600)) + "5\n"}, "table 'a': row 602 has 1 cells, header has 2"),
     # blank rows end one chunk and start the next; line numbers count them
     ({"a": "id,x\n" + _rows(range(511)) + "\n , \n0,1\n,1\n"}, "table 'a': row 516 has an empty unit cell"),
+    # the header is checked for a repeated name with no row to read, before
+    # the width of any row, and after the unit column
+    ({"a": "id,x,x\n"}, "table 'a': header names column 'x' twice"),
+    ({"a": "id,x,y,y,x\n1,2\n"}, "table 'a': header names column 'y' twice"),
+    ({"a": "x,x\n"}, "table 'a': missing unit column 'id'"),
 ])
 def test_errors_are_reported_in_reading_order(tables, error):
     with pytest.raises(ValidusError) as caught:

@@ -156,7 +156,7 @@ def test_rows_are_scaled_to_coprime_integers():
 def test_parallel_rows_reduce_to_the_tightest():
     rows = [make_row({"x": k, "y": k}, False, bound * k) for k, bound in ((1, 9), (3, 4), (2, 7), (Fraction(1, 2), 5))]
     assert len(set(rows)) == 4
-    projected, trace = _eliminate(rows, frozenset({"x", "y"}))
+    projected, trace, _ = _eliminate(rows, frozenset({"x", "y"}))
     assert projected == [make_row({"x": 1, "y": 1}, False, 4)] and trace == []
     # on a tie the strict row stays, wherever it comes
     for strict_at in range(3):
@@ -165,7 +165,7 @@ def test_parallel_rows_reduce_to_the_tightest():
     # after an elimination step: eliminating x gives y <= 4, y < 4 and y <= 5
     rows = [le({"x": 1, "y": 1}, 4), le({"x": -1}, 0), lt({"x": 2, "y": 1}, 4), le({"x": 3, "y": 1}, 5),
             le({"y": 1, "z": 1}, 1)]
-    projected, trace = _eliminate(rows, frozenset({"y", "z"}))
+    projected, trace, _ = _eliminate(rows, frozenset({"y", "z"}))
     assert [step.var for step in trace] == ["x"]
     assert projected == [le({"y": 1, "z": 1}, 1), lt({"y": 1}, 4)]
 

@@ -37,6 +37,12 @@ def test_quoted_levels_lose_their_quotes():
     assert schema.tables["t"][0].levels == ("a b", "c", "")
 
 
+def test_a_comment_may_follow_a_declaration():
+    schema = parse_schema("t.c : categorical {a, b} # levels {x, y\nt.x : numeric [0, 1] nullable # [or 2\n# {\n")
+    c, x = schema.tables["t"]
+    assert c.levels == ("a", "b") and x.bounds == (0, 1) and x.nullable
+
+
 def test_duplicate_variable_rejected():
     with pytest.raises(DuplicateVariableError):
         parse_schema("t.age : integer\nt.age : numeric\n")
@@ -53,8 +59,14 @@ def test_duplicate_variable_rejected():
     ("t.x : numeric\nt.y : integer [0, 1] required\n", 2, "trailing text: 'required'"),
     ('t.c : categorical {"a,b", c}\n', 1, "unbalanced quote in level '\"a'"),
     ('t.c : categorical {a, b"c}\n', 1, "unbalanced quote in level 'b\"c'"),
+    # a '#' starts a comment anywhere on the line, so it cuts a level set
+    # or a pair of bounds short
+    ('t.c : categorical {"a#b", c}\n', 1, "'#' starts a comment, so it cannot be part of a level or a bound"),
+    ("t.c : categorical {a, #b}\n", 1, "'#' starts a comment, so it cannot be part of a level or a bound"),
+    ("t.y : integer\nt.x : numeric [0, 1#0]\n", 2, "'#' starts a comment, so it cannot be part of a level or a bound"),
 ], ids=["empty level set", "garbage line", "inverted bounds", "empty level name", "levels without braces",
-        "duplicate level", "zero denominator", "trailing text", "comma in a quoted level", "quote inside a level"])
+        "duplicate level", "zero denominator", "trailing text", "comma in a quoted level", "quote inside a level",
+        "hash inside a quoted level", "hash in a level set", "hash inside a bound"])
 def test_schema_syntax_errors_name_their_line(text, line, message):
     with pytest.raises(SchemaSyntaxError, match=re.escape(message)) as err:
         parse_schema(text)
