@@ -6,8 +6,9 @@ evaluates ``PANEL_RULES`` on the panel read two ways, through
 ``build_dataset`` from Fraction cells and through ``dataset_from_csv``
 from the panel written as CSV, where integral cells are ints, under both
 NA policies.  Verdicts, and diagnostics in order, must equal
-``panel_oracle``'s (``tests/helpers.py::panel_disagreement``).  It exits
-1 at the first disagreement.
+``panel_oracle``'s, and each rule evaluated alone must report what it
+reports in the whole set (``tests/helpers.py::panel_disagreement``).
+It exits 1 at the first disagreement.
 
     python scripts/evaluator_stress.py [count] [seed]
 """

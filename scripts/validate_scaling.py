@@ -8,20 +8,23 @@ of each shape is taken from that workload's rule file:
 - lagged: ``abs(x - x@1) <= 0.5 * x@1``,
 - aggregate: ``mean(x) >= 60``, one verdict per occasion,
 - record with aggregate: ``x <= 10 * mean(x)``,
-and one record rule of our own on the same panel:
-- quotient: ``y / x <= 2``, compared without dividing.
+one record rule of our own on the same panel:
+- quotient: ``y / x <= 2``, compared without dividing,
+and one rule set:
+- shared: ``x_mean`` and ``x_rel`` together, whose ``mean(x)`` is one
+  computation per occasion for both rules.
 With the units fixed, every shape's verdicts grow with the records, so
 its time per verdict stays flat exactly when its path is linear; the
 same holds for ingest's time per cell.  For each size it prints an
 ``ingest`` row: the best of ``--repeat`` timed ``dataset_from_csv``
 calls on the panel's CSV text, the µs per cell, and a digest of the
-dataset's points.  Then, for each shape, the best of ``--repeat`` timed
-``evaluate_ruleset`` calls (the dataset is read and indexed before),
-the µs per verdict, and a digest of the verdicts and diagnostics.  So
-two versions of the reader or the evaluator can be compared for speed
-and for identical output.  It exits 1 when the µs per cell or a shape's
-µs per verdict at the largest size is more than 3x that at the
-smallest.  stdlib only.
+dataset's points.  Then, for each shape and for the shared set, the
+best of ``--repeat`` timed ``evaluate_ruleset`` calls (the dataset is
+read and indexed before), the µs per verdict, and a digest of the
+verdicts and diagnostics.  So two versions of the reader or the
+evaluator can be compared for speed and for identical output.  It
+exits 1 when the µs per cell or a row's µs per verdict at the largest
+size is more than 3x that at the smallest.  stdlib only.
 
     PYTHONPATH=src python scripts/validate_scaling.py [--occasions 50 200 800] [--seed 201] [--repeat 3]
 """
@@ -40,6 +43,7 @@ from validus.schema import parse_schema
 ROOT = Path(__file__).resolve().parent.parent
 UNITS = 100
 SHAPES = {"record": "x_pos", "lagged": "x_drift", "aggregate": "x_mean", "record_agg": "x_rel"}
+SHARED = ("x_mean", "x_rel")
 QUOTIENT = "y_per_x: y / x <= 2"
 LIMIT = 3.0  # largest size's µs per cell or verdict over the smallest size's, per row kind
 
@@ -75,7 +79,7 @@ def main() -> int:
     sys.path.insert(0, str(ROOT / "bench"))
     from workloads import validate_panel
 
-    per_item: dict[str, list[float]] = {row: [] for row in ("ingest", *SHAPES, "quotient")}
+    per_item: dict[str, list[float]] = {row: [] for row in ("ingest", *SHAPES, "quotient", "shared")}
     print(f"{'records':>8} {'row':<11} {'cells/verdicts':>14} {'diagnostics':>11} {'seconds':>9} "
           f"{'µs each':>9}  digest")
 
@@ -95,8 +99,9 @@ def main() -> int:
         dataset.index("firm")
         for shape, name in SHAPES.items():
             assert workload.rule_shapes[name] == shape, name
-        for shape, rule in [*((shape, rules[name]) for shape, name in SHAPES.items()), ("quotient", quotient)]:
-            ruleset = RuleSet((rule,))
+        rulesets = [(shape, RuleSet((rules[name],))) for shape, name in SHAPES.items()]
+        rulesets += [("quotient", RuleSet((quotient,))), ("shared", RuleSet(tuple(rules[name] for name in SHARED)))]
+        for shape, ruleset in rulesets:
             seconds, report = best_of(args.repeat, lambda: evaluate_ruleset(ruleset, dataset, schema))
             row(UNITS * occasions, shape, len(report.entries), str(len(report.diagnostics)), seconds, digest(report))
     failed = [kind for kind, times in per_item.items() if times[-1] > LIMIT * times[0]]

@@ -5,11 +5,13 @@ identify the record, every other column is a variable.  Empty cells and
 the literal ``NA`` ingest as missing; anything that parses as an exact
 number becomes a number; everything else stays text.
 
-The reader takes a table's rows ``_CHUNK`` at a time.  Each row is
-checked in file order (blank rows skipped, then width, then the unit
-cell); then, for each variable, each distinct cell text of the chunk is
-parsed once and the chunk's slice of the column is bound with
-``model.bind_columns``, so no key object is built per cell.  Every table
+Header names are stripped of surrounding spaces, as unit and time cells
+are, before the unit, time and duplicate-name checks.  The reader takes
+a table's rows ``_CHUNK`` at a time.  Each row is checked in file order
+(blank rows skipped, then width, then the unit cell); then, for each
+variable, each distinct cell text of the chunk is parsed once and the
+chunk's slice of the column is bound with ``model.bind_columns``, so no
+key object is built per cell.  Every table
 is read before a key bound twice is reported, so a format error anywhere
 in the input wins over a duplicate.
 """
@@ -46,7 +48,7 @@ def _read_chunks(table: str, text: str, unit_column: str,
     iterator reaches its chunk."""
     reader = csv.reader(io.StringIO(text))
     try:
-        header = next(reader)
+        header = [name.strip() for name in next(reader)]
     except StopIteration:
         raise CsvFormatError(table, "missing header row") from None
     if unit_column not in header:

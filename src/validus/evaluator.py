@@ -8,22 +8,29 @@ into a column plan: every node becomes a function from a tuple of
 scopes to the node's value at each scope, with its table column, lag,
 comparison and aggregate memo bound in, so a rule's verdicts are one
 call of its body over its scopes (``_CHUNK`` scopes at a time).  A
-literal stays a scalar.
+literal stays a scalar.  Work that does not depend on the rule is done
+once per run: a column that several value nodes read is scaled once
+and kept, and equal aggregates over one group table, in any rules,
+share one compiled node and so one value per occasion.
 
 Numbers stay exact without a Fraction per value: a value node's column
 is a list of int numerators over one positive denominator d.  A
-reference scales its cells by the lcm of its column's denominators, so
-``76.1`` is 761 over 10; ``+`` and ``-`` align two denominators, ``*``
-multiplies them, a mean is its sum over n·d, and a comparison
-cross-multiplies.  ``a / b`` compared with c compares a with c·b,
-mirrored where b < 0; only a quotient that feeds further arithmetic
-builds Fractions.  Both operands of every node are evaluated at
-every scope, so every diagnostic is recorded; a numeric operator sets
-each text operand to NA, with its note, before its one comprehension.
-Each note carries its scope's position, and a stable sort by position
-puts every verdict's notes in source order.  Missing values, type
-confusion, division by zero, and lags reaching before the first
-occasion or into an occasion the table lacks all evaluate to NA
+reference reads its cells over the lcm of the column's denominators,
+so ``76.1`` is 761 over 10.  A column that one value node reads is
+scaled as that node reads it; one that several read is scaled on the
+first read of the run into a dict that all of them read (building that
+dict costs more per cell than scaling a list of the cells once, so a
+lone reader does not pay for it).  ``+`` and ``-`` align two
+denominators, ``*`` multiplies them, a mean is its sum over n·d, and a
+comparison cross-multiplies.  ``a / b`` compared with c compares a with
+c·b, mirrored where b < 0; only a quotient that feeds further
+arithmetic builds Fractions.  Both operands of every node are evaluated
+at every scope, so every diagnostic is recorded; a numeric operator
+sets each text operand to NA, with its note, before its one
+comprehension.  Each note carries its scope's position, and a stable
+sort by position puts every verdict's notes in source order.  Missing
+values, type confusion, division by zero, and lags reaching before the
+first occasion or into an occasion the table lacks all evaluate to NA
 instead of aborting the run; each records a diagnostic.
 """
 
@@ -35,7 +42,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import lcm
 from operator import itemgetter
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .errors import IncompatibleScopeError, UnevaluableRulesError, UnknownVariableError, ValidusError
 from .model import NA, NUMBER, Dataset, Key, Value, as_number, is_number, is_text, natural_order
@@ -230,14 +237,25 @@ def _common(denominators) -> int:
     return d
 
 
-def _scale(cells: list, d: int) -> list:
+def _scale(cells: Iterable, d: int) -> list:
     """Cells as elements over ``d``, a multiple of each Fraction cell's
-    denominator."""
+    denominator: the cells themselves where ``d`` is 1."""
     if d == 1:
         return cells
-    # as_integer_ratio reads a Fraction's two terms faster than its two properties
-    return [v * d if v.__class__ is int else (q := v.as_integer_ratio())[0] * (d // q[1]) if v.__class__ is Fraction
+    # a Fraction's slots are read without the call of its properties or of as_integer_ratio
+    return [v * d if v.__class__ is int else v._numerator * (d // v._denominator) if v.__class__ is Fraction
             else v for v in cells]
+
+
+def _scaled(cache: dict, key: tuple[str, str], column: dict, readers: int) -> tuple[dict, int]:
+    """The column of (table, variable) ``key`` and its common denominator
+    d, worked out on the first read of the run and kept in ``cache``:
+    scaled once where ``readers`` value nodes, more than one, read it, or
+    else the dataset's own, which its one reader scales as it reads."""
+    if key not in cache:
+        d = _common({v._denominator for v in column.values() if v.__class__ is Fraction})
+        cache[key] = dict(zip(column, _scale(column.values(), d))) if d != 1 and readers > 1 else column, d
+    return cache[key]
 
 
 def _times(elements: list, m: int) -> list:
@@ -280,9 +298,10 @@ def _patch(verdicts: list, work_out: Callable[[int], TriBool]) -> list:
 
 class _Evaluator:
     """One run: the dataset, schema and options, each rule's scope and
-    plan, the common denominator of each (table, variable) a rule reads
-    as a number, and the (scope position, kind, message) of every
-    diagnostic the current rule recorded."""
+    plan, the number of value nodes that read each (table, variable)
+    and its column over its common denominator, each compiled aggregate
+    by (expression, group table), and the (scope position, kind,
+    message) of every diagnostic the current rule recorded."""
 
     def __init__(self, dataset: Dataset, schema: Schema, options: EvalOptions):
         self.dataset = dataset
@@ -291,7 +310,9 @@ class _Evaluator:
         self.notes: list[tuple[int, str, str]] = []
         self.plans: dict[str, Plan] = {}
         self.scopes: dict[str, RuleScope] = {}
-        self.denominators: dict[tuple[str, str], int] = {}
+        self.scaled: dict[tuple[str, str], tuple[dict, int]] = {}
+        self.readers: dict[tuple[str, str], int] = {}
+        self.aggregates: dict[tuple[Aggregate, str], Numbers] = {}
 
     def plan(self, rule: Rule) -> Plan:
         """Scope the rule and compile it.  A rule whose scope is not
@@ -330,9 +351,7 @@ class _Evaluator:
             return _literal(as_number(expr.value) if isinstance(expr, NumberLit)
                             else NA if isinstance(expr, NALit) else expr.value)
         if isinstance(expr, VarRef):
-            table = tables[id(expr)]
-            cells, d = self._compile_ref(expr, table), self._denominator(table, expr.variable)
-            return lambda scopes: (_scale(cells(scopes), d), d)
+            return self._compile_ref(expr, tables[id(expr)], scaled=True)
         if isinstance(expr, Aggregate):
             return self._compile_aggregate(expr, tables)
         if isinstance(expr, If):  # not cond or then
@@ -363,51 +382,50 @@ class _Evaluator:
     def _operand(self, expr: Expr, beside: Expr, tables: dict[int, str]) -> Numbers:
         """A comparison's operand.  A reference compared with a literal
         gives its cells as they are, over 1: the comparison reads a
-        Fraction's terms itself, and no cell is scaled."""
+        Fraction's terms itself, and no column is scaled for it."""
         if isinstance(expr, VarRef) and isinstance(beside, (NumberLit, TextLit, NALit)):
-            cells = self._compile_ref(expr, tables[id(expr)])
-            return lambda scopes: (cells(scopes), 1)
+            return self._compile_ref(expr, tables[id(expr)], scaled=False)
         return self.compile(expr, tables)
 
-    def _denominator(self, table: str, variable: str) -> int:
-        """The common denominator of a column's cells, worked out once per run."""
+    def _compile_ref(self, ref: VarRef, table: str, scaled: bool) -> Numbers:
+        """The reference's cells over d, from the run's column over its
+        common denominator, or as the dataset holds them, over 1, where
+        not ``scaled``.  Compiling it counts the value nodes that read
+        the column, which all rules compile before the first read."""
+        variable, lag, notes, cache, readers = ref.variable, ref.lag, self.notes, self.scaled, self.readers
         key = table, variable
-        if key not in self.denominators:
-            column = self.dataset.index(table).columns.get(variable, {})
-            self.denominators[key] = _common({v.as_integer_ratio()[1] for v in column.values()
-                                              if v.__class__ is Fraction})
-        return self.denominators[key]
-
-    def _compile_ref(self, ref: VarRef, table: str) -> Column:
-        """The reference's cells, as the dataset holds them."""
-        variable, lag, notes = ref.variable, ref.lag, self.notes
+        if scaled:
+            readers[key] = readers.get(key, 0) + 1
         index = self.dataset.index(table)
-        column = index.columns.get(variable, {})
+        raw = index.columns.get(variable, {})
         times, positions = index.times, index.positions
         earlier = {time: times[i - lag] for i, time in enumerate(times) if i >= lag}
 
-        def read(pos, unit, time):
+        def read(column, pos, unit, time):
             if lag and time not in earlier:
                 notes.append((pos, "unresolved_reference",
                               f"{variable}@{lag} reaches before the first occasion" if time in positions
                               else f"{variable}@{lag}: occasion {time} is not an occasion of table {table}"))
                 return NA
-            key = unit, earlier[time] if lag else time
-            if key in column:
-                return column[key]
-            notes.append((pos, "missing_cell", f"no data point for {Key(table, key[1], unit, variable)!r}"))
+            cell = unit, earlier[time] if lag else time
+            if cell in column:
+                return column[cell]
+            notes.append((pos, "missing_cell", f"no data point for {Key(table, cell[1], unit, variable)!r}"))
             return NA
 
         def cells(scopes):
+            column, d = _scaled(cache, key, raw, readers[key]) if scaled else (raw, 1)
             start = len(notes)
             try:
                 if not lag:
-                    return [column[scope] for scope in scopes]
-                return [column[unit, earlier[time]] if time in earlier else read(pos, unit, time)
-                        for pos, (unit, time) in enumerate(scopes)]
+                    values = [column[scope] for scope in scopes]
+                else:
+                    values = [column[unit, earlier[time]] if time in earlier else read(column, pos, unit, time)
+                              for pos, (unit, time) in enumerate(scopes)]
             except KeyError:  # a missing cell: read every scope again, with its notes
                 del notes[start:]
-                return [read(pos, unit, time) for pos, (unit, time) in enumerate(scopes)]
+                values = [read(column, pos, unit, time) for pos, (unit, time) in enumerate(scopes)]
+            return _scale(values, d) if column is raw else values, d
 
         return cells
 
@@ -517,13 +535,11 @@ class _Evaluator:
         return compare
 
     def _compile_builtin(self, expr: Builtin, tables: dict[int, str]) -> Column:
-        # the argument's values as they are: a reference's cells, other values from their elements
+        # the argument's values as they are: a reference's cells over 1, other values from their elements
         arg = expr.args[0]
-        if isinstance(arg, VarRef):
-            values = self._compile_ref(arg, tables[id(arg)])
-        else:
-            numbers = self.compile(arg, tables)
-            values = lambda scopes: _values(*numbers(scopes))  # noqa: E731
+        numbers = (self._compile_ref(arg, tables[id(arg)], scaled=False) if isinstance(arg, VarRef)
+                   else self.compile(arg, tables))
+        values = lambda scopes: _values(*numbers(scopes))  # noqa: E731
         if expr.fn == "in_set":
             items = expr.args[1]
             assert isinstance(items, SetLit)
@@ -536,11 +552,17 @@ class _Evaluator:
 
     def _compile_aggregate(self, expr: Aggregate, tables: dict[int, str]) -> Numbers:
         """An aggregate's value depends on the occasion, never on the unit,
-        so it is computed once per (node, occasion), its argument as one
-        column over the group's records at that occasion, and kept as a
-        (numerator, denominator) pair.  Each verdict that reads it records
-        its notes again."""
+        so it is computed once per run for each distinct (expression,
+        group table, occasion), its argument as one column over the
+        group's records at that occasion, and kept as a (numerator,
+        denominator) pair.  With a schema every reference resolves
+        without context, so equal aggregates of any rules share one
+        compiled node.  Each verdict that reads it records its notes
+        again."""
         group_table = tables[id(expr)]
+        shared = self.aggregates.get((expr, group_table))
+        if shared is not None:
+            return shared
         element = self.compile(expr.arg, tables)
         units = self.dataset.index(group_table).units
         fn, notes = expr.fn, self.notes
@@ -582,6 +604,7 @@ class _Evaluator:
                     else Fraction(v[0] * d, v[1]) for time in times}
             return [over[time] for _, time in scopes], d
 
+        self.aggregates[expr, group_table] = aggregate
         return aggregate
 
 

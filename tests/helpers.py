@@ -1456,7 +1456,9 @@ def panel_disagreement(cells: dict) -> Optional[str]:
     ``dataset_from_csv`` from ``panel_csv``, under both NA policies, and
     compare the verdicts, and the diagnostics as an ordered list of
     (rule, unit, occasion, kind), with ``panel_oracle`` over the cells
-    each dataset holds.  None if all agree, else what differs."""
+    each dataset holds; each rule evaluated alone must give the verdicts
+    and diagnostics it has in the whole set, which shares columns and
+    aggregates between rules.  None if all agree, else what differs."""
     rules = parse_rules("\n".join(f"{name}: {text}" for name, text, _, _ in PANEL_RULES))
     schema = parse_schema(PANEL_SCHEMA_TEXT)
     as_tribool = {True: TriBool.TRUE, False: TriBool.FALSE, None: TriBool.NA}
@@ -1485,6 +1487,11 @@ def panel_disagreement(cells: dict) -> Optional[str]:
                           if pair[0] != pair[1])
                 return (f"{path}, {policy}: diagnostic {at} of {len(expected_kinds)} differs: "
                         f"got {diagnostics[at:at + 3]}, expected {expected_kinds[at:at + 3]}")
+            for rule in rules:
+                alone = evaluate_ruleset(RuleSet((rule,)), dataset, schema, EvalOptions(policy))
+                if (alone.entries != [e for e in report.entries if e.rule == rule.name]
+                        or alone.diagnostics != [d for d in report.diagnostics if d.rule == rule.name]):
+                    return f"{path}, {policy}: rule {rule.name} alone differs from its part of the whole set"
     return None
 
 
@@ -1538,7 +1545,7 @@ def reference_read_table(table: str, text: str, unit_column: str = "id",
                          time_column: Optional[str] = "time") -> list[DataPoint]:
     reader = csv.reader(io.StringIO(text))
     try:
-        header = next(reader)
+        header = [name.strip() for name in next(reader)]
     except StopIteration:
         raise CsvFormatError(table, "missing header row") from None
     if unit_column not in header:

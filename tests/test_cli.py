@@ -151,7 +151,8 @@ def test_a_table_given_twice_to_data_is_an_input_error(workspace, capsys, first,
     assert not (tmp / "report.json").exists()
 
 
-@pytest.mark.parametrize("csv_text", ["id,age,age\n1,25,30\n", "id,age,age\n"], ids=["with rows", "header only"])
+@pytest.mark.parametrize("csv_text", ["id,age,age\n1,25,30\n", "id,age,age\n", "id,age, age\n1,25,30\n"],
+                         ids=["with rows", "header only", "equal once stripped"])
 def test_a_header_that_names_a_column_twice_is_an_input_error(workspace, capsys, csv_text):
     tmp, write = workspace
     code = run([
@@ -164,6 +165,27 @@ def test_a_header_that_names_a_column_twice_is_an_input_error(workspace, capsys,
     assert code == 2
     assert capsys.readouterr().err == "error: table 'person': header names column 'age' twice\n"
     assert not (tmp / "report.json").exists()
+
+
+@pytest.mark.parametrize("csv_text,verdicts", [
+    ("id, age\n1,5\n2,-1\n", ["r,person,1,ALL,True", "r,person,2,ALL,False"]),
+    (" id,age\n1,5\n2,-1\n", ["r,person,1,ALL,True", "r,person,2,ALL,False"]),
+    ("id ,\tage \n1,5\n2,-1\n", ["r,person,1,ALL,True", "r,person,2,ALL,False"]),
+    (" time ,id,age\n1,7,5\n2,7,-1\n", ["r,person,7,1,True", "r,person,7,2,False"]),
+], ids=["space before a variable", "space before the unit column", "spaces and a tab", "time column"])
+def test_header_names_are_stripped(workspace, capsys, csv_text, verdicts):
+    # an unstripped ` age` was a column no rule could name, so every verdict was NA
+    tmp, write = workspace
+    code = run([
+        "validate",
+        "--rules", write("rules.txt", "r: age >= 0\n"),
+        "--schema", write("schema.txt", PERSON_SCHEMA),
+        "--data", f"person={write('person.csv', csv_text)}",
+        "--format", "csv",
+    ])
+    out, err = capsys.readouterr()
+    assert (code, err) == (1, "")
+    assert out.splitlines() == ["rule,table,unit,time,result", *verdicts]
 
 
 @pytest.mark.parametrize("command", ["validate", "classify", "lint", "analyze", "simplify"])

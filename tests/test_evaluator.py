@@ -1,10 +1,12 @@
 """Three-valued evaluation over datasets: scoping, policies, monotonicity."""
 
 import fractions
+import gc
 import os
 import random
 import subprocess
 import sys
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -300,6 +302,77 @@ def test_lagged_rule_reads_each_cell_a_bounded_number_of_times():
     report = evaluate_ruleset(parse_rules("r: price - price@1 <= 3"), ds, TIMED_SCHEMA)
     assert len(report.entries) == n_units * n_times
     assert n_units * n_times <= counted.reads <= 2 * n_units * n_times
+
+
+def test_a_column_read_by_several_value_nodes_is_scaled_once_per_run(monkeypatch):
+    # four value nodes of two rules over more than one chunk of records; a
+    # reference compared with a literal reads the cells as they are
+    n = _CHUNK + 904
+    ds = person_dataset({str(i): (Fraction(i, 10), "a") for i in range(n)})
+    schema = parse_schema("person.age : numeric\nperson.job : categorical {a}\n")
+    scaled = []
+    scale = evaluator._scale
+    monkeypatch.setattr(evaluator, "_scale", lambda column, d: scaled.append((len(column), d)) or scale(column, d))
+    rules = parse_rules("a: 2 * age >= age\nb: age - 1 <= age\nc: age >= 1/10")
+    report = evaluate_ruleset(rules, ds, schema)
+    assert scaled == [(n, 10)]
+    assert report.summary == {"a": {"true": n, "false": 0, "na": 0}, "b": {"true": n, "false": 0, "na": 0},
+                              "c": {"true": n - 1, "false": 1, "na": 0}}
+    evaluate_ruleset(rules, ds, schema)
+    assert scaled == [(n, 10)] * 2
+
+
+def test_equal_aggregates_of_two_rules_are_computed_once():
+    # mean(price) of both rules is one computation per occasion, and each
+    # rule's verdicts and notes are those it has when evaluated alone
+    n_units, n_times = 40, 3
+    series = {str(u): {str(t): Fraction(u * t) for t in range(1, n_times + 1)} for u in range(1, n_units + 1)}
+    series["7"]["2"] = "text"
+    rules = parse_rules("a: mean(price) >= 0\nb: price <= 2 * mean(price)")
+    ds = timed_dataset(series)
+    columns = ds.index("shop").columns
+    columns["price"] = counted = CountingColumn(columns["price"])
+    report = evaluate_ruleset(rules, ds, TIMED_SCHEMA)
+    assert counted.reads <= 2 * n_units * n_times
+    for name in ("a", "b"):
+        alone = evaluate_ruleset(rules.without("b" if name == "a" else "a"), timed_dataset(series), TIMED_SCHEMA)
+        assert [entry for entry in report.entries if entry.rule == name] == alone.entries
+        assert [d for d in report.diagnostics if d.rule == name] == alone.diagnostics
+    assert results(report, "a") == {(None, "1"): T, (None, "2"): N, (None, "3"): T}
+    assert sum(d.rule == "b" and d.message == "mean over text value 'text'" for d in report.diagnostics) == n_units
+
+
+def test_a_run_is_freed_without_the_cycle_collector(monkeypatch):
+    # the run's scaled columns and aggregate values go as soon as it returns:
+    # no compiled node holds the evaluator that holds it
+    runs = []
+
+    class Recorded(evaluator._Evaluator):
+        def __init__(self, *args):
+            super().__init__(*args)
+            runs.append(weakref.ref(self))
+
+    monkeypatch.setattr(evaluator, "_Evaluator", Recorded)
+    rules = parse_rules("a: abs(price - price@1) <= 0.5 * price@1\nb: price <= 2 * mean(price)\n"
+                        "c: price / price@1 >= 1 / 2\nd: if (is_number(price)) price >= 1/3\ne: sum(price) >= 0")
+    ds = timed_dataset({"1": {"1": Fraction(5, 2), "2": Fraction(3)}, "2": {"1": "text", "2": NA}})
+    gc.disable()
+    try:
+        report = evaluate_ruleset(rules, ds, TIMED_SCHEMA)
+        assert len(runs) == 1 and runs[0]() is None
+    finally:
+        gc.enable()
+    assert len(report.entries) == 4 * 4 + 2
+
+
+def test_equal_aggregates_over_different_groups_are_computed_apart():
+    # count(1) reads no table: its group is the record table of its rule
+    points = [DataPoint(Key("p", None, str(i), "x"), Fraction(i)) for i in (1, 2, 3)]
+    points += [DataPoint(Key("q", None, str(i), "y"), Fraction(i)) for i in (1, 2)]
+    rules = parse_rules("a: x <= count(1)\nb: y < count(1)")
+    report = evaluate_ruleset(rules, build_dataset(points), parse_schema("p.x : numeric\nq.y : numeric\n"))
+    assert results(report, "a") == {("1", None): T, ("2", None): T, ("3", None): T}
+    assert results(report, "b") == {("1", None): T, ("2", None): F}
 
 
 def test_notes_of_one_verdict_keep_the_order_of_its_operands():
