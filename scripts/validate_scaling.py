@@ -8,19 +8,24 @@ of each shape is taken from that workload's rule file:
 - lagged: ``abs(x - x@1) <= 0.5 * x@1``,
 - aggregate: ``mean(x) >= 60``, one verdict per occasion,
 - record with aggregate: ``x <= 10 * mean(x)``,
-one record rule of our own on the same panel:
+two record rules of our own on the same panel:
 - quotient: ``y / x <= 2``, compared without dividing,
+- builtin: ``in_set(x, {50.5, 60}) or is_integer(x)``, built-in tests
+  of x's values over their common denominator,
 and one rule set:
 - shared: ``x_mean`` and ``x_rel`` together, whose ``mean(x)`` is one
   computation per occasion for both rules.
 With the units fixed, every shape's verdicts grow with the records, so
 its time per verdict stays flat exactly when its path is linear; the
-same holds for ingest's time per cell.  For each size it prints an
-``ingest`` row: the best of ``--repeat`` timed ``dataset_from_csv``
-calls on the panel's CSV text, the µs per cell, and a digest of the
-dataset's points.  Then, for each shape and for the shared set, the
-best of ``--repeat`` timed ``evaluate_ruleset`` calls (the dataset is
-read and indexed before), the µs per verdict, and a digest of the
+same holds for ingest's time per cell.  Each timing is the best of
+``--repeat`` timed runs, a run being as many calls as make it last
+50 ms or more (as ``timeit.Timer.autorange`` picks them), so that a
+call of a few ms is not judged on one draw of the machine's load.
+For each size it prints an ``ingest`` row: the time of a
+``dataset_from_csv`` call on the panel's CSV text, the µs per cell,
+and a digest of the dataset's points.  Then, for each shape and for
+the shared set, the time of an ``evaluate_ruleset`` call (the dataset
+is read and indexed before), the µs per verdict, and a digest of the
 verdicts and diagnostics.  So two versions of the reader or the
 evaluator can be compared for speed and for identical output.  It
 exits 1 when the µs per cell or a row's µs per verdict at the largest
@@ -45,6 +50,8 @@ UNITS = 100
 SHAPES = {"record": "x_pos", "lagged": "x_drift", "aggregate": "x_mean", "record_agg": "x_rel"}
 SHARED = ("x_mean", "x_rel")
 QUOTIENT = "y_per_x: y / x <= 2"
+BUILTIN = "x_test: in_set(x, {50.5, 60}) or is_integer(x)"
+MIN_RUN = 0.05  # seconds: a timed run repeats its call until it lasts this long
 LIMIT = 3.0  # largest size's µs per cell or verdict over the smallest size's, per row kind
 
 
@@ -60,13 +67,28 @@ def points_digest(dataset) -> str:
 
 
 def best_of(repeat: int, call):
-    """The least time of ``repeat`` calls, and the last call's result."""
-    best = float("inf")
-    for _ in range(repeat):
-        start = time.perf_counter()
-        result = call()
-        best = min(best, time.perf_counter() - start)
+    """The least time per call of ``repeat`` timed runs, and the last
+    call's result.  The first run doubles its number of calls until it
+    lasts ``MIN_RUN`` or more, and the later runs make that many."""
+    number = 1
+    while True:
+        seconds, result = run(number, call)
+        if seconds >= MIN_RUN:
+            break
+        number *= 2
+    best = seconds / number
+    for _ in range(repeat - 1):
+        seconds, result = run(number, call)
+        best = min(best, seconds / number)
     return best, result
+
+
+def run(number: int, call):
+    """The time of ``number`` calls, and the last call's result."""
+    start = time.perf_counter()
+    for _ in range(number):
+        result = call()
+    return time.perf_counter() - start, result
 
 
 def main() -> int:
@@ -74,12 +96,12 @@ def main() -> int:
     parser.add_argument("--occasions", type=int, nargs="+", default=[50, 200, 800],
                         help="occasions per panel, smallest first (100 units each)")
     parser.add_argument("--seed", type=int, default=201, help="workload seed (default 201)")
-    parser.add_argument("--repeat", type=int, default=3, help="timed calls per shape; the best counts")
+    parser.add_argument("--repeat", type=int, default=3, help="timed runs per row; the best counts")
     args = parser.parse_args()
     sys.path.insert(0, str(ROOT / "bench"))
     from workloads import validate_panel
 
-    per_item: dict[str, list[float]] = {row: [] for row in ("ingest", *SHAPES, "quotient", "shared")}
+    per_item: dict[str, list[float]] = {row: [] for row in ("ingest", *SHAPES, "quotient", "builtin", "shared")}
     print(f"{'records':>8} {'row':<11} {'cells/verdicts':>14} {'diagnostics':>11} {'seconds':>9} "
           f"{'µs each':>9}  digest")
 
@@ -91,7 +113,7 @@ def main() -> int:
     for occasions in args.occasions:
         workload = validate_panel(args.seed, units=UNITS, occasions=occasions)
         rules = {rule.name: rule for rule in parse_rules(workload.files["rules.txt"])}
-        (quotient,) = parse_rules(QUOTIENT)
+        quotient, builtin = parse_rules(QUOTIENT + "\n" + BUILTIN)
         schema = parse_schema(workload.files["schema.txt"])
         tables = {"firm": workload.files["firm.csv"]}
         seconds, dataset = best_of(args.repeat, lambda: dataset_from_csv(tables))
@@ -100,7 +122,8 @@ def main() -> int:
         for shape, name in SHAPES.items():
             assert workload.rule_shapes[name] == shape, name
         rulesets = [(shape, RuleSet((rules[name],))) for shape, name in SHAPES.items()]
-        rulesets += [("quotient", RuleSet((quotient,))), ("shared", RuleSet(tuple(rules[name] for name in SHARED)))]
+        rulesets += [("quotient", RuleSet((quotient,))), ("builtin", RuleSet((builtin,))),
+                     ("shared", RuleSet(tuple(rules[name] for name in SHARED)))]
         for shape, ruleset in rulesets:
             seconds, report = best_of(args.repeat, lambda: evaluate_ruleset(ruleset, dataset, schema))
             row(UNITS * occasions, shape, len(report.entries), str(len(report.diagnostics)), seconds, digest(report))

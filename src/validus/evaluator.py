@@ -14,19 +14,22 @@ and kept, and equal aggregates over one group table, in any rules,
 share one compiled node and so one value per occasion.
 
 Numbers stay exact without a Fraction per value: a value node's column
-is a list of int numerators over one positive denominator d.  A
+is a list of int numerators over one positive denominator d.  Every
 reference reads its cells over the lcm of the column's denominators,
-so ``76.1`` is 761 over 10.  A column that one value node reads is
-scaled as that node reads it; one that several read is scaled on the
-first read of the run into a dict that all of them read (building that
-dict costs more per cell than scaling a list of the cells once, so a
-lone reader does not pay for it).  ``+`` and ``-`` align two
+so ``76.1`` is 761 over 10.  A column that one reference reads is
+scaled as that reference reads it; one that several read is scaled on
+the first read of the run into a dict that all of them read (building
+that dict costs more per cell than scaling a list of the cells once,
+so a lone reader does not pay for it).  ``+`` and ``-`` align two
 denominators, ``*`` multiplies them, a mean is its sum over n·d, and a
-comparison cross-multiplies.  ``a / b`` compared with c compares a with
-c·b, mirrored where b < 0; only a quotient that feeds further
-arithmetic builds Fractions.  Both operands of every node are evaluated
-at every scope, so every diagnostic is recorded; a numeric operator
-sets each text operand to NA, with its note, before its one
+comparison cross-multiplies: a over d against a literal k over kd is
+a·kd against k·d.  ``a / b`` compared with c compares a with c·b,
+mirrored where b < 0; only a quotient that feeds further arithmetic
+builds Fractions.  A built-in tests elements too: a number is an
+element that is neither NA nor text, an integer one that d divides,
+and a set member m matches m·d.  Both operands of every node are
+evaluated at every scope, so every diagnostic is recorded; a numeric
+operator sets each text operand to NA, with its note, before its one
 comprehension.  Each note carries its scope's position, and a stable
 sort by position puts every verdict's notes in source order.  Missing
 values, type confusion, division by zero, and lags reaching before the
@@ -45,7 +48,7 @@ from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from .errors import IncompatibleScopeError, UnevaluableRulesError, UnknownVariableError, ValidusError
-from .model import NA, NUMBER, Dataset, Key, Value, as_number, is_number, is_text, natural_order
+from .model import NA, NUMBER, Dataset, Key, Value, as_number, natural_order
 from .rules import (
     COMPARE,
     Aggregate,
@@ -58,7 +61,6 @@ from .rules import (
     Rule,
     RuleScope,
     RuleSet,
-    SetLit,
     TextLit,
     Unary,
     VarRef,
@@ -145,11 +147,6 @@ _T, _F, _N = TriBool.TRUE, TriBool.FALSE, TriBool.NA
 # the operators whose result has one denominator: a * b is over da * db,
 # a + b and a - b over lcm(da, db); a quotient is a _Quotient
 _ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul}
-_TESTS = {
-    "is_number": is_number,
-    "is_integer": lambda v: is_number(v) and v.denominator == 1,
-    "is_text": is_text,
-}
 # the comparison that holds with its operands swapped
 _MIRROR = {"<": ">", "<=": ">=", "==": "==", "!=": "!=", ">=": "<=", ">": "<"}
 # a comparison's verdict that it works out again, one scope at a time, with its note
@@ -186,7 +183,6 @@ class _Literal(NamedTuple):
     over ``d`` (a number's numerator and denominator).  Operators read
     these where they can; called, it is a column like any value node."""
 
-    value: Value
     element: object
     d: int
 
@@ -196,8 +192,8 @@ class _Literal(NamedTuple):
 
 def _literal(value: Value) -> _Literal:
     if isinstance(value, NUMBER):
-        return _Literal(value, value.numerator, value.denominator)
-    return _Literal(value, value, 1)
+        return _Literal(value.numerator, value.denominator)
+    return _Literal(value, 1)
 
 
 class _Quotient(NamedTuple):
@@ -263,13 +259,6 @@ def _times(elements: list, m: int) -> list:
     if m == 1:
         return elements
     return [e if e is NA or e.__class__ is str else e * m for e in elements]
-
-
-def _values(elements: list, d: int) -> list:
-    """The values of a value node's elements over ``d``."""
-    if d == 1:
-        return elements
-    return [e if e is NA or e.__class__ is str else as_number(Fraction(e, d)) for e in elements]
 
 
 def _no_text(notes: list, message: str, values: list, beside: Optional[list] = None) -> None:
@@ -348,10 +337,9 @@ class _Evaluator:
 
     def compile(self, expr: Expr, tables: dict[int, str]) -> Column:
         if isinstance(expr, (NumberLit, TextLit, NALit)):
-            return _literal(as_number(expr.value) if isinstance(expr, NumberLit)
-                            else NA if isinstance(expr, NALit) else expr.value)
+            return _literal(NA if isinstance(expr, NALit) else expr.value)
         if isinstance(expr, VarRef):
-            return self._compile_ref(expr, tables[id(expr)], scaled=True)
+            return self._compile_ref(expr, tables[id(expr)])
         if isinstance(expr, Aggregate):
             return self._compile_aggregate(expr, tables)
         if isinstance(expr, If):  # not cond or then
@@ -364,10 +352,9 @@ class _Evaluator:
                 return lambda scopes: [_F if v is _T else _T if v is _F else _N for v in operand(scopes)]
             return self._compile_sign(expr.op, operand)
         if isinstance(expr, Binary):
-            if expr.op in COMPARE:
-                return self._compile_compare(expr.op, self._operand(expr.left, expr.right, tables),
-                                             self._operand(expr.right, expr.left, tables))
             left, right = self.compile(expr.left, tables), self.compile(expr.right, tables)
+            if expr.op in COMPARE:
+                return self._compile_compare(expr.op, left, right)
             if expr.op == "and":
                 return lambda scopes: [_F if a is _F or b is _F else _N if a is _N or b is _N else _T
                                        for a, b in zip(left(scopes), right(scopes))]
@@ -379,23 +366,13 @@ class _Evaluator:
             return self._compile_builtin(expr, tables)
         raise AssertionError(f"cannot evaluate {expr!r}")
 
-    def _operand(self, expr: Expr, beside: Expr, tables: dict[int, str]) -> Numbers:
-        """A comparison's operand.  A reference compared with a literal
-        gives its cells as they are, over 1: the comparison reads a
-        Fraction's terms itself, and no column is scaled for it."""
-        if isinstance(expr, VarRef) and isinstance(beside, (NumberLit, TextLit, NALit)):
-            return self._compile_ref(expr, tables[id(expr)], scaled=False)
-        return self.compile(expr, tables)
-
-    def _compile_ref(self, ref: VarRef, table: str, scaled: bool) -> Numbers:
+    def _compile_ref(self, ref: VarRef, table: str) -> Numbers:
         """The reference's cells over d, from the run's column over its
-        common denominator, or as the dataset holds them, over 1, where
-        not ``scaled``.  Compiling it counts the value nodes that read
-        the column, which all rules compile before the first read."""
+        common denominator.  Compiling it counts the references that
+        read the column, which all rules compile before the first read."""
         variable, lag, notes, cache, readers = ref.variable, ref.lag, self.notes, self.scaled, self.readers
         key = table, variable
-        if scaled:
-            readers[key] = readers.get(key, 0) + 1
+        readers[key] = readers.get(key, 0) + 1
         index = self.dataset.index(table)
         raw = index.columns.get(variable, {})
         times, positions = index.times, index.positions
@@ -414,7 +391,7 @@ class _Evaluator:
             return NA
 
         def cells(scopes):
-            column, d = _scaled(cache, key, raw, readers[key]) if scaled else (raw, 1)
+            column, d = _scaled(cache, key, raw, readers[key])
             start = len(notes)
             try:
                 if not lag:
@@ -441,16 +418,16 @@ class _Evaluator:
 
     def _compile_arithmetic(self, op: str, left: Numbers, right: Numbers) -> Numbers:
         if op == "/":
-            if not (isinstance(right, _Literal) and isinstance(right.value, NUMBER) and right.value):
+            if not (isinstance(right, _Literal) and right.element.__class__ is int and right.element):
                 return _Quotient(left, right, self.notes)
-            kernel, right = "*", _literal(1 / Fraction(right.value))  # times the reciprocal: one denominator
+            kernel, right = "*", _literal(Fraction(right.d, right.element))  # times the reciprocal: one denominator
         else:
             kernel = op
         apply, notes, message = _ARITHMETIC[kernel], self.notes, f"arithmetic {op} on text operand"
         if isinstance(left, _Literal) and kernel != "-":
             left, right = right, left
         # a number literal on the right is applied as a scalar
-        k = right.element if isinstance(right, _Literal) and isinstance(right.value, NUMBER) else None
+        k = right.element if isinstance(right, _Literal) and right.element.__class__ is int else None
 
         def arithmetic(scopes):
             lefts, da = left(scopes)
@@ -507,8 +484,9 @@ class _Evaluator:
                               lambda pos: verdict(x_[pos], z_[pos], pos))
 
             return compare
-        if isinstance(right, _Literal) and right.value is not NA and (textual or not isinstance(right.value, str)):
-            operand, k, kd, text = left, right.element, right.d, isinstance(right.value, str)
+        k = right.element if isinstance(right, _Literal) else NA
+        if k is not NA and (textual or k.__class__ is not str):
+            operand, kd, text = left, right.d, k.__class__ is str
 
             def compare(scopes):
                 values, d = operand(scopes)
@@ -516,11 +494,10 @@ class _Evaluator:
                 if text:
                     verdicts = [_N if a is NA else _BAD if a.__class__ is not str else _T if test(a, k) else _F
                                 for a in values]
-                else:  # a / d against k / kd is a * kd against k * d; a Fraction p/q over d, p * kd against k * d * q
+                else:  # a / d against k / kd is a * kd against k * d
                     kb = k * d
-                    verdicts = [_N if a is NA else _BAD if a.__class__ is str
-                                else (_T if test(a * kd, kb) else _F) if a.__class__ is int
-                                else _T if test((q := a.as_integer_ratio())[0] * kd, kb * q[1]) else _F for a in values]
+                    verdicts = [_N if a is NA else _BAD if a.__class__ is str else _T if test(a * kd, kb) else _F
+                                for a in values]
                 return _patch(verdicts, lambda pos: verdict(values[pos], k, pos))
 
             return compare
@@ -535,20 +512,24 @@ class _Evaluator:
         return compare
 
     def _compile_builtin(self, expr: Builtin, tables: dict[int, str]) -> Column:
-        # the argument's values as they are: a reference's cells over 1, other values from their elements
-        arg = expr.args[0]
-        numbers = (self._compile_ref(arg, tables[id(arg)], scaled=False) if isinstance(arg, VarRef)
-                   else self.compile(arg, tables))
-        values = lambda scopes: _values(*numbers(scopes))  # noqa: E731
-        if expr.fn == "in_set":
-            items = expr.args[1]
-            assert isinstance(items, SetLit)
-            members = frozenset(items.items)  # a number never equals a text
-            return lambda scopes: [_N if v is NA else _T if v in members else _F for v in values(scopes)]
-        if expr.fn == "is_na":
-            return lambda scopes: [_T if v is NA else _F for v in values(scopes)]
-        test = _TESTS[expr.fn]
-        return lambda scopes: [_T if test(v) else _F for v in values(scopes)]
+        """Each element over d of the argument tested; a number never
+        equals a text, so a set's members need no kind check."""
+        arg, fn = self.compile(expr.args[0], tables), expr.fn
+        items = expr.args[1].items if fn == "in_set" else None
+        whole = fn == "is_integer"
+
+        def test(scopes):
+            elements, d = arg(scopes)
+            if fn == "is_na":
+                return [_T if e is NA else _F for e in elements]
+            if fn == "is_text":
+                return [_T if e.__class__ is str else _F for e in elements]
+            if items is not None:
+                members = frozenset(m if m.__class__ is str else as_number(m * d) for m in items)
+                return [_N if e is NA else _T if e in members else _F for e in elements]
+            return [_F if e is NA or e.__class__ is str else _T if not whole or e % d == 0 else _F for e in elements]
+
+        return test
 
     def _compile_aggregate(self, expr: Aggregate, tables: dict[int, str]) -> Numbers:
         """An aggregate's value depends on the occasion, never on the unit,

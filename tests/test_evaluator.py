@@ -305,21 +305,31 @@ def test_lagged_rule_reads_each_cell_a_bounded_number_of_times():
 
 
 def test_a_column_read_by_several_value_nodes_is_scaled_once_per_run(monkeypatch):
-    # four value nodes of two rules over more than one chunk of records; a
-    # reference compared with a literal reads the cells as they are
+    # eight references of six rules over more than one chunk of records:
+    # those compared with a literal and those a built-in tests read the
+    # column over its common denominator like every other reference
     n = _CHUNK + 904
     ds = person_dataset({str(i): (Fraction(i, 10), "a") for i in range(n)})
     schema = parse_schema("person.age : numeric\nperson.job : categorical {a}\n")
     scaled = []
     scale = evaluator._scale
     monkeypatch.setattr(evaluator, "_scale", lambda column, d: scaled.append((len(column), d)) or scale(column, d))
-    rules = parse_rules("a: 2 * age >= age\nb: age - 1 <= age\nc: age >= 1/10")
+    rules = parse_rules("a: 2 * age >= age\nb: age - 1 <= age\nc: age >= 1/10\nd: age >= 0.1\n"
+                        "e: is_integer(age)\nf: in_set(age, {0.5})")
     report = evaluate_ruleset(rules, ds, schema)
     assert scaled == [(n, 10)]
     assert report.summary == {"a": {"true": n, "false": 0, "na": 0}, "b": {"true": n, "false": 0, "na": 0},
-                              "c": {"true": n - 1, "false": 1, "na": 0}}
+                              "c": {"true": n - 1, "false": 1, "na": 0}, "d": {"true": n - 1, "false": 1, "na": 0},
+                              "e": {"true": n // 10, "false": n - n // 10, "na": 0},
+                              "f": {"true": 1, "false": n - 1, "na": 0}}
     evaluate_ruleset(rules, ds, schema)
     assert scaled == [(n, 10)] * 2
+    # a lone reference compared with a literal scales its cells as it reads
+    # them, one call per chunk, so each cell once
+    scaled.clear()
+    report = evaluate_ruleset(parse_rules("r: age >= 0.1"), ds, schema)
+    assert scaled == [(_CHUNK, 10), (n - _CHUNK, 10)]
+    assert report.summary == {"r": {"true": n - 1, "false": 1, "na": 0}}
 
 
 def test_equal_aggregates_of_two_rules_are_computed_once():
@@ -483,6 +493,9 @@ _UNIT_FRACTION_RULES = {
     "quot_sum": ("x / y + y / x <= 10", lambda x, y, m: x / y + y / x <= 10),
     "whole": ("is_integer(x * 360)", lambda x, y, m: (x * 360).denominator == 1),
     "member": ("in_set(2 * x, {1, 2})", lambda x, y, m: 2 * x in (1, 2)),
+    "bare_lit": ("x >= 0.001", lambda x, y, m: x >= Fraction(1, 1000)),
+    "bare_whole": ("is_integer(x)", lambda x, y, m: x.denominator == 1),
+    "bare_member": ("in_set(x, {0.5, 0.25})", lambda x, y, m: x in (Fraction(1, 2), Fraction(1, 4))),
 }
 
 
