@@ -2,7 +2,9 @@
 
 Generates systems of clauses over numeric and categorical variables
 (single-variable atoms, so the breakpoint grid is a complete decision
-procedure), compares verdicts, and reports timing and the SAT/UNSAT mix.
+procedure), compares verdicts, checks each satisfiable verdict's witness
+by direct ``Fraction`` evaluation of every atom, and reports timing and
+the SAT/UNSAT mix.
 
     python scripts/solver_stress.py [count] [seed]
 """
@@ -14,7 +16,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
-from helpers import grid_oracle, random_system  # noqa: E402
+from helpers import grid_oracle, random_system, reference_check_witness  # noqa: E402
 
 from validus.analyzer import is_satisfiable  # noqa: E402
 
@@ -26,7 +28,8 @@ def main(count: int = 1000, seed: int = 20240811) -> None:
     for i in range(count):
         system = random_system(rng, multivar=False)
         t0 = time.perf_counter()
-        verdict = bool(is_satisfiable(system))
+        result = is_satisfiable(system)
+        verdict = bool(result)
         t1 = time.perf_counter()
         expected = grid_oracle(system)
         t2 = time.perf_counter()
@@ -34,6 +37,10 @@ def main(count: int = 1000, seed: int = 20240811) -> None:
         oracle_time += t2 - t1
         if verdict != expected:
             print(f"DISAGREEMENT at case {i}: solver={verdict} oracle={expected}")
+            print(system.clauses)
+            raise SystemExit(1)
+        if verdict and not reference_check_witness(system, result.witness):
+            print(f"BAD WITNESS at case {i}: {result.witness}")
             print(system.clauses)
             raise SystemExit(1)
         sat += verdict

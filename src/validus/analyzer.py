@@ -4,9 +4,10 @@ Record-scoped rules built from linear numeric comparisons and
 categorical membership compile to conjunctions of disjunctive clauses;
 each public call compiles each rule, and each negated claim, once, and
 turns each clause into interned integer rows once.  Satisfiability is
-decided exactly: clause disjuncts and categorical levels are case-split,
-and each conjunction of linear atoms goes to the rational elimination
-core.  Feasibility is checked at the leaves and
+decided exactly: clause disjuncts and categorical levels are case-split
+into disjoint cases, and each conjunction of linear atoms goes to the
+rational elimination core unless the witness of the conjunction it
+extends already satisfies it.  Feasibility is checked at the leaves and
 for each option of a clause that branches, not after clauses that leave
 no choice, and each public call solves each distinct conjunction once.
 Integer-declared variables are analyzed over their rational relaxation,
@@ -148,7 +149,8 @@ class _Memo:
     plans: dict[int, tuple[ClauseAtoms, _Plan]] = field(default_factory=dict)
     ids: dict[Row, int] = field(default_factory=dict)
     rows: list[Row] = field(default_factory=list)
-    solved: dict[tuple[int, ...], Optional[dict[str, Fraction]]] = field(default_factory=dict)
+    #: the empty conjunction holds at the origin
+    solved: dict[tuple[int, ...], Optional[dict[str, Fraction]]] = field(default_factory=lambda: {(): {}})
 
     def plan(self, disjuncts: ClauseAtoms) -> _Plan:
         """Each option of a clause: its categorical atom, or the ids of
@@ -428,12 +430,17 @@ def _atom_rows(atom: LinearAtom) -> list[Row]:
     raise ValueError(f"no direct rows for relation {atom.relation!r}")
 
 
-def _solve(key: tuple[int, ...]) -> Optional[dict[str, Fraction]]:
-    """``feasible`` of the interned rows ``key``, solved once per distinct
-    key per call."""
+def _solve(key: tuple[int, ...], known: int) -> Optional[dict[str, Fraction]]:
+    """Feasibility of the interned rows ``key``, answered once per
+    distinct key per call; ``key[:known]`` has a witness in the memo.
+    When every row added after that prefix holds at its witness, that
+    witness is the answer and ``feasible`` does not run."""
     memo = _MEMO.get()
     if key not in memo.solved:
-        memo.solved[key] = feasible([memo.rows[i] for i in key])
+        witness, rows = memo.solved[key[:known]], memo.rows
+        if not all(rows[i].holds(witness) for i in key[known:]):
+            witness = feasible([rows[i] for i in key])
+        memo.solved[key] = witness
     return memo.solved[key]
 
 
@@ -446,49 +453,55 @@ def _search(system: ConstraintSystem, memo: _Memo) -> Iterator[tuple[dict[str, f
     the next check.  Before a categorical option is taken the rows are
     known feasible, either because a linear option of the same clause
     (a superset of them) was, or by a direct check, so no infeasible
-    subtree is ever split.
+    subtree is ever split.  The options of a clause cover disjoint
+    solutions: once a categorical option has been searched, the later
+    options exclude its levels, and the clause ends when no level is
+    left.  A check first tries the witness of the longest prefix of the
+    rows already found feasible, so a branch whose added rows hold there
+    needs no elimination.
     """
     domains = {v: frozenset(levels) for v, levels in system.categorical_vars.items()}
     clauses = system.clauses
     plans = [memo.plan(clause.disjuncts) for clause in clauses]
 
     def descend(index: int, cats: dict[str, frozenset[str]], key: tuple[int, ...],
-                checked: bool) -> Iterator[tuple[dict[str, frozenset[str]], tuple[int, ...]]]:
-        # checked: the rows ``key`` are known feasible
+                known: int) -> Iterator[tuple[dict[str, frozenset[str]], tuple[int, ...]]]:
+        # known: the length of the longest prefix of ``key`` with a witness in the memo
         if index == len(clauses):
-            if _solve(key) is not None:
+            if _solve(key, known) is not None:
                 yield cats, key
             return
         clause = clauses[index]
         for atom in clause.disjuncts:
             # clause already entailed by the categorical state: no branching
             if isinstance(atom, CategoricalAtom) and cats[atom.variable] <= atom.allowed:
-                yield from descend(index + 1, cats, key, checked)
+                yield from descend(index + 1, cats, key, known)
                 return
-        # (categories, ids of the added rows or None for a categorical option)
-        options: list[tuple[dict[str, frozenset[str]], Optional[tuple[int, ...]]]] = []
-        for option in plans[index]:
+        options = [option for option in plans[index]
+                   if not isinstance(option, CategoricalAtom) or cats[option.variable] & option.allowed]
+        branches = len(options) > 1
+        for option in options:
             if isinstance(option, CategoricalAtom):
                 narrowed = cats[option.variable] & option.allowed
-                if narrowed:
-                    options.append(({**cats, option.variable: narrowed}, None))
-            else:
-                options.append((cats, option))
-        branches = len(options) > 1
-        for next_cats, added in options:
-            if added is None:
-                if branches and not checked:
-                    if _solve(key) is None:
+                if not narrowed:  # an earlier option took these levels
+                    continue
+                if branches and known < len(key):
+                    if _solve(key, known) is None:
                         return
-                    checked = True
-                yield from descend(index + 1, next_cats, key, checked)
+                    known = len(key)
+                yield from descend(index + 1, {**cats, option.variable: narrowed}, key, known)
+                if not (rest := cats[option.variable] - option.allowed):
+                    return
+                cats = {**cats, option.variable: rest}
             elif not branches:
-                yield from descend(index + 1, cats, key + added, False)
-            elif _solve(extended := key + added) is not None:
-                checked = True
-                yield from descend(index + 1, cats, extended, True)
+                yield from descend(index + 1, cats, key + option, known)
+            elif (witness := _solve(extended := key + option, known)) is not None:
+                # a witness of the rows plus an option is one of the rows alone
+                memo.solved.setdefault(key, witness)
+                known = len(key)
+                yield from descend(index + 1, cats, extended, len(extended))
 
-    yield from descend(0, domains, (), True)
+    yield from descend(0, domains, (), 0)
 
 
 def _leaves(system: ConstraintSystem) -> Iterator[tuple[dict[str, frozenset[str]], list[Row]]]:
@@ -518,9 +531,9 @@ def check_witness(system: ConstraintSystem, witness: dict[str, Union[Fraction, s
 def is_satisfiable(system: ConstraintSystem) -> SatResult:
     """Exact satisfiability over the rational relaxation plus declared
     categorical levels; a positive verdict carries a re-checked witness."""
-    for cats, key in _search(system, _MEMO.get()):
-        numeric_witness = _solve(key)
-        assert numeric_witness is not None
+    memo = _MEMO.get()
+    for cats, key in _search(system, memo):
+        numeric_witness = memo.solved[key]
         witness: dict[str, Union[Fraction, str]] = {}
         for var in system.numeric_vars:
             witness[var] = numeric_witness.get(var, Fraction(0))

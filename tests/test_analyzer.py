@@ -11,10 +11,12 @@ import pytest
 
 from helpers import (
     NUM_VARS,
+    ORACLE_SCHEMA,
     grid_oracle,
     grid_points,
     lp_oracle,
     random_fractional_atom,
+    random_oracle_ruleset,
     random_system,
     random_witness,
     random_witness_system,
@@ -57,7 +59,7 @@ from validus.errors import IncompatibleScopeError, UnsupportedForAnalysisError
 from validus.evaluator import evaluate_ruleset
 from validus.linear import Interval
 from validus.model import DataPoint, Key, build_dataset, format_number
-from validus.rules import format_ruleset, parse_rule, parse_rules
+from validus.rules import RuleSet, format_ruleset, parse_rule, parse_rules
 from validus.schema import parse_schema
 from validus.tribool import TriBool
 
@@ -585,9 +587,9 @@ def _count_calls(monkeypatch, name: str = "feasible") -> list[int]:
     calls = [0]
     solve = getattr(analyzer, name)
 
-    def counted(rows):
+    def counted(*args, **kwargs):
         calls[0] += 1
-        return solve(rows)
+        return solve(*args, **kwargs)
 
     monkeypatch.setattr(analyzer, name, counted)
     return calls
@@ -620,13 +622,47 @@ def test_contradictory_unit_rows_prune_before_categorical_splits(monkeypatch):
     assert calls[0] <= 4 and checks[0] <= 4
 
 
+def _combinations(cats: dict[str, frozenset[str]]) -> list[tuple[str, ...]]:
+    """Every level combination of a leaf's categorical state, by sorted variable."""
+    return list(itertools.product(*(sorted(cats[v]) for v in sorted(cats))))
+
+
 def test_search_yields_the_leaves_and_witnesses_of_checking_every_clause():
+    # the search splits categories apart and reuses witnesses, so its leaves
+    # and witness need not be the reference's; they must cover the same solutions
     rng = random.Random(5150)
     for multivar in (False, True):
         for _ in range(150):
             system = random_system(rng, multivar=multivar)
-            assert list(analyzer._leaves(system)) == list(reference_leaves(system))
-            assert is_satisfiable(system).witness == reference_witness(system)
+            leaves = list(analyzer._leaves(system))
+            reference = list(reference_leaves(system))
+            for cats, rows in leaves:
+                assert any(rows == ref_rows and all(cats[v] <= ref_cats[v] for v in cats)
+                           for ref_cats, ref_rows in reference), (system, cats, rows)
+            covering = [(set(_combinations(cats)), set(rows)) for cats, rows in leaves]
+            for ref_cats, ref_rows in reference:
+                for combination in _combinations(ref_cats):
+                    assert any(combination in combos and rows <= set(ref_rows)
+                               for combos, rows in covering), (system, combination, ref_rows)
+            result = is_satisfiable(system)
+            assert bool(result) == (reference_witness(system) is not None)
+            if result:
+                assert check_witness(system, result.witness)
+                assert reference_check_witness(system, result.witness)
+
+
+def test_analysis_does_not_depend_on_rule_order():
+    # a later option of a clause excludes the levels of the earlier ones, so the
+    # search depends on clause order; the findings must not
+    rng = random.Random(8080)
+    for _ in range(40):
+        rules = list(random_oracle_ruleset(rng))
+        findings, unsupported = analyze_ruleset(RuleSet(tuple(rules)), ORACLE_SCHEMA)
+        for _ in range(3):
+            rng.shuffle(rules)
+            shuffled, shuffled_unsupported = analyze_ruleset(RuleSet(tuple(rules)), ORACLE_SCHEMA)
+            assert set(shuffled) == set(findings), rules
+            assert set(shuffled_unsupported) == set(unsupported), rules
 
 
 def test_no_feasibility_answer_outlives_a_call(monkeypatch):
@@ -773,14 +809,22 @@ def test_random_mix_output_is_pinned():
         4: ("4a66239b5a25ef24", "4be3e999ce364bf4"),
         5: ("dd2fcdb35bfee7f2", "43f79aad036837de"),
     }
+    # and at 40 rules, where the search splits many more categorical cases
+    pinned_40 = {
+        1: ("53fea39fa790ef66", "b5071c852f00d927"),
+        7: ("c2d30b7078ab53a8", "37368fb3cccff7ea"),
+        10: ("0733cede716f348b", "91e127f00495b835"),
+    }
     path = Path(__file__).resolve().parent.parent / "scripts" / "analyze_scaling.py"
     spec = importlib.util.spec_from_file_location("analyze_scaling", path)
     scaling = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(scaling)
     schema = parse_schema(scaling.SCHEMA)
-    for seed, digests in pinned.items():
-        rules = parse_rules(scaling.rule_text(20, seed))
+    cases = [(20, seed, digests) for seed, digests in pinned.items()]
+    cases += [(40, seed, digests) for seed, digests in pinned_40.items()]
+    for count, seed, digests in cases:
+        rules = parse_rules(scaling.rule_text(count, seed))
         findings, unsupported = analyze_ruleset(rules, schema)
         simplified, log = simplify_ruleset(rules, schema)
         assert (scaling.digest(findings, unsupported),
-                scaling.digest(format_ruleset(simplified), log)) == digests, seed
+                scaling.digest(format_ruleset(simplified), log)) == digests, (count, seed)
