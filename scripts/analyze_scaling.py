@@ -13,11 +13,11 @@ with a digest of the simplified rule text and its log, so two versions
 of the analyzer can be compared for speed, for work and for identical
 output; then the median and the worst time of each per rule count.
 ``feasible`` is counted by wrapping ``validus.analyzer.feasible`` here.
-With ``--limit SECONDS`` it exits 1 after the run, naming each rule
-count and seed whose ``analyze_ruleset`` or ``simplify_ruleset`` call
-took longer.  stdlib only.
+It exits 1 after the run, naming each rule count and seed whose
+``analyze_ruleset`` or ``simplify_ruleset`` call took longer than
+``LIMIT`` seconds.  stdlib only.
 
-    PYTHONPATH=src python scripts/analyze_scaling.py [--rules 20 30 40] [--seeds 1 10] [--limit 5]
+    PYTHONPATH=src python scripts/analyze_scaling.py [--rules 20 30 40] [--seeds 1 10]
 """
 
 import argparse
@@ -37,6 +37,8 @@ LEVELS = ["a", "b", "c"]
 
 SCHEMA = "".join(f"t.{v} : numeric [0, 100]\n" for v in NUMERIC)
 SCHEMA += "".join(f"t.{v} : categorical {{{', '.join(LEVELS)}}}\n" for v in CATEGORICAL)
+
+LIMIT = 5.0  # seconds for any analyze or simplify call
 
 
 def rule_text(rules: int, seed: int) -> str:
@@ -83,8 +85,6 @@ def main() -> None:
     parser.add_argument("--rules", type=int, nargs="+", default=[20, 30, 40], help="rule counts to time")
     parser.add_argument("--seeds", type=int, nargs=2, default=[1, 10], metavar=("FIRST", "LAST"),
                         help="inclusive range of seeds")
-    parser.add_argument("--limit", type=float, metavar="SECONDS",
-                        help="exit 1 when any analyze or simplify call takes longer")
     args = parser.parse_args()
     schema = parse_schema(SCHEMA)
     feasible_calls = count_feasible()
@@ -106,13 +106,13 @@ def main() -> None:
                   f"{len(findings):3d} findings  digest {digest(findings, unsupported)}  "
                   f"simplify {simplify_times[-1]:9.3f} s  {feasible_calls[0]:5d} feasible  "
                   f"{len(log):3d} steps  digest {digest(format_ruleset(simplified), log)}", flush=True)
-            if args.limit is not None and max(elapsed, simplify_times[-1]) > args.limit:
+            if max(elapsed, simplify_times[-1]) > LIMIT:
                 slow.append(f"rules {rules} seed {seed}: analyze {elapsed:.3f} s, simplify {simplify_times[-1]:.3f} s")
         print(f"rules {rules:3d}  median {statistics.median(times):.3f} s  worst {max(times):.3f} s  "
               f"simplify median {statistics.median(simplify_times):.3f} s  worst {max(simplify_times):.3f} s",
               flush=True)
     if slow:
-        raise SystemExit(f"over the limit of {args.limit} s:\n" + "\n".join(slow))
+        raise SystemExit(f"over the limit of {LIMIT} s:\n" + "\n".join(slow))
 
 
 if __name__ == "__main__":
