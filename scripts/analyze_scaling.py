@@ -4,7 +4,10 @@ The rule sets grow in size.  Each mixes three shapes over 12 numeric
 variables declared in [0, 100] and 2 categorical variables over
 {a, b, c}:
 - 40% ``x_i + x_j <= c``,
-- 30% ``if (c_k == "lvl") x_i >= c``,
+- 30% conditionals: ``if (c_k == "lvl") x_i >= c`` in the categorical
+  mix (the default), ``if (x_k >= c) x_i >= c2`` with ``x_k`` other than
+  ``x_i`` in the numeric mix (``--mix numeric``), which names no
+  categorical variable,
 - 30% ``x_i - x_j <= c``.
 For each rule count and seed it prints the wall time of one
 ``analyze_ruleset`` call, its number of ``linear.feasible`` calls and a
@@ -17,7 +20,7 @@ It exits 1 after the run, naming each rule count and seed whose
 ``analyze_ruleset`` or ``simplify_ruleset`` call took longer than
 ``LIMIT`` seconds.  stdlib only.
 
-    PYTHONPATH=src python scripts/analyze_scaling.py [--rules 20 30 40] [--seeds 1 10]
+    PYTHONPATH=src python scripts/analyze_scaling.py [--rules 20 30 40] [--seeds 1 10] [--mix numeric]
 """
 
 import argparse
@@ -41,10 +44,14 @@ SCHEMA += "".join(f"t.{v} : categorical {{{', '.join(LEVELS)}}}\n" for v in CATE
 LIMIT = 5.0  # seconds for any analyze or simplify call
 
 
-def rule_text(rules: int, seed: int) -> str:
+MIXES = ("categorical", "numeric")
+
+
+def rule_text(rules: int, seed: int, mix: str = "categorical") -> str:
     """``rules`` rules in the 40/30/30 mix, shuffled; the same text for
-    the same arguments."""
-    rng = random.Random(f"analyze-scaling:{rules}:{seed}")
+    the same arguments.  Each mix draws from its own seed string."""
+    rng = random.Random(f"analyze-scaling:{rules}:{seed}" if mix == "categorical"
+                        else f"analyze-scaling-{mix}:{rules}:{seed}")
     n_sum = round(0.4 * rules)
     n_cond = round(0.3 * rules)
     shapes = ["sum"] * n_sum + ["cond"] * n_cond + ["diff"] * (rules - n_sum - n_cond)
@@ -54,6 +61,8 @@ def rule_text(rules: int, seed: int) -> str:
         a, b = rng.sample(NUMERIC, 2)
         if shape == "sum":
             body = f"{a} + {b} <= {rng.randint(40, 180)}"
+        elif shape == "cond" and mix == "numeric":
+            body = f"if ({b} >= {rng.randint(10, 90)}) {a} >= {rng.randint(0, 90)}"
         elif shape == "cond":
             body = f'if ({rng.choice(CATEGORICAL)} == "{rng.choice(LEVELS)}") {a} >= {rng.randint(0, 90)}'
         else:
@@ -72,9 +81,9 @@ def count_feasible() -> list[int]:
     calls = [0]
     solve = analyzer.feasible
 
-    def counted(rows):
+    def counted(*args, **kwargs):
         calls[0] += 1
-        return solve(rows)
+        return solve(*args, **kwargs)
 
     analyzer.feasible = counted
     return calls
@@ -85,6 +94,7 @@ def main() -> None:
     parser.add_argument("--rules", type=int, nargs="+", default=[20, 30, 40], help="rule counts to time")
     parser.add_argument("--seeds", type=int, nargs=2, default=[1, 10], metavar=("FIRST", "LAST"),
                         help="inclusive range of seeds")
+    parser.add_argument("--mix", choices=MIXES, default="categorical", help="shape of the conditional rules")
     args = parser.parse_args()
     schema = parse_schema(SCHEMA)
     feasible_calls = count_feasible()
@@ -92,7 +102,7 @@ def main() -> None:
     for rules in args.rules:
         times, simplify_times = [], []
         for seed in range(args.seeds[0], args.seeds[1] + 1):
-            ruleset = parse_rules(rule_text(rules, seed))
+            ruleset = parse_rules(rule_text(rules, seed, args.mix))
             feasible_calls[0] = 0
             start = time.perf_counter()
             findings, unsupported = analyze_ruleset(ruleset, schema)

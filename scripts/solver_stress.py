@@ -4,7 +4,9 @@ Generates systems of clauses over numeric and categorical variables
 (single-variable atoms, so the breakpoint grid is a complete decision
 procedure), compares verdicts, checks each satisfiable verdict's witness
 by direct ``Fraction`` evaluation of every atom, and reports timing and
-the SAT/UNSAT mix.
+the SAT/UNSAT mix.  Every infeasible ``linear.feasible`` call the solver
+makes is checked too: the core it names must be infeasible on its own
+under the reference ``Fraction``-row solver.
 
     python scripts/solver_stress.py [count] [seed]
 """
@@ -16,13 +18,40 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
-from helpers import grid_oracle, random_system, reference_check_witness  # noqa: E402
+from helpers import (grid_oracle, random_system, reference_check_witness,  # noqa: E402
+                     reference_feasible, reference_make_row)
 
+from validus import analyzer  # noqa: E402
 from validus.analyzer import is_satisfiable  # noqa: E402
+
+
+def check_cores() -> list[int]:
+    """Wrap the analyzer's ``feasible`` so that each infeasible call's
+    core is checked; the returned list counts the cores and those
+    smaller than their system."""
+    counts = [0, 0]
+    solve = analyzer.feasible
+
+    def checked(rows, core):  # the analyzer always asks for the core
+        witness = solve(rows, core)
+        if witness is None:
+            # as many rows as positions only when the positions are distinct and in range
+            alone = [reference_make_row(dict(rows[i].coeffs), rows[i].strict, rows[i].bound)
+                     for i in set(core) if 0 <= i < len(rows)]
+            if not core or len(alone) != len(core) or reference_feasible(alone) is not None:
+                print(f"BAD CORE {core} of {rows}")
+                raise SystemExit(1)
+            counts[0] += 1
+            counts[1] += len(core) < len(rows)
+        return witness
+
+    analyzer.feasible = checked
+    return counts
 
 
 def main(count: int = 1000, seed: int = 20240811) -> None:
     rng = random.Random(seed)
+    cores = check_cores()
     sat = unsat = 0
     solver_time = oracle_time = 0.0
     for i in range(count):
@@ -46,6 +75,7 @@ def main(count: int = 1000, seed: int = 20240811) -> None:
         sat += verdict
         unsat += not verdict
     print(f"{count} systems: {sat} satisfiable, {unsat} unsatisfiable, 0 disagreements")
+    print(f"{cores[0]} infeasible cores, each infeasible on its own, {cores[1]} smaller than their system")
     print(f"solver {solver_time:.2f}s total, oracle {oracle_time:.2f}s total")
 
 

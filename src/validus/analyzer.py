@@ -7,9 +7,10 @@ turns each clause into interned integer rows once.  Satisfiability is
 decided exactly: clause disjuncts and categorical levels are case-split
 into disjoint cases, and each conjunction of linear atoms goes to the
 rational elimination core unless the witness of the conjunction it
-extends already satisfies it.  Feasibility is checked at the leaves and
-for each option of a clause that branches, not after clauses that leave
-no choice, and each public call solves each distinct conjunction once.
+extends satisfies it or it contains an infeasible core found earlier in
+the call.  Feasibility is checked at the leaves and for each option of
+a clause that branches, not after clauses that leave no choice, and
+each public call solves each distinct conjunction once.
 Integer-declared variables are analyzed over their rational relaxation,
 so a set that only fails over the integers is reported feasible.
 
@@ -140,8 +141,8 @@ class _Memo:
     """What the public analyzer call in progress works out once: the
     compiled form of each rule and of each negated claim, the domain
     clauses of each numeric variable, the plan of each clause, one id for
-    each distinct row, and the feasibility answer of each distinct tuple
-    of row ids."""
+    each distinct row, the feasibility answer of each distinct tuple of
+    row ids, and the infeasible cores found."""
 
     parts: dict[tuple[Rule, bool], _Part] = field(default_factory=dict)
     domains: dict[str, tuple[Clause, Clause]] = field(default_factory=dict)
@@ -151,6 +152,7 @@ class _Memo:
     rows: list[Row] = field(default_factory=list)
     #: the empty conjunction holds at the origin
     solved: dict[tuple[int, ...], Optional[dict[str, Fraction]]] = field(default_factory=lambda: {(): {}})
+    cores: list[frozenset[int]] = field(default_factory=list)
 
     def plan(self, disjuncts: ClauseAtoms) -> _Plan:
         """Each option of a clause: its categorical atom, or the ids of
@@ -433,13 +435,18 @@ def _atom_rows(atom: LinearAtom) -> list[Row]:
 def _solve(key: tuple[int, ...], known: int) -> Optional[dict[str, Fraction]]:
     """Feasibility of the interned rows ``key``, answered once per
     distinct key per call; ``key[:known]`` has a witness in the memo.
-    When every row added after that prefix holds at its witness, that
-    witness is the answer and ``feasible`` does not run."""
+    That witness answers when every row added after the prefix holds
+    there, and a core found earlier answers when the rows contain it;
+    else ``feasible`` runs, and an infeasible answer's core is kept."""
     memo = _MEMO.get()
     if key not in memo.solved:
         witness, rows = memo.solved[key[:known]], memo.rows
         if not all(rows[i].holds(witness) for i in key[known:]):
-            witness = feasible([rows[i] for i in key])
+            ids = frozenset(key)
+            if any(core <= ids for core in memo.cores):
+                witness = None
+            elif (witness := feasible([rows[i] for i in key], core := [])) is None:
+                memo.cores.append(frozenset(key[i] for i in core))
         memo.solved[key] = witness
     return memo.solved[key]
 
@@ -456,9 +463,7 @@ def _search(system: ConstraintSystem, memo: _Memo) -> Iterator[tuple[dict[str, f
     subtree is ever split.  The options of a clause cover disjoint
     solutions: once a categorical option has been searched, the later
     options exclude its levels, and the clause ends when no level is
-    left.  A check first tries the witness of the longest prefix of the
-    rows already found feasible, so a branch whose added rows hold there
-    needs no elimination.
+    left.  ``_solve`` answers each check.
     """
     domains = {v: frozenset(levels) for v, levels in system.categorical_vars.items()}
     clauses = system.clauses

@@ -8,7 +8,10 @@ with gcd-reduced integer multipliers, and among rows with the same
 coefficients keeps only the tightest, which implies the others.  The
 arithmetic stays exact, so strict inequalities and degenerate systems
 are decided exactly, and a feasible system yields a rational witness by
-back substitution.
+back substitution.  An infeasible system yields a core: each derived row
+carries the set of input rows it was combined from, so the constant row
+that shows infeasibility names a subset of the input that is infeasible
+on its own (a Farkas certificate).
 """
 
 from __future__ import annotations
@@ -117,14 +120,19 @@ class _Elimination:
 _Sides = dict[str, tuple[list[Row], list[Row]]]
 
 
-def _eliminate(rows: list[Row], keep: frozenset[str]) -> Optional[tuple[list[Row], list[_Elimination], _Sides]]:
+def _eliminate(rows: list[Row], keep: frozenset[str],
+               core: Optional[list[int]] = None) -> Optional[tuple[list[Row], list[_Elimination], _Sides]]:
     """Project away all variables outside ``keep``, each step the one
     with the fewest combined rows, then by name.  One pass over the rows
     per step checks the constant rows and finds every variable's sides.
 
     Returns the projected rows, the elimination trace and the projected
-    rows' sides, or None when a constant row already shows infeasibility.
+    rows' sides, or None when a constant row already shows infeasibility;
+    then, when a ``core`` list is given, the positions in ``rows`` of the
+    input rows that constant row was combined from are appended to it.
     """
+    # by id of each row: a bit per input position it was combined from
+    masks = None if core is None else {id(row): 1 << i for i, row in enumerate(rows)}
     rows = _tightest(rows)
     trace: list[_Elimination] = []
     while True:
@@ -133,6 +141,9 @@ def _eliminate(rows: list[Row], keep: frozenset[str]) -> Optional[tuple[list[Row
         for row in rows:
             if not row.coeffs:
                 if row.bound < 0 or (row.strict and row.bound == 0):
+                    if masks is not None:
+                        mask = masks[id(row)]
+                        core.extend(i for i in range(mask.bit_length()) if mask >> i & 1)
                     return None
                 continue
             pending.append(row)
@@ -151,7 +162,9 @@ def _eliminate(rows: list[Row], keep: frozenset[str]) -> Optional[tuple[list[Row
         combined = [row for row in pending if id(row) not in used]
         for low in lowers:
             for up in uppers:
-                combined.append(_combine(low, up, var))
+                combined.append(row := _combine(low, up, var))
+                if masks is not None:
+                    masks[id(row)] = masks[id(low)] | masks[id(up)]
         rows = _tightest(combined)
 
 
@@ -192,9 +205,11 @@ def _choose(lo: Optional[tuple[Fraction, bool]], hi: Optional[tuple[Fraction, bo
     return (lo[0] + hi[0]) / 2
 
 
-def feasible(rows: list[Row]) -> Optional[dict[str, Fraction]]:
-    """Witness assignment for the conjunction, or None if infeasible."""
-    result = _eliminate(rows, frozenset())
+def feasible(rows: list[Row], core: Optional[list[int]] = None) -> Optional[dict[str, Fraction]]:
+    """Witness assignment for the conjunction, or None if infeasible;
+    then the positions of an infeasible subset of ``rows`` are appended
+    to ``core`` when it is given."""
+    result = _eliminate(rows, frozenset(), core)
     if result is None:
         return None
     _, trace, _ = result

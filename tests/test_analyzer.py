@@ -622,6 +622,17 @@ def test_contradictory_unit_rows_prune_before_categorical_splits(monkeypatch):
     assert calls[0] <= 4 and checks[0] <= 4
 
 
+def test_an_infeasible_core_answers_the_cases_that_contain_it(monkeypatch):
+    # 2^10 leaves, each with the same contradiction x >= 1, x <= 0; the first
+    # leaf's elimination finds it, the others contain its core
+    clauses = [Clause((_unit(f"y{i}", "<=", 0), _unit(f"y{i}", ">=", 0)), f"y{i}") for i in range(10)]
+    clauses += [Clause((_unit("x", ">=", 1),), "low"), Clause((_unit("x", "<=", 0),), "high")]
+    system = ConstraintSystem(clauses, {"x": None, **{f"y{i}": None for i in range(10)}}, {}, {})
+    calls = _count_calls(monkeypatch)
+    assert not is_satisfiable(system)
+    assert calls[0] <= 2
+
+
 def _combinations(cats: dict[str, frozenset[str]]) -> list[tuple[str, ...]]:
     """Every level combination of a leaf's categorical state, by sorted variable."""
     return list(itertools.product(*(sorted(cats[v]) for v in sorted(cats))))
@@ -815,16 +826,23 @@ def test_random_mix_output_is_pinned():
         7: ("c2d30b7078ab53a8", "37368fb3cccff7ea"),
         10: ("0733cede716f348b", "91e127f00495b835"),
     }
+    # and the numeric mix at 20 rules, whose conditions are linear atoms
+    pinned_numeric = {
+        1: ("ca6200bbb94a4ce4", "d2566875f67dba7a"),
+        7: ("4ecbe708a1c178d3", "0f550a75f6dd86fb"),
+        10: ("bd0f6f20bd281776", "cc6140ef658a7ace"),
+    }
     path = Path(__file__).resolve().parent.parent / "scripts" / "analyze_scaling.py"
     spec = importlib.util.spec_from_file_location("analyze_scaling", path)
     scaling = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(scaling)
     schema = parse_schema(scaling.SCHEMA)
-    cases = [(20, seed, digests) for seed, digests in pinned.items()]
-    cases += [(40, seed, digests) for seed, digests in pinned_40.items()]
-    for count, seed, digests in cases:
-        rules = parse_rules(scaling.rule_text(count, seed))
+    cases = [(20, seed, "categorical", digests) for seed, digests in pinned.items()]
+    cases += [(40, seed, "categorical", digests) for seed, digests in pinned_40.items()]
+    cases += [(20, seed, "numeric", digests) for seed, digests in pinned_numeric.items()]
+    for count, seed, mix, digests in cases:
+        rules = parse_rules(scaling.rule_text(count, seed, mix))
         findings, unsupported = analyze_ruleset(rules, schema)
         simplified, log = simplify_ruleset(rules, schema)
         assert (scaling.digest(findings, unsupported),
-                scaling.digest(format_ruleset(simplified), log)) == digests, (count, seed)
+                scaling.digest(format_ruleset(simplified), log)) == digests, (count, seed, mix)

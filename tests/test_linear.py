@@ -191,3 +191,20 @@ def test_matches_the_fraction_row_solver():
             if interval is not None:
                 assert all(end is None or type(end) is Fraction for end in (interval.lo, interval.hi))
     assert outcomes[True] > 150 and outcomes[False] > 150 and pruned > 150
+
+
+def test_an_infeasible_answer_names_a_core_infeasible_on_its_own():
+    rng = random.Random(6021)
+    cores = smaller = 0
+    for _ in range(600):
+        specs = random_row_specs(rng)
+        rows = [make_row(*spec) for spec in specs]
+        core = []
+        if feasible(rows, core) is not None:
+            assert core == []
+            continue
+        assert core and len(set(core)) == len(core) and all(0 <= i < len(rows) for i in core), specs
+        assert reference_feasible([reference_make_row(*specs[i]) for i in core]) is None, (specs, core)
+        cores += 1
+        smaller += len(core) < len(rows)
+    assert cores > 150 and smaller > 100
