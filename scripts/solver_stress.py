@@ -3,8 +3,10 @@
 Generates systems of clauses over numeric and categorical variables
 (single-variable atoms, so the breakpoint grid is a complete decision
 procedure), compares verdicts, checks each satisfiable verdict's witness
-by direct ``Fraction`` evaluation of every atom, and reports timing and
-the SAT/UNSAT mix.  Every infeasible ``linear.feasible`` call the solver
+by direct ``Fraction`` evaluation of every atom, checks the levels
+``detect_partial_infeasibility`` reports against the grid oracle run on
+the system plus a clause fixing each level, and reports timing and the
+SAT/UNSAT mix.  Every infeasible ``linear.feasible`` call the solver
 makes is checked too: the core it names must be infeasible on its own
 under the reference ``Fraction``-row solver.
 
@@ -18,11 +20,11 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
-from helpers import (grid_oracle, random_system, reference_check_witness,  # noqa: E402
-                     reference_feasible, reference_make_row)
+from helpers import (grid_oracle, grid_oracle_excluded_levels, random_system,  # noqa: E402
+                     reference_check_witness, reference_feasible, reference_make_row)
 
 from validus import analyzer  # noqa: E402
-from validus.analyzer import is_satisfiable  # noqa: E402
+from validus.analyzer import detect_partial_infeasibility, is_satisfiable  # noqa: E402
 
 
 def check_cores() -> list[int]:
@@ -52,7 +54,7 @@ def check_cores() -> list[int]:
 def main(count: int = 1000, seed: int = 20240811) -> None:
     rng = random.Random(seed)
     cores = check_cores()
-    sat = unsat = 0
+    sat = unsat = levels = 0
     solver_time = oracle_time = 0.0
     for i in range(count):
         system = random_system(rng, multivar=False)
@@ -72,9 +74,16 @@ def main(count: int = 1000, seed: int = 20240811) -> None:
             print(f"BAD WITNESS at case {i}: {result.witness}")
             print(system.clauses)
             raise SystemExit(1)
+        excluded = [(f.variable, f.value) for f in detect_partial_infeasibility(system)]
+        if excluded != grid_oracle_excluded_levels(system):
+            print(f"LEVEL DISAGREEMENT at case {i}: solver excludes {excluded}")
+            print(system.clauses)
+            raise SystemExit(1)
+        levels += sum(map(len, system.categorical_vars.values()))
         sat += verdict
         unsat += not verdict
     print(f"{count} systems: {sat} satisfiable, {unsat} unsatisfiable, 0 disagreements")
+    print(f"{levels} categorical levels checked against the grid oracle, 0 disagreements")
     print(f"{cores[0]} infeasible cores, each infeasible on its own, {cores[1]} smaller than their system")
     print(f"solver {solver_time:.2f}s total, oracle {oracle_time:.2f}s total")
 

@@ -18,17 +18,18 @@ On top of the solver sit the rule-set diagnostics: tautology and
 contradiction lint for single rules, infeasibility, levels a rule set
 silently excludes, values and ranges it implicitly fixes, redundant
 rules, and conditional rules whose condition or consequent the rest of
-the set already decides.  Tautologies, redundancy, decided conditions
-and consequents, and ``ruleset_implies`` all ask one question through
-one probe: do the compiled rules plus the negated claim admit no
-assignment?  The detectors of the last three and the simplifier, which
-applies them to a fixpoint preserving the solution set, share one test.
+the set already decides.  Levels and bounds are read off the leaves.
+Tautologies, redundancy, decided conditions and consequents, and
+``ruleset_implies`` all ask one question through one probe: do the
+compiled rules plus the negated claim admit no assignment?  The
+detectors of the last three and the simplifier, which applies them to a
+fixpoint preserving the solution set, share one test.
 """
 
 from __future__ import annotations
 
 from contextvars import ContextVar
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import wraps
 from typing import Iterable, Iterator, Optional, Union
@@ -607,8 +608,6 @@ def _hulls(system: ConstraintSystem, var_ids: list[str]) -> dict[str, Interval]:
     for _cats, rows in _leaves(system):
         for var_id in var_ids:
             interval = project(rows, var_id)
-            if interval is None:
-                continue
             hulls[var_id] = interval if var_id not in hulls else hulls[var_id].hull(interval)
     if len(hulls) < len(var_ids):
         raise ValueError("implied_bounds needs a satisfiable system")
@@ -679,22 +678,20 @@ def _strictly_tighter(interval: Interval, declared: Optional[tuple[Fraction, Fra
 
 @_solves_once
 def detect_partial_infeasibility(system: ConstraintSystem) -> list[Finding]:
-    """Levels of categorical variables that no solution can take."""
+    """Levels of categorical variables that no solution can take: those
+    of no leaf, since the leaves cover every solution."""
+    unseen = {v: set(levels) for v, levels in system.categorical_vars.items()}
+    for cats, _rows in _leaves(system) if any(unseen.values()) else ():
+        for v, levels in unseen.items():
+            levels -= cats[v]
+        if not any(unseen.values()):
+            break
     findings = []
-    for var_id in sorted(system.categorical_vars, key=lambda v: system.label(v)):
-        for level in system.categorical_vars[var_id]:
-            probe = replace(
-                system,
-                clauses=system.clauses + [Clause((CategoricalAtom(var_id, frozenset({level})),), "probe")],
-            )
-            if not is_satisfiable(probe):
-                label = system.label(var_id)
-                findings.append(Finding(
-                    kind=PARTIAL_INFEASIBILITY,
-                    variable=label,
-                    value=level,
-                    evidence=f"the rule set plus {label} == \"{level}\" is unsatisfiable",
-                ))
+    for v in sorted(unseen, key=system.label):
+        label = system.label(v)
+        findings += [Finding(kind=PARTIAL_INFEASIBILITY, variable=label, value=level,
+                             evidence=f"the rule set plus {label} == \"{level}\" is unsatisfiable")
+                     for level in system.categorical_vars[v] if level in unseen[v]]
     return findings
 
 

@@ -21,8 +21,6 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional, Union
 
-ZERO = Fraction(0)
-
 #: A row bound: an ``int`` when integral, else a ``Fraction``.
 Bound = Union[int, Fraction]
 
@@ -194,8 +192,6 @@ def _solve_for(var: str, row: Row, assignment: dict[str, Fraction]) -> Fraction:
 
 
 def _choose(lo: Optional[tuple[Fraction, bool]], hi: Optional[tuple[Fraction, bool]]) -> Fraction:
-    if lo is None and hi is None:
-        return ZERO
     if lo is None:
         return hi[0] - 1
     if hi is None:

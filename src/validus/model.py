@@ -67,10 +67,6 @@ def as_number(q: Fraction) -> Number:
     return q.numerator if q.denominator == 1 else q
 
 
-def is_text(value: Value) -> bool:
-    return isinstance(value, str)
-
-
 def parse_value(text: str) -> Value:
     """Interpret raw cell text: empty or NA is missing, a number (int or
     Fraction, as ``as_number`` stores it) if it parses exactly, text

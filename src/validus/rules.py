@@ -424,19 +424,15 @@ class _Parser:
             self.pos += 1
             args.append(self.expr())
         self._expect_op(")")
-        if fn == "abs":
-            if len(args) != 1:
-                self._fail("one argument to abs")
-            return Unary("abs", args[0])
-        if fn in AGGREGATE_FNS:
-            if len(args) != 1:
-                self._fail(f"one argument to {fn}")
-            return Aggregate(fn, args[0])
         if fn == "in_set":
             if len(args) != 2:
                 self._fail("two arguments to in_set")
         elif len(args) != 1:
             self._fail(f"one argument to {fn}")
+        if fn == "abs":
+            return Unary("abs", args[0])
+        if fn in AGGREGATE_FNS:
+            return Aggregate(fn, args[0])
         return Builtin(fn, tuple(args))
 
     def varref(self) -> VarRef:
@@ -718,7 +714,8 @@ def _format_bare(expr: Expr) -> str:
     cls = type(expr)
     if cls is Binary:
         prec = _BINARY_PREC.get(expr.op, _PREC_CMP)
-        left = format_expr(expr.left, prec)
+        # a comparison does not chain, so an operand that is one is parenthesised
+        left = format_expr(expr.left, prec + 1 if prec == _PREC_CMP else prec)
         right = format_expr(expr.right, prec + 1)
         return f"{left} {expr.op} {right}"
     if cls is VarRef:

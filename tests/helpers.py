@@ -266,6 +266,16 @@ def grid_oracle(system: ConstraintSystem) -> bool:
     return False
 
 
+def grid_oracle_excluded_levels(system: ConstraintSystem) -> list[tuple[str, str]]:
+    """Each (variable, level) for which ``grid_oracle`` finds the system
+    plus a clause fixing that level unsatisfiable, by sorted variable and
+    then declared level order: ``detect_partial_infeasibility``'s order
+    for a system whose labels are its variable ids."""
+    return [(v, level) for v in sorted(system.categorical_vars) for level in system.categorical_vars[v]
+            if not grid_oracle(dataclasses.replace(system, clauses=[
+                *system.clauses, Clause((CategoricalAtom(v, frozenset({level})),), "level")]))]
+
+
 # --- reference case split: a feasibility check after every clause ------------
 
 def reference_leaves(system: ConstraintSystem):

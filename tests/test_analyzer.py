@@ -13,6 +13,7 @@ from helpers import (
     NUM_VARS,
     ORACLE_SCHEMA,
     grid_oracle,
+    grid_oracle_excluded_levels,
     grid_points,
     lp_oracle,
     random_fractional_atom,
@@ -399,6 +400,19 @@ def test_partial_infeasibility_three_levels():
     assert [(f.variable, f.value) for f in findings] == [("gender", "male")]
 
 
+def test_excluded_levels_match_the_grid_oracle():
+    # a level is excluded exactly when the system plus a clause fixing it has no solution
+    rng = random.Random(2828)
+    checked = excluded = 0
+    for _ in range(200):
+        system = random_system(rng, multivar=False)
+        expected = grid_oracle_excluded_levels(system)
+        assert [(f.variable, f.value) for f in detect_partial_infeasibility(system)] == expected, system
+        checked += sum(map(len, system.categorical_vars.values()))
+        excluded += len(expected)
+    assert checked > 300 and 20 < excluded < checked
+
+
 # --- redundancy --------------------------------------------------------------------
 
 def test_simple_redundancy():
@@ -631,6 +645,18 @@ def test_an_infeasible_core_answers_the_cases_that_contain_it(monkeypatch):
     calls = _count_calls(monkeypatch)
     assert not is_satisfiable(system)
     assert calls[0] <= 2
+
+
+def test_the_level_walk_stops_once_every_level_is_seen(monkeypatch):
+    checks = _count_calls(monkeypatch, "_solve")
+    numeric = ConstraintSystem([Clause((_unit("x", "<=", 0), _unit("x", ">=", 1)), "x")], {"x": None}, {}, {})
+    assert detect_partial_infeasibility(numeric) == []
+    assert checks[0] == 0
+    # 2^10 leaves; g is in no clause, so the first leaf has both its levels
+    clauses = [Clause((_unit(f"y{i}", "<=", 0), _unit(f"y{i}", ">=", 1)), f"y{i}") for i in range(10)]
+    system = ConstraintSystem(clauses, {f"y{i}": None for i in range(10)}, {"g": ("a", "b")}, {})
+    assert detect_partial_infeasibility(system) == []
+    assert checks[0] <= 11  # one check per branching clause, then the leaf
 
 
 def _combinations(cats: dict[str, frozenset[str]]) -> list[tuple[str, ...]]:

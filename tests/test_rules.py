@@ -48,6 +48,8 @@ from validus.rules import (
     parse_rules,
     rule_scope,
     scoped_nodes,
+    _Parser,
+    _tokenize,
 )
 from validus.schema import parse_schema
 
@@ -361,6 +363,32 @@ def test_precedence_formats_explicitly():
     other = parse_rule("p: (x > 0 or y > 0) and z > 1")
     assert format_rule(other) == "p: (x > 0 or y > 0) and z > 1"
     assert parse_rule(format_rule(other)) == other
+
+
+@pytest.mark.parametrize("text", ["(x > 1) < 2", "(x == 1) == (y == 2)", "not (x > 1) == 2"])
+def test_a_comparison_inside_a_comparison_keeps_its_parentheses(text):
+    # comparisons do not chain, so the text without them does not parse; these
+    # bodies fail the type check, so they are parsed without it
+    def untyped(source):
+        return _Parser(_tokenize(f"r: {source}")).ruleset()[0].body
+
+    body = untyped(text)
+    assert format_expr(body) == text
+    assert untyped(format_expr(body)) == body
+
+
+@pytest.mark.parametrize("text, message", [
+    ("r: abs(x, y) >= 0", "parse error at 1:14: expected one argument to abs"),
+    ("r: is_na(x, y)", "parse error at 1:15: expected one argument to is_na"),
+    ("r: mean(x, y) > 0", "parse error at 1:15: expected one argument to mean"),
+    ("r: in_set(x)", "parse error at 1:13: expected two arguments to in_set"),
+    ("r: (x > 1) < 2", "rule 'r': '<' compares data values, got logical (at (x > 1) < 2)"),
+    ("r: in_set(x, y)", "rule 'r': the second argument of in_set must be a literal set (at in_set(x, y))"),
+])
+def test_call_arity_and_operand_errors(text, message):
+    with pytest.raises((RuleParseError, RuleTypeError)) as err:
+        parse_rules(text)
+    assert str(err.value) == message
 
 
 def test_fraction_literals_keep_their_value_when_formatted():
