@@ -8,7 +8,12 @@ variables declared in [0, 100] and 2 categorical variables over
   mix (the default), ``if (x_k >= c) x_i >= c2`` with ``x_k`` other than
   ``x_i`` in the numeric mix (``--mix numeric``), which names no
   categorical variable,
-- 30% ``x_i - x_j <= c``.
+- 30% ``x_i - x_j <= c``, or in the balance mix (``--mix balance``)
+  balance equalities ``x_i - x_j == x_k`` over three distinct
+  variables, ``x_i`` declared last, beside categorical conditionals as
+  in the default mix; there the sums' bounds start at 100, not 40, and
+  the conditionals' at most 50, not 90, so that most sets stay
+  feasible.
 For each rule count and seed it prints the wall time of one
 ``analyze_ruleset`` call, its number of ``linear.feasible`` calls and a
 digest of its findings, then the same for one ``simplify_ruleset`` call
@@ -20,7 +25,7 @@ It exits 1 after the run, naming each rule count and seed whose
 ``analyze_ruleset`` or ``simplify_ruleset`` call took longer than
 ``LIMIT`` seconds.  stdlib only.
 
-    PYTHONPATH=src python scripts/analyze_scaling.py [--rules 20 30 40] [--seeds 1 10] [--mix numeric]
+    PYTHONPATH=src python scripts/analyze_scaling.py [--rules 20 30 40] [--seeds 1 10] [--mix numeric|balance]
 """
 
 import argparse
@@ -44,7 +49,7 @@ SCHEMA += "".join(f"t.{v} : categorical {{{', '.join(LEVELS)}}}\n" for v in CATE
 LIMIT = 5.0  # seconds for any analyze or simplify call
 
 
-MIXES = ("categorical", "numeric")
+MIXES = ("categorical", "numeric", "balance")
 
 
 def rule_text(rules: int, seed: int, mix: str = "categorical") -> str:
@@ -56,15 +61,23 @@ def rule_text(rules: int, seed: int, mix: str = "categorical") -> str:
     n_cond = round(0.3 * rules)
     shapes = ["sum"] * n_sum + ["cond"] * n_cond + ["diff"] * (rules - n_sum - n_cond)
     rng.shuffle(shapes)
+    # balance equalities tie the variables together: looser sums and
+    # lower conditional bounds keep most of those sets feasible
+    sum_low, cond_high = (100, 50) if mix == "balance" else (40, 90)
     lines = []
     for i, shape in enumerate(shapes):
         a, b = rng.sample(NUMERIC, 2)
         if shape == "sum":
-            body = f"{a} + {b} <= {rng.randint(40, 180)}"
+            body = f"{a} + {b} <= {rng.randint(sum_low, 180)}"
         elif shape == "cond" and mix == "numeric":
             body = f"if ({b} >= {rng.randint(10, 90)}) {a} >= {rng.randint(0, 90)}"
         elif shape == "cond":
-            body = f'if ({rng.choice(CATEGORICAL)} == "{rng.choice(LEVELS)}") {a} >= {rng.randint(0, 90)}'
+            body = f'if ({rng.choice(CATEGORICAL)} == "{rng.choice(LEVELS)}") {a} >= {rng.randint(0, cond_high)}'
+        elif mix == "balance":
+            # the later-declared variable is the total of the other two
+            total, *parts = sorted([a, b, rng.choice([v for v in NUMERIC if v not in (a, b)])],
+                                   key=NUMERIC.index, reverse=True)
+            body = f"{total} - {parts[0]} == {parts[1]}"
         else:
             body = f"{a} - {b} <= {rng.randint(-20, 60)}"
         lines.append(f"r{i}: {body}\n")

@@ -603,11 +603,11 @@ def implied_bounds(system: ConstraintSystem, variable: str) -> Interval:
 
 def _hulls(system: ConstraintSystem, var_ids: list[str]) -> dict[str, Interval]:
     """``implied_bounds`` of each of ``var_ids``, in one walk over the
-    leaves."""
+    leaves: one ``project`` call per leaf gives every variable's
+    interval there, from eliminations shared between the variables."""
     hulls: dict[str, Interval] = {}
     for _cats, rows in _leaves(system):
-        for var_id in var_ids:
-            interval = project(rows, var_id)
+        for var_id, interval in project(rows, var_ids).items():
             hulls[var_id] = interval if var_id not in hulls else hulls[var_id].hull(interval)
     if len(hulls) < len(var_ids):
         raise ValueError("implied_bounds needs a satisfiable system")

@@ -12,6 +12,7 @@ import io
 import json
 import os
 import sys
+from functools import cache
 from itertools import islice
 from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional
@@ -37,6 +38,9 @@ EXIT_CLOSED_PIPE = 128 + 13  # as a process killed by SIGPIPE
 _T, _F, _N = TriBool.TRUE, TriBool.FALSE, TriBool.NA
 
 
+# built on the first main call, not at import, and kept: building the
+# tree costs about a millisecond, and a process may call main many times
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="validus",

@@ -5,8 +5,14 @@ Every row is kept in one normal form: its coefficients are coprime
 integers, and its bound is an ``int`` when integral and a ``Fraction``
 otherwise.  Variable elimination (Fourier-Motzkin) cancels a variable
 with gcd-reduced integer multipliers, and among rows with the same
-coefficients keeps only the tightest, which implies the others.  The
-arithmetic stays exact, so strict inequalities and degenerate systems
+coefficients keeps only the tightest, which implies the others.  Each
+variable's rows, split by the sign of its coefficient, are kept beside
+the rows and updated in place: a step touches only the rows of the
+variable it eliminates and the rows it derives.  The shadows of several
+variables come from one elimination, which projects the rows onto each
+variable alone just before that variable's turn; a projection
+eliminates a variable held by an equality by substituting the equality.
+The arithmetic stays exact, so strict inequalities and degenerate systems
 are decided exactly, and a feasible system yields a rational witness by
 back substitution.  An infeasible system yields a core: each derived row
 carries the set of input rows it was combined from, so the constant row
@@ -19,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Optional, Union
+from typing import Callable, Collection, Optional, Union
 
 #: A row bound: an ``int`` when integral, else a ``Fraction``.
 Bound = Union[int, Fraction]
@@ -96,15 +102,10 @@ def _combine(low: Row, up: Row, var: str) -> Row:
     return _normal(items, low.strict or up.strict, fl * low.bound + fu * up.bound)
 
 
-def _tightest(rows: list[Row]) -> list[Row]:
-    """One row per coefficient tuple: the least bound, strict on a tie.
-    The kept row implies every row it replaces."""
-    kept: dict[tuple[tuple[str, int], ...], Row] = {}
-    for row in rows:
-        best = kept.get(row.coeffs)
-        if best is None or row.bound < best.bound or (row.bound == best.bound and row.strict):
-            kept[row.coeffs] = row
-    return list(kept.values())
+def _tighter(row: Row, best: Optional[Row]) -> bool:
+    """Whether ``row`` replaces ``best`` of the same coefficients: a
+    lesser bound, or strict on a tie.  The kept row implies the other."""
+    return best is None or row.bound < best.bound or (row.bound == best.bound and row.strict)
 
 
 @dataclass
@@ -118,52 +119,106 @@ class _Elimination:
 _Sides = dict[str, tuple[list[Row], list[Row]]]
 
 
-def _eliminate(rows: list[Row], keep: frozenset[str],
-               core: Optional[list[int]] = None) -> Optional[tuple[list[Row], list[_Elimination], _Sides]]:
+def _eliminate(rows: Collection[Row], keep: frozenset[str], core: Optional[list[int]] = None,
+               before: Optional[Callable[[str, Collection[Row]], bool]] = None,
+               substitute: bool = False) -> Optional[tuple[list[Row], list[_Elimination], _Sides]]:
     """Project away all variables outside ``keep``, each step the one
-    with the fewest combined rows, then by name.  One pass over the rows
-    per step checks the constant rows and finds every variable's sides.
+    with the fewest combined rows, then by name.  The rows are kept one
+    per coefficient tuple (the tightest), and each variable's sides are
+    kept beside them: a step removes the eliminated variable's rows,
+    adds the combined ones and checks the tightest constant row among
+    them, so no step looks at a row it does not change.
 
     Returns the projected rows, the elimination trace and the projected
-    rows' sides, or None when a constant row already shows infeasibility;
-    then, when a ``core`` list is given, the positions in ``rows`` of the
+    rows' sides, or None when a constant row shows infeasibility; then,
+    when a ``core`` list is given, the positions in ``rows`` of the
     input rows that constant row was combined from are appended to it.
+    ``before``, when given, is called with each variable about to be
+    eliminated and the rows as they stand; when it returns False the
+    elimination stops and returns None.
+
+    With ``substitute``, a variable with an equality among its rows (a
+    lower and an upper row that negate each other) is eliminated by
+    combining each of its other rows with that equality only.  Every
+    other combination is the sum of two of those, so the projection is
+    the same, from n + m - 2 rows instead of n * m.  ``feasible`` does
+    not substitute, so its steps, witnesses and cores stay those of
+    plain elimination.
     """
     # by id of each row: a bit per input position it was combined from
     masks = None if core is None else {id(row): 1 << i for i, row in enumerate(rows)}
-    rows = _tightest(rows)
-    trace: list[_Elimination] = []
-    while True:
-        pending: list[Row] = []
-        sides: _Sides = {}
-        for row in rows:
-            if not row.coeffs:
-                if row.bound < 0 or (row.strict and row.bound == 0):
-                    if masks is not None:
-                        mask = masks[id(row)]
-                        core.extend(i for i in range(mask.bit_length()) if mask >> i & 1)
-                    return None
+    # the rows and each variable's two sides, by coefficient tuple; a
+    # side lists its rows in the order of ``kept``
+    kept: dict[tuple[tuple[str, int], ...], Row] = {}
+    sides: dict[str, tuple[dict, dict]] = {}
+
+    def add(new: list[Row]) -> bool:
+        """Keep the tightest of ``new`` per coefficient tuple; False when
+        the tightest constant row among them is infeasible."""
+        constant = None
+        for row in new:
+            key = row.coeffs
+            if not key:
+                if _tighter(row, constant):
+                    constant = row
                 continue
-            pending.append(row)
-            for v, c in row.coeffs:
-                side = sides.get(v)
-                if side is None:
-                    side = sides[v] = ([], [])
-                side[c > 0].append(row)
-        free = [v for v in sides if v not in keep]
-        if not free:
-            return pending, trace, sides
+            best = kept.get(key)
+            if _tighter(row, best):
+                kept[key] = row
+                for v, c in key:
+                    side = sides.get(v)
+                    if side is None:
+                        side = sides[v] = ({}, {})
+                    side[c > 0][key] = row
+        if constant is None or constant.bound > 0 or (constant.bound == 0 and not constant.strict):
+            return True
+        if masks is not None:
+            mask = masks[id(constant)]
+            core.extend(i for i in range(mask.bit_length()) if mask >> i & 1)
+        return False
+
+    if not add(rows):
+        return None
+    trace: list[_Elimination] = []
+    while free := [v for v in sides if v not in keep]:
         var = min(free, key=lambda v: (len(sides[v][0]) * len(sides[v][1]), v))
-        lowers, uppers = sides[var]
+        if before is not None and not before(var, kept.values()):
+            return None
+        lower_side, upper_side = sides.pop(var)
+        lowers, uppers = list(lower_side.values()), list(upper_side.values())
         trace.append(_Elimination(var, lowers, uppers))
-        used = set(map(id, lowers)) | set(map(id, uppers))
-        combined = [row for row in pending if id(row) not in used]
+        for row in lowers + uppers:
+            key = row.coeffs
+            del kept[key]
+            for v, c in key:
+                if v != var:
+                    side = sides[v]
+                    del side[c > 0][key]
+                    if not side[0] and not side[1]:
+                        del sides[v]
+        combined = []
+        pair = _equality(lower_side, upper_side) if substitute else None
         for low in lowers:
             for up in uppers:
+                if pair is not None and low is not pair[0] and up is not pair[1]:
+                    continue
                 combined.append(row := _combine(low, up, var))
                 if masks is not None:
                     masks[id(row)] = masks[id(low)] | masks[id(up)]
-        rows = _tightest(combined)
+        if not add(combined):
+            return None
+    return (list(kept.values()), trace,
+            {v: (list(lower.values()), list(upper.values())) for v, (lower, upper) in sides.items()})
+
+
+def _equality(lowers: dict, uppers: dict) -> Optional[tuple[Row, Row]]:
+    """A lower and an upper row of one variable that together state an
+    equality, if there are any."""
+    for key, low in lowers.items():
+        up = uppers.get(tuple((v, -c) for v, c in key))
+        if up is not None and not low.strict and not up.strict and up.bound == -low.bound:
+            return low, up
+    return None
 
 
 def _bounds_on(var: str, lowers: list[Row], uppers: list[Row],
@@ -251,10 +306,40 @@ class Interval:
         return Interval(lo, lo_open, hi, hi_open)
 
 
-def project(rows: list[Row], var: str) -> Optional[Interval]:
-    """Exact shadow of the solution set onto one variable; None if the
-    conjunction is infeasible."""
-    result = _eliminate(rows, frozenset({var}))
+def project(rows: list[Row], variables: Collection[str]) -> Optional[dict[str, Interval]]:
+    """Exact shadow of the solution set onto each of ``variables``, by
+    variable; None if the conjunction is infeasible.
+
+    One elimination of every variable serves them all: just before it
+    eliminates a wanted variable, the rows as they stand are projected
+    onto that variable alone.  Each shadow is so reached by the same
+    steps as a projection of ``rows`` onto its variable alone, but the
+    steps before the variable's turn are made once for all of them.
+    Both eliminations substitute equalities.
+    """
+    wanted = set(variables)
+    shadows: dict[str, Interval] = {}
+
+    def branch(var: str, current: Collection[Row]) -> bool:
+        if var not in wanted:
+            return True
+        if (shadow := _shadow(current, var)) is None:
+            return False
+        shadows[var] = shadow
+        wanted.discard(var)
+        # the rows are feasible, as the shadow shows: stop once no
+        # wanted variable is left in them
+        return any(v in wanted for row in current for v, _ in row.coeffs)
+
+    if _eliminate(rows, frozenset(), before=branch, substitute=True) is None and not shadows:
+        return None
+    # a variable in no row is unbounded
+    return {var: shadows.get(var, Interval(None, False, None, False)) for var in variables}
+
+
+def _shadow(rows: Collection[Row], var: str) -> Optional[Interval]:
+    """The attainable values of ``var``; None if ``rows`` are infeasible."""
+    result = _eliminate(rows, frozenset({var}), substitute=True)
     if result is None:
         return None
     _, _, sides = result

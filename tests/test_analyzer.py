@@ -858,6 +858,11 @@ def test_random_mix_output_is_pinned():
         7: ("4ecbe708a1c178d3", "0f550a75f6dd86fb"),
         10: ("bd0f6f20bd281776", "cc6140ef658a7ace"),
     }
+    # and the numeric mix at 30 rules, where implied bounds project many leaves
+    pinned_numeric_30 = {
+        3: ("5e33064a564fe7f7", "5bb1a0b298ffa8b1"),
+        5: ("b7810e5b00ff3a72", "dfaae466ffb38932"),
+    }
     path = Path(__file__).resolve().parent.parent / "scripts" / "analyze_scaling.py"
     spec = importlib.util.spec_from_file_location("analyze_scaling", path)
     scaling = importlib.util.module_from_spec(spec)
@@ -866,6 +871,7 @@ def test_random_mix_output_is_pinned():
     cases = [(20, seed, "categorical", digests) for seed, digests in pinned.items()]
     cases += [(40, seed, "categorical", digests) for seed, digests in pinned_40.items()]
     cases += [(20, seed, "numeric", digests) for seed, digests in pinned_numeric.items()]
+    cases += [(30, seed, "numeric", digests) for seed, digests in pinned_numeric_30.items()]
     for count, seed, mix, digests in cases:
         rules = parse_rules(scaling.rule_text(count, seed, mix))
         findings, unsupported = analyze_ruleset(rules, schema)

@@ -214,6 +214,21 @@ def test_validate_without_data_is_a_usage_error(workspace, capsys):
     assert "the following arguments are required: --data" in err and "no such file" not in err
 
 
+def test_a_usage_error_leaves_the_kept_parser_as_new(workspace, capsys):
+    from validus import cli
+
+    tmp, write = workspace
+    argv = ["analyze", "--rules", write("rules.txt", SECTION_RULES), "--schema", write("schema.txt", PERSON_SCHEMA)]
+    cli._build_parser.cache_clear()
+    fresh = (run(argv), capsys.readouterr())
+    parser = cli._build_parser()
+    with pytest.raises(SystemExit) as exit_info:
+        run(["analyze", "--rules", argv[2], "--format", "xml"])
+    assert exit_info.value.code == 2 and "invalid choice" in capsys.readouterr().err
+    assert (run(argv), capsys.readouterr()) == fresh
+    assert cli._build_parser() is parser
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_a_closed_output_pipe_ends_quietly_with_status_141(workspace, fmt):
     _, write = workspace

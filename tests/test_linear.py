@@ -59,21 +59,21 @@ def test_unconstrained_variable_defaults():
 def test_projection_bounded():
     # x >= 1, x + y <= 3, y >= 0  projects x onto [1, 3]
     rows = [le({"x": -1}, -1), le({"x": 1, "y": 1}, 3), le({"y": -1}, 0)]
-    assert project(rows, "x") == Interval(Fraction(1), False, Fraction(3), False)
+    assert project(rows, ["x"]) == {"x": Interval(Fraction(1), False, Fraction(3), False)}
 
 
 def test_projection_open_end():
     rows = [lt({"x": -1}, 0)]
-    assert project(rows, "x") == Interval(Fraction(0), True, None, False)
+    assert project(rows, ["x"]) == {"x": Interval(Fraction(0), True, None, False)}
 
 
 def test_projection_unbounded():
     rows = [le({"y": 1}, 2)]
-    assert project(rows, "x") == Interval(None, False, None, False)
+    assert project(rows, ["x"]) == {"x": Interval(None, False, None, False)}
 
 
 def test_projection_infeasible():
-    assert project([le({"x": 1}, -1), le({"x": -1}, 0)], "x") is None
+    assert project([le({"x": 1}, -1), le({"x": -1}, 0)], ["x"]) is None
 
 
 def test_interval_hull():
@@ -185,12 +185,59 @@ def test_matches_the_fraction_row_solver():
         if witness is not None:
             assert all(type(value) is Fraction for value in witness.values())
             assert all(row.holds(witness) for row in reference)
-        for var in sorted({v for coeffs, _, _ in specs for v in coeffs}):
-            interval = project(rows, var)
+        # every variable at once, and one that is in no row: unbounded
+        # when the rows are feasible
+        variables = sorted({v for coeffs, _, _ in specs for v in coeffs}) + ["absent"]
+        shadows = project(rows, variables)
+        if witness is None:
+            assert shadows is None, specs
+            continue
+        assert list(shadows) == variables, specs
+        assert shadows["absent"] == Interval(None, False, None, False)
+        for var, interval in shadows.items():
             assert interval == reference_project(reference, var), (specs, var)
-            if interval is not None:
-                assert all(end is None or type(end) is Fraction for end in (interval.lo, interval.hi))
+            assert project(rows, [var]) == {var: interval}, (specs, var)
+            assert all(end is None or type(end) is Fraction for end in (interval.lo, interval.hi))
     assert outcomes[True] > 150 and outcomes[False] > 150 and pruned > 150
+
+
+def test_an_equality_is_substituted_with_the_same_projection():
+    # x == y, two more lower and two more upper bounds on x: substituting
+    # the equality leaves 4 rows where the 3 * 3 combinations leave 8
+    rows = [le({"x": 1, "y": -1}, 0), le({"x": -1, "y": 1}, 0), le({"x": -1, "a": 1}, 0),
+            le({"x": -1, "b": 1}, 0), le({"x": 1, "c": 1}, 5), le({"x": 1, "d": 1}, 5)]
+    keep = frozenset("abcdy")
+    assert len(_eliminate(rows, keep)[0]) == 8
+    projected, trace, _ = _eliminate(rows, keep, substitute=True)
+    assert [step.var for step in trace] == ["x"]
+    assert set(projected) == {le({"y": 1, "c": 1}, 5), le({"y": 1, "d": 1}, 5),
+                              le({"a": 1, "y": -1}, 0), le({"b": 1, "y": -1}, 0)}
+    reference = [reference_make_row(dict(row.coeffs), row.strict, row.bound) for row in rows]
+    names = ["a", "b", "c", "d", "x", "y"]
+    assert project(rows, names) == {v: reference_project(reference, v) for v in names}
+
+
+def test_eliminate_keeps_the_sides_of_the_rows_it_returns():
+    # the sides are updated in place step by step; they must be what one
+    # pass over the returned rows finds, in the same order
+    rng = random.Random(4111)
+    checked = 0
+    for _ in range(600):
+        rows = [make_row(*spec) for spec in random_row_specs(rng)]
+        keep = frozenset(rng.sample(["x0", "x1", "x2", "x3"], rng.randint(0, 3)))
+        result = _eliminate(rows, keep, substitute=rng.random() < 0.5)
+        if result is None:
+            continue
+        projected, trace, sides = result
+        recomputed = {}
+        for row in projected:
+            assert row.coeffs and {v for v, _ in row.coeffs} <= keep, (rows, keep)
+            for v, c in row.coeffs:
+                recomputed.setdefault(v, ([], []))[c > 0].append(row)
+        assert sides == recomputed, (rows, keep)
+        assert len(set(row.coeffs for row in projected)) == len(projected)
+        checked += bool(trace) and bool(projected)
+    assert checked > 100
 
 
 def test_an_infeasible_answer_names_a_core_infeasible_on_its_own():
