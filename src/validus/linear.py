@@ -10,9 +10,8 @@ variable's rows, split by the sign of its coefficient, are kept beside
 the rows and updated in place: a step touches only the rows of the
 variable it eliminates and the rows it derives.  The shadows of several
 variables come from one elimination, which projects the rows onto each
-variable alone just before that variable's turn; a projection
-eliminates a variable held by an equality by substituting the equality.
-The arithmetic stays exact, so strict inequalities and degenerate systems
+variable alone just before that variable's turn.  The arithmetic stays
+exact, so strict inequalities and degenerate systems
 are decided exactly, and a feasible system yields a rational witness by
 back substitution.  An infeasible system yields a core: each derived row
 carries the set of input rows it was combined from, so the constant row
@@ -121,7 +120,7 @@ _Sides = dict[str, tuple[list[Row], list[Row]]]
 
 def _eliminate(rows: Collection[Row], keep: frozenset[str], core: Optional[list[int]] = None,
                before: Optional[Callable[[str, Collection[Row]], bool]] = None,
-               substitute: bool = False) -> Optional[tuple[list[Row], list[_Elimination], _Sides]]:
+               ) -> Optional[tuple[list[Row], list[_Elimination], _Sides]]:
     """Project away all variables outside ``keep``, each step the one
     with the fewest combined rows, then by name.  The rows are kept one
     per coefficient tuple (the tightest), and each variable's sides are
@@ -136,14 +135,6 @@ def _eliminate(rows: Collection[Row], keep: frozenset[str], core: Optional[list[
     ``before``, when given, is called with each variable about to be
     eliminated and the rows as they stand; when it returns False the
     elimination stops and returns None.
-
-    With ``substitute``, a variable with an equality among its rows (a
-    lower and an upper row that negate each other) is eliminated by
-    combining each of its other rows with that equality only.  Every
-    other combination is the sum of two of those, so the projection is
-    the same, from n + m - 2 rows instead of n * m.  ``feasible`` does
-    not substitute, so its steps, witnesses and cores stay those of
-    plain elimination.
     """
     # by id of each row: a bit per input position it was combined from
     masks = None if core is None else {id(row): 1 << i for i, row in enumerate(rows)}
@@ -197,11 +188,8 @@ def _eliminate(rows: Collection[Row], keep: frozenset[str], core: Optional[list[
                     if not side[0] and not side[1]:
                         del sides[v]
         combined = []
-        pair = _equality(lower_side, upper_side) if substitute else None
         for low in lowers:
             for up in uppers:
-                if pair is not None and low is not pair[0] and up is not pair[1]:
-                    continue
                 combined.append(row := _combine(low, up, var))
                 if masks is not None:
                     masks[id(row)] = masks[id(low)] | masks[id(up)]
@@ -209,16 +197,6 @@ def _eliminate(rows: Collection[Row], keep: frozenset[str], core: Optional[list[
             return None
     return (list(kept.values()), trace,
             {v: (list(lower.values()), list(upper.values())) for v, (lower, upper) in sides.items()})
-
-
-def _equality(lowers: dict, uppers: dict) -> Optional[tuple[Row, Row]]:
-    """A lower and an upper row of one variable that together state an
-    equality, if there are any."""
-    for key, low in lowers.items():
-        up = uppers.get(tuple((v, -c) for v, c in key))
-        if up is not None and not low.strict and not up.strict and up.bound == -low.bound:
-            return low, up
-    return None
 
 
 def _bounds_on(var: str, lowers: list[Row], uppers: list[Row],
@@ -315,23 +293,28 @@ def project(rows: list[Row], variables: Collection[str]) -> Optional[dict[str, I
     onto that variable alone.  Each shadow is so reached by the same
     steps as a projection of ``rows`` onto its variable alone, but the
     steps before the variable's turn are made once for all of them.
-    Both eliminations substitute equalities.
     """
     wanted = set(variables)
     shadows: dict[str, Interval] = {}
+    infeasible = False
 
     def branch(var: str, current: Collection[Row]) -> bool:
+        nonlocal infeasible
         if var not in wanted:
             return True
         if (shadow := _shadow(current, var)) is None:
+            infeasible = True
             return False
         shadows[var] = shadow
         wanted.discard(var)
-        # the rows are feasible, as the shadow shows: stop once no
-        # wanted variable is left in them
+        # stop once no wanted variable is left in the rows
         return any(v in wanted for row in current for v, _ in row.coeffs)
 
-    if _eliminate(rows, frozenset(), before=branch, substitute=True) is None and not shadows:
+    # _eliminate returns None both when a constant row shows the rows
+    # infeasible and when ``branch`` stops it.  A constant row can do so
+    # only before the first shadow, which shows the rows feasible; an
+    # infeasible shadow sets ``infeasible``.
+    if _eliminate(rows, frozenset(), before=branch) is None and (infeasible or not shadows):
         return None
     # a variable in no row is unbounded
     return {var: shadows.get(var, Interval(None, False, None, False)) for var in variables}
@@ -339,7 +322,7 @@ def project(rows: list[Row], variables: Collection[str]) -> Optional[dict[str, I
 
 def _shadow(rows: Collection[Row], var: str) -> Optional[Interval]:
     """The attainable values of ``var``; None if ``rows`` are infeasible."""
-    result = _eliminate(rows, frozenset({var}), substitute=True)
+    result = _eliminate(rows, frozenset({var}))
     if result is None:
         return None
     _, _, sides = result

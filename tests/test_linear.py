@@ -201,22 +201,6 @@ def test_matches_the_fraction_row_solver():
     assert outcomes[True] > 150 and outcomes[False] > 150 and pruned > 150
 
 
-def test_an_equality_is_substituted_with_the_same_projection():
-    # x == y, two more lower and two more upper bounds on x: substituting
-    # the equality leaves 4 rows where the 3 * 3 combinations leave 8
-    rows = [le({"x": 1, "y": -1}, 0), le({"x": -1, "y": 1}, 0), le({"x": -1, "a": 1}, 0),
-            le({"x": -1, "b": 1}, 0), le({"x": 1, "c": 1}, 5), le({"x": 1, "d": 1}, 5)]
-    keep = frozenset("abcdy")
-    assert len(_eliminate(rows, keep)[0]) == 8
-    projected, trace, _ = _eliminate(rows, keep, substitute=True)
-    assert [step.var for step in trace] == ["x"]
-    assert set(projected) == {le({"y": 1, "c": 1}, 5), le({"y": 1, "d": 1}, 5),
-                              le({"a": 1, "y": -1}, 0), le({"b": 1, "y": -1}, 0)}
-    reference = [reference_make_row(dict(row.coeffs), row.strict, row.bound) for row in rows]
-    names = ["a", "b", "c", "d", "x", "y"]
-    assert project(rows, names) == {v: reference_project(reference, v) for v in names}
-
-
 def test_eliminate_keeps_the_sides_of_the_rows_it_returns():
     # the sides are updated in place step by step; they must be what one
     # pass over the returned rows finds, in the same order
@@ -225,7 +209,7 @@ def test_eliminate_keeps_the_sides_of_the_rows_it_returns():
     for _ in range(600):
         rows = [make_row(*spec) for spec in random_row_specs(rng)]
         keep = frozenset(rng.sample(["x0", "x1", "x2", "x3"], rng.randint(0, 3)))
-        result = _eliminate(rows, keep, substitute=rng.random() < 0.5)
+        result = _eliminate(rows, keep)
         if result is None:
             continue
         projected, trace, sides = result
