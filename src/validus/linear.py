@@ -11,9 +11,9 @@ the rows and updated in place: a step touches only the rows of the
 variable it eliminates and the rows it derives.  The shadows of several
 variables come from one elimination, which projects the rows onto each
 variable alone just before that variable's turn.  The arithmetic stays
-exact, so strict inequalities and degenerate systems
-are decided exactly, and a feasible system yields a rational witness by
-back substitution.  An infeasible system yields a core: each derived row
+exact, so strict inequalities and degenerate systems are decided
+exactly, and a feasible system yields a rational witness by back
+substitution.  An infeasible system yields a core: each derived row
 carries the set of input rows it was combined from, so the constant row
 that shows infeasibility names a subset of the input that is infeasible
 on its own (a Farkas certificate).
