@@ -511,10 +511,9 @@ def _search(system: ConstraintSystem, memo: _Memo) -> Iterator[tuple[dict[str, f
 
 
 def _leaves(system: ConstraintSystem) -> Iterator[tuple[dict[str, frozenset[str]], list[Row]]]:
-    """``_search``'s leaves, each as its categorical state and its rows."""
+    """``_search``'s leaves, each as its categorical state and its rows,
+    within a public call."""
     memo = _MEMO.get()
-    if memo is None:  # outside a public call: search under a memo of its own
-        return iter(_solves_once(lambda: list(_leaves(system)))())
     return ((cats, [memo.rows[i] for i in key]) for cats, key in _search(system, memo))
 
 

@@ -8,15 +8,17 @@ with gcd-reduced integer multipliers, and among rows with the same
 coefficients keeps only the tightest, which implies the others.  Each
 variable's rows, split by the sign of its coefficient, are kept beside
 the rows and updated in place: a step touches only the rows of the
-variable it eliminates and the rows it derives.  The shadows of several
-variables come from one elimination, which projects the rows onto each
-variable alone just before that variable's turn.  The arithmetic stays
-exact, so strict inequalities and degenerate systems are decided
-exactly, and a feasible system yields a rational witness by back
-substitution.  An infeasible system yields a core: each derived row
-carries the set of input rows it was combined from, so the constant row
-that shows infeasibility names a subset of the input that is infeasible
-on its own (a Farkas certificate).
+variable it eliminates and the rows it derives.  The elimination yields
+each step before making it, and its callers drive it: ``feasible``
+back-substitutes through the steps, and ``project`` projects the rows
+as they stand at each wanted variable's step onto that variable, by
+eliminating the others first.  The arithmetic stays exact, so strict
+inequalities and degenerate systems are decided exactly, and a feasible
+system yields a rational witness by back substitution.  An infeasible
+system yields a core: each derived row carries the set of input rows it
+was combined from, so the constant row that shows infeasibility names a
+subset of the input that is infeasible on its own (a Farkas
+certificate).
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Collection, Optional, Union
+from typing import Collection, Iterator, Optional, Union
 
 #: A row bound: an ``int`` when integral, else a ``Fraction``.
 Bound = Union[int, Fraction]
@@ -108,33 +110,27 @@ def _tighter(row: Row, best: Optional[Row]) -> bool:
 
 
 @dataclass
-class _Elimination:
+class _Step:
     var: str
     lowers: list[Row]  # rows with negative coefficient on var
     uppers: list[Row]  # rows with positive coefficient on var
+    rows: Collection[Row]  # a live view of every row, as it stands before the step
 
 
-#: each variable's rows with a negative coefficient and with a positive one
-_Sides = dict[str, tuple[list[Row], list[Row]]]
+def _eliminate(rows: Collection[Row], core: Optional[list[int]] = None,
+               last: Optional[str] = None) -> Iterator[Optional[_Step]]:
+    """Eliminate every variable, each step the one with the fewest
+    combined rows, then by name, and ``last`` after all the others.  The
+    rows are kept one per coefficient tuple (the tightest), and each
+    variable's sides are kept beside them: a step removes the eliminated
+    variable's rows, adds the combined ones and checks the tightest
+    constant row among them, so no step looks at a row it does not
+    change.
 
-
-def _eliminate(rows: Collection[Row], keep: frozenset[str], core: Optional[list[int]] = None,
-               before: Optional[Callable[[str, Collection[Row]], bool]] = None,
-               ) -> Optional[tuple[list[Row], list[_Elimination], _Sides]]:
-    """Project away all variables outside ``keep``, each step the one
-    with the fewest combined rows, then by name.  The rows are kept one
-    per coefficient tuple (the tightest), and each variable's sides are
-    kept beside them: a step removes the eliminated variable's rows,
-    adds the combined ones and checks the tightest constant row among
-    them, so no step looks at a row it does not change.
-
-    Returns the projected rows, the elimination trace and the projected
-    rows' sides, or None when a constant row shows infeasibility; then,
-    when a ``core`` list is given, the positions in ``rows`` of the
-    input rows that constant row was combined from are appended to it.
-    ``before``, when given, is called with each variable about to be
-    eliminated and the rows as they stand; when it returns False the
-    elimination stops and returns None.
+    Yields each step before making it.  When a constant row shows the
+    rows infeasible, yields None and stops; then, when a ``core`` list is
+    given, the positions in ``rows`` of the input rows that constant row
+    was combined from are appended to it first.
     """
     # by id of each row: a bit per input position it was combined from
     masks = None if core is None else {id(row): 1 << i for i, row in enumerate(rows)}
@@ -143,7 +139,7 @@ def _eliminate(rows: Collection[Row], keep: frozenset[str], core: Optional[list[
     kept: dict[tuple[tuple[str, int], ...], Row] = {}
     sides: dict[str, tuple[dict, dict]] = {}
 
-    def add(new: list[Row]) -> bool:
+    def add(new: Collection[Row]) -> bool:
         """Keep the tightest of ``new`` per coefficient tuple; False when
         the tightest constant row among them is infeasible."""
         constant = None
@@ -169,15 +165,13 @@ def _eliminate(rows: Collection[Row], keep: frozenset[str], core: Optional[list[
         return False
 
     if not add(rows):
-        return None
-    trace: list[_Elimination] = []
-    while free := [v for v in sides if v not in keep]:
-        var = min(free, key=lambda v: (len(sides[v][0]) * len(sides[v][1]), v))
-        if before is not None and not before(var, kept.values()):
-            return None
+        yield None
+        return
+    while sides:
+        var = min(sides, key=lambda v: (v == last, len(sides[v][0]) * len(sides[v][1]), v))
         lower_side, upper_side = sides.pop(var)
         lowers, uppers = list(lower_side.values()), list(upper_side.values())
-        trace.append(_Elimination(var, lowers, uppers))
+        yield _Step(var, lowers, uppers, kept.values())
         for row in lowers + uppers:
             key = row.coeffs
             del kept[key]
@@ -194,9 +188,8 @@ def _eliminate(rows: Collection[Row], keep: frozenset[str], core: Optional[list[
                 if masks is not None:
                     masks[id(row)] = masks[id(low)] | masks[id(up)]
         if not add(combined):
-            return None
-    return (list(kept.values()), trace,
-            {v: (list(lower.values()), list(upper.values())) for v, (lower, upper) in sides.items()})
+            yield None
+            return
 
 
 def _bounds_on(var: str, lowers: list[Row], uppers: list[Row],
@@ -238,12 +231,13 @@ def feasible(rows: list[Row], core: Optional[list[int]] = None) -> Optional[dict
     """Witness assignment for the conjunction, or None if infeasible;
     then the positions of an infeasible subset of ``rows`` are appended
     to ``core`` when it is given."""
-    result = _eliminate(rows, frozenset(), core)
-    if result is None:
-        return None
-    _, trace, _ = result
+    steps = []
+    for step in _eliminate(rows, core):
+        if step is None:
+            return None
+        steps.append(step)
     assignment: dict[str, Fraction] = {}
-    for step in reversed(trace):
+    for step in reversed(steps):
         lo, hi = _bounds_on(step.var, step.lowers, step.uppers, assignment)
         assignment[step.var] = _choose(lo, hi)
     for row in rows:
@@ -288,48 +282,39 @@ def project(rows: list[Row], variables: Collection[str]) -> Optional[dict[str, I
     """Exact shadow of the solution set onto each of ``variables``, by
     variable; None if the conjunction is infeasible.
 
-    One elimination of every variable serves them all: just before it
-    eliminates a wanted variable, the rows as they stand are projected
-    onto that variable alone.  Each shadow is so reached by the same
-    steps as a projection of ``rows`` onto its variable alone, but the
-    steps before the variable's turn are made once for all of them.
+    One elimination of every variable serves them all: at a wanted
+    variable's step, the rows as they stand are projected onto that
+    variable alone, and the elimination stops once no wanted variable is
+    left in them.  Each shadow is so reached by the same steps as a
+    projection of ``rows`` onto its variable alone, but the steps before
+    the variable's turn are made once for all of them.
     """
     wanted = set(variables)
     shadows: dict[str, Interval] = {}
-    infeasible = False
-
-    def branch(var: str, current: Collection[Row]) -> bool:
-        nonlocal infeasible
-        if var not in wanted:
-            return True
-        if (shadow := _shadow(current, var)) is None:
-            infeasible = True
-            return False
-        shadows[var] = shadow
-        wanted.discard(var)
-        # stop once no wanted variable is left in the rows
-        return any(v in wanted for row in current for v, _ in row.coeffs)
-
-    # _eliminate returns None both when a constant row shows the rows
-    # infeasible and when ``branch`` stops it.  A constant row can do so
-    # only before the first shadow, which shows the rows feasible; an
-    # infeasible shadow sets ``infeasible``.
-    if _eliminate(rows, frozenset(), before=branch) is None and (infeasible or not shadows):
-        return None
+    for step in _eliminate(rows):
+        if step is None:
+            return None
+        if step.var in wanted:
+            if (shadow := _shadow(step.rows, step.var)) is None:
+                return None
+            shadows[step.var] = shadow
+            wanted.discard(step.var)
+            if not any(v in wanted for row in step.rows for v, _ in row.coeffs):
+                break
     # a variable in no row is unbounded
     return {var: shadows.get(var, Interval(None, False, None, False)) for var in variables}
 
 
 def _shadow(rows: Collection[Row], var: str) -> Optional[Interval]:
-    """The attainable values of ``var``; None if ``rows`` are infeasible."""
-    result = _eliminate(rows, frozenset({var}))
-    if result is None:
-        return None
-    _, _, sides = result
-    lo, hi = _bounds_on(var, *sides.get(var, ([], [])), {})
-    if lo is not None and hi is not None:
-        if lo[0] > hi[0] or (lo[0] == hi[0] and (lo[1] or hi[1])):
+    """The attainable values of ``var``; None if ``rows`` are infeasible.
+    ``var`` goes last, so its step reads its bounds off rows in ``var``
+    alone, and that step's one combination shows whether they meet."""
+    lo = hi = None
+    for step in _eliminate(rows, last=var):
+        if step is None:
             return None
+        if step.var == var:
+            lo, hi = _bounds_on(var, step.lowers, step.uppers, {})
     return Interval(
         lo=None if lo is None else lo[0],
         lo_open=False if lo is None else lo[1],

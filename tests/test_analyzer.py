@@ -671,7 +671,7 @@ def test_search_yields_the_leaves_and_witnesses_of_checking_every_clause():
     for multivar in (False, True):
         for _ in range(150):
             system = random_system(rng, multivar=multivar)
-            leaves = list(analyzer._leaves(system))
+            leaves = analyzer._solves_once(lambda: list(analyzer._leaves(system)))()
             reference = list(reference_leaves(system))
             for cats, rows in leaves:
                 assert any(rows == ref_rows and all(cats[v] <= ref_cats[v] for v in cats)

@@ -60,6 +60,11 @@ def test_projection_bounded():
     # x >= 1, x + y <= 3, y >= 0  projects x onto [1, 3]
     rows = [le({"x": -1}, -1), le({"x": 1, "y": 1}, 3), le({"y": -1}, 0)]
     assert project(rows, ["x"]) == {"x": Interval(Fraction(1), False, Fraction(3), False)}
+    # a closed tie is a point, also when it shows only once y is eliminated
+    point = Interval(Fraction(1), False, Fraction(1), False)
+    assert project([le({"x": -1}, -1), le({"x": 1}, 1)], ["x"]) == {"x": point}
+    rows = [le({"x": 1, "y": 1}, 1), le({"y": -1}, 0), le({"x": -1}, -1)]
+    assert project(rows, ["x", "y"]) == {"x": point, "y": Interval(Fraction(0), False, Fraction(0), False)}
 
 
 def test_projection_open_end():
@@ -74,6 +79,12 @@ def test_projection_unbounded():
 
 def test_projection_infeasible():
     assert project([le({"x": 1}, -1), le({"x": -1}, 0)], ["x"]) is None
+    # a tie with an open end is empty, also when it shows only once y is
+    # eliminated: x + y <= 1 (or < 1) and y >= 0 bound x by 1
+    for lower, upper in ((lt, le), (le, lt), (lt, lt)):
+        assert project([lower({"x": -1}, -1), upper({"x": 1}, 1)], ["x"]) is None
+        assert project([upper({"x": 1, "y": 1}, 1), le({"y": -1}, 0), lower({"x": -1}, -1)], ["x"]) is None
+    assert project([le({"x": 1, "y": 1}, 1), lt({"y": -1}, 0), le({"x": -1}, -1)], ["x"]) is None
 
 
 def test_interval_hull():
@@ -156,18 +167,15 @@ def test_rows_are_scaled_to_coprime_integers():
 def test_parallel_rows_reduce_to_the_tightest():
     rows = [make_row({"x": k, "y": k}, False, bound * k) for k, bound in ((1, 9), (3, 4), (2, 7), (Fraction(1, 2), 5))]
     assert len(set(rows)) == 4
-    projected, trace, _ = _eliminate(rows, frozenset({"x", "y"}))
-    assert projected == [make_row({"x": 1, "y": 1}, False, 4)] and trace == []
+    assert list(next(_eliminate(rows)).rows) == [make_row({"x": 1, "y": 1}, False, 4)]
     # on a tie the strict row stays, wherever it comes
     for strict_at in range(3):
         tied = [le({"x": 1, "y": 1}, 4) if i != strict_at else lt({"x": 2, "y": 2}, 8) for i in range(3)]
-        assert _eliminate(tied, frozenset({"x", "y"}))[0] == [lt({"x": 1, "y": 1}, 4)]
+        assert list(next(_eliminate(tied)).rows) == [lt({"x": 1, "y": 1}, 4)]
     # after an elimination step: eliminating x gives y <= 4, y < 4 and y <= 5
-    rows = [le({"x": 1, "y": 1}, 4), le({"x": -1}, 0), lt({"x": 2, "y": 1}, 4), le({"x": 3, "y": 1}, 5),
-            le({"y": 1, "z": 1}, 1)]
-    projected, trace, _ = _eliminate(rows, frozenset({"y", "z"}))
-    assert [step.var for step in trace] == ["x"]
-    assert projected == [le({"y": 1, "z": 1}, 1), lt({"y": 1}, 4)]
+    rows = [le({"x": 1, "y": 1}, 4), le({"x": -1}, 0), lt({"x": 2, "y": 1}, 4), le({"x": 3, "y": 1}, 5)]
+    steps = [(step.var, list(step.rows)) for step in _eliminate(rows, last="y")]
+    assert steps[0] == ("x", rows) and steps[1] == ("y", [lt({"y": 1}, 4)]) and len(steps) == 2
 
 
 def test_matches_the_fraction_row_solver():
@@ -178,7 +186,7 @@ def test_matches_the_fraction_row_solver():
         specs = random_row_specs(rng)
         rows = [make_row(*spec) for spec in specs]
         reference = [reference_make_row(*spec) for spec in specs]
-        pruned += len(_eliminate(rows, frozenset({"x0", "x1", "x2", "x3"}))[0]) < len(rows)
+        pruned += len(next(_eliminate(rows)).rows) < len(rows)
         witness = feasible(rows)
         assert (witness is None) == (reference_feasible(reference) is None), specs
         outcomes[witness is not None] += 1
@@ -202,26 +210,21 @@ def test_matches_the_fraction_row_solver():
 
 
 def test_eliminate_keeps_the_sides_of_the_rows_it_returns():
-    # the sides are updated in place step by step; they must be what one
-    # pass over the returned rows finds, in the same order
+    # the sides are updated in place step by step; at each step they must
+    # be what one pass over the rows as they stand finds, in the same order
     rng = random.Random(4111)
     checked = 0
     for _ in range(600):
         rows = [make_row(*spec) for spec in random_row_specs(rng)]
-        keep = frozenset(rng.sample(["x0", "x1", "x2", "x3"], rng.randint(0, 3)))
-        result = _eliminate(rows, keep)
-        if result is None:
-            continue
-        projected, trace, sides = result
-        recomputed = {}
-        for row in projected:
-            assert row.coeffs and {v for v, _ in row.coeffs} <= keep, (rows, keep)
-            for v, c in row.coeffs:
-                recomputed.setdefault(v, ([], []))[c > 0].append(row)
-        assert sides == recomputed, (rows, keep)
-        assert len(set(row.coeffs for row in projected)) == len(projected)
-        checked += bool(trace) and bool(projected)
-    assert checked > 100
+        for step in _eliminate(rows, last=rng.choice(["x0", "x1", "x2", "x3", None])):
+            if step is None:
+                break
+            assert all(row.coeffs for row in step.rows), rows
+            assert len({row.coeffs for row in step.rows}) == len(step.rows), rows
+            assert step.lowers == [row for row in step.rows if row.coeff(step.var) < 0], rows
+            assert step.uppers == [row for row in step.rows if row.coeff(step.var) > 0], rows
+            checked += 1
+    assert checked > 1000
 
 
 def test_an_infeasible_answer_names_a_core_infeasible_on_its_own():
