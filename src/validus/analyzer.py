@@ -456,7 +456,9 @@ def _search(system: ConstraintSystem, memo: _Memo) -> Iterator[tuple[dict[str, f
     """Every feasible conjunction covering the system's solution set, as
     its categorical state and the ids of its rows.
 
-    Feasibility is checked at the leaves and for each option of a clause
+    The clauses without a choice come first, in their order, so that a
+    contradiction among them shows before any clause is split (fail
+    first); the others keep their order.  Feasibility is checked at the leaves and for each option of a clause
     that offers several; rows added by a clause without a choice wait for
     the next check.  Before a categorical option is taken the rows are
     known feasible, either because a linear option of the same clause
@@ -467,7 +469,7 @@ def _search(system: ConstraintSystem, memo: _Memo) -> Iterator[tuple[dict[str, f
     left.  ``_solve`` answers each check.
     """
     domains = {v: frozenset(levels) for v, levels in system.categorical_vars.items()}
-    clauses = system.clauses
+    clauses = sorted(system.clauses, key=lambda clause: len(clause.disjuncts) > 1)
     plans = [memo.plan(clause.disjuncts) for clause in clauses]
 
     def descend(index: int, cats: dict[str, frozenset[str]], key: tuple[int, ...],
