@@ -456,11 +456,11 @@ def _search(system: ConstraintSystem, memo: _Memo) -> Iterator[tuple[dict[str, f
     """Every feasible conjunction covering the system's solution set, as
     its categorical state and the ids of its rows.
 
-    The clauses without a choice come first, in their order, so that a
-    contradiction among them shows before any clause is split (fail
-    first); the others keep their order.  Feasibility is checked at the leaves and for each option of a clause
-    that offers several; rows added by a clause without a choice wait for
-    the next check.  Before a categorical option is taken the rows are
+    The clauses without a choice come first, so that a contradiction
+    among them shows before any clause is split (fail first); each group
+    keeps its order.  Feasibility is checked at the leaves and for each
+    option of a clause that offers several; rows added by a clause
+    without a choice wait for the next check.  Before a categorical option is taken the rows are
     known feasible, either because a linear option of the same clause
     (a superset of them) was, or by a direct check, so no infeasible
     subtree is ever split.  The options of a clause cover disjoint

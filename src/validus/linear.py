@@ -231,11 +231,9 @@ def feasible(rows: list[Row], core: Optional[list[int]] = None) -> Optional[dict
     """Witness assignment for the conjunction, or None if infeasible;
     then the positions of an infeasible subset of ``rows`` are appended
     to ``core`` when it is given."""
-    steps = []
-    for step in _eliminate(rows, core):
-        if step is None:
-            return None
-        steps.append(step)
+    steps = list(_eliminate(rows, core))
+    if steps and steps[-1] is None:
+        return None
     assignment: dict[str, Fraction] = {}
     for step in reversed(steps):
         lo, hi = _bounds_on(step.var, step.lowers, step.uppers, assignment)
