@@ -19,7 +19,9 @@ For each rule count and seed it prints the wall time of one
 digest of its findings, then the same for one ``simplify_ruleset`` call
 with a digest of the simplified rule text and its log, so two versions
 of the analyzer can be compared for speed, for work and for identical
-output; then the median and the worst time of each per rule count.
+output; then the median and the worst time of each per rule count, and
+the ``feasible`` calls of each summed over the seeds, which do not
+drift with load as the times do.
 ``feasible`` is counted by wrapping ``validus.analyzer.feasible`` here.
 It exits 1 after the run, naming each rule count and seed whose
 ``analyze_ruleset`` or ``simplify_ruleset`` call took longer than
@@ -114,6 +116,7 @@ def main() -> None:
     slow = []
     for rules in args.rules:
         times, simplify_times = [], []
+        feasible_sums = [0, 0]  # analyze, simplify
         for seed in range(args.seeds[0], args.seeds[1] + 1):
             ruleset = parse_rules(rule_text(rules, seed, args.mix))
             feasible_calls[0] = 0
@@ -125,6 +128,8 @@ def main() -> None:
             start = time.perf_counter()
             simplified, log = simplify_ruleset(ruleset, schema)
             simplify_times.append(time.perf_counter() - start)
+            feasible_sums[0] += analyze_feasible
+            feasible_sums[1] += feasible_calls[0]
             print(f"rules {rules:3d}  seed {seed:3d}  {elapsed:9.3f} s  {analyze_feasible:5d} feasible  "
                   f"{len(findings):3d} findings  digest {digest(findings, unsupported)}  "
                   f"simplify {simplify_times[-1]:9.3f} s  {feasible_calls[0]:5d} feasible  "
@@ -132,8 +137,9 @@ def main() -> None:
             if max(elapsed, simplify_times[-1]) > LIMIT:
                 slow.append(f"rules {rules} seed {seed}: analyze {elapsed:.3f} s, simplify {simplify_times[-1]:.3f} s")
         print(f"rules {rules:3d}  median {statistics.median(times):.3f} s  worst {max(times):.3f} s  "
-              f"simplify median {statistics.median(simplify_times):.3f} s  worst {max(simplify_times):.3f} s",
-              flush=True)
+              f"{feasible_sums[0]:6d} feasible  "
+              f"simplify median {statistics.median(simplify_times):.3f} s  worst {max(simplify_times):.3f} s  "
+              f"{feasible_sums[1]:6d} feasible", flush=True)
     if slow:
         raise SystemExit(f"over the limit of {LIMIT} s:\n" + "\n".join(slow))
 

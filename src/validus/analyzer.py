@@ -8,9 +8,11 @@ decided exactly: clause disjuncts and categorical levels are case-split
 into disjoint cases, and each conjunction of linear atoms goes to the
 rational elimination core unless the witness of the conjunction it
 extends satisfies it or it contains an infeasible core found earlier in
-the call.  Feasibility is checked at the leaves and for each option of
-a clause that branches, not after clauses that leave no choice, and
-each public call solves each distinct conjunction once.
+the call.  The clauses that leave no choice come first, and the rows
+and levels of the leading ones are gathered in one step before the
+split.  Feasibility is checked at the leaves and for each option of a
+clause that branches, not after clauses that leave no choice, and each
+public call solves each distinct conjunction once.
 Integer-declared variables are analyzed over their rational relaxation,
 so a set that only fails over the integers is reported feasible.
 
@@ -369,18 +371,20 @@ def _check_analyzable(rule: Rule, schema: Schema) -> None:
 
 
 #: One compiled rule: (clause origin, compiler with its variables, clauses).
-_Part = tuple[str, _Compiler, _CNF]
+_Part = tuple[str, _Compiler, tuple[Clause, ...]]
 
 
 def _compile(rule: Rule, schema: Schema, negated: bool = False) -> _Part:
     """``rule``, or its negation, in clause form, from the memo of the
-    public call in progress: each is compiled once per call."""
+    public call in progress: each is compiled once per call, clauses
+    and all, so every system built from it shares them."""
     parts = _MEMO.get().parts
     if (part := parts.get((rule, negated))) is None:
         _check_analyzable(rule, schema)
         compiler = _Compiler(rule.name, schema)
+        origin = f"not:{rule.name}" if negated else rule.name
         cnf = compiler.cnf(negate_expr(rule.body) if negated else rule.body)
-        part = parts[rule, negated] = (f"not:{rule.name}" if negated else rule.name, compiler, cnf)
+        part = parts[rule, negated] = (origin, compiler, tuple(Clause(tuple(d), origin) for d in cnf))
     return part
 
 
@@ -389,9 +393,8 @@ def _build_system(parts: Iterable[_Part]) -> ConstraintSystem:
     numeric: dict[str, Optional[tuple[Fraction, Fraction]]] = {}
     categorical: dict[str, tuple[str, ...]] = {}
     display: dict[str, str] = {}
-    for origin, compiler, cnf in parts:
-        for disjuncts in cnf:
-            clauses.append(Clause(tuple(disjuncts), origin))
+    for _origin, compiler, part_clauses in parts:
+        clauses += part_clauses
         numeric.update(compiler.numeric)
         categorical.update(compiler.categorical)
         display.update(compiler.display)
@@ -458,19 +461,36 @@ def _search(system: ConstraintSystem, memo: _Memo) -> Iterator[tuple[dict[str, f
 
     The clauses without a choice come first, so that a contradiction
     among them shows before any clause is split (fail first); each group
-    keeps its order.  Feasibility is checked at the leaves and for each
-    option of a clause that offers several; rows added by a clause
-    without a choice wait for the next check.  Before a categorical option is taken the rows are
-    known feasible, either because a linear option of the same clause
-    (a superset of them) was, or by a direct check, so no infeasible
-    subtree is ever split.  The options of a clause cover disjoint
-    solutions: once a categorical option has been searched, the later
-    options exclude its levels, and the clause ends when no level is
-    left.  ``_solve`` answers each check.
+    keeps its order.  The leading clauses of at most one option are taken
+    in one loop, unchecked: a linear option's rows join the key, a
+    categorical option narrows the state, and an empty clause or a
+    narrowing that leaves no level ends the search.  The split starts at
+    the first clause with a choice.  Feasibility is checked at the leaves
+    and for each option of a clause that offers several; rows added by a
+    clause without a choice wait for the next check.  Before a
+    categorical option is taken the rows are known feasible, either
+    because a linear option of the same clause (a superset of them) was,
+    or by a direct check, so no infeasible subtree is ever split.  The
+    options of a clause cover disjoint solutions: once a categorical
+    option has been searched, the later options exclude its levels, and
+    the clause ends when no level is left.  ``_solve`` answers each
+    check.
     """
     domains = {v: frozenset(levels) for v, levels in system.categorical_vars.items()}
     clauses = sorted(system.clauses, key=lambda clause: len(clause.disjuncts) > 1)
     plans = [memo.plan(clause.disjuncts) for clause in clauses]
+    start, prefix = 0, []
+    while start < len(plans) and len(plans[start]) < 2:
+        if not plans[start]:  # the empty clause
+            return
+        option, = plans[start]
+        if isinstance(option, CategoricalAtom):
+            if not (narrowed := domains[option.variable] & option.allowed):
+                return
+            domains[option.variable] = narrowed
+        else:
+            prefix += option
+        start += 1
 
     def descend(index: int, cats: dict[str, frozenset[str]], key: tuple[int, ...],
                 known: int) -> Iterator[tuple[dict[str, frozenset[str]], tuple[int, ...]]]:
@@ -509,7 +529,7 @@ def _search(system: ConstraintSystem, memo: _Memo) -> Iterator[tuple[dict[str, f
                 known = len(key)
                 yield from descend(index + 1, cats, extended, len(extended))
 
-    yield from descend(0, domains, (), 0)
+    yield from descend(start, domains, tuple(prefix), 0)
 
 
 def _leaves(system: ConstraintSystem) -> Iterator[tuple[dict[str, frozenset[str]], list[Row]]]:

@@ -14,11 +14,15 @@ back-substitutes through the steps, and ``project`` projects the rows
 as they stand at each wanted variable's step onto that variable, by
 eliminating the others first.  The arithmetic stays exact, so strict
 inequalities and degenerate systems are decided exactly, and a feasible
-system yields a rational witness by back substitution.  An infeasible
-system yields a core: each derived row carries the set of input rows it
-was combined from, so the constant row that shows infeasibility names a
-subset of the input that is infeasible on its own (a Farkas
-certificate).
+system yields a rational witness by back substitution.  That works in
+integers too: it compares the candidate bounds on a variable as integer
+pairs by cross-multiplication, and each value is an ``int`` when
+integral, like a row bound, so only the tightest non-integral bound
+builds a ``Fraction``; the witness and the shadows are returned in
+``Fraction``s.  An infeasible system yields a core: each derived row
+carries the set of input rows it was combined from, so the constant row
+that shows infeasibility names a subset of the input that is infeasible
+on its own (a Farkas certificate).
 """
 
 from __future__ import annotations
@@ -47,20 +51,19 @@ class Row:
                 return c
         return 0
 
-    def holds(self, assignment: dict[str, Fraction]) -> bool:
+    def holds(self, assignment: dict[str, Bound]) -> bool:
         num, den = _dot(self.coeffs, assignment)
         lhs, rhs = num * self.bound.denominator, self.bound.numerator * den
         return lhs < rhs if self.strict else lhs <= rhs
 
 
-def _dot(coeffs: tuple[tuple[str, int], ...], assignment: dict[str, Fraction],
-         skip: Optional[str] = None) -> tuple[int, int]:
-    """sum(coeff * value) over the variables other than ``skip`` (absent
-    ones count as 0), as an integer numerator and positive denominator."""
+def _dot(coeffs: tuple[tuple[str, int], ...], assignment: dict[str, Bound]) -> tuple[int, int]:
+    """sum(coeff * value) (absent variables count as 0), as an integer
+    numerator and positive denominator."""
     num, den = 0, 1
     for v, c in coeffs:
         value = assignment.get(v)
-        if value is None or v == skip:
+        if value is None:
             continue
         n, d = value.numerator, value.denominator
         if d == den:
@@ -193,38 +196,52 @@ def _eliminate(rows: Collection[Row], core: Optional[list[int]] = None,
 
 
 def _bounds_on(var: str, lowers: list[Row], uppers: list[Row],
-               assignment: dict[str, Fraction]) -> tuple[Optional[tuple[Fraction, bool]], Optional[tuple[Fraction, bool]]]:
-    """Numeric (value, open) bounds on var once later variables are fixed."""
-    lo: Optional[tuple[Fraction, bool]] = None
-    hi: Optional[tuple[Fraction, bool]] = None
-    for row in lowers:
-        value = _solve_for(var, row, assignment)  # c < 0 flips into a lower bound
-        if lo is None or value > lo[0] or (value == lo[0] and row.strict):
-            lo = (value, row.strict)
-    for row in uppers:
-        value = _solve_for(var, row, assignment)
-        if hi is None or value < hi[0] or (value == hi[0] and row.strict):
-            hi = (value, row.strict)
-    return lo, hi
+               assignment: dict[str, Bound]) -> tuple[Optional[tuple[Bound, bool]], Optional[tuple[Bound, bool]]]:
+    """(value, open) bounds on var once later variables are fixed."""
+    return _tightest(var, lowers, assignment, 1), _tightest(var, uppers, assignment, -1)
 
 
-def _solve_for(var: str, row: Row, assignment: dict[str, Fraction]) -> Fraction:
-    """The value of ``var`` at which ``row`` is tight, the other
-    variables taking their ``assignment`` values."""
-    num, den = _dot(row.coeffs, assignment, var)
-    bound = row.bound
-    # (bound - num/den) / c
-    return Fraction(bound.numerator * den - num * bound.denominator, bound.denominator * den * row.coeff(var))
+def _tightest(var: str, rows: list[Row], assignment: dict[str, Bound],
+              sign: int) -> Optional[tuple[Bound, bool]]:
+    """The greatest (``sign`` 1) or least (``sign`` -1) of the values of
+    ``var`` at which one of ``rows`` is tight, the other variables taking
+    their ``assignment`` values; open when a strict row gives it.  The
+    values are compared as integer pairs, and only the tightest becomes
+    a number: an ``int`` when integral, else a ``Fraction``."""
+    best = None  # (numerator, positive denominator, strict)
+    for row in rows:
+        num, den = _dot(row.coeffs, assignment)  # ``var`` has no value yet
+        bound = row.bound
+        # (bound - num/den) / c
+        n = bound.numerator * den - num * bound.denominator
+        d = bound.denominator * den * row.coeff(var)
+        if d < 0:  # c < 0 flips the row into a lower bound
+            n, d = -n, -d
+        if best is not None:
+            ahead = (n * best[1] - best[0] * d) * sign
+            if ahead < 0 or (ahead == 0 and not row.strict):  # a strict row wins a tie
+                continue
+        best = (n, d, row.strict)
+    if best is None:
+        return None
+    n, d, strict = best
+    return _number(n, d), strict
 
 
-def _choose(lo: Optional[tuple[Fraction, bool]], hi: Optional[tuple[Fraction, bool]]) -> Fraction:
+def _number(n: int, d: int) -> Bound:
+    """n / d for a positive ``d``: an ``int`` when integral, else a ``Fraction``."""
+    return n // d if n % d == 0 else Fraction(n, d)
+
+
+def _choose(lo: Optional[tuple[Bound, bool]], hi: Optional[tuple[Bound, bool]]) -> Bound:
     if lo is None:
         return hi[0] - 1
     if hi is None:
         return lo[0] + 1
     if lo[0] == hi[0]:
         return lo[0]
-    return (lo[0] + hi[0]) / 2
+    total = lo[0] + hi[0]
+    return _number(total.numerator, 2 * total.denominator)
 
 
 def feasible(rows: list[Row], core: Optional[list[int]] = None) -> Optional[dict[str, Fraction]]:
@@ -234,13 +251,13 @@ def feasible(rows: list[Row], core: Optional[list[int]] = None) -> Optional[dict
     steps = list(_eliminate(rows, core))
     if steps and steps[-1] is None:
         return None
-    assignment: dict[str, Fraction] = {}
+    assignment: dict[str, Bound] = {}
     for step in reversed(steps):
         lo, hi = _bounds_on(step.var, step.lowers, step.uppers, assignment)
         assignment[step.var] = _choose(lo, hi)
     for row in rows:
         assert row.holds(assignment), f"back substitution violated {row}"
-    return assignment
+    return {var: Fraction(value) for var, value in assignment.items()}
 
 
 @dataclass(frozen=True)
@@ -314,8 +331,8 @@ def _shadow(rows: Collection[Row], var: str) -> Optional[Interval]:
         if step.var == var:
             lo, hi = _bounds_on(var, step.lowers, step.uppers, {})
     return Interval(
-        lo=None if lo is None else lo[0],
+        lo=None if lo is None else Fraction(lo[0]),
         lo_open=False if lo is None else lo[1],
-        hi=None if hi is None else hi[0],
+        hi=None if hi is None else Fraction(hi[0]),
         hi_open=False if hi is None else hi[1],
     )

@@ -442,6 +442,27 @@ def _ref_bounds_on(var: str, lowers: list, uppers: list, assignment: dict):
     return lo, hi
 
 
+def fraction_bounds_on(var: str, lowers: list, uppers: list, assignment: dict):
+    """``linear._bounds_on`` over integer rows as it was before back
+    substitution kept integers: each candidate bound a ``Fraction``,
+    compared as one; (value, open) on each side, or None."""
+    lo = hi = None
+    for row in lowers:
+        value = _fraction_solve_for(var, row, assignment)  # c < 0 flips into a lower bound
+        if lo is None or value > lo[0] or (value == lo[0] and row.strict):
+            lo = (value, row.strict)
+    for row in uppers:
+        value = _fraction_solve_for(var, row, assignment)
+        if hi is None or value < hi[0] or (value == hi[0] and row.strict):
+            hi = (value, row.strict)
+    return lo, hi
+
+
+def _fraction_solve_for(var: str, row, assignment: dict) -> Fraction:
+    rest = sum((c * Fraction(assignment.get(v, 0)) for v, c in row.coeffs if v != var), Fraction(0))
+    return (Fraction(row.bound) - rest) / row.coeff(var)
+
+
 def _ref_choose(lo, hi) -> Fraction:
     if lo is None and hi is None:
         return Fraction(0)

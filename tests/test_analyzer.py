@@ -625,6 +625,32 @@ def test_clauses_without_a_choice_are_not_checked(monkeypatch):
     assert calls[0] <= 4
 
 
+def test_the_one_option_prefix_ends_the_search_or_hands_it_to_the_split(monkeypatch):
+    # the leading one-option clauses are gathered in one loop: an empty
+    # clause, or two unit levels that share none, ends the search there
+    # with no check; a lone != offers two options, so the split takes it
+    # over with the prefix's rows and levels (x >= 1 keeps the origin from
+    # answering the first branch, so its witness is the reference's)
+    def g(*levels):
+        return CategoricalAtom("g", frozenset(levels))
+
+    low, high = Clause((_unit("x", ">=", 1),), "low"), Clause((_unit("x", "<=", 3),), "high")
+    cases = [
+        ([low, Clause((), "empty"), high], False),
+        ([low, Clause((g("a"),), "a"), Clause((g("b"),), "b"), high], False),
+        ([low, Clause((g("a", "b"),), "ab"), Clause((_unit("x", "!=", 2),), "ne"), high], True),
+    ]
+    for clauses, satisfiable in cases:
+        system = ConstraintSystem(clauses, {"x": None}, {"g": ("a", "b", "c")}, {})
+        calls = _count_calls(monkeypatch)
+        leaves = analyzer._solves_once(lambda: list(analyzer._leaves(system)))()
+        result = is_satisfiable(system)
+        assert calls[0] > 0 if satisfiable else calls[0] == 0, clauses
+        assert leaves == list(reference_leaves(system)), clauses
+        assert len(leaves) == (2 if satisfiable else 0)
+        assert (result.witness if result else None) == reference_witness(system), clauses
+
+
 def test_contradictory_unit_rows_prune_before_categorical_splits(monkeypatch):
     levels = {f"g{i}": ("a", "b") for i in range(12)}
     clauses = [Clause((_unit("x", ">=", 1),), "low"), Clause((_unit("x", "<=", 0),), "high")]

@@ -4,8 +4,14 @@ cross-checks against an LP and the Fraction-row solver."""
 import random
 from fractions import Fraction
 
-from helpers import random_row_specs, reference_feasible, reference_make_row, reference_project
-from validus.linear import Interval, _eliminate, feasible, make_row, project
+from helpers import (
+    fraction_bounds_on,
+    random_row_specs,
+    reference_feasible,
+    reference_make_row,
+    reference_project,
+)
+from validus.linear import Interval, _bounds_on, _eliminate, feasible, make_row, project
 
 
 def le(coeffs, bound):
@@ -207,6 +213,51 @@ def test_matches_the_fraction_row_solver():
             assert project(rows, [var]) == {var: interval}, (specs, var)
             assert all(end is None or type(end) is Fraction for end in (interval.lo, interval.hi))
     assert outcomes[True] > 150 and outcomes[False] > 150 and pruned > 150
+
+
+def test_integer_back_substitution_matches_the_fraction_one():
+    # back substitution compares the bounds on x as integer pairs; it must
+    # pick the (value, open) the Fraction comparison picks on each side,
+    # a strict row winning a tie in either order
+    rng = random.Random(3141)
+
+    def number(spread):
+        return Fraction(rng.randint(-spread, spread), rng.choice([1, 1, 2, 3, 4]))
+
+    ties = fractional = 0
+    for _ in range(1500):
+        assignment = {v: number(9) for v in ("y", "z")}
+        if rng.random() < 0.3:
+            assignment["y"] = rng.randint(-9, 9)  # back substitution keeps integral values as ints
+        rows = []
+        for _ in range(rng.randint(1, 6)):
+            coeffs = {"x": rng.choice([-1, 1]) * Fraction(rng.randint(1, 4), rng.choice([1, 2, 3]))}
+            coeffs.update({v: number(3) for v in ("y", "z") if rng.random() < 0.7})
+            strict, bound = rng.random() < 0.4, number(20)
+            row = make_row(coeffs, strict, bound)
+            rows.append(row)
+            if rng.random() < 0.4:
+                # the same value of x at the assignment from other coefficients,
+                # strict where the row is not, before or after it
+                k = rng.choice([-2, -1, 1, 2])
+                tie = make_row({**coeffs, "z": coeffs.get("z", 0) + k}, not strict,
+                               bound + k * Fraction(assignment["z"]))
+                rows.insert(len(rows) - rng.randint(0, 1), tie)
+                ties += 1
+        lowers = [row for row in rows if row.coeff("x") < 0]
+        uppers = [row for row in rows if row.coeff("x") > 0]
+        sides = _bounds_on("x", lowers, uppers, assignment)
+        assert sides == fraction_bounds_on("x", lowers, uppers, assignment), (rows, assignment)
+        for side in sides:
+            if side is not None:
+                assert type(side[0]) is int or side[0].denominator > 1, (rows, assignment)
+                fractional += type(side[0]) is Fraction
+        witness = feasible(rows)
+        assert witness is None or all(type(value) is Fraction for value in witness.values())
+        shadow = project(rows, ["x"])
+        assert shadow is None or all(end is None or type(end) is Fraction
+                                     for end in (shadow["x"].lo, shadow["x"].hi))
+    assert ties > 400 and fractional > 400
 
 
 def test_eliminate_keeps_the_sides_of_the_rows_it_returns():
