@@ -8,11 +8,11 @@ decided exactly: clause disjuncts and categorical levels are case-split
 into disjoint cases, and each conjunction of linear atoms goes to the
 rational elimination core unless the witness of the conjunction it
 extends satisfies it or it contains an infeasible core found earlier in
-the call.  The clauses that leave no choice come first, and the rows
-and levels of the leading ones are gathered in one step before the
-split.  Feasibility is checked at the leaves and for each option of a
-clause that branches, not after clauses that leave no choice, and each
-public call solves each distinct conjunction once.
+the call.  A clause's plan alone decides its options (!= gives two, <
+and >).  The clauses that leave no choice come first, and each search
+step takes every clause left without a choice in one loop before it
+splits the next; feasibility is checked at the leaves and for each
+option of a split, and each distinct conjunction is solved once per call.
 Integer-declared variables are analyzed over their rational relaxation,
 so a set that only fails over the integers is reported feasible.
 
@@ -138,6 +138,11 @@ class SatResult:
 #: interned rows a linear option adds.
 _Plan = list[Union[CategoricalAtom, tuple[int, ...]]]
 
+#: The rows of each relation but !=, which a plan splits into < and >,
+#: each as ``(sign, strict)``: sign * sum <= sign * constant (< if strict).
+_ROWS = {"<=": ((1, False),), "<": ((1, True),), ">=": ((-1, False),), ">": ((-1, True),),
+         "==": ((1, False), (-1, False))}
+
 
 @dataclass
 class _Memo:
@@ -158,8 +163,8 @@ class _Memo:
     cores: list[frozenset[int]] = field(default_factory=list)
 
     def plan(self, disjuncts: ClauseAtoms) -> _Plan:
-        """Each option of a clause: its categorical atom, or the ids of
-        the rows a linear option adds (two options for !=, else one)."""
+        """Each option of a clause (see ``_Plan``); the one place that
+        splits !=, into two options, < and >."""
         if (known := self.plans.get(id(disjuncts))) is not None:
             return known[1]
         plan: _Plan = []
@@ -167,8 +172,7 @@ class _Memo:
             if isinstance(atom, CategoricalAtom):
                 plan.append(atom)
             elif atom.relation == "!=":
-                plan.append(self.intern(_atom_rows(LinearAtom(atom.coeffs, "<", atom.constant))))
-                plan.append(self.intern(_atom_rows(LinearAtom(atom.coeffs, ">", atom.constant))))
+                plan += (self.intern(_atom_rows(LinearAtom(atom.coeffs, r, atom.constant))) for r in "<>")
             else:
                 plan.append(self.intern(_atom_rows(atom)))
         self.plans[id(disjuncts)] = (disjuncts, plan)
@@ -282,7 +286,7 @@ class _Compiler:
         if not negated:
             clause = tuple(LinearAtom(unit, "==", n) for n in numbers)
             return [clause] if clause else [()]
-        return [(LinearAtom(unit, "<", n), LinearAtom(unit, ">", n)) for n in numbers]
+        return [(LinearAtom(unit, "!=", n),) for n in numbers]
 
     def is_text(self, expr: Expr) -> bool:
         """Whether ``expr`` is text: a text literal or a categorical variable."""
@@ -309,8 +313,6 @@ class _Compiler:
         constant = -offset  # left op right  <=>  sum(items) op -offset
         if not items:
             return [] if COMPARE[op](Fraction(0), constant) else [()]
-        if op == "!=":
-            return [(LinearAtom(items, "<", constant), LinearAtom(items, ">", constant))]
         return [(LinearAtom(items, op, constant),)]
 
     def linear(self, expr: Expr) -> tuple[dict[str, Fraction], Fraction]:
@@ -421,19 +423,10 @@ def compile_rules(rules: RuleSet, schema: Schema) -> ConstraintSystem:
 # --- satisfiability -------------------------------------------------------
 
 def _atom_rows(atom: LinearAtom) -> list[Row]:
-    coeffs = dict(atom.coeffs)
-    negated = {v: -c for v, c in coeffs.items()}
-    if atom.relation == "<=":
-        return [make_row(coeffs, False, atom.constant)]
-    if atom.relation == "<":
-        return [make_row(coeffs, True, atom.constant)]
-    if atom.relation == ">=":
-        return [make_row(negated, False, -atom.constant)]
-    if atom.relation == ">":
-        return [make_row(negated, True, -atom.constant)]
-    if atom.relation == "==":
-        return [make_row(coeffs, False, atom.constant), make_row(negated, False, -atom.constant)]
-    raise ValueError(f"no direct rows for relation {atom.relation!r}")
+    # negated, not multiplied by the sign: a Fraction product costs more
+    return [make_row({v: c if sign > 0 else -c for v, c in atom.coeffs}, strict,
+                     atom.constant if sign > 0 else -atom.constant)
+            for sign, strict in _ROWS[atom.relation]]
 
 
 def _solve(key: tuple[int, ...], known: int) -> Optional[dict[str, Fraction]]:
@@ -459,61 +452,57 @@ def _search(system: ConstraintSystem, memo: _Memo) -> Iterator[tuple[dict[str, f
     """Every feasible conjunction covering the system's solution set, as
     its categorical state and the ids of its rows.
 
-    The clauses without a choice come first, so that a contradiction
-    among them shows before any clause is split (fail first); each group
-    keeps its order.  The leading clauses of at most one option are taken
-    in one loop, unchecked: a linear option's rows join the key, a
-    categorical option narrows the state, and an empty clause or a
-    narrowing that leaves no level ends the search.  The split starts at
-    the first clause with a choice.  Feasibility is checked at the leaves
-    and for each option of a clause that offers several; rows added by a
-    clause without a choice wait for the next check.  Before a
+    The clauses whose plan has at most one option come first, so that a
+    contradiction among them shows before any clause is split (fail
+    first); each group keeps its order.  Each step of the search opens
+    with one loop over the clauses that leave at most one option once the
+    categorical state has filtered them: a clause the state satisfies is
+    passed over, a linear option's rows join the key unchecked, a
+    categorical option narrows the state, and a clause with no option
+    left ends the branch.  The next clause is split.  Feasibility is
+    checked at the leaves and for each option of a split.  Before a
     categorical option is taken the rows are known feasible, either
     because a linear option of the same clause (a superset of them) was,
     or by a direct check, so no infeasible subtree is ever split.  The
     options of a clause cover disjoint solutions: once a categorical
     option has been searched, the later options exclude its levels, and
-    the clause ends when no level is left.  ``_solve`` answers each
-    check.
+    the clause ends when no level is left.  ``_solve`` answers each check.
     """
-    domains = {v: frozenset(levels) for v, levels in system.categorical_vars.items()}
-    clauses = sorted(system.clauses, key=lambda clause: len(clause.disjuncts) > 1)
-    plans = [memo.plan(clause.disjuncts) for clause in clauses]
-    start, prefix = 0, []
-    while start < len(plans) and len(plans[start]) < 2:
-        if not plans[start]:  # the empty clause
-            return
-        option, = plans[start]
-        if isinstance(option, CategoricalAtom):
-            if not (narrowed := domains[option.variable] & option.allowed):
-                return
-            domains[option.variable] = narrowed
-        else:
-            prefix += option
-        start += 1
+    plans = [memo.plan(clause.disjuncts) for clause in system.clauses]
+    plans.sort(key=lambda plan: len(plan) > 1)
 
     def descend(index: int, cats: dict[str, frozenset[str]], key: tuple[int, ...],
                 known: int) -> Iterator[tuple[dict[str, frozenset[str]], tuple[int, ...]]]:
         # known: the length of the longest prefix of ``key`` with a witness in the memo
-        if index == len(clauses):
+        while index < len(plans):  # take each clause that leaves no choice
+            left = 0  # the options the state leaves, the last of them in ``last``
+            for option in plans[index]:
+                if isinstance(option, CategoricalAtom):
+                    if cats[option.variable] <= option.allowed:
+                        break  # the state satisfies the clause
+                    if cats[option.variable].isdisjoint(option.allowed):
+                        continue
+                left, last = left + 1, option
+            else:
+                if left > 1:
+                    break  # a choice: split this clause below
+                if not left:  # the branch has no solution
+                    return
+                if isinstance(last, CategoricalAtom):
+                    cats = {**cats, last.variable: cats[last.variable] & last.allowed}
+                else:
+                    key += last
+            index += 1
+        if index == len(plans):
             if _solve(key, known) is not None:
                 yield cats, key
             return
-        clause = clauses[index]
-        for atom in clause.disjuncts:
-            # clause already entailed by the categorical state: no branching
-            if isinstance(atom, CategoricalAtom) and cats[atom.variable] <= atom.allowed:
-                yield from descend(index + 1, cats, key, known)
-                return
-        options = [option for option in plans[index]
-                   if not isinstance(option, CategoricalAtom) or cats[option.variable] & option.allowed]
-        branches = len(options) > 1
-        for option in options:
+        for option in plans[index]:
             if isinstance(option, CategoricalAtom):
                 narrowed = cats[option.variable] & option.allowed
                 if not narrowed:  # an earlier option took these levels
                     continue
-                if branches and known < len(key):
+                if known < len(key):
                     if _solve(key, known) is None:
                         return
                     known = len(key)
@@ -521,15 +510,13 @@ def _search(system: ConstraintSystem, memo: _Memo) -> Iterator[tuple[dict[str, f
                 if not (rest := cats[option.variable] - option.allowed):
                     return
                 cats = {**cats, option.variable: rest}
-            elif not branches:
-                yield from descend(index + 1, cats, key + option, known)
             elif (witness := _solve(extended := key + option, known)) is not None:
                 # a witness of the rows plus an option is one of the rows alone
                 memo.solved.setdefault(key, witness)
                 known = len(key)
                 yield from descend(index + 1, cats, extended, len(extended))
 
-    yield from descend(start, domains, tuple(prefix), 0)
+    yield from descend(0, {v: frozenset(levels) for v, levels in system.categorical_vars.items()}, (), 0)
 
 
 def _leaves(system: ConstraintSystem) -> Iterator[tuple[dict[str, frozenset[str]], list[Row]]]:

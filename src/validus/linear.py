@@ -274,23 +274,20 @@ class Interval:
         return self.lo is not None and self.lo == self.hi and not self.lo_open and not self.hi_open
 
     def hull(self, other: "Interval") -> "Interval":
-        if self.lo is None or other.lo is None:
-            lo, lo_open = None, False
-        elif self.lo < other.lo:
-            lo, lo_open = self.lo, self.lo_open
-        elif other.lo < self.lo:
-            lo, lo_open = other.lo, other.lo_open
-        else:
-            lo, lo_open = self.lo, self.lo_open and other.lo_open
-        if self.hi is None or other.hi is None:
-            hi, hi_open = None, False
-        elif self.hi > other.hi:
-            hi, hi_open = self.hi, self.hi_open
-        elif other.hi > self.hi:
-            hi, hi_open = other.hi, other.hi_open
-        else:
-            hi, hi_open = self.hi, self.hi_open and other.hi_open
-        return Interval(lo, lo_open, hi, hi_open)
+        return Interval(*_outer(self.lo, self.lo_open, other.lo, other.lo_open, -1),
+                        *_outer(self.hi, self.hi_open, other.hi, other.hi_open, 1))
+
+
+def _outer(end: Optional[Fraction], is_open: bool, other: Optional[Fraction], other_open: bool,
+           sign: int) -> tuple[Optional[Fraction], bool]:
+    """The end of two intervals' hull on one side: the lesser of two lower
+    ends (``sign`` -1) or the greater of two upper ends (``sign`` 1),
+    unbounded when either is; on a tie, open only when both are."""
+    if end is None or other is None:
+        return None, False
+    if end == other:
+        return end, is_open and other_open
+    return (end, is_open) if (end - other) * sign > 0 else (other, other_open)
 
 
 def project(rows: list[Row], variables: Collection[str]) -> Optional[dict[str, Interval]]:

@@ -94,9 +94,17 @@ def test_plain_bound_is_unit_clause():
 
 
 def test_numeric_inequality_splits():
+    # the compiler keeps != as written; the plan alone splits it into < and >
+    unit = (("t.x", Fraction(1)),)
     system = compile_rules(parse_rules("r: x != 1"), SCHEMA)
     (clause,) = system.clauses
-    assert {a.relation for a in clause.disjuncts} == {"<", ">"}
+    assert clause.disjuncts == (LinearAtom(unit, "!=", Fraction(1)),)
+    memo = analyzer._Memo()
+    options = [[memo.rows[i] for i in option] for option in memo.plan(clause.disjuncts)]
+    assert options == [analyzer._atom_rows(LinearAtom(unit, relation, Fraction(1))) for relation in "<>"]
+    # a negated numeric in_set gives one != atom per number
+    system = compile_rules(parse_rules("r: not in_set(x, {1, 2})"), SCHEMA)
+    assert [c.disjuncts for c in system.clauses] == [(LinearAtom(unit, "!=", Fraction(n)),) for n in (1, 2)]
 
 
 def test_schema_bounds_become_clauses():
@@ -625,12 +633,12 @@ def test_clauses_without_a_choice_are_not_checked(monkeypatch):
     assert calls[0] <= 4
 
 
-def test_the_one_option_prefix_ends_the_search_or_hands_it_to_the_split(monkeypatch):
-    # the leading one-option clauses are gathered in one loop: an empty
-    # clause, or two unit levels that share none, ends the search there
-    # with no check; a lone != offers two options, so the split takes it
-    # over with the prefix's rows and levels (x >= 1 keeps the origin from
-    # answering the first branch, so its witness is the reference's)
+def test_clauses_without_a_choice_end_the_search_or_hand_it_to_the_split(monkeypatch):
+    # an empty clause, or two unit levels that share none, ends the search
+    # with no check; a lone != offers two options, so it waits until the
+    # unit clauses are taken and is then split with their rows and levels
+    # (x >= 1 keeps the origin from answering the first branch, so its
+    # witness is the reference's)
     def g(*levels):
         return CategoricalAtom("g", frozenset(levels))
 
@@ -646,9 +654,36 @@ def test_the_one_option_prefix_ends_the_search_or_hands_it_to_the_split(monkeypa
         leaves = analyzer._solves_once(lambda: list(analyzer._leaves(system)))()
         result = is_satisfiable(system)
         assert calls[0] > 0 if satisfiable else calls[0] == 0, clauses
-        assert leaves == list(reference_leaves(system)), clauses
+        assert ([(cats, set(rows)) for cats, rows in leaves]
+                == [(cats, set(rows)) for cats, rows in reference_leaves(system)]), clauses
         assert len(leaves) == (2 if satisfiable else 0)
         assert (result.witness if result else None) == reference_witness(system), clauses
+
+
+def test_a_lone_inequality_waits_for_the_unit_clauses(monkeypatch):
+    # x != 2 has two options, so x >= 1 and x <= 0 are taken first and the
+    # first option's check finds their contradiction; its core answers the
+    # second option
+    ne = Clause((_unit("x", "!=", 2),), "ne")
+    system = ConstraintSystem([ne, Clause((_unit("x", ">=", 1),), "low"), Clause((_unit("x", "<=", 0),), "high")],
+                              {"x": None}, {}, {})
+    calls = _count_calls(monkeypatch)
+    assert not is_satisfiable(system)
+    assert calls[0] == 1
+
+
+def test_a_split_narrows_a_later_clause_to_one_option_or_satisfies_it():
+    # g = a satisfies the later clause, so it is passed over; g = b leaves it
+    # one option, x >= 5, which is taken without a split
+    def g(level):
+        return CategoricalAtom("g", frozenset(level))
+
+    clauses = [Clause((g("a"), g("b")), "split"), Clause((g("a"), _unit("x", ">=", 5)), "later")]
+    system = ConstraintSystem(clauses, {"x": None}, {"g": ("a", "b", "c")}, {})
+    leaves = analyzer._solves_once(lambda: list(analyzer._leaves(system)))()
+    assert leaves == list(reference_leaves(system))
+    assert [(cats["g"], len(rows)) for cats, rows in leaves] == [(frozenset("a"), 0), (frozenset("b"), 1)]
+    assert is_satisfiable(system).witness == reference_witness(system)
 
 
 def test_contradictory_unit_rows_prune_before_categorical_splits(monkeypatch):
@@ -890,6 +925,11 @@ def test_random_mix_output_is_pinned():
         3: ("5e33064a564fe7f7", "5bb1a0b298ffa8b1"),
         5: ("b7810e5b00ff3a72", "dfaae466ffb38932"),
     }
+    # and the balance mix at 20 rules, whose equality atoms give two rows each
+    pinned_balance = {
+        3: ("a616482faa4d225a", "f3c5834629255473"),
+        8: ("f6095a3288f152e5", "b07d2e7b14d0e506"),
+    }
     path = Path(__file__).resolve().parent.parent / "scripts" / "analyze_scaling.py"
     spec = importlib.util.spec_from_file_location("analyze_scaling", path)
     scaling = importlib.util.module_from_spec(spec)
@@ -899,6 +939,7 @@ def test_random_mix_output_is_pinned():
     cases += [(40, seed, "categorical", digests) for seed, digests in pinned_40.items()]
     cases += [(20, seed, "numeric", digests) for seed, digests in pinned_numeric.items()]
     cases += [(30, seed, "numeric", digests) for seed, digests in pinned_numeric_30.items()]
+    cases += [(20, seed, "balance", digests) for seed, digests in pinned_balance.items()]
     for count, seed, mix, digests in cases:
         rules = parse_rules(scaling.rule_text(count, seed, mix))
         findings, unsupported = analyze_ruleset(rules, schema)
