@@ -38,7 +38,7 @@ from typing import Iterable, Iterator, Optional, Union
 
 from .errors import UnsupportedForAnalysisError
 from .linear import Interval, Row, feasible, make_row, project
-from .model import format_number, is_number
+from .model import Number, as_number, format_number, is_number, parse_value
 from .rules import (
     COMPARE,
     Binary,
@@ -76,9 +76,9 @@ NONCONSTRAINING = "nonconstraining_clause"
 class LinearAtom:
     """sum(coeff * var) relation constant, over numeric variables."""
 
-    coeffs: tuple[tuple[str, Fraction], ...]
+    coeffs: tuple[tuple[str, Number], ...]
     relation: str  # < <= == != >= >
-    constant: Fraction
+    constant: Number
 
 
 @dataclass(frozen=True)
@@ -126,7 +126,7 @@ class Finding:
 @dataclass(frozen=True)
 class SatResult:
     satisfiable: bool
-    witness: Optional[dict[str, Union[Fraction, str]]] = None
+    witness: Optional[dict[str, Union[Number, str]]] = None
 
     def __bool__(self) -> bool:
         return self.satisfiable
@@ -159,7 +159,7 @@ class _Memo:
     ids: dict[Row, int] = field(default_factory=dict)
     rows: list[Row] = field(default_factory=list)
     #: the empty conjunction holds at the origin
-    solved: dict[tuple[int, ...], Optional[dict[str, Fraction]]] = field(default_factory=lambda: {(): {}})
+    solved: dict[tuple[int, ...], Optional[dict[str, Number]]] = field(default_factory=lambda: {(): {}})
     cores: list[frozenset[int]] = field(default_factory=list)
 
     def plan(self, disjuncts: ClauseAtoms) -> _Plan:
@@ -236,6 +236,9 @@ class _Compiler:
         if var_id not in self.display:
             bare_ok = self.schema.lookup(None, decl.name) is not None
             self.display[var_id] = decl.name if bare_ok else var_id
+            # validate compares the cell as ingest reads it, so such a level is never text there
+            if decl.kind == CATEGORICAL and (odd := [lv for lv in decl.levels if parse_value(lv) != lv]):
+                self.fail(f"level {odd[0]!r} of {decl.name!r} ingests as a number or NA, not as text")
         if decl.kind == CATEGORICAL:
             self.categorical.setdefault(var_id, decl.levels)
         else:
@@ -281,8 +284,8 @@ class _Compiler:
             if allowed == levels:
                 return []
             return [(CategoricalAtom(var_id, allowed),)] if allowed else [()]
-        numbers = [i for i in items.items if isinstance(i, Fraction)]
-        unit = ((var_id, Fraction(1)),)
+        numbers = [as_number(i) for i in items.items if isinstance(i, Fraction)]
+        unit = ((var_id, 1),)
         if not negated:
             clause = tuple(LinearAtom(unit, "==", n) for n in numbers)
             return [clause] if clause else [()]
@@ -309,23 +312,23 @@ class _Compiler:
             var, text = (left, right) if isinstance(left, VarRef) else (right, left)
             return self.membership(var, SetLit((text.value,)), op == "!=")
         coeffs, offset = self.linear(Binary("-", left, right))
-        items = tuple(sorted((v, c) for v, c in coeffs.items() if c != 0))
-        constant = -offset  # left op right  <=>  sum(items) op -offset
+        items = tuple(sorted((v, as_number(c)) for v, c in coeffs.items() if c != 0))
+        constant = as_number(-offset)  # left op right  <=>  sum(items) op -offset
         if not items:
-            return [] if COMPARE[op](Fraction(0), constant) else [()]
+            return [] if COMPARE[op](0, constant) else [()]
         return [(LinearAtom(items, op, constant),)]
 
-    def linear(self, expr: Expr) -> tuple[dict[str, Fraction], Fraction]:
+    def linear(self, expr: Expr) -> tuple[dict[str, Number], Number]:
         """Linear form (coefficients, constant) of a numeric expression."""
         if isinstance(expr, NumberLit):
-            return {}, expr.value
+            return {}, as_number(expr.value)
         if isinstance(expr, NALit):
             self.fail("NA literal is outside the two-valued fragment")
         if isinstance(expr, VarRef):
             var_id, decl = self.resolve(expr)
             if decl.kind == CATEGORICAL:
                 self.fail(f"categorical variable {decl.name!r} in numeric context")
-            return {var_id: Fraction(1)}, Fraction(0)
+            return {var_id: 1}, 0
         if isinstance(expr, Unary):
             if expr.op == "neg":
                 coeffs, const = self.linear(expr.operand)
@@ -335,10 +338,10 @@ class _Compiler:
             if expr.op in ("+", "-"):
                 lc, lk = self.linear(expr.left)
                 rc, rk = self.linear(expr.right)
-                sign = Fraction(1) if expr.op == "+" else Fraction(-1)
+                sign = 1 if expr.op == "+" else -1
                 out = dict(lc)
                 for v, c in rc.items():
-                    out[v] = out.get(v, Fraction(0)) + sign * c
+                    out[v] = out.get(v, 0) + sign * c
                 return out, lk + sign * rk
             if expr.op == "*":
                 lc, lk = self.linear(expr.left)
@@ -355,7 +358,7 @@ class _Compiler:
                 if rk == 0:
                     self.fail("division by the constant zero")
                 lc, lk = self.linear(expr.left)
-                return {v: c / rk for v, c in lc.items()}, lk / rk
+                return {v: Fraction(c, rk) for v, c in lc.items()}, Fraction(lk, rk)
         self.fail(f"cannot linearize {format_expr(expr)!r}")
 
 
@@ -406,10 +409,9 @@ def _build_system(parts: Iterable[_Part]) -> ConstraintSystem:
         if bounds is None:
             continue
         if (pair := domains.get(var_id)) is None:
-            low, high = bounds
-            unit, origin = ((var_id, Fraction(1)),), f"domain:{display.get(var_id, var_id)}"
-            pair = domains[var_id] = (Clause((LinearAtom(unit, ">=", low),), origin),
-                                      Clause((LinearAtom(unit, "<=", high),), origin))
+            unit, origin = ((var_id, 1),), f"domain:{display.get(var_id, var_id)}"
+            pair = domains[var_id] = (Clause((LinearAtom(unit, ">=", as_number(bounds[0])),), origin),
+                                      Clause((LinearAtom(unit, "<=", as_number(bounds[1])),), origin))
         clauses += pair
     return ConstraintSystem(clauses, numeric, categorical, display)
 
@@ -423,13 +425,11 @@ def compile_rules(rules: RuleSet, schema: Schema) -> ConstraintSystem:
 # --- satisfiability -------------------------------------------------------
 
 def _atom_rows(atom: LinearAtom) -> list[Row]:
-    # negated, not multiplied by the sign: a Fraction product costs more
-    return [make_row({v: c if sign > 0 else -c for v, c in atom.coeffs}, strict,
-                     atom.constant if sign > 0 else -atom.constant)
+    return [make_row({v: sign * c for v, c in atom.coeffs}, strict, sign * atom.constant)
             for sign, strict in _ROWS[atom.relation]]
 
 
-def _solve(key: tuple[int, ...], known: int) -> Optional[dict[str, Fraction]]:
+def _solve(key: tuple[int, ...], known: int) -> Optional[dict[str, Number]]:
     """Feasibility of the interned rows ``key``, answered once per
     distinct key per call; ``key[:known]`` has a witness in the memo.
     That witness answers when every row added after the prefix holds
@@ -526,7 +526,7 @@ def _leaves(system: ConstraintSystem) -> Iterator[tuple[dict[str, frozenset[str]
     return ((cats, [memo.rows[i] for i in key]) for cats, key in _search(system, memo))
 
 
-def check_witness(system: ConstraintSystem, witness: dict[str, Union[Fraction, str]]) -> bool:
+def check_witness(system: ConstraintSystem, witness: dict[str, Union[Number, str]]) -> bool:
     """Re-check a witness against every clause: a categorical option by
     the witness's level, a linear option by its integer rows."""
     memo = _MEMO.get() or _Memo()
@@ -548,9 +548,9 @@ def is_satisfiable(system: ConstraintSystem) -> SatResult:
     memo = _MEMO.get()
     for cats, key in _search(system, memo):
         numeric_witness = memo.solved[key]
-        witness: dict[str, Union[Fraction, str]] = {}
+        witness: dict[str, Union[Number, str]] = {}
         for var in system.numeric_vars:
-            witness[var] = numeric_witness.get(var, Fraction(0))
+            witness[var] = numeric_witness.get(var, 0)
         for var, levels in cats.items():
             witness[var] = sorted(levels)[0]
         assert check_witness(system, witness), "leaf witness failed a clause"
@@ -631,7 +631,7 @@ def _resolve_variable(system: ConstraintSystem, variable: str) -> str:
     raise KeyError(f"not a numeric variable of this system: {variable!r}")
 
 
-def _interval_text(value: Optional[Fraction]) -> Optional[str]:
+def _interval_text(value: Optional[Number]) -> Optional[str]:
     return None if value is None else format_number(value)
 
 

@@ -1,28 +1,27 @@
 """Exact feasibility of conjunctions of linear inequalities.
 
-Constraints are rows "sum of coeff*var <= bound" (or strictly below).
-Every row is kept in one normal form: its coefficients are coprime
-integers, and its bound is an ``int`` when integral and a ``Fraction``
-otherwise.  Variable elimination (Fourier-Motzkin) cancels a variable
-with gcd-reduced integer multipliers, and among rows with the same
-coefficients keeps only the tightest, which implies the others.  Each
-variable's rows, split by the sign of its coefficient, are kept beside
-the rows and updated in place: a step touches only the rows of the
-variable it eliminates and the rows it derives.  The elimination yields
-each step before making it, and its callers drive it: ``feasible``
-back-substitutes through the steps, and ``project`` projects the rows
-as they stand at each wanted variable's step onto that variable, by
-eliminating the others first.  The arithmetic stays exact, so strict
-inequalities and degenerate systems are decided exactly, and a feasible
-system yields a rational witness by back substitution.  That works in
-integers too: it compares the candidate bounds on a variable as integer
-pairs by cross-multiplication, and each value is an ``int`` when
-integral, like a row bound, so only the tightest non-integral bound
-builds a ``Fraction``; the witness and the shadows are returned in
-``Fraction``s.  An infeasible system yields a core: each derived row
-carries the set of input rows it was combined from, so the constant row
-that shows infeasibility names a subset of the input that is infeasible
-on its own (a Farkas certificate).
+Every number here is in the package's one exact form, ``model.Number``:
+an ``int`` when integral, else a ``Fraction``.  Constraints are rows
+"sum of coeff*var <= bound" (or strictly below), kept in one normal
+form: their coefficients are coprime integers.  Variable elimination
+(Fourier-Motzkin) cancels a variable with gcd-reduced integer
+multipliers, and among rows with the same coefficients keeps only the
+tightest, which implies the others.  Each variable's rows, split by the
+sign of its coefficient, are kept beside the rows and updated in place:
+a step touches only the rows of the variable it eliminates and the rows
+it derives.  The elimination yields each step before making it, and its
+callers drive it: ``feasible`` back-substitutes through the steps, and
+``project`` projects the rows as they stand at each wanted variable's
+step onto that variable, by eliminating the others first.  The
+arithmetic stays exact, so strict inequalities and degenerate systems
+are decided exactly, and a feasible system yields a rational witness by
+back substitution.  That works in integers too: it compares the
+candidate bounds on a variable as integer pairs by cross-multiplication,
+so only the tightest non-integral bound builds a ``Fraction``.  An
+infeasible system yields a core: each derived row carries the set of
+input rows it was combined from, so the constant row that shows
+infeasibility names a subset of the input that is infeasible on its own
+(a Farkas certificate).
 """
 
 from __future__ import annotations
@@ -30,10 +29,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Collection, Iterator, Optional, Union
+from typing import Collection, Iterator, Optional
 
-#: A row bound: an ``int`` when integral, else a ``Fraction``.
-Bound = Union[int, Fraction]
+from .model import Number
 
 
 @dataclass(frozen=True)
@@ -43,7 +41,7 @@ class Row:
 
     coeffs: tuple[tuple[str, int], ...]
     strict: bool
-    bound: Bound
+    bound: Number
 
     def coeff(self, var: str) -> int:
         for name, c in self.coeffs:
@@ -51,13 +49,13 @@ class Row:
                 return c
         return 0
 
-    def holds(self, assignment: dict[str, Bound]) -> bool:
+    def holds(self, assignment: dict[str, Number]) -> bool:
         num, den = _dot(self.coeffs, assignment)
         lhs, rhs = num * self.bound.denominator, self.bound.numerator * den
         return lhs < rhs if self.strict else lhs <= rhs
 
 
-def _dot(coeffs: tuple[tuple[str, int], ...], assignment: dict[str, Bound]) -> tuple[int, int]:
+def _dot(coeffs: tuple[tuple[str, int], ...], assignment: dict[str, Number]) -> tuple[int, int]:
     """sum(coeff * value) (absent variables count as 0), as an integer
     numerator and positive denominator."""
     num, den = 0, 1
@@ -73,7 +71,7 @@ def _dot(coeffs: tuple[tuple[str, int], ...], assignment: dict[str, Bound]) -> t
     return num, den
 
 
-def _normal(items: list[tuple[str, int]], strict: bool, bound: Bound) -> Row:
+def _normal(items: list[tuple[str, int]], strict: bool, bound: Number) -> Row:
     """The row of nonzero integer coefficients ``items`` (sorted by
     variable) divided by their gcd."""
     g = gcd(*(c for _, c in items))
@@ -85,12 +83,12 @@ def _normal(items: list[tuple[str, int]], strict: bool, bound: Bound) -> Row:
     return Row(tuple(items), strict, bound)
 
 
-def make_row(coeffs: dict[str, Fraction], strict: bool, bound) -> Row:
+def make_row(coeffs: dict[str, Number], strict: bool, bound: Number) -> Row:
     """The normal form of sum(coeffs[v] * v) <= bound (strictly when
     ``strict``): scaled by a positive factor to coprime integers."""
-    items = sorted((v, Fraction(c)) for v, c in coeffs.items() if c != 0)
+    items = sorted((v, c) for v, c in coeffs.items() if c != 0)
     scale = lcm(*(c.denominator for _, c in items))
-    return _normal([(v, (c * scale).numerator) for v, c in items], strict, Fraction(bound) * scale)
+    return _normal([(v, (c * scale).numerator) for v, c in items], strict, bound * scale)
 
 
 def _combine(low: Row, up: Row, var: str) -> Row:
@@ -196,13 +194,13 @@ def _eliminate(rows: Collection[Row], core: Optional[list[int]] = None,
 
 
 def _bounds_on(var: str, lowers: list[Row], uppers: list[Row],
-               assignment: dict[str, Bound]) -> tuple[Optional[tuple[Bound, bool]], Optional[tuple[Bound, bool]]]:
+               assignment: dict[str, Number]) -> tuple[Optional[tuple[Number, bool]], Optional[tuple[Number, bool]]]:
     """(value, open) bounds on var once later variables are fixed."""
     return _tightest(var, lowers, assignment, 1), _tightest(var, uppers, assignment, -1)
 
 
-def _tightest(var: str, rows: list[Row], assignment: dict[str, Bound],
-              sign: int) -> Optional[tuple[Bound, bool]]:
+def _tightest(var: str, rows: list[Row], assignment: dict[str, Number],
+              sign: int) -> Optional[tuple[Number, bool]]:
     """The greatest (``sign`` 1) or least (``sign`` -1) of the values of
     ``var`` at which one of ``rows`` is tight, the other variables taking
     their ``assignment`` values; open when a strict row gives it.  The
@@ -228,12 +226,12 @@ def _tightest(var: str, rows: list[Row], assignment: dict[str, Bound],
     return _number(n, d), strict
 
 
-def _number(n: int, d: int) -> Bound:
+def _number(n: int, d: int) -> Number:
     """n / d for a positive ``d``: an ``int`` when integral, else a ``Fraction``."""
     return n // d if n % d == 0 else Fraction(n, d)
 
 
-def _choose(lo: Optional[tuple[Bound, bool]], hi: Optional[tuple[Bound, bool]]) -> Bound:
+def _choose(lo: Optional[tuple[Number, bool]], hi: Optional[tuple[Number, bool]]) -> Number:
     if lo is None:
         return hi[0] - 1
     if hi is None:
@@ -244,29 +242,29 @@ def _choose(lo: Optional[tuple[Bound, bool]], hi: Optional[tuple[Bound, bool]]) 
     return _number(total.numerator, 2 * total.denominator)
 
 
-def feasible(rows: list[Row], core: Optional[list[int]] = None) -> Optional[dict[str, Fraction]]:
+def feasible(rows: list[Row], core: Optional[list[int]] = None) -> Optional[dict[str, Number]]:
     """Witness assignment for the conjunction, or None if infeasible;
     then the positions of an infeasible subset of ``rows`` are appended
     to ``core`` when it is given."""
     steps = list(_eliminate(rows, core))
     if steps and steps[-1] is None:
         return None
-    assignment: dict[str, Bound] = {}
+    assignment: dict[str, Number] = {}
     for step in reversed(steps):
         lo, hi = _bounds_on(step.var, step.lowers, step.uppers, assignment)
         assignment[step.var] = _choose(lo, hi)
     for row in rows:
         assert row.holds(assignment), f"back substitution violated {row}"
-    return {var: Fraction(value) for var, value in assignment.items()}
+    return assignment
 
 
 @dataclass(frozen=True)
 class Interval:
     """Set of attainable values of one variable; None ends are unbounded."""
 
-    lo: Optional[Fraction]
+    lo: Optional[Number]
     lo_open: bool
-    hi: Optional[Fraction]
+    hi: Optional[Number]
     hi_open: bool
 
     @property
@@ -278,8 +276,8 @@ class Interval:
                         *_outer(self.hi, self.hi_open, other.hi, other.hi_open, 1))
 
 
-def _outer(end: Optional[Fraction], is_open: bool, other: Optional[Fraction], other_open: bool,
-           sign: int) -> tuple[Optional[Fraction], bool]:
+def _outer(end: Optional[Number], is_open: bool, other: Optional[Number], other_open: bool,
+           sign: int) -> tuple[Optional[Number], bool]:
     """The end of two intervals' hull on one side: the lesser of two lower
     ends (``sign`` -1) or the greater of two upper ends (``sign`` 1),
     unbounded when either is; on a tie, open only when both are."""
@@ -327,9 +325,4 @@ def _shadow(rows: Collection[Row], var: str) -> Optional[Interval]:
             return None
         if step.var == var:
             lo, hi = _bounds_on(var, step.lowers, step.uppers, {})
-    return Interval(
-        lo=None if lo is None else Fraction(lo[0]),
-        lo_open=False if lo is None else lo[1],
-        hi=None if hi is None else Fraction(hi[0]),
-        hi_open=False if hi is None else hi[1],
-    )
+    return Interval(*(lo or (None, False)), *(hi or (None, False)))

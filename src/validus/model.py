@@ -62,7 +62,7 @@ def is_number(value: Value) -> bool:
     return isinstance(value, NUMBER)
 
 
-def as_number(q: Fraction) -> Number:
+def as_number(q: Number) -> Number:
     """A rational in its stored form: an int when it is integral."""
     return q.numerator if q.denominator == 1 else q
 

@@ -322,6 +322,12 @@ def reference_witness(system: ConstraintSystem):
     return None
 
 
+def in_number_form(value) -> bool:
+    """Whether ``value`` is in the package's one exact number form: an
+    ``int``, or a ``Fraction`` that is not integral."""
+    return type(value) is int or (type(value) is Fraction and value.denominator > 1)
+
+
 # --- reference witness check: every atom evaluated over Fractions ----------
 
 def reference_atom_holds(atom, numeric: dict, cats: dict) -> bool:

@@ -15,6 +15,7 @@ from helpers import (
     grid_oracle,
     grid_oracle_excluded_levels,
     grid_points,
+    in_number_form,
     lp_oracle,
     random_fractional_atom,
     random_oracle_ruleset,
@@ -53,9 +54,11 @@ from validus.analyzer import (
     implied_bounds,
     is_satisfiable,
     lint_rule,
+    lint_ruleset,
     ruleset_implies,
     simplify_ruleset,
 )
+from validus.csvio import dataset_from_csv
 from validus.errors import IncompatibleScopeError, UnsupportedForAnalysisError
 from validus.evaluator import evaluate_ruleset
 from validus.linear import Interval
@@ -105,6 +108,28 @@ def test_numeric_inequality_splits():
     # a negated numeric in_set gives one != atom per number
     system = compile_rules(parse_rules("r: not in_set(x, {1, 2})"), SCHEMA)
     assert [c.disjuncts for c in system.clauses] == [(LinearAtom(unit, "!=", Fraction(n)),) for n in (1, 2)]
+
+
+def test_division_compiles_to_the_reference_rows_without_a_float():
+    # number literals compile to ints, so a quotient must be built exactly
+    schema = parse_schema("t.x : numeric\nt.y : numeric\n")
+    cases = [("r: x / 2 <= 1", {"t.x": Fraction(1, 2)}, "<=", 1),
+             ("r: (x + 1) / 3 <= y", {"t.x": Fraction(1, 3), "t.y": -1}, "<=", Fraction(-1, 3)),
+             ("r: x / 2 * 4 >= 1", {"t.x": 2}, ">=", 1)]
+    for text, coeffs, relation, constant in cases:
+        (clause,) = compile_rules(parse_rules(text), schema).clauses
+        (atom,) = clause.disjuncts
+        assert atom == LinearAtom(tuple(sorted(coeffs.items())), relation, constant), text
+        (row,) = analyzer._atom_rows(atom)
+        assert all(in_number_form(n) for n in [*(c for _, c in atom.coeffs), atom.constant,
+                                               *(c for _, c in row.coeffs), row.bound]), text
+        sign = 1 if relation == "<=" else -1
+        reference = reference_make_row({v: sign * c for v, c in coeffs.items()}, False, sign * constant)
+        # the row is the reference row scaled by a positive factor
+        scale = row.coeffs[0][1] / reference.coeffs[0][1]
+        assert [v for v, _ in row.coeffs] == [v for v, _ in reference.coeffs] and scale > 0, text
+        assert all(c == scale * r for (_, c), (_, r) in zip(row.coeffs, reference.coeffs)), text
+        assert row.bound == scale * reference.bound and not row.strict, text
 
 
 def test_schema_bounds_become_clauses():
@@ -308,6 +333,23 @@ def test_simplify_keeps_the_comparisons_validate_makes_na():
     assert simplify_ruleset(rules, schema) == (rules, [])
 
 
+@pytest.mark.parametrize("levels,odd", [("1, 2", "1"), ("a, NA", "NA"), ('a, ""', "")])
+def test_a_level_ingest_reads_as_a_number_or_na_leaves_the_fragment(levels, odd):
+    # ingest reads the cell 1 as the number 1, which validate never finds
+    # in a set of text levels: r2 is FALSE on both records, not a tautology
+    schema = parse_schema(f"t.c : categorical {{{levels}}}\nt.x : numeric\n")
+    rules = parse_rules('r1: c == "1"\nr2: in_set(c, {"1", "2"})\nr3: x >= 0')
+    reason = f"level {odd!r} of 'c' ingests as a number or NA, not as text"
+    findings, subset, unsupported = lint_ruleset(rules, schema)
+    assert (findings, [rule.name for rule in subset], unsupported) == ([], ["r3"], [("r1", reason), ("r2", reason)])
+    assert analyze_ruleset(rules, schema)[1] == [("r1", reason), ("r2", reason)]
+    assert simplify_ruleset(rules, schema) == (rules, [])
+    if odd == "1":
+        data = dataset_from_csv({"t": "id,c,x\n1,1,0\n2,2,0\n"})
+        verdicts = {(e.rule, e.result) for e in evaluate_ruleset(rules, data, schema).entries}
+        assert ("r2", TriBool.FALSE) in verdicts and ("r2", TriBool.TRUE) not in verdicts
+
+
 # --- implied bounds -------------------------------------------------------------
 
 def test_fixed_value():
@@ -372,6 +414,7 @@ def test_bound_findings_equal_the_per_variable_hulls():
                 interval = reference_project([reference_make_row(dict(r.coeffs), r.strict, r.bound) for r in rows], var)
                 reference = interval if reference is None else reference.hull(interval)
             assert hull == reference
+            assert all(end is None or in_number_form(end) for end in (hull.lo, hull.hi))
             declared = system.numeric_vars[var] or (None, None)
             if hull.is_point:
                 expected.append((FIXED_VALUE, var, format_number(hull.lo), None, None))
@@ -573,6 +616,7 @@ def test_every_sat_verdict_carries_a_sound_witness():
         if result:
             seen_sat += 1
             assert check_witness(system, result.witness)
+            assert all(in_number_form(value) for value in result.witness.values() if not isinstance(value, str))
     assert seen_sat > 50
 
 

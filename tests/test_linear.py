@@ -6,6 +6,7 @@ from fractions import Fraction
 
 from helpers import (
     fraction_bounds_on,
+    in_number_form,
     random_row_specs,
     reference_feasible,
     reference_make_row,
@@ -197,7 +198,7 @@ def test_matches_the_fraction_row_solver():
         assert (witness is None) == (reference_feasible(reference) is None), specs
         outcomes[witness is not None] += 1
         if witness is not None:
-            assert all(type(value) is Fraction for value in witness.values())
+            assert all(in_number_form(value) for value in witness.values())
             assert all(row.holds(witness) for row in reference)
         # every variable at once, and one that is in no row: unbounded
         # when the rows are feasible
@@ -211,7 +212,7 @@ def test_matches_the_fraction_row_solver():
         for var, interval in shadows.items():
             assert interval == reference_project(reference, var), (specs, var)
             assert project(rows, [var]) == {var: interval}, (specs, var)
-            assert all(end is None or type(end) is Fraction for end in (interval.lo, interval.hi))
+            assert all(end is None or in_number_form(end) for end in (interval.lo, interval.hi))
     assert outcomes[True] > 150 and outcomes[False] > 150 and pruned > 150
 
 
@@ -250,12 +251,12 @@ def test_integer_back_substitution_matches_the_fraction_one():
         assert sides == fraction_bounds_on("x", lowers, uppers, assignment), (rows, assignment)
         for side in sides:
             if side is not None:
-                assert type(side[0]) is int or side[0].denominator > 1, (rows, assignment)
+                assert in_number_form(side[0]), (rows, assignment)
                 fractional += type(side[0]) is Fraction
         witness = feasible(rows)
-        assert witness is None or all(type(value) is Fraction for value in witness.values())
+        assert witness is None or all(in_number_form(value) for value in witness.values())
         shadow = project(rows, ["x"])
-        assert shadow is None or all(end is None or type(end) is Fraction
+        assert shadow is None or all(end is None or in_number_form(end)
                                      for end in (shadow["x"].lo, shadow["x"].hi))
     assert ties > 400 and fractional > 400
 
