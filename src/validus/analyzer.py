@@ -147,12 +147,14 @@ _ROWS = {"<=": ((1, False),), "<": ((1, True),), ">=": ((-1, False),), ">": ((-1
 @dataclass
 class _Memo:
     """What the public analyzer call in progress works out once: the
-    compiled form of each rule and of each negated claim, the domain
-    clauses of each numeric variable, the plan of each clause, one id for
-    each distinct row, the feasibility answer of each distinct tuple of
-    row ids, and the infeasible cores found."""
+    compiled form of each rule and of each negated claim, the level of
+    each categorical declaration that ingest does not read as text, the
+    domain clauses of each numeric variable, the plan of each clause, one
+    id for each distinct row, the feasibility answer of each distinct
+    tuple of row ids, and the infeasible cores found."""
 
     parts: dict[tuple[Rule, bool], _Part] = field(default_factory=dict)
+    odd_levels: dict[VariableDecl, Optional[str]] = field(default_factory=dict)
     domains: dict[str, tuple[Clause, Clause]] = field(default_factory=dict)
     #: by ``id`` of a clause's disjunct tuple, which the entry keeps alive
     plans: dict[int, tuple[ClauseAtoms, _Plan]] = field(default_factory=dict)
@@ -161,6 +163,13 @@ class _Memo:
     #: the empty conjunction holds at the origin
     solved: dict[tuple[int, ...], Optional[dict[str, Number]]] = field(default_factory=lambda: {(): {}})
     cores: list[frozenset[int]] = field(default_factory=list)
+
+    def odd_level(self, decl: VariableDecl) -> Optional[str]:
+        """The first level of the categorical ``decl`` that ingest reads
+        as a number or NA, not as text; None when every level is text."""
+        if decl not in self.odd_levels:
+            self.odd_levels[decl] = next((lv for lv in decl.levels if parse_value(lv) != lv), None)
+        return self.odd_levels[decl]
 
     def plan(self, disjuncts: ClauseAtoms) -> _Plan:
         """Each option of a clause (see ``_Plan``); the one place that
@@ -237,8 +246,8 @@ class _Compiler:
             bare_ok = self.schema.lookup(None, decl.name) is not None
             self.display[var_id] = decl.name if bare_ok else var_id
             # validate compares the cell as ingest reads it, so such a level is never text there
-            if decl.kind == CATEGORICAL and (odd := [lv for lv in decl.levels if parse_value(lv) != lv]):
-                self.fail(f"level {odd[0]!r} of {decl.name!r} ingests as a number or NA, not as text")
+            if decl.kind == CATEGORICAL and (odd := _MEMO.get().odd_level(decl)) is not None:
+                self.fail(f"level {odd!r} of {decl.name!r} ingests as a number or NA, not as text")
         if decl.kind == CATEGORICAL:
             self.categorical.setdefault(var_id, decl.levels)
         else:

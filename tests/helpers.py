@@ -714,6 +714,33 @@ def random_row_specs(rng: random.Random) -> list[tuple[dict, bool, Fraction]]:
     return specs
 
 
+def probe_row_specs(rng: random.Random) -> list[tuple[dict, bool, Fraction]]:
+    """(coefficients, strict, bound) of a system shaped like an analyzer
+    probe: each variable declared in [0, 100], several unit bounds on
+    each, some of them equal in value but one strict and one not and
+    from different rows, and two- and three-variable rows with
+    fractional coefficients, in random order."""
+    names = NUM_VARS[:rng.randint(2, 4)]
+    specs = []
+    for v in names:
+        specs += [({v: Fraction(-1)}, False, Fraction(0)), ({v: Fraction(1)}, False, Fraction(100))]
+        for _ in range(rng.randint(1, 3)):
+            sign = rng.choice([-1, 1])  # -1: a lower bound
+            value = Fraction(rng.randint(-10, 60) if sign < 0 else rng.randint(40, 110), rng.choice([1, 1, 1, 2, 3]))
+            scale = Fraction(rng.choice([1, 1, 2, 3]), rng.choice([1, 2]))
+            specs.append(({v: sign * scale}, rng.random() < 0.3, sign * scale * value))
+            if rng.random() < 0.4:  # the same bound, strict where that row is not
+                strict = not specs[-1][1]
+                specs.append(({v: Fraction(sign)}, strict, sign * value))
+    for _ in range(rng.randint(1, 5)):
+        coeffs = {}
+        for v in rng.sample(names, rng.randint(2, min(3, len(names)))):
+            coeffs[v] = rng.choice([-1, 1]) * Fraction(rng.randint(1, 4), rng.choice([1, 1, 2, 3]))
+        specs.append((coeffs, rng.random() < 0.3, Fraction(rng.randint(-40, 160), rng.choice([1, 1, 2]))))
+    rng.shuffle(specs)
+    return specs
+
+
 # rule generator covering every syntactic feature, for classifier coverage
 
 _TABLES = ("trade", "partner")

@@ -350,6 +350,19 @@ def test_a_level_ingest_reads_as_a_number_or_na_leaves_the_fragment(levels, odd)
         assert ("r2", TriBool.FALSE) in verdicts and ("r2", TriBool.TRUE) not in verdicts
 
 
+def test_each_categorical_declaration_is_read_once_per_call(monkeypatch):
+    # whether a level ingests as text depends on its declaration alone, so
+    # each level is parsed once per public call, not once per compiled rule
+    parsed = []
+    parse_value = analyzer.parse_value
+    monkeypatch.setattr(analyzer, "parse_value", lambda text: parsed.append(text) or parse_value(text))
+    rules = parse_rules(GENDER_RULES + 'c: gender != "female"\nd: if (job == "employed") income >= 0\n')
+    for call in (analyze_ruleset, simplify_ruleset):
+        parsed.clear()
+        call(rules, SCHEMA)
+        assert sorted(parsed) == ["employed", "female", "male", "unemployed"], call
+
+
 # --- implied bounds -------------------------------------------------------------
 
 def test_fixed_value():

@@ -7,6 +7,7 @@ from fractions import Fraction
 from helpers import (
     fraction_bounds_on,
     in_number_form,
+    probe_row_specs,
     random_row_specs,
     reference_feasible,
     reference_make_row,
@@ -179,10 +180,24 @@ def test_parallel_rows_reduce_to_the_tightest():
     for strict_at in range(3):
         tied = [le({"x": 1, "y": 1}, 4) if i != strict_at else lt({"x": 2, "y": 2}, 8) for i in range(3)]
         assert list(next(_eliminate(tied)).rows) == [lt({"x": 1, "y": 1}, 4)]
-    # after an elimination step: eliminating x gives y <= 4, y < 4 and y <= 5
+    # a row in one variable is that variable's bound on its side, not a
+    # kept row: the tightest stays, and on a tie the strict one
+    for strict_at in range(3):
+        uppers = [le({"x": 1}, 4) if i != strict_at else lt({"x": 2}, 8) for i in range(3)]
+        lowers = [le({"x": -1}, -1) if i != strict_at else lt({"x": -3}, -3) for i in range(3)]
+        step = next(_eliminate(uppers + [le({"x": 1}, 5), le({"x": -1}, 0)] + lowers))
+        assert list(step.rows) == [] and step.lo[:2] == (1, True) and step.hi[:2] == (4, True)
+    # after an elimination step: eliminating x gives y <= 4, y < 4 and y <= 5,
+    # so y's upper bound is y < 4
     rows = [le({"x": 1, "y": 1}, 4), le({"x": -1}, 0), lt({"x": 2, "y": 1}, 4), le({"x": 3, "y": 1}, 5)]
-    steps = [(step.var, list(step.rows)) for step in _eliminate(rows, last="y")]
-    assert steps[0] == ("x", rows) and steps[1] == ("y", [lt({"y": 1}, 4)]) and len(steps) == 2
+    steps = [(step.var, list(step.rows), step.lo and step.lo[:2], step.hi and step.hi[:2])
+             for step in _eliminate(rows, last="y")]
+    assert steps == [("x", [rows[0], rows[2], rows[3]], (0, False), None), ("y", [], None, (4, True))]
+
+
+def _kept(step):
+    """How many rows and bounds a step sees."""
+    return len(step.rows) + sum(None in side for sides in step.sides.values() for side in sides)
 
 
 def test_matches_the_fraction_row_solver():
@@ -193,7 +208,7 @@ def test_matches_the_fraction_row_solver():
         specs = random_row_specs(rng)
         rows = [make_row(*spec) for spec in specs]
         reference = [reference_make_row(*spec) for spec in specs]
-        pruned += len(next(_eliminate(rows)).rows) < len(rows)
+        pruned += _kept(next(_eliminate(rows))) < len(rows)
         witness = feasible(rows)
         assert (witness is None) == (reference_feasible(reference) is None), specs
         outcomes[witness is not None] += 1
@@ -261,22 +276,81 @@ def test_integer_back_substitution_matches_the_fraction_one():
     assert ties > 400 and fractional > 400
 
 
+def _implies(shadow, upper, bound):
+    """Whether every value in ``shadow`` (None when empty) keeps a
+    variable's (value, strict) upper (or lower) ``bound``."""
+    if shadow is None:
+        return True
+    value, strict = bound[:2]
+    end, is_open = (shadow.hi, shadow.hi_open) if upper else (shadow.lo, shadow.lo_open)
+    if end is None:
+        return False
+    return (end < value if upper else end > value) or (end == value and (is_open or not strict))
+
+
 def test_eliminate_keeps_the_sides_of_the_rows_it_returns():
-    # the sides are updated in place step by step; at each step they must
-    # be what one pass over the rows as they stand finds, in the same order
+    # the sides are updated in place step by step; at each step every
+    # variable's sides must hold what one pass over the rows as they stand
+    # finds, in the same order, beside its bounds, and no bound may be
+    # tighter than the reference projection of the input rows
     rng = random.Random(4111)
-    checked = 0
+    checked = bounds = 0
     for _ in range(600):
-        rows = [make_row(*spec) for spec in random_row_specs(rng)]
+        specs = random_row_specs(rng)
+        rows = [make_row(*spec) for spec in specs]
+        reference = [reference_make_row(*spec) for spec in specs]
+        shadows = {}
         for step in _eliminate(rows, last=rng.choice(["x0", "x1", "x2", "x3", None])):
             if step is None:
                 break
-            assert all(row.coeffs for row in step.rows), rows
+            assert all(len(row.coeffs) > 1 for row in step.rows), rows
             assert len({row.coeffs for row in step.rows}) == len(step.rows), rows
+            assert {v for row in step.rows for v, _ in row.coeffs} <= set(step.sides), rows
+            for var, sides in step.sides.items():
+                assert sides[0] or sides[1], rows
+                for upper, side in enumerate(sides):
+                    assert [row for key, row in side.items() if key is not None] == \
+                        [row for row in step.rows if (row.coeff(var) > 0 if upper else row.coeff(var) < 0)], rows
+                    if (bound := side.get(None)) is None:
+                        continue
+                    if var not in shadows:
+                        shadows[var] = reference_project(reference, var)
+                    assert _implies(shadows[var], upper, bound), (specs, var)
+                    bounds += 1
+            lower_side, upper_side = step.sides[step.var]
+            assert (step.lo, step.hi) == (lower_side.get(None), upper_side.get(None)), rows
             assert step.lowers == [row for row in step.rows if row.coeff(step.var) < 0], rows
             assert step.uppers == [row for row in step.rows if row.coeff(step.var) > 0], rows
             checked += 1
-    assert checked > 1000
+    assert checked > 1000 and bounds > 1000
+
+
+def test_probe_shaped_systems_match_the_fraction_row_solver():
+    # domain rows, several unit bounds on each variable (equal strict and
+    # non-strict ones among them) and fractional rows in two and three
+    # variables, as the analyzer's probes have them: the answer, the
+    # witness, each projection and each core must be the reference's
+    rng = random.Random(3535)
+    outcomes = {True: 0, False: 0}
+    for _ in range(400):
+        specs = probe_row_specs(rng)
+        rows = [make_row(*spec) for spec in specs]
+        reference = [reference_make_row(*spec) for spec in specs]
+        variables = sorted({v for coeffs, _, _ in specs for v in coeffs})
+        core = []
+        witness = feasible(rows, core)
+        assert (witness is None) == (reference_feasible(reference) is None), specs
+        outcomes[witness is not None] += 1
+        if witness is None:
+            assert core and reference_feasible([reference[i] for i in core]) is None, (specs, core)
+            assert project(rows, variables) is None, specs
+            continue
+        assert core == [] and all(in_number_form(value) for value in witness.values()), specs
+        assert all(row.holds(witness) for row in reference), specs
+        shadows = project(rows, variables)
+        for var in variables:
+            assert shadows[var] == reference_project(reference, var), (specs, var)
+    assert outcomes[True] > 100 and outcomes[False] > 100
 
 
 def test_an_infeasible_answer_names_a_core_infeasible_on_its_own():
